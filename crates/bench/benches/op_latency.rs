@@ -123,11 +123,11 @@ fn bench_variants(c: &mut Criterion) {
     group.finish();
 }
 
-/// Threaded vs polled vs reactor client drivers on the real-time
-/// runtime, over real TCP sockets: wall-clock latency of a sequential
-/// write + read pair. All drivers pump the same sans-io `ClientSession`,
-/// so the spread between them is pure driver overhead (blocking recv vs
-/// sleep-capped poll loop vs epoll reactor).
+/// The two wait strategies of the real-time runtime's shard worker,
+/// over real TCP sockets: wall-clock latency of a sequential write +
+/// read pair. Both run the same loop over the same sans-io
+/// `ClientSession`, so the spread between them is pure wait overhead
+/// (sleep-capped polling vs epoll reactor).
 fn bench_net_drivers(c: &mut Criterion) {
     let params = Params::new(1, 0, 1, 0).unwrap();
     let cfg = || NetConfig {
@@ -136,9 +136,9 @@ fn bench_net_drivers(c: &mut Criterion) {
         seed: 3,
         timer: Duration::from_millis(2),
     };
-    let mut drivers = vec![("threaded", Driver::Threaded), ("polled", Driver::Polled)];
+    let mut drivers = vec![("polled", Driver::Polled)];
     if cfg!(target_os = "linux") {
-        // Elsewhere Reactor degrades to the polled loop; benching the
+        // Elsewhere Reactor degrades to sleep-polling; benching the
         // fallback under the reactor label would just mislead the gate.
         drivers.push(("reactor", Driver::Reactor));
     }

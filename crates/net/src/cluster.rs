@@ -1,26 +1,22 @@
-//! Cluster assembly and blocking client handles.
+//! What every store is assembled from: the latency/timer configuration,
+//! the error and outcome types of the client API, and the server
+//! thread.
 //!
-//! The cluster is **variant-generic**: it is built from the same
-//! [`Setup`] enum the simulator's `SimCluster` uses, and every process is
-//! constructed through the [`Setup`] factories — the atomic (§3),
+//! Stores are **variant-generic**: they are built from the same
+//! [`Setup`](lucky_core::Setup) enum the simulator uses, and every
+//! process is constructed through its factories — the atomic (§3),
 //! two-round (App. C) and regular (App. D) algorithms all run on real
-//! threads with no variant-specific code in this module.
+//! threads with no variant-specific code in this crate.
 
-use crate::router::{spawn_router, Envelope, NetStats, RouterConfig, SlotMap};
-use crate::tcp::{build_fabric, TcpFabric, Transport};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use lucky_core::runtime::{ClientSession, Input, ServerCore, SessionError, SessionOutcome};
-use lucky_core::{ProtocolConfig, SessionConfig, Setup};
+use crate::router::Envelope;
+use crossbeam::channel::{Receiver, Sender};
+use lucky_core::runtime::{ServerCore, SessionError, SessionOutcome};
 use lucky_sim::Effects;
-use lucky_types::{
-    BatchConfig, Message, Op, ProcessId, ReaderId, RegisterId, ServerId, Time, Value,
-};
-use parking_lot::Mutex;
+use lucky_types::{Message, Op, ProcessId, RegisterId, Value};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Configuration of a threaded cluster.
 #[derive(Clone, Debug)]
@@ -88,10 +84,9 @@ pub enum NetError {
     /// The operation did not complete within the deadline.
     TimedOut,
     /// A driver bug: an operation was started on a session that already
-    /// had one in flight. Every driver serializes ops per session (the
-    /// threaded driver by construction, the polled/reactor workers via
-    /// their `is_ready` gate), so seeing this means a driver invariant
-    /// was violated — it is deliberately *not* folded into
+    /// had one in flight. The worker serializes ops per session (its
+    /// `is_ready` gate), so seeing this means a driver invariant was
+    /// violated — it is deliberately *not* folded into
     /// [`NetError::TimedOut`], which reports a protocol-level deadline.
     DriverBusy,
 }
@@ -131,9 +126,8 @@ pub(crate) fn trace_actor(client: ProcessId, reg: RegisterId) -> lucky_trace::Ac
     }
 }
 
-/// How session failures surface to blocking/future callers. The polled,
-/// reactor and threaded drivers all use this one mapping, so the
-/// deadline-vs-busy distinction cannot silently diverge again.
+/// How session failures surface to blocking/future callers: the one
+/// mapping, so the deadline-vs-busy distinction cannot silently diverge.
 impl From<SessionError> for NetError {
     fn from(err: SessionError) -> NetError {
         match err {
@@ -143,19 +137,10 @@ impl From<SessionError> for NetError {
     }
 }
 
-/// Why a client handle could not be handed out.
-///
-/// The original API returned a bare `Option`, silently conflating "you
-/// already took this handle" with "no such process exists"; the store API
-/// distinguishes them.
+/// Why a register handle could not be handed out: "you already took
+/// this handle" and "no such register exists" are distinct errors.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum HandleError {
-    /// The writer handle was already taken.
-    WriterTaken,
-    /// That reader's handle was already taken.
-    ReaderTaken(ReaderId),
-    /// No reader with this id exists in the cluster.
-    UnknownReader(ReaderId),
     /// No register with this id exists in the store.
     UnknownRegister(RegisterId),
     /// That register's handle was already taken.
@@ -165,9 +150,6 @@ pub enum HandleError {
 impl fmt::Display for HandleError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            HandleError::WriterTaken => write!(f, "writer handle already taken"),
-            HandleError::ReaderTaken(r) => write!(f, "reader {r} handle already taken"),
-            HandleError::UnknownReader(r) => write!(f, "no reader {r} in this cluster"),
             HandleError::UnknownRegister(x) => write!(f, "no register {x} in this store"),
             HandleError::RegisterTaken(x) => write!(f, "register {x} handle already taken"),
         }
@@ -196,8 +178,7 @@ pub struct NetOutcome {
 impl NetOutcome {
     /// Assemble from a completed session outcome: the invoked `op`
     /// resolves the headline value (a WRITE reports the value written),
-    /// `elapsed` is the driver's measured wall time. Shared by the
-    /// threaded and polled drivers so the mapping lives once.
+    /// `elapsed` is the worker's measured wall time.
     pub(crate) fn from_session(outcome: SessionOutcome, op: &Op, elapsed: Duration) -> NetOutcome {
         NetOutcome {
             reg: outcome.reg,
@@ -234,10 +215,9 @@ pub(crate) enum ServerCtl {
 const CTL_POLL: Duration = Duration::from_millis(5);
 
 /// Spawn one server's event loop: deliver every inbox message to `core`
-/// and forward its replies to the router. Shared by `NetCluster` and
-/// `NetStore`. The control channel injects crash/restart transitions;
-/// pass a receiver whose sender was dropped for a plain always-up
-/// server. The thread exits when the inbox disconnects.
+/// and forward its replies to the router. The control channel injects
+/// crash/restart transitions. The thread exits when the inbox
+/// disconnects.
 pub(crate) fn spawn_server_thread(
     name: String,
     id: ProcessId,
@@ -297,604 +277,5 @@ pub(crate) fn assert_one_fault_per_server(
 ) {
     if let Some(i) = crashed.iter().find(|i| byzantine.contains_key(i)) {
         panic!("server {i} configured both crashed and Byzantine — pick one fault per server");
-    }
-}
-
-/// Drives one [`ClientSession`] from the calling thread: a pure
-/// channel pump. The driver owns no timer or deadline bookkeeping — it
-/// feeds the session deliveries and wake-ups and honours
-/// [`ClientSession::next_wake`], translating session time (microseconds
-/// since the driver's epoch) to wall-clock instants.
-pub(crate) struct ClientDriver {
-    session: ClientSession,
-    /// Origin of the session's clock: session `Time(t)` is the wall
-    /// instant `epoch + t µs`.
-    epoch: Instant,
-    /// Latched once the inbox disconnects (cluster shut down
-    /// mid-operation): every later `run_op` fails fast with
-    /// [`NetError::Disconnected`] instead of touching the session,
-    /// whose abandoned operation can never be completed or retried.
-    disconnected: bool,
-    pub(crate) inbox: Receiver<(ProcessId, Message)>,
-    pub(crate) router: Sender<Envelope>,
-    /// Wire messages sent or received while the current op was pending
-    /// (same attribution the sim world performs per `OpRecord`).
-    op_msgs: u64,
-    /// Codec-exact bytes of those messages.
-    op_bytes: u64,
-}
-
-impl ClientDriver {
-    /// Wrap a session (deadline already configured) around its channels.
-    pub(crate) fn new(
-        session: ClientSession,
-        inbox: Receiver<(ProcessId, Message)>,
-        router: Sender<Envelope>,
-    ) -> ClientDriver {
-        ClientDriver {
-            session,
-            epoch: Instant::now(),
-            disconnected: false,
-            inbox,
-            router,
-            op_msgs: 0,
-            op_bytes: 0,
-        }
-    }
-
-    /// The last `run_op`'s `(msgs, bytes)` traffic attribution, for the
-    /// worker's history record.
-    pub(crate) fn op_traffic(&self) -> (u64, u64) {
-        (self.op_msgs, self.op_bytes)
-    }
-
-    /// The register this driver's session operates on.
-    pub(crate) fn reg(&self) -> RegisterId {
-        self.session.reg()
-    }
-
-    /// The client process this driver's session drives.
-    pub(crate) fn id(&self) -> ProcessId {
-        self.session.id()
-    }
-
-    /// The last operation's phase marks, for the tracer.
-    pub(crate) fn span(&self) -> &lucky_trace::OpSpan {
-        self.session.span()
-    }
-
-    fn now(&self) -> Time {
-        Time(self.epoch.elapsed().as_micros() as u64)
-    }
-
-    /// Translate a session instant back to the wall clock.
-    fn instant_of(&self, t: Time) -> Instant {
-        self.epoch + Duration::from_micros(t.0)
-    }
-
-    pub(crate) fn run_op(&mut self, op: Op) -> Result<NetOutcome, NetError> {
-        if self.disconnected {
-            return Err(NetError::Disconnected);
-        }
-        let start = Instant::now();
-        self.op_msgs = 0;
-        self.op_bytes = 0;
-        self.session
-            .begin(op.clone(), self.now())
-            .expect("handles run one operation at a time (§2.2)");
-        self.pump();
-        loop {
-            if let Some(outcome) = self.session.take_outcome() {
-                return Ok(NetOutcome::from_session(outcome, &op, start.elapsed()));
-            }
-            if let Some(err) = self.session.take_failure() {
-                return Err(err.into());
-            }
-            let received = match self.session.next_wake() {
-                Some(due) => {
-                    let timeout = self.instant_of(due).saturating_duration_since(Instant::now());
-                    match self.inbox.recv_timeout(timeout) {
-                        Ok(delivery) => Some(delivery),
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => None,
-                        Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                            self.disconnected = true;
-                            return Err(NetError::Disconnected);
-                        }
-                    }
-                }
-                // No wake needed (no timers, no deadline): block freely.
-                None => match self.inbox.recv() {
-                    Ok(delivery) => Some(delivery),
-                    Err(_) => {
-                        self.disconnected = true;
-                        return Err(NetError::Disconnected);
-                    }
-                },
-            };
-            let input = match received {
-                Some((from, msg)) => {
-                    self.op_msgs += 1;
-                    self.op_bytes += msg.wire_size() as u64;
-                    Input::Deliver(from, msg)
-                }
-                None => Input::Wake,
-            };
-            self.session.handle(input, self.now());
-            self.pump();
-        }
-    }
-
-    /// Forward everything the session wants sent to the router,
-    /// attributing each send to the op in flight.
-    fn pump(&mut self) {
-        let from = self.session.id();
-        while let Some(out) = self.session.poll_output() {
-            let (to, msg) = out.into_send();
-            self.op_msgs += 1;
-            self.op_bytes += msg.wire_size() as u64;
-            let _ = self.router.send(Envelope::Deliver { from, to, msg });
-        }
-    }
-}
-
-/// Blocking writer handle: owns the writer core (of whatever variant the
-/// cluster's [`Setup`] names).
-pub struct WriterHandle {
-    driver: ClientDriver,
-}
-
-impl fmt::Debug for WriterHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WriterHandle").finish_non_exhaustive()
-    }
-}
-
-impl WriterHandle {
-    /// `WRITE(v)`, blocking until it completes.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError`] if the cluster shut down or the operation stalled.
-    pub fn write(&mut self, v: Value) -> Result<NetOutcome, NetError> {
-        self.driver.run_op(Op::Write(v))
-    }
-}
-
-/// Blocking reader handle: owns one reader core (of whatever variant the
-/// cluster's [`Setup`] names).
-pub struct ReaderHandle {
-    driver: ClientDriver,
-}
-
-impl fmt::Debug for ReaderHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ReaderHandle").finish_non_exhaustive()
-    }
-}
-
-impl ReaderHandle {
-    /// `READ()`, blocking until it completes.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError`] if the cluster shut down or the operation stalled.
-    pub fn read(&mut self) -> Result<NetOutcome, NetError> {
-        self.driver.run_op(Op::Read)
-    }
-}
-
-/// Builder for a threaded cluster.
-pub struct NetClusterBuilder {
-    setup: Setup,
-    cfg: NetConfig,
-    readers: usize,
-    batch: BatchConfig,
-    transport: Transport,
-    byzantine: BTreeMap<u16, Box<dyn ServerCore>>,
-    crashed: Vec<u16>,
-}
-
-impl fmt::Debug for NetClusterBuilder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NetClusterBuilder")
-            .field("setup", &self.setup)
-            .field("readers", &self.readers)
-            .finish_non_exhaustive()
-    }
-}
-
-impl NetClusterBuilder {
-    /// Number of reader handles to create (default 1).
-    #[must_use]
-    pub fn readers(mut self, readers: usize) -> Self {
-        self.readers = readers;
-        self
-    }
-
-    /// Wire-message batching policy (default off). Enabled, the router
-    /// coalesces messages per destination socket-slot and servers
-    /// re-batch their acks; disabled, the wire traffic is identical to
-    /// the pre-batching runtime.
-    #[must_use]
-    pub fn batch(mut self, batch: BatchConfig) -> Self {
-        self.batch = batch;
-        self
-    }
-
-    /// Wire transport (default [`Transport::Channel`]). Under
-    /// [`Transport::Tcp`] every server owns a real loopback socket and
-    /// all traffic crosses it as `lucky-wire` frames.
-    #[must_use]
-    pub fn transport(mut self, transport: Transport) -> Self {
-        self.transport = transport;
-        self
-    }
-
-    /// Install a Byzantine behaviour at server `i`.
-    #[must_use]
-    pub fn byzantine(mut self, i: u16, core: Box<dyn ServerCore>) -> Self {
-        self.byzantine.insert(i, core);
-        self
-    }
-
-    /// Start server `i` crashed (it is simply never spawned).
-    #[must_use]
-    pub fn crashed(mut self, i: u16) -> Self {
-        self.crashed.push(i);
-        self
-    }
-
-    /// Spawn the router and server threads and hand out client handles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a server index is configured both crashed and Byzantine.
-    pub fn build(mut self) -> NetCluster {
-        assert_one_fault_per_server(&self.crashed, &self.byzantine);
-        let protocol = ProtocolConfig {
-            timer_micros: self.cfg.timer.as_micros() as u64,
-            ..ProtocolConfig::default()
-        };
-        let (router_tx, router_rx) = unbounded::<Envelope>();
-        let mut inboxes = BTreeMap::new();
-        let mut server_threads = Vec::new();
-
-        // Socket-slot map for the router's batching: each server and each
-        // client process is its own slot in this single-register runtime.
-        let server_count = self.setup.server_count();
-        let mut slots: SlotMap = SlotMap::new();
-
-        // Client inboxes.
-        let (writer_tx, writer_rx) = unbounded();
-        inboxes.insert(ProcessId::Writer, writer_tx);
-        slots.insert(ProcessId::Writer, server_count);
-        let mut reader_rxs = BTreeMap::new();
-        for r in ReaderId::all(self.readers) {
-            let (tx, rx) = unbounded();
-            inboxes.insert(ProcessId::Reader(r), tx);
-            slots.insert(ProcessId::Reader(r), server_count + 1 + r.index());
-            reader_rxs.insert(r, rx);
-        }
-
-        // Server threads.
-        for s in ServerId::all(server_count) {
-            slots.insert(ProcessId::Server(s), s.index());
-            if self.crashed.contains(&s.0) {
-                continue;
-            }
-            let (tx, rx) = unbounded::<(ProcessId, Message)>();
-            inboxes.insert(ProcessId::Server(s), tx);
-            // Honest servers multiplex per-register state; a cluster built
-            // through this API only ever sees the default register, but the
-            // mux keeps the two runtimes structurally identical.
-            let core: Box<dyn ServerCore> = match self.byzantine.remove(&s.0) {
-                Some(byz) => byz,
-                None => self.setup.make_server_mux_batched(self.batch),
-            };
-            // No control plane on the single-register cluster: the
-            // dropped sender leaves the thread a plain always-up server.
-            let (_ctl_tx, ctl_rx) = unbounded::<ServerCtl>();
-            server_threads.push(spawn_server_thread(
-                format!("lucky-server-{}", s.0),
-                ProcessId::Server(s),
-                core,
-                rx,
-                ctl_rx,
-                router_tx.clone(),
-            ));
-        }
-
-        // Router thread — and, under TCP, the socket fabric between the
-        // router and the destination slots.
-        let stats = Arc::new(Mutex::new(NetStats::default()));
-        let (fabric, sinks) = match self.transport {
-            Transport::Channel => (None, None),
-            Transport::Tcp => {
-                let (fabric, sinks) = build_fabric("lucky-cluster", &slots, &inboxes, &stats);
-                (Some(fabric), Some(sinks))
-            }
-        };
-        let router_thread = spawn_router(
-            "lucky-router",
-            router_rx,
-            inboxes,
-            RouterConfig {
-                latency: (self.cfg.min_latency, self.cfg.max_latency),
-                seed: self.cfg.seed,
-                batch: self.batch,
-                slots,
-                sinks,
-            },
-            Arc::clone(&stats),
-        );
-
-        // Deadline derived from the configured timer and handed to every
-        // session once: stalls surface as TimedOut without any deadline
-        // arithmetic in the drivers.
-        let session_cfg = SessionConfig::with_deadline(self.cfg.op_deadline().as_micros() as u64);
-
-        let writer = WriterHandle {
-            driver: ClientDriver::new(
-                self.setup.make_writer_session(RegisterId::DEFAULT, protocol, session_cfg),
-                writer_rx,
-                router_tx.clone(),
-            ),
-        };
-        let reader_count = reader_rxs.len();
-        let readers = reader_rxs
-            .into_iter()
-            .map(|(r, rx)| {
-                (
-                    r,
-                    ReaderHandle {
-                        driver: ClientDriver::new(
-                            self.setup.make_reader_session(
-                                RegisterId::DEFAULT,
-                                r,
-                                protocol,
-                                session_cfg,
-                            ),
-                            rx,
-                            router_tx.clone(),
-                        ),
-                    },
-                )
-            })
-            .collect();
-
-        NetCluster {
-            router_tx,
-            router_thread: Some(router_thread),
-            server_threads,
-            fabric,
-            writer: Some(writer),
-            readers,
-            reader_count,
-            stats,
-        }
-    }
-}
-
-/// A running threaded cluster. Take the client handles with
-/// [`NetCluster::take_writer`] / [`NetCluster::take_reader`] (they can be
-/// moved to other threads) and call [`NetCluster::shutdown`] when done.
-pub struct NetCluster {
-    router_tx: Sender<Envelope>,
-    router_thread: Option<JoinHandle<()>>,
-    server_threads: Vec<JoinHandle<()>>,
-    fabric: Option<TcpFabric>,
-    writer: Option<WriterHandle>,
-    readers: BTreeMap<ReaderId, ReaderHandle>,
-    reader_count: usize,
-    stats: Arc<Mutex<NetStats>>,
-}
-
-impl fmt::Debug for NetCluster {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("NetCluster")
-            .field("servers", &self.server_threads.len())
-            .field("readers", &self.readers.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl NetCluster {
-    /// Start building a cluster of the given variant. Accepts a [`Setup`]
-    /// directly, or anything converting into one (`Params` selects the
-    /// atomic algorithm, `TwoRoundParams` the two-round one; build
-    /// [`Setup::Regular`] explicitly for the regular variant).
-    pub fn builder(setup: impl Into<Setup>, cfg: NetConfig) -> NetClusterBuilder {
-        NetClusterBuilder {
-            setup: setup.into(),
-            cfg,
-            readers: 1,
-            batch: BatchConfig::disabled(),
-            transport: Transport::Channel,
-            byzantine: BTreeMap::new(),
-            crashed: Vec::new(),
-        }
-    }
-
-    /// Take the writer handle (once).
-    ///
-    /// # Errors
-    ///
-    /// [`HandleError::WriterTaken`] if it was already taken.
-    pub fn take_writer(&mut self) -> Result<WriterHandle, HandleError> {
-        self.writer.take().ok_or(HandleError::WriterTaken)
-    }
-
-    /// Take reader `i`'s handle (once each).
-    ///
-    /// # Errors
-    ///
-    /// [`HandleError::UnknownReader`] if no such reader was configured,
-    /// [`HandleError::ReaderTaken`] if its handle was already taken.
-    pub fn take_reader(&mut self, i: u16) -> Result<ReaderHandle, HandleError> {
-        let id = ReaderId(i);
-        if i as usize >= self.reader_count {
-            return Err(HandleError::UnknownReader(id));
-        }
-        self.readers.remove(&id).ok_or(HandleError::ReaderTaken(id))
-    }
-
-    /// Router statistics so far.
-    pub fn stats(&self) -> NetStats {
-        self.stats.lock().clone()
-    }
-
-    /// The loopback address server `s` listens on, when the cluster
-    /// runs over [`Transport::Tcp`] (`None` under the channel transport
-    /// or for a crashed server).
-    pub fn server_addr(&self, s: ServerId) -> Option<std::net::SocketAddr> {
-        self.fabric.as_ref().and_then(|f| f.server_addrs.get(&s).copied())
-    }
-
-    /// Stop the router, fabric and server threads and wait for them.
-    pub fn shutdown(&mut self) {
-        let _ = self.router_tx.send(Envelope::Stop);
-        if let Some(t) = self.router_thread.take() {
-            let _ = t.join();
-        }
-        // Router gone → its socket sinks closed → the fabric's readers
-        // see EOF and release the inbox senders as the fabric joins.
-        if let Some(mut fabric) = self.fabric.take() {
-            fabric.shutdown();
-        }
-        // All inbox senders gone → server inboxes disconnect → exit.
-        for t in self.server_threads.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for NetCluster {
-    fn drop(&mut self) {
-        // Non-blocking: signal stop; threads unwind on channel disconnect.
-        let _ = self.router_tx.send(Envelope::Stop);
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lucky_types::Params;
-
-    fn fast_cfg() -> NetConfig {
-        NetConfig {
-            min_latency: Duration::from_micros(50),
-            max_latency: Duration::from_micros(200),
-            seed: 1,
-            timer: Duration::from_millis(5),
-        }
-    }
-
-    #[test]
-    fn write_then_read_round_trips() {
-        let params = Params::new(1, 0, 1, 0).unwrap();
-        let mut cluster = NetCluster::builder(params, fast_cfg()).build();
-        let mut writer = cluster.take_writer().unwrap();
-        let mut reader = cluster.take_reader(0).unwrap();
-        let w = writer.write(Value::from_u64(7)).unwrap();
-        assert!(w.rounds >= 1);
-        let r = reader.read().unwrap();
-        assert_eq!(r.value.as_u64(), Some(7));
-        assert!(cluster.stats().messages > 0);
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn sequential_values_are_monotone() {
-        let params = Params::new(1, 1, 0, 0).unwrap();
-        let mut cluster = NetCluster::builder(params, fast_cfg()).build();
-        let mut writer = cluster.take_writer().unwrap();
-        let mut reader = cluster.take_reader(0).unwrap();
-        for i in 1..=5u64 {
-            writer.write(Value::from_u64(i)).unwrap();
-            let r = reader.read().unwrap();
-            assert_eq!(r.value.as_u64(), Some(i));
-        }
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn crashed_server_within_t_does_not_block() {
-        let params = Params::new(2, 0, 1, 1).unwrap();
-        let mut cluster = NetCluster::builder(params, fast_cfg()).crashed(0).build();
-        let mut writer = cluster.take_writer().unwrap();
-        let mut reader = cluster.take_reader(0).unwrap();
-        writer.write(Value::from_u64(1)).unwrap();
-        let r = reader.read().unwrap();
-        assert_eq!(r.value.as_u64(), Some(1));
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn byzantine_forger_is_outvoted() {
-        use lucky_core::byz::ForgeValue;
-        use lucky_types::{Seq, TsVal};
-        let params = Params::new(1, 1, 0, 0).unwrap();
-        let forged = TsVal::new(Seq(50), Value::from_u64(666));
-        let mut cluster = NetCluster::builder(params, fast_cfg())
-            .byzantine(0, Box::new(ForgeValue::new(forged)))
-            .build();
-        let mut writer = cluster.take_writer().unwrap();
-        let mut reader = cluster.take_reader(0).unwrap();
-        writer.write(Value::from_u64(1)).unwrap();
-        let r = reader.read().unwrap();
-        assert_eq!(r.value.as_u64(), Some(1));
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn concurrent_reader_threads() {
-        let params = Params::new(1, 0, 0, 1).unwrap();
-        let mut cluster = NetCluster::builder(params, fast_cfg()).readers(2).build();
-        let mut writer = cluster.take_writer().unwrap();
-        let mut r0 = cluster.take_reader(0).unwrap();
-        let mut r1 = cluster.take_reader(1).unwrap();
-        writer.write(Value::from_u64(1)).unwrap();
-        let t = std::thread::spawn(move || {
-            let mut seen = Vec::new();
-            for _ in 0..5 {
-                seen.push(r1.read().unwrap().value.as_u64().unwrap());
-            }
-            seen
-        });
-        for i in 2..=6u64 {
-            writer.write(Value::from_u64(i)).unwrap();
-            let v = r0.read().unwrap().value.as_u64().unwrap();
-            assert!(v >= i.saturating_sub(1), "reader sees a recent value");
-        }
-        let seen = t.join().unwrap();
-        // Values seen by the concurrent reader never decrease (atomicity).
-        for pair in seen.windows(2) {
-            assert!(pair[1] >= pair[0], "no new/old inversion: {seen:?}");
-        }
-        cluster.shutdown();
-    }
-
-    #[test]
-    fn operations_after_shutdown_fail_with_disconnected_idempotently() {
-        let params = Params::new(1, 0, 1, 0).unwrap();
-        let mut cluster = NetCluster::builder(params, fast_cfg()).build();
-        let mut writer = cluster.take_writer().unwrap();
-        writer.write(Value::from_u64(1)).unwrap();
-        cluster.shutdown();
-        // The first post-shutdown write observes the disconnect; every
-        // retry reports it again instead of panicking on a busy session.
-        assert_eq!(writer.write(Value::from_u64(2)).unwrap_err(), NetError::Disconnected);
-        assert_eq!(writer.write(Value::from_u64(3)).unwrap_err(), NetError::Disconnected);
-    }
-
-    #[test]
-    fn too_many_crashes_time_out() {
-        let params = Params::new(1, 0, 1, 0).unwrap();
-        let mut cfg = fast_cfg();
-        cfg.timer = Duration::from_millis(1);
-        let mut cluster = NetCluster::builder(params, cfg).crashed(0).crashed(1).build();
-        let mut writer = cluster.take_writer().unwrap();
-        assert_eq!(writer.write(Value::from_u64(1)).unwrap_err(), NetError::TimedOut);
-        cluster.shutdown();
     }
 }

@@ -3,14 +3,15 @@
 //! A thread-based, wall-clock runtime for the lucky storage protocols.
 //!
 //! The same sans-io cores that run under the deterministic simulator run
-//! here over real threads and channels: every server is a thread, a
-//! router thread injects configurable per-message latency, and client
-//! handles drive the writer/reader cores from the caller's thread with
-//! blocking `write`/`read` calls. This is the runtime the
+//! here over real threads and channels (or sockets): every server is a
+//! thread, a router thread injects configurable per-message latency, and
+//! shard worker threads drive the writer/reader cores on behalf of the
+//! register handles the caller holds, whose `write`/`read` calls block
+//! (tickets and futures do not). This is the runtime the
 //! `replicated_config_store` example uses to demonstrate the library
 //! outside the simulator.
 //!
-//! The runtime is **variant-generic**: clusters are built from the same
+//! The runtime is **variant-generic**: stores are built from the same
 //! `Setup` enum the simulator uses, and every process comes out of the
 //! `Setup` factories in `lucky-core`, which in turn instantiate the
 //! shared round-engine kernel (`lucky_core::engine`) with the chosen
@@ -19,33 +20,37 @@
 //! variant-specific code in this crate:
 //!
 //! ```
-//! use lucky_net::{NetCluster, NetConfig};
-//! use lucky_types::TwoRoundParams;
-//! # use lucky_types::Value;
+//! use lucky_net::{NetConfig, NetStore};
+//! use lucky_types::{RegisterId, TwoRoundParams, Value};
 //!
 //! let params = TwoRoundParams::new(1, 0, 1).unwrap();
-//! let mut cluster = NetCluster::builder(params, NetConfig::default()).build();
-//! let mut writer = cluster.take_writer().expect("writer handle");
-//! let w = writer.write(Value::from_u64(1)).unwrap();
+//! let mut store = NetStore::builder(params, NetConfig::default()).build();
+//! let register = store.register(RegisterId(0)).expect("register handle");
+//! let w = register.write(Value::from_u64(1)).unwrap();
 //! assert_eq!((w.rounds, w.fast), (2, false)); // App. C: always two rounds
-//! cluster.shutdown();
+//! store.shutdown();
 //! ```
 //!
+//! A store built without `.registers(n)` serves the paper's single
+//! register: one writer, `readers_per_register` readers. The handle
+//! takes `&self`, so one thread can write while others read:
+//!
 //! ```
-//! use lucky_net::{NetCluster, NetConfig};
-//! use lucky_types::{Params, Value};
+//! use lucky_net::{NetConfig, NetStore};
+//! use lucky_types::{Params, RegisterId, Value};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let params = Params::new(1, 0, 1, 0)?;
-//! let mut cluster = NetCluster::builder(params, NetConfig::default()).build();
-//! let mut writer = cluster.take_writer().expect("writer handle");
-//! let mut reader = cluster.take_reader(0).expect("reader handle");
+//! let mut store = NetStore::builder(params, NetConfig::default()).build();
+//! let register = store.register(RegisterId(0))?;
 //!
-//! let w = writer.write(Value::from_u64(42))?;
-//! assert!(w.rounds >= 1);
-//! let r = reader.read()?;
-//! assert_eq!(r.value.as_u64(), Some(42));
-//! cluster.shutdown();
+//! std::thread::scope(|s| {
+//!     s.spawn(|| register.write(Value::from_u64(42)).expect("write"));
+//!     s.spawn(|| register.read(0).expect("read")); // ⊥ or 42, never a phantom
+//! });
+//! assert_eq!(register.read(0)?.value.as_u64(), Some(42));
+//! store.check_atomicity()?;
+//! store.shutdown();
 //! # Ok(())
 //! # }
 //! ```
@@ -63,26 +68,29 @@
 //!
 //! Client cores are wrapped in `lucky-core`'s sans-io `ClientSession`
 //! (the poll-based op lifecycle with the per-operation deadline built
-//! in) and driven one of two ways, selected per store with the builder
-//! method `driver`:
+//! in). Each shard worker multiplexes **all** of its sessions on one
+//! thread, in one loop — drain jobs, feed input, fire due timers,
+//! advance, wait — and under [`Transport::Tcp`] accepts and reads its
+//! own socket with `lucky-wire`'s push-based `FrameDecoder`. Sessions
+//! are driven one of two ways, which differ only in how the worker
+//! waits:
 //!
-//! * [`Driver::Threaded`] (default) — a blocking pump per job:
-//!   `recv_timeout` until the session's `next_wake`, one operation at a
-//!   time per shard worker;
-//! * [`Driver::Polled`] — a nonblocking readiness-style poll loop per
-//!   shard worker, multiplexing **all** of the shard's sessions on one
-//!   thread; under [`Transport::Tcp`] the worker accepts and reads its
-//!   own socket with `lucky-wire`'s push-based `FrameDecoder` instead
-//!   of per-connection reader threads;
-//! * [`Driver::Reactor`] — the same multiplexing worker driven by a
-//!   real `epoll` instance (Linux; requires [`Transport::Tcp`]): the
-//!   thread sleeps in `epoll_wait` with the sessions' `next_wake`
-//!   timers folded into the timeout and wakes only for actual IO, a
-//!   timer, or a job submission (signalled via `eventfd`) — so one
-//!   thread drives thousands of concurrent in-flight sessions and an
-//!   idle store burns zero CPU. `tests/driver_equivalence.rs` proves
-//!   the drivers observably interchangeable, and `tests/reactor.rs`
-//!   pins the concurrency and idle-CPU properties.
+//! * [`Driver::Polled`] — sleep-capped polling: after at most a 500 µs
+//!   tick the worker re-polls its inboxes or sockets. Portable, and the
+//!   only way to watch a channel;
+//! * [`Driver::Reactor`] — a real `epoll` instance (Linux; requires
+//!   [`Transport::Tcp`]): the thread sleeps in `epoll_wait` with the
+//!   sessions' `next_wake` armed on a timerfd and wakes only for actual
+//!   IO, a timer, or a job submission (signalled via `eventfd`) — so
+//!   one thread drives thousands of concurrent in-flight sessions and
+//!   an idle store burns zero CPU.
+//!
+//! The store derives the strategy from the transport — the reactor over
+//! TCP on Linux, polling otherwise — so the builder method `driver` is
+//! only for pinning one (benchmarks, the equivalence tests).
+//! `tests/driver_equivalence.rs` proves the two observably
+//! interchangeable, and `tests/reactor.rs` pins the concurrency and
+//! idle-CPU properties.
 //!
 //! ## Futures
 //!
@@ -153,10 +161,7 @@ mod router;
 mod store;
 mod tcp;
 
-pub use cluster::{
-    HandleError, NetCluster, NetClusterBuilder, NetConfig, NetError, NetOutcome, ReaderHandle,
-    WriterHandle,
-};
+pub use cluster::{HandleError, NetConfig, NetError, NetOutcome};
 pub use future::OpFuture;
 pub use polled::Driver;
 pub use router::{GroupStats, NetStats, RegisterStats, ServerStats};

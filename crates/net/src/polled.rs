@@ -1,33 +1,34 @@
-//! The nonblocking, readiness-style polled driver.
+//! The session-multiplexing shard worker: the one client loop.
 //!
-//! Where the threaded driver parks one OS thread per in-flight operation
-//! (`ClientDriver::run_op` blocks its caller), the polled driver
-//! multiplexes **all of a shard's client sessions on one thread**: a
-//! single loop drains the job queue, polls the shard's input source,
-//! wakes whichever sessions are due and pumps their outputs to the
-//! router. The sans-io `ClientSession` already isolates all protocol and
-//! deadline logic, so the same worker runs under two readiness sources:
+//! A [`PolledWorker`] multiplexes **all of a shard's client sessions on
+//! one thread**: a single loop ([`PolledWorker::run`]) drains the job
+//! queue, feeds whatever input is ready to the sessions, wakes the ones
+//! that are due, pumps their outputs to the router and settles finished
+//! operations. The sans-io `ClientSession` isolates all protocol and
+//! deadline logic, so the only thing two workers may differ in is how
+//! they find input and how they block when there is none — the [`Wait`]
+//! strategy:
 //!
-//! * [`Driver::Polled`] — this module's sleep-capped poll loop: portable
-//!   (no OS reactor), at the cost of scheduling noise up to
-//!   [`POLL_TICK`] per input;
-//! * [`Driver::Reactor`] — `crate::reactor` drives the *same*
-//!   [`PolledWorker`] state machine from a real `epoll` instance: the
-//!   thread blocks in `epoll_wait` with the session timers folded into
-//!   the timeout and wakes only for actual IO, timers or job
-//!   submissions.
+//! * [`Driver::Polled`] — this module's [`SleepPoll`]: re-poll every
+//!   input source after a sleep of at most [`POLL_TICK`]. Portable (no
+//!   OS reactor) and the only strategy that can watch a channel, at the
+//!   cost of scheduling noise up to one tick per input;
+//! * [`Driver::Reactor`] — `crate::reactor`'s `EpollWait`: block in
+//!   `epoll_wait` with the session timers armed on a timerfd, wake only
+//!   for actual IO, a timer or a job submission, and read only the
+//!   connections epoll reported.
 //!
 //! Input sources per [`Transport`](crate::Transport):
 //!
 //! * **Channel** — the worker owns its client processes' inboxes and
 //!   `try_recv`s them;
 //! * **Tcp** — the worker owns its slot's loopback listener *itself*
-//!   (the fabric spawns no reader threads for polled slots): it accepts
-//!   the router's connection nonblocking, reads whatever bytes arrived,
-//!   reassembles frames with [`FrameDecoder`], decodes the packet parts
-//!   and dispatches them to sessions by recipient. One thread, zero
-//!   blocking reads — the push-based decoder from `lucky-wire` is what
-//!   makes this loop possible.
+//!   (the fabric spawns reader threads for server slots only): it
+//!   accepts the router's connection nonblocking, reads whatever bytes
+//!   arrived, reassembles frames with [`FrameDecoder`], decodes the
+//!   packet parts and dispatches them to sessions by recipient. One
+//!   thread, zero blocking reads — the push-based decoder from
+//!   `lucky-wire` is what makes this loop possible.
 //!
 //! Socket setup failures degrade instead of killing the worker: a
 //! connection that cannot be flipped nonblocking is dropped (counted in
@@ -49,34 +50,31 @@ use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Which client-driving strategy a `NetStore` deploys on its shard
-/// workers.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+/// How a `NetStore`'s shard workers wait for input. Unless the builder's
+/// `driver` method names one, the store derives it from the transport:
+/// [`Driver::Reactor`] over [`Transport::Tcp`](crate::Transport::Tcp) on
+/// Linux, [`Driver::Polled`] otherwise (epoll cannot watch a channel).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Driver {
-    /// One blocking driver per job: a shard worker runs its queued
-    /// operations to completion one at a time (the original runtime).
-    #[default]
-    Threaded,
-    /// One nonblocking poll loop per shard worker, multiplexing all of
-    /// the shard's client sessions: operations on different sessions of
-    /// one worker proceed concurrently.
+    /// Sleep-capped polling: the worker re-polls its inboxes or sockets
+    /// after at most one tick. Works under every transport and platform.
     Polled,
-    /// One `epoll` reactor per shard worker: the same multiplexing as
-    /// [`Driver::Polled`], but the thread blocks in `epoll_wait` (wake
-    /// eventfd + listener + accepted connections registered, session
-    /// timers folded into the timeout) instead of sleep-capped polling
-    /// — so one thread drives thousands of concurrent sessions and an
-    /// idle worker costs zero CPU. Requires
-    /// [`Transport::Tcp`](crate::Transport::Tcp); on platforms without
-    /// epoll the worker transparently falls back to the polled loop.
+    /// One `epoll` instance per shard worker: the thread blocks in
+    /// `epoll_wait` (wake eventfd + listener + accepted connections
+    /// registered, session timers on a timerfd) instead of sleep-capped
+    /// polling — so one thread drives thousands of concurrent sessions
+    /// and an idle worker costs zero CPU. Requires
+    /// [`Transport::Tcp`](crate::Transport::Tcp); where no epoll
+    /// instance can be had the worker falls back to sleep-polling
+    /// (counted in [`NetStats::io_errors`]).
     Reactor,
 }
 
-/// A job submitted to a shard worker (threaded or polled): run `op`
-/// on the client core/session keyed by `slot` and send the outcome back
-/// through `reply`. `notify` wakes the op's future (if the job came from
-/// the futures API) once the reply has been sent — or on any path that
-/// drops the job, so a future can never be lost.
+/// A job submitted to a shard worker: run `op` on the client session
+/// keyed by `slot` and send the outcome back through `reply`. `notify`
+/// wakes the op's future (if the job came from the futures API) once the
+/// reply has been sent — or on any path that drops the job, so a future
+/// can never be lost.
 pub(crate) struct Job {
     pub(crate) slot: (RegisterId, u32),
     pub(crate) op: Op,
@@ -173,12 +171,54 @@ const POLL_TICK: Duration = Duration::from_micros(500);
 /// on the job queue before re-checking for shutdown.
 const IDLE_PARK: Duration = Duration::from_millis(20);
 
+/// The one thing two shard workers may differ in: where ready input is
+/// found and how the thread blocks when there is none.
+pub(crate) trait Wait {
+    /// Feed the sessions whatever input is ready, without blocking.
+    fn input(&mut self, worker: &mut PolledWorker);
+    /// Block until there may be work again: input, a due session timer
+    /// or a submitted job.
+    fn wait(&mut self, worker: &mut PolledWorker);
+}
+
+/// The portable strategy: poll every input source, then sleep until the
+/// next session timer — capped at [`POLL_TICK`], since nothing
+/// interrupts the sleep — or, fully idle, park on the job queue so an
+/// idle store costs no CPU.
+pub(crate) struct SleepPoll;
+
+impl Wait for SleepPoll {
+    fn input(&mut self, worker: &mut PolledWorker) {
+        worker.poll_io();
+    }
+
+    fn wait(&mut self, worker: &mut PolledWorker) {
+        if !worker.all_idle() {
+            let next = worker.next_wake_delay().unwrap_or(POLL_TICK);
+            std::thread::sleep(next.min(POLL_TICK));
+        } else if worker.jobs_open {
+            match worker.jobs.recv_timeout(IDLE_PARK) {
+                Ok(job) => worker.enqueue(job),
+                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
+                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => worker.jobs_open = false,
+            }
+        }
+    }
+}
+
 pub(crate) struct PolledWorker {
     pub(crate) sessions: BTreeMap<(RegisterId, u32), PolledSlot>,
     /// Recipient → session key, for dispatching inbound messages.
     pub(crate) by_pid: BTreeMap<ProcessId, (RegisterId, u32)>,
     pub(crate) jobs: Receiver<Job>,
+    /// Cleared once the store has dropped every job sender.
+    pub(crate) jobs_open: bool,
     pub(crate) router: Sender<Envelope>,
+    /// Latched once a send to the router fails (the store shut down):
+    /// from then on every operation fails fast with
+    /// [`NetError::Disconnected`] instead of touching its session, whose
+    /// abandoned operation can never be completed or retried.
+    pub(crate) disconnected: bool,
     pub(crate) io: PollIo,
     pub(crate) history: Arc<Mutex<History>>,
     pub(crate) stats: Arc<Mutex<NetStats>>,
@@ -193,56 +233,42 @@ impl PolledWorker {
         Time(self.epoch.elapsed().as_micros() as u64)
     }
 
-    /// Run the poll loop until the store drops the job senders and every
-    /// session has drained its work. Also the portable fallback the
-    /// reactor driver degrades to when no epoll instance can be had.
-    pub(crate) fn run(mut self) {
-        let mut jobs_open = true;
+    /// The worker loop, until the store drops the job senders and every
+    /// session has drained its work.
+    pub(crate) fn run(mut self, mut wait: Box<dyn Wait>) {
         loop {
             // 1. Drain newly submitted jobs into their session queues.
-            self.drain_jobs(&mut jobs_open);
-            // 2. Poll the input source and feed deliveries to sessions.
-            self.poll_io();
+            self.drain_jobs();
+            // 2. Feed ready input to the sessions.
+            wait.input(&mut self);
             // 3. Wake every session whose next_wake is due.
             self.fire_due_wakes();
-            // 4. Start queued operations, pump outputs, settle outcomes.
+            // 4. Settle finished operations, start queued ones, pump
+            //    outputs.
             self.advance();
             // 5. Exit once no more jobs can arrive and nothing is left.
-            if !jobs_open && self.all_idle() {
+            if !self.jobs_open && self.all_idle() {
                 return;
             }
-            // 6. Sleep until the next wake (capped) — or, fully idle,
-            //    park on the job queue so an idle store costs no CPU.
-            if !self.all_idle() {
-                let next = self.next_wake_delay().unwrap_or(POLL_TICK);
-                std::thread::sleep(next.min(POLL_TICK));
-            } else if jobs_open {
-                match self.jobs.recv_timeout(IDLE_PARK) {
-                    Ok(job) => self.enqueue(job),
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => jobs_open = false,
-                }
-            }
+            // 6. Block until there may be work again.
+            wait.wait(&mut self);
         }
     }
 
     /// Move every queued job into its session's queue; clears
     /// `jobs_open` once the store has dropped the job senders.
-    pub(crate) fn drain_jobs(&mut self, jobs_open: &mut bool) {
-        while *jobs_open {
+    fn drain_jobs(&mut self) {
+        while self.jobs_open {
             match self.jobs.try_recv() {
                 Ok(job) => self.enqueue(job),
                 Err(crossbeam::channel::TryRecvError::Empty) => break,
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                    *jobs_open = false;
-                    break;
-                }
+                Err(crossbeam::channel::TryRecvError::Disconnected) => self.jobs_open = false,
             }
         }
     }
 
     /// Wake every session whose `next_wake` is due.
-    pub(crate) fn fire_due_wakes(&mut self) {
+    fn fire_due_wakes(&mut self) {
         let now = self.now();
         for slot in self.sessions.values_mut() {
             if slot.session.next_wake().is_some_and(|due| due <= now) {
@@ -252,13 +278,13 @@ impl PolledWorker {
     }
 
     /// `true` iff no session has an op in flight or queued.
-    pub(crate) fn all_idle(&self) -> bool {
+    fn all_idle(&self) -> bool {
         self.sessions.values().all(PolledSlot::is_idle)
     }
 
     /// How long until the earliest session timer is due (`None` when no
-    /// session needs waking — e.g. fully idle). The reactor uses this as
-    /// its `epoll_wait` timeout; the polled loop caps it at
+    /// session needs waking — e.g. fully idle). The epoll strategy arms
+    /// its timerfd with this; the sleep-poll strategy caps it at
     /// [`POLL_TICK`].
     pub(crate) fn next_wake_delay(&self) -> Option<Duration> {
         let now = self.now();
@@ -279,8 +305,8 @@ impl PolledWorker {
         }
     }
 
-    /// Drain whatever input arrived without blocking.
-    pub(crate) fn poll_io(&mut self) {
+    /// Drain whatever input arrived on any source, without blocking.
+    fn poll_io(&mut self) {
         match &mut self.io {
             PollIo::Channel(_) => self.poll_channels(),
             PollIo::Tcp { .. } => {
@@ -431,83 +457,90 @@ impl PolledWorker {
 
     /// Begin queued operations on idle sessions, forward outputs to the
     /// router, and resolve completed or failed operations.
-    pub(crate) fn advance(&mut self) {
+    fn advance(&mut self) {
         let now = self.now();
         for slot in self.sessions.values_mut() {
-            // Start the next queued op when the session is free.
-            if slot.current.is_none() && slot.session.is_ready() {
-                if let Some((op, reply, notify)) = slot.queue.pop_front() {
-                    slot.session
-                        .begin(op.clone(), now)
-                        .expect("is_ready checked; sessions run one op at a time");
-                    slot.current = Some(Current {
-                        op,
-                        reply,
-                        notify,
-                        start: Instant::now(),
-                        invoked_at: now,
-                        msgs: 0,
-                        bytes: 0,
-                    });
+            // Loop the slot until it makes no progress: an operation
+            // that settles in this pass frees the session for the next
+            // queued one *now*. Left for the next pass, that operation
+            // would have no timer armed yet, and a worker blocked in
+            // `epoll_wait` nothing to wake it.
+            loop {
+                // Start the next queued op when the session is free.
+                if slot.current.is_none() && (self.disconnected || slot.session.is_ready()) {
+                    if let Some((op, reply, notify)) = slot.queue.pop_front() {
+                        if !self.disconnected {
+                            slot.session
+                                .begin(op.clone(), now)
+                                .expect("is_ready checked; sessions run one op at a time");
+                        }
+                        slot.current = Some(Current {
+                            op,
+                            reply,
+                            notify,
+                            start: Instant::now(),
+                            invoked_at: now,
+                            msgs: 0,
+                            bytes: 0,
+                        });
+                    }
                 }
-            }
-            // Pump outputs, attributing each send to the pending op.
-            let from = slot.session.id();
-            while let Some(out) = slot.session.poll_output() {
-                let (to, msg) = out.into_send();
-                if let Some(cur) = slot.current.as_mut() {
-                    cur.msgs += 1;
-                    cur.bytes += msg.wire_size() as u64;
+                // Pump outputs, attributing each send to the pending op.
+                let from = slot.session.id();
+                while let Some(out) = slot.session.poll_output() {
+                    let (to, msg) = out.into_send();
+                    if let Some(cur) = slot.current.as_mut() {
+                        cur.msgs += 1;
+                        cur.bytes += msg.wire_size() as u64;
+                    }
+                    if self.router.send(Envelope::Deliver { from, to, msg }).is_err() {
+                        self.disconnected = true;
+                    }
                 }
-                let _ = self.router.send(Envelope::Deliver { from, to, msg });
-            }
-            // Settle.
-            if !slot.session.is_settled() {
-                continue;
-            }
-            if let Some(outcome) = slot.session.take_outcome() {
-                let Some(cur) = slot.current.take() else { continue };
-                let net = NetOutcome::from_session(outcome, &cur.op, cur.start.elapsed());
-                self.tracer.record_settle(
-                    trace_actor(slot.session.id(), slot.session.reg()),
-                    matches!(cur.op, Op::Write(_)),
-                    net.rounds,
-                    net.fast,
-                    cur.start.elapsed().as_micros() as u64,
-                    slot.session.span(),
-                );
+                // Settle.
+                let settled = if self.disconnected {
+                    Err(NetError::Disconnected)
+                } else if let Some(outcome) = slot.session.take_outcome() {
+                    Ok(outcome)
+                } else if let Some(err) = slot.session.take_failure() {
+                    Err(err.into())
+                } else {
+                    break;
+                };
+                let Some(cur) = slot.current.take() else { break };
+                let result =
+                    settled.map(|out| NetOutcome::from_session(out, &cur.op, cur.start.elapsed()));
+                let actor = trace_actor(slot.session.id(), slot.session.reg());
+                let write = matches!(cur.op, Op::Write(_));
+                match &result {
+                    Ok(net) => self.tracer.record_settle(
+                        actor,
+                        write,
+                        net.rounds,
+                        net.fast,
+                        net.elapsed.as_micros() as u64,
+                        slot.session.span(),
+                    ),
+                    Err(err) => self.tracer.record_failure(
+                        actor,
+                        write,
+                        err.fail_reason(),
+                        slot.session.span(),
+                    ),
+                }
+                // A failed operation stays an incomplete record.
                 append_history(
                     &self.history,
                     slot.session.reg(),
                     slot.session.id(),
                     cur.op,
                     cur.invoked_at,
-                    Some((now, &net)),
+                    result.as_ref().ok().map(|net| (now, net)),
                     (cur.msgs, cur.bytes),
                 );
-                let _ = cur.reply.send(Ok(net));
+                let _ = cur.reply.send(result);
                 // Wake the op's future (if any) only now, *after* the
                 // reply is observable in the channel.
-                drop(cur.notify);
-            } else if let Some(err) = slot.session.take_failure() {
-                let Some(cur) = slot.current.take() else { continue };
-                let err: NetError = err.into();
-                self.tracer.record_failure(
-                    trace_actor(slot.session.id(), slot.session.reg()),
-                    matches!(cur.op, Op::Write(_)),
-                    err.fail_reason(),
-                    slot.session.span(),
-                );
-                append_history(
-                    &self.history,
-                    slot.session.reg(),
-                    slot.session.id(),
-                    cur.op,
-                    cur.invoked_at,
-                    None,
-                    (cur.msgs, cur.bytes),
-                );
-                let _ = cur.reply.send(Err(err));
                 drop(cur.notify);
             }
         }
@@ -547,14 +580,14 @@ fn dispatch(
     }
 }
 
-/// Append one finished (or abandoned) operation to the shared history —
-/// the single recording path for all shard-worker kinds. `completion`
-/// is `None` for a failed operation (it stays an incomplete record, so
-/// the checkers treat it as pending, never as a bogus completion).
+/// Append one finished (or abandoned) operation to the shared history.
+/// `completion` is `None` for a failed operation (it stays an incomplete
+/// record, so the checkers treat it as pending, never as a bogus
+/// completion).
 /// `traffic` is the op's `(msgs, bytes)` attribution, counted by the
-/// driver while the op was pending — the same population the sim world
+/// worker while the op was pending — the same population the sim world
 /// records, so sim-vs-net comparisons read real numbers.
-pub(crate) fn append_history(
+fn append_history(
     history: &Arc<Mutex<History>>,
     reg: RegisterId,
     client: ProcessId,
@@ -604,7 +637,7 @@ mod tests {
     fn one_session_worker(
         listener: TcpListener,
         deadline_micros: u64,
-    ) -> (PolledWorker, Sender<Job>, Arc<Mutex<NetStats>>) {
+    ) -> (PolledWorker, Sender<Job>, Receiver<Envelope>, Arc<Mutex<NetStats>>) {
         let setup = Setup::from(Params::new(1, 0, 1, 0).unwrap());
         let protocol = ProtocolConfig { timer_micros: 1_000, ..ProtocolConfig::default() };
         let session = setup.make_writer_session(
@@ -619,23 +652,26 @@ mod tests {
         let mut by_pid = BTreeMap::new();
         by_pid.insert(pid, key);
         let (job_tx, job_rx) = unbounded::<Job>();
-        // The router receiver drops immediately: this worker's sends go
-        // nowhere by design (advance() ignores router send errors).
-        let (router_tx, _router_rx) = unbounded::<Envelope>();
+        // Nothing drains the router queue: this worker's sends go
+        // nowhere by design. The caller keeps the receiver alive, or the
+        // worker would see a shut-down store.
+        let (router_tx, router_rx) = unbounded::<Envelope>();
         let stats = Arc::new(Mutex::new(NetStats::default()));
         let tracer = Arc::new(lucky_trace::Tracer::new(lucky_trace::TraceConfig::disabled()));
         let worker = PolledWorker {
             sessions,
             by_pid,
             jobs: job_rx,
+            jobs_open: true,
             router: router_tx,
+            disconnected: false,
             io: PollIo::tcp(listener, &stats, &tracer),
             history: Arc::new(Mutex::new(History::new())),
             stats: Arc::clone(&stats),
             epoch: Instant::now(),
             tracer,
         };
-        (worker, job_tx, stats)
+        (worker, job_tx, router_rx, stats)
     }
 
     #[test]
@@ -666,9 +702,9 @@ mod tests {
         // when the job sender drops, instead of having panicked.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         epoll::close_fd(listener.as_raw_fd());
-        let (worker, job_tx, stats) = one_session_worker(listener, 50_000);
+        let (worker, job_tx, _router_rx, stats) = one_session_worker(listener, 50_000);
         assert_eq!(stats.lock().io_errors, 1);
-        let handle = std::thread::spawn(move || worker.run());
+        let handle = std::thread::spawn(move || worker.run(Box::new(SleepPoll)));
         let (reply, rx) = unbounded();
         job_tx
             .send(Job {

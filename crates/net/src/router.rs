@@ -112,8 +112,7 @@ pub struct GroupStats {
     pub lucky_ratio: f64,
 }
 
-/// Counters the router maintains; readable via `NetCluster::stats` /
-/// `NetStore::stats`.
+/// Counters the router maintains; readable via `NetStore::stats`.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct NetStats {
     /// Wire messages routed: a batch counts **once** — this is the
@@ -173,7 +172,7 @@ pub struct NetStats {
     pub io_errors: u64,
     /// Times a reactor worker returned from `epoll_wait` (for any
     /// reason: IO readiness, job-submission wake, or timer timeout).
-    /// Zero for non-reactor drivers. An *idle* reactor adds nothing
+    /// Zero under sleep-polling. An *idle* reactor adds nothing
     /// here — the no-busy-wait property `tests/reactor.rs` pins.
     pub reactor_wakeups: u64,
     /// Frame buffers the TCP encode path had to **allocate** because no
@@ -292,7 +291,7 @@ impl NetStats {
 /// Where wire traffic can be coalesced: the destination's socket-slot.
 /// Servers get one slot each; client processes map to the shard worker
 /// that hosts their core (so acks bound for cores on one worker share a
-/// wire). Built by the cluster/store builders.
+/// wire). Built by the store builder.
 pub(crate) type SlotMap = BTreeMap<ProcessId, usize>;
 
 /// One part of a wire message: sender, recipient, payload.
@@ -362,7 +361,7 @@ pub(crate) struct RouterConfig {
     pub(crate) sinks: Option<BTreeMap<usize, TcpStream>>,
 }
 
-/// Spawn the router thread (shared by `NetCluster` and `NetStore`).
+/// Spawn the router thread.
 pub(crate) fn spawn_router(
     name: &str,
     rx: Receiver<Envelope>,
@@ -719,7 +718,8 @@ impl Router {
     /// fan out as separate inbox sends, back-to-back. TCP transport:
     /// the staged frame (whose packet parts were grouped the same way
     /// at launch) is written to the destination slot's socket; the
-    /// slot's reader threads decode and fan out on the far side.
+    /// slot's receive side (a server's reader thread, or the shard
+    /// worker itself) decodes and fans out on the far side.
     fn deliver(&mut self, load: Load) {
         match load {
             Load::Parts(parts) => {

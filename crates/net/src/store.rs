@@ -17,12 +17,12 @@
 //! [`OpTicket`], letting one caller thread drive many registers at once.
 
 use crate::cluster::{
-    assert_one_fault_per_server, spawn_server_thread, ClientDriver, HandleError, NetConfig,
-    NetError, NetOutcome, ServerCtl,
+    assert_one_fault_per_server, spawn_server_thread, HandleError, NetConfig, NetError, NetOutcome,
+    ServerCtl,
 };
 use crate::future::{NotifyGuard, OpFuture, OpNotify};
-use crate::polled::{append_history, Driver, Job, PollIo, PolledSlot, PolledWorker};
-use crate::reactor::ReactorWorker;
+use crate::polled::{Driver, Job, PollIo, PolledSlot, PolledWorker, SleepPoll, Wait};
+use crate::reactor::EpollWait;
 use crate::router::{spawn_router, Envelope, NetStats, RouterConfig, SlotMap};
 use crate::tcp::{build_fabric, TcpFabric, Transport};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -30,7 +30,7 @@ use epoll::WakeFd;
 use lucky_core::runtime::ServerCore;
 use lucky_core::{ProtocolConfig, SessionConfig, Setup, StoreConfig};
 use lucky_log::{DurableBackend, LogCounters};
-use lucky_types::{BatchConfig, History, Op, ProcessId, RegisterId, ServerId, Time, Value};
+use lucky_types::{BatchConfig, History, Op, ProcessId, RegisterId, ServerId, Value};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -54,7 +54,9 @@ pub struct NetStoreBuilder {
     protocol: ProtocolConfig,
     batch: BatchConfig,
     transport: Transport,
-    driver: Driver,
+    /// `None` until [`NetStoreBuilder::driver`] names one: `build` then
+    /// derives it from the transport.
+    driver: Option<Driver>,
     byzantine: BTreeMap<u16, Box<dyn ServerCore>>,
     crashed: Vec<u16>,
     durable_dir: Option<PathBuf>,
@@ -139,16 +141,18 @@ impl NetStoreBuilder {
         self
     }
 
-    /// Client-driving strategy (default [`Driver::Threaded`]). Under
-    /// [`Driver::Polled`] each shard worker runs a nonblocking
-    /// readiness-style poll loop multiplexing all of its client
-    /// sessions on one thread — operations on different sessions of one
-    /// worker proceed concurrently, and under [`Transport::Tcp`] the
-    /// worker reads its own socket (no per-connection reader threads).
-    /// The handle/ticket API is identical under both drivers.
+    /// How the shard workers wait for input. Not calling this is the
+    /// normal case: the store then picks [`Driver::Reactor`] over
+    /// [`Transport::Tcp`] on Linux and [`Driver::Polled`] otherwise
+    /// (epoll cannot watch a channel). Every worker runs the same loop
+    /// and multiplexes all of its client sessions on one thread either
+    /// way; the handle/ticket API is identical.
+    ///
+    /// [`NetStoreBuilder::build`] panics if [`Driver::Reactor`] is named
+    /// without [`Transport::Tcp`].
     #[must_use]
     pub fn driver(mut self, driver: Driver) -> Self {
-        self.driver = driver;
+        self.driver = Some(driver);
         self
     }
 
@@ -204,6 +208,18 @@ impl NetStoreBuilder {
             "reader namespace exceeds the ReaderId range"
         );
         assert_one_fault_per_server(&self.crashed, &self.byzantine);
+        let tcp = self.transport == Transport::Tcp;
+        assert!(
+            self.driver != Some(Driver::Reactor) || tcp,
+            "Driver::Reactor requires Transport::Tcp (epoll needs sockets to watch)"
+        );
+        // Unless named, the wait strategy follows from what the workers
+        // will watch: sockets can sit in an epoll set, channels cannot.
+        let driver = self.driver.unwrap_or(if tcp && cfg!(target_os = "linux") {
+            Driver::Reactor
+        } else {
+            Driver::Polled
+        });
         let protocol =
             ProtocolConfig { timer_micros: self.cfg.timer.as_micros() as u64, ..self.protocol };
         let (router_tx, router_rx) = unbounded::<Envelope>();
@@ -213,26 +229,11 @@ impl NetStoreBuilder {
         // One session per client core, grouped by shard worker. The
         // router's socket-slot map mirrors the placement: a client
         // process's wire traffic coalesces per hosting worker (the
-        // "socket" the worker drains), servers get one slot each. Both
-        // drivers share the placement and the session-configured
-        // deadline; they differ only in how the worker pumps I/O.
+        // "socket" the worker drains), servers get one slot each.
         let shard_count = self.shards.unwrap_or_else(|| self.registers.min(4)).max(1);
         let server_count = self.setup.server_count();
         let mut slots: SlotMap = SlotMap::new();
         let session_cfg = SessionConfig::with_deadline(self.cfg.op_deadline().as_micros() as u64);
-        assert!(
-            !(self.driver == Driver::Reactor && self.transport != Transport::Tcp),
-            "Driver::Reactor requires Transport::Tcp (epoll needs sockets to watch)"
-        );
-        // The polled and reactor drivers share the session-multiplexing
-        // worker (and thus all placement); the reactor only swaps the
-        // readiness source.
-        let polled = matches!(self.driver, Driver::Polled | Driver::Reactor);
-        // Under the polled/reactor driver + TCP, client traffic lands on
-        // the worker's own socket: client processes get no channel inbox.
-        let channel_clients = !(polled && self.transport == Transport::Tcp);
-        let mut shard_drivers: Vec<BTreeMap<(RegisterId, u32), ClientDriver>> =
-            (0..shard_count).map(|_| BTreeMap::new()).collect();
         let mut shard_sessions: Vec<BTreeMap<(RegisterId, u32), PolledSlot>> =
             (0..shard_count).map(|_| BTreeMap::new()).collect();
         let mut shard_inboxes: Vec<
@@ -250,22 +251,15 @@ impl NetStoreBuilder {
         >| {
             let worker = shard_for(key.0, key.1, shard_count);
             slots.insert(pid, server_count + worker);
-            let rx = channel_clients.then(|| {
+            // Over TCP, client traffic lands on the worker's own socket:
+            // client processes get no channel inbox.
+            if !tcp {
                 let (tx, rx) = unbounded();
                 inboxes.insert(pid, tx);
-                rx
-            });
-            if polled {
-                if let Some(rx) = rx {
-                    shard_inboxes[worker].insert(pid, rx);
-                }
-                shard_pids[worker].insert(pid, key);
-                shard_sessions[worker].insert(key, PolledSlot::new(session));
-            } else {
-                let rx = rx.expect("threaded clients always own an inbox");
-                shard_drivers[worker]
-                    .insert(key, ClientDriver::new(session, rx, router_tx.clone()));
+                shard_inboxes[worker].insert(pid, rx);
             }
+            shard_pids[worker].insert(pid, key);
+            shard_sessions[worker].insert(key, PolledSlot::new(session));
         };
         for reg in RegisterId::all(self.registers) {
             place(
@@ -293,13 +287,14 @@ impl NetStoreBuilder {
         // it mid-run; a durable store's servers share one counter pair.
         let counters = Arc::new(LogCounters::default());
         let mut ctl = BTreeMap::new();
+        let mut server_inboxes = BTreeMap::new();
         for s in ServerId::all(server_count) {
             slots.insert(ProcessId::Server(s), s.index());
             if self.crashed.contains(&s.0) {
                 continue;
             }
             let (tx, rx) = unbounded::<(ProcessId, lucky_types::Message)>();
-            inboxes.insert(ProcessId::Server(s), tx);
+            server_inboxes.insert(s, tx);
             let core: Box<dyn ServerCore> = match self.byzantine.remove(&s.0) {
                 Some(byz) => byz,
                 None => store_server_core(
@@ -321,39 +316,31 @@ impl NetStoreBuilder {
             ));
         }
 
-        // Under the polled driver + TCP, each worker owns its slot's
-        // listener (bound here so the router's sink can connect; the
-        // worker itself accepts and reads, nonblocking).
-        let mut worker_listeners: Vec<Option<TcpListener>> = (0..shard_count)
-            .map(|w| {
-                (polled && self.transport == Transport::Tcp).then(|| {
-                    let _ = w;
-                    TcpListener::bind("127.0.0.1:0").expect("bind polled-worker listener")
-                })
-            })
-            .collect();
-
-        // Router thread — and, under TCP, the socket fabric between the
-        // router and the destination slots (servers + shard workers).
+        // Where wire messages land. Channel: in every process's inbox,
+        // handed over by the router. TCP: on the destination slot's
+        // socket — the fabric is the receive side of the server slots,
+        // and each worker owns its slot's listener (bound here so the
+        // router's sink can connect; the worker itself accepts and
+        // reads, nonblocking).
         let stats = Arc::new(Mutex::new(NetStats::default()));
         let tracer = Arc::new(lucky_trace::Tracer::new(self.trace));
-        let (fabric, sinks) = match self.transport {
-            Transport::Channel => (None, None),
-            Transport::Tcp => {
-                // The fabric builds receive sides only for slots hosting
-                // channel-inboxed processes; polled-worker slots read
-                // their own sockets, so only their sinks are added here.
-                let (fabric, mut sinks) = build_fabric("lucky-store", &slots, &inboxes, &stats);
-                for (w, listener) in worker_listeners.iter().enumerate() {
-                    if let Some(listener) = listener {
-                        let addr = listener.local_addr().expect("listener has an address");
-                        let sink = std::net::TcpStream::connect(addr).expect("connect worker sink");
-                        sink.set_nodelay(true).expect("set TCP_NODELAY");
-                        sinks.insert(server_count + w, sink);
-                    }
-                }
-                (Some(fabric), Some(sinks))
-            }
+        let (fabric, sinks, worker_ios): (_, _, Vec<PollIo>) = if tcp {
+            let (fabric, mut sinks) = build_fabric("lucky-store", server_inboxes, &stats);
+            let ios = (0..shard_count)
+                .map(|w| {
+                    let listener =
+                        TcpListener::bind("127.0.0.1:0").expect("bind shard-worker listener");
+                    let addr = listener.local_addr().expect("listener has an address");
+                    let sink = std::net::TcpStream::connect(addr).expect("connect worker sink");
+                    sink.set_nodelay(true).expect("set TCP_NODELAY");
+                    sinks.insert(server_count + w, sink);
+                    PollIo::tcp(listener, &stats, &tracer)
+                })
+                .collect();
+            (Some(fabric), Some(sinks), ios)
+        } else {
+            inboxes.extend(server_inboxes.into_iter().map(|(s, tx)| (ProcessId::Server(s), tx)));
+            (None, None, shard_inboxes.into_iter().map(PollIo::Channel).collect())
         };
         let router_thread = spawn_router(
             "lucky-store-router",
@@ -369,87 +356,69 @@ impl NetStoreBuilder {
             Arc::clone(&stats),
         );
 
-        // Shard workers: each owns its registers' client cores and a
-        // shared history it appends completed operations to. Threaded
-        // workers block per job; polled workers multiplex their
-        // sessions on one nonblocking loop; reactor workers do the same
-        // but sleep in `epoll_wait` (with an eventfd in their `JobPort`s
-        // so submissions can interrupt the sleep).
+        // Shard workers: each owns its registers' client sessions,
+        // multiplexes them on one loop, and appends completed operations
+        // to the shared history. An epoll worker's `JobPort`s carry an
+        // eventfd so submissions can interrupt its `epoll_wait`.
         let epoch = Instant::now();
         let history = Arc::new(Mutex::new(History::new()));
         let wakeups = Arc::new(AtomicU64::new(0));
         let mut workers = Vec::new();
         let mut worker_txs: Vec<JobPort> = Vec::new();
-        if polled {
-            let worker_parts =
-                shard_sessions.into_iter().zip(shard_inboxes).zip(shard_pids).enumerate();
-            for (w, ((sessions, inboxes), by_pid)) in worker_parts {
-                let (tx, rx) = unbounded::<Job>();
-                let io = match worker_listeners[w].take() {
-                    Some(listener) => PollIo::tcp(listener, &stats, &tracer),
-                    None => PollIo::Channel(inboxes),
-                };
-                let worker = PolledWorker {
-                    sessions,
-                    by_pid,
-                    jobs: rx,
-                    router: router_tx.clone(),
-                    io,
-                    history: Arc::clone(&history),
-                    stats: Arc::clone(&stats),
-                    epoch,
-                    tracer: Arc::clone(&tracer),
-                };
-                // The reactor needs a working eventfd to be woken for
-                // job submissions; without one (exotic platform, fd
-                // exhaustion) the worker degrades to the polled loop.
-                let wake = match self.driver {
-                    Driver::Reactor => match WakeFd::new() {
-                        Ok(wake) => Some(Arc::new(wake)),
-                        Err(_) => {
-                            stats.lock().io_errors += 1;
-                            tracer.note_io_error(
-                                0,
-                                "reactor eventfd unavailable; degrading to the polled loop",
-                            );
-                            None
-                        }
-                    },
-                    _ => None,
-                };
-                worker_txs.push(JobPort { tx, wake: wake.clone() });
-                let thread = match wake {
-                    Some(wake) => {
-                        let reactor = ReactorWorker { worker, wake, wakeups: Arc::clone(&wakeups) };
-                        std::thread::Builder::new()
-                            .name(format!("lucky-store-reactor-{w}"))
-                            .spawn(move || reactor.run())
+        let worker_parts = shard_sessions.into_iter().zip(worker_ios).zip(shard_pids).enumerate();
+        for (w, ((sessions, io), by_pid)) in worker_parts {
+            let (tx, rx) = unbounded::<Job>();
+            let worker = PolledWorker {
+                sessions,
+                by_pid,
+                jobs: rx,
+                jobs_open: true,
+                router: router_tx.clone(),
+                disconnected: false,
+                io,
+                history: Arc::clone(&history),
+                stats: Arc::clone(&stats),
+                epoch,
+                tracer: Arc::clone(&tracer),
+            };
+            // The epoll strategy needs a working eventfd to be woken for
+            // job submissions; without one (exotic platform, fd
+            // exhaustion) the worker sleep-polls.
+            let wake = match driver {
+                Driver::Reactor => match WakeFd::new() {
+                    Ok(wake) => Some(Arc::new(wake)),
+                    Err(_) => {
+                        stats.lock().io_errors += 1;
+                        tracer.note_io_error(0, "reactor eventfd unavailable; sleep-polling");
+                        None
                     }
-                    None => std::thread::Builder::new()
-                        .name(format!("lucky-store-polled-{w}"))
-                        .spawn(move || worker.run()),
-                };
-                workers.push(thread.expect("spawn shard worker"));
-            }
-        } else {
-            for (w, drivers) in shard_drivers.into_iter().enumerate() {
-                let (tx, rx) = unbounded::<Job>();
-                worker_txs.push(JobPort { tx, wake: None });
-                let history = Arc::clone(&history);
-                let tracer = Arc::clone(&tracer);
-                workers.push(
-                    std::thread::Builder::new()
-                        .name(format!("lucky-store-shard-{w}"))
-                        .spawn(move || run_worker(drivers, rx, history, epoch, tracer))
-                        .expect("spawn shard worker"),
-                );
-            }
+                },
+                Driver::Polled => None,
+            };
+            worker_txs.push(JobPort { tx, wake: wake.clone() });
+            let wakeups = Arc::clone(&wakeups);
+            let thread = std::thread::Builder::new().name(format!("lucky-store-worker-{w}")).spawn(
+                move || {
+                    // Likewise when no epoll set can be built around it.
+                    let wait: Box<dyn Wait> =
+                        match wake.map(|wake| EpollWait::new(&worker, wake, wakeups)) {
+                            Some(Ok(epoll)) => Box::new(epoll),
+                            Some(Err(())) => {
+                                worker.stats.lock().io_errors += 1;
+                                Box::new(SleepPoll)
+                            }
+                            None => Box::new(SleepPoll),
+                        };
+                    worker.run(wait)
+                },
+            );
+            workers.push(thread.expect("spawn shard worker"));
         }
 
         let handles = RegisterId::all(self.registers)
             .map(|reg| {
                 // One sender per client core, following the same
-                // placement as the drivers above.
+                // placement as the sessions above.
                 let slots = (0..=self.readers_per_register as u32)
                     .map(|slot| worker_txs[shard_for(reg, slot, shard_count)].clone())
                     .collect();
@@ -530,55 +499,6 @@ fn store_server_core(
             setup.make_server_mux_durable(batch, Box::new(backend))
         }
         None => setup.make_server_mux_batched(batch),
-    }
-}
-
-/// Drive one shard worker: run jobs to completion on the drivers this
-/// worker owns, appending every finished operation to the shared history.
-fn run_worker(
-    mut drivers: BTreeMap<(RegisterId, u32), ClientDriver>,
-    jobs: Receiver<Job>,
-    history: Arc<Mutex<History>>,
-    epoch: Instant,
-    tracer: Arc<lucky_trace::Tracer>,
-) {
-    while let Ok(job) = jobs.recv() {
-        let Some(driver) = drivers.get_mut(&job.slot) else {
-            // Unknown slot: handle construction prevents this; drop the
-            // reply channel so the caller sees a disconnect.
-            continue;
-        };
-        let invoked_at = Time(epoch.elapsed().as_micros() as u64);
-        let result = driver.run_op(job.op.clone());
-        let completed_at = Time(epoch.elapsed().as_micros() as u64);
-        let completion = result.as_ref().ok().map(|out| (completed_at, out));
-        if tracer.is_enabled() {
-            let actor = crate::cluster::trace_actor(driver.id(), driver.reg());
-            let write = matches!(job.op, Op::Write(_));
-            match &result {
-                Ok(out) => tracer.record_settle(
-                    actor,
-                    write,
-                    out.rounds,
-                    out.fast,
-                    out.elapsed.as_micros() as u64,
-                    driver.span(),
-                ),
-                Err(err) => tracer.record_failure(actor, write, err.fail_reason(), driver.span()),
-            }
-        }
-        append_history(
-            &history,
-            driver.reg(),
-            driver.id(),
-            job.op,
-            invoked_at,
-            completion,
-            driver.op_traffic(),
-        );
-        let _ = job.reply.send(result);
-        // `job.notify` (if the op came from the futures API) drops here,
-        // waking the future after the reply is observable.
     }
 }
 
@@ -858,8 +778,8 @@ pub struct NetStore {
     setup: Setup,
     batch: BatchConfig,
     durable_dir: Option<PathBuf>,
-    /// `epoll_wait` returns across every reactor worker (stays zero for
-    /// the other drivers); rolled into [`NetStats`] by `stats()`.
+    /// `epoll_wait` returns across every epoll worker (stays zero under
+    /// sleep-polling); rolled into [`NetStats`] by `stats()`.
     wakeups: Arc<AtomicU64>,
     /// Op tracer shared by every shard worker (disabled unless the
     /// builder enabled it); surfaced through [`NetStore::trace`].
@@ -891,7 +811,7 @@ impl NetStore {
             protocol: ProtocolConfig::default(),
             batch: BatchConfig::disabled(),
             transport: Transport::Channel,
-            driver: Driver::Threaded,
+            driver: None,
             byzantine: BTreeMap::new(),
             crashed: Vec::new(),
             durable_dir: None,
@@ -1016,6 +936,13 @@ impl NetStore {
     /// Wall-clock instants are microseconds since the store started.
     pub fn history(&self) -> History {
         self.history.lock().clone()
+    }
+
+    /// Operations recorded in the history so far (completed or failed):
+    /// the length, read under the lock, without the clone
+    /// [`NetStore::history`] pays.
+    pub fn history_len(&self) -> usize {
+        self.history.lock().ops.len()
     }
 
     /// Check every register's sub-history against the atomicity
@@ -1197,7 +1124,7 @@ mod tests {
     #[test]
     fn tickets_outlive_their_handle() {
         // Submit through the ticket API, then drop the handle before
-        // waiting: the shard worker owns the driver, so the operations
+        // waiting: the shard worker owns the session, so the operations
         // complete and the tickets resolve normally.
         let params = Params::new(1, 0, 1, 0).unwrap();
         let mut store = NetStore::builder(params, fast_cfg()).registers(2).build();
@@ -1230,6 +1157,65 @@ mod tests {
             "post-shutdown tickets must fail, not hang"
         );
         drop(h);
+    }
+
+    #[test]
+    fn operations_after_shutdown_fail_with_disconnected_idempotently() {
+        for transport in [Transport::Channel, Transport::Tcp] {
+            let params = Params::new(1, 0, 1, 0).unwrap();
+            let mut store = NetStore::builder(params, fast_cfg()).transport(transport).build();
+            let h = store.register(RegisterId(0)).unwrap();
+            h.write(Value::from_u64(1)).unwrap();
+            store.shutdown();
+            // The first post-shutdown write observes the disconnect; every
+            // retry reports it again instead of panicking on a busy session.
+            assert_eq!(h.write(Value::from_u64(2)).unwrap_err(), NetError::Disconnected);
+            assert_eq!(h.write(Value::from_u64(3)).unwrap_err(), NetError::Disconnected);
+        }
+    }
+
+    #[test]
+    fn too_many_crashes_time_out() {
+        for transport in [Transport::Channel, Transport::Tcp] {
+            let params = Params::new(1, 0, 1, 0).unwrap();
+            let mut cfg = fast_cfg();
+            cfg.timer = Duration::from_millis(1);
+            let mut store =
+                NetStore::builder(params, cfg).transport(transport).crashed(0).crashed(1).build();
+            let h = store.register(RegisterId(0)).unwrap();
+            assert_eq!(h.write(Value::from_u64(1)).unwrap_err(), NetError::TimedOut);
+            store.shutdown();
+        }
+    }
+
+    #[test]
+    fn concurrent_reader_threads() {
+        for transport in [Transport::Channel, Transport::Tcp] {
+            let params = Params::new(1, 0, 0, 1).unwrap();
+            let mut store = NetStore::builder(params, fast_cfg())
+                .readers_per_register(2)
+                .transport(transport)
+                .build();
+            let h = store.register(RegisterId(0)).unwrap();
+            h.write(Value::from_u64(1)).unwrap();
+            let seen = std::thread::scope(|s| {
+                let reader = s.spawn(|| {
+                    (0..5).map(|_| h.read(1).unwrap().value.as_u64().unwrap()).collect::<Vec<_>>()
+                });
+                for i in 2..=6u64 {
+                    h.write(Value::from_u64(i)).unwrap();
+                    let v = h.read(0).unwrap().value.as_u64().unwrap();
+                    assert!(v >= i.saturating_sub(1), "reader sees a recent value");
+                }
+                reader.join().unwrap()
+            });
+            // Values seen by the concurrent reader never decrease (atomicity).
+            for pair in seen.windows(2) {
+                assert!(pair[1] >= pair[0], "no new/old inversion: {seen:?}");
+            }
+            store.check_atomicity().unwrap();
+            store.shutdown();
+        }
     }
 
     #[test]

@@ -4,14 +4,16 @@
 //! hosting a group of client cores — owns a real `std::net` loopback
 //! listener. The router holds the write half: one persistent
 //! [`TcpStream`] per slot, into which it writes the frames built by
-//! `lucky-wire` ([`encode_packet`](lucky_wire::encode_packet)). Each
-//! slot runs an acceptor thread plus one reader thread per connection;
-//! readers reassemble frames from partial reads with
-//! [`FrameDecoder`](lucky_wire::FrameDecoder), decode the packet parts,
-//! and hand `(from, message)` to the destination process's inbox.
+//! `lucky-wire` ([`encode_packet`](lucky_wire::encode_packet)). Shard
+//! workers read their own sockets (`crate::polled`); this module is the
+//! receive side of the **server** slots: each runs an acceptor thread
+//! plus one reader thread per connection; readers reassemble frames
+//! from partial reads with [`FrameDecoder`](lucky_wire::FrameDecoder),
+//! decode the packet parts, and hand `(from, message)` to the server's
+//! inbox.
 //!
-//! Trust model: a reader only holds the inbox senders of **its own
-//! slot's processes**, so a frame arriving on server 0's socket can
+//! Trust model: a reader only holds the inbox sender of **its own
+//! slot's server**, so a frame arriving on server 0's socket can
 //! never inject into server 1 — the slot boundary is enforced
 //! structurally, not by checking. Malformed frames (bad magic, version
 //! skew, oversized length prefixes, checksum failures, codec garbage)
@@ -24,7 +26,7 @@
 //! model is preserved because every honest frame is written by the
 //! router.
 
-use crate::router::{NetStats, SlotMap};
+use crate::router::NetStats;
 use crossbeam::channel::Sender;
 use lucky_types::{Message, ProcessId, ServerId};
 use lucky_wire::{decode_packet, FrameDecoder};
@@ -56,22 +58,25 @@ pub enum Transport {
 /// flag — bounds how long fabric teardown can take.
 const READ_TIMEOUT: Duration = Duration::from_millis(100);
 
-/// One slot's receive side: its listener thread plus the inbox senders
-/// of exactly the processes hosted on this slot.
+/// The inbox of the one server a slot hosts.
+type ServerInbox = Sender<(ProcessId, Message)>;
+
+/// One server slot's receive side: its listener thread plus the inbox
+/// sender of exactly the server hosted on this slot.
 struct SlotReceiver {
-    slot: usize,
+    server: ServerId,
     addr: SocketAddr,
     acceptor: JoinHandle<()>,
     /// This slot's own teardown flag: fabric shutdown raises every
     /// slot's, [`TcpFabric::rebind_slot`] raises just one — a server
     /// restart must not stop its peers' acceptors.
     down: Arc<AtomicBool>,
-    /// The inbox senders this slot's readers fan out to, kept so a
-    /// re-bind can rebuild the receive side for the same processes.
-    inboxes: BTreeMap<ProcessId, Sender<(ProcessId, Message)>>,
+    /// Where this slot's readers deliver, kept so a re-bind can rebuild
+    /// the receive side for the same server.
+    inbox: ServerInbox,
 }
 
-/// The TCP substrate of one cluster/store: per-slot listeners and the
+/// The TCP substrate of one store: per-server listeners and the
 /// router-side write streams.
 pub(crate) struct TcpFabric {
     name: String,
@@ -88,34 +93,21 @@ impl std::fmt::Debug for TcpFabric {
     }
 }
 
-/// Build the fabric: one listener + acceptor per destination slot that
-/// hosts at least one live process, and one connected router-side
-/// stream per slot. Returns the fabric and the router's write streams
-/// keyed by slot.
+/// Build the fabric: one listener + acceptor per live server (slot
+/// `s.index()`), and one connected router-side stream per slot. Returns
+/// the fabric and the router's write streams keyed by slot.
 pub(crate) fn build_fabric(
     name: &str,
-    slots: &SlotMap,
-    inboxes: &BTreeMap<ProcessId, Sender<(ProcessId, Message)>>,
+    servers: BTreeMap<ServerId, ServerInbox>,
     stats: &Arc<Mutex<NetStats>>,
 ) -> (TcpFabric, BTreeMap<usize, TcpStream>) {
-    // Group the live processes (those with an inbox) by slot.
-    let mut by_slot: BTreeMap<usize, BTreeMap<ProcessId, Sender<(ProcessId, Message)>>> =
-        BTreeMap::new();
-    for (pid, tx) in inboxes {
-        let slot = *slots.get(pid).expect("every inboxed process has a slot");
-        by_slot.entry(slot).or_default().insert(*pid, tx.clone());
-    }
     let mut receivers = Vec::new();
     let mut sinks = BTreeMap::new();
     let mut server_addrs = BTreeMap::new();
-    for (slot, slot_inboxes) in by_slot {
-        let (receiver, sink) = bind_slot(name, slot, slot_inboxes, stats);
-        for pid in receiver.inboxes.keys() {
-            if let Some(s) = pid.as_server() {
-                server_addrs.insert(s, receiver.addr);
-            }
-        }
-        sinks.insert(slot, sink);
+    for (server, inbox) in servers {
+        let (receiver, sink) = bind_slot(name, server, inbox, stats);
+        server_addrs.insert(server, receiver.addr);
+        sinks.insert(server.index(), sink);
         receivers.push(receiver);
     }
     let fabric = TcpFabric { name: name.into(), stats: Arc::clone(stats), receivers, server_addrs };
@@ -127,23 +119,23 @@ pub(crate) fn build_fabric(
 /// write stream. Used at build time and again on every slot re-bind.
 fn bind_slot(
     name: &str,
-    slot: usize,
-    inboxes: BTreeMap<ProcessId, Sender<(ProcessId, Message)>>,
+    server: ServerId,
+    inbox: ServerInbox,
     stats: &Arc<Mutex<NetStats>>,
 ) -> (SlotReceiver, TcpStream) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
     let addr = listener.local_addr().expect("listener has an address");
     let down = Arc::new(AtomicBool::new(false));
     let acceptor = spawn_acceptor(
-        format!("{name}-slot-{slot}"),
+        format!("{name}-slot-{}", server.index()),
         listener,
-        inboxes.clone(),
+        (server, inbox.clone()),
         Arc::clone(stats),
         Arc::clone(&down),
     );
     let sink = TcpStream::connect(addr).expect("connect router sink");
     sink.set_nodelay(true).expect("set TCP_NODELAY");
-    (SlotReceiver { slot, addr, acceptor, down, inboxes }, sink)
+    (SlotReceiver { server, addr, acceptor, down, inbox }, sink)
 }
 
 impl TcpFabric {
@@ -171,17 +163,13 @@ impl TcpFabric {
     /// (e.g. a server started crashed). `server_addrs` is updated for
     /// the slot's server so `server_addr()` keeps answering truthfully.
     pub(crate) fn rebind_slot(&mut self, slot: usize) -> Option<TcpStream> {
-        let idx = self.receivers.iter().position(|r| r.slot == slot)?;
+        let idx = self.receivers.iter().position(|r| r.server.index() == slot)?;
         let old = self.receivers.swap_remove(idx);
         old.down.store(true, Ordering::SeqCst);
         let _ = TcpStream::connect(old.addr); // wake the blocking accept
         let _ = old.acceptor.join();
-        let (receiver, sink) = bind_slot(&self.name, slot, old.inboxes, &self.stats);
-        for pid in receiver.inboxes.keys() {
-            if let Some(s) = pid.as_server() {
-                self.server_addrs.insert(s, receiver.addr);
-            }
-        }
+        let (receiver, sink) = bind_slot(&self.name, old.server, old.inbox, &self.stats);
+        self.server_addrs.insert(old.server, receiver.addr);
         self.receivers.push(receiver);
         Some(sink)
     }
@@ -189,7 +177,7 @@ impl TcpFabric {
 
 impl Drop for TcpFabric {
     fn drop(&mut self) {
-        // Non-blocking teardown path (cluster dropped without an
+        // Non-blocking teardown path (store dropped without an
         // explicit shutdown): raise the flags and wake the acceptors so
         // they release their inbox senders; don't join.
         for r in &self.receivers {
@@ -205,7 +193,7 @@ impl Drop for TcpFabric {
 fn spawn_acceptor(
     name: String,
     listener: TcpListener,
-    inboxes: BTreeMap<ProcessId, Sender<(ProcessId, Message)>>,
+    inbox: (ServerId, ServerInbox),
     stats: Arc<Mutex<NetStats>>,
     shutdown: Arc<AtomicBool>,
 ) -> JoinHandle<()> {
@@ -217,13 +205,13 @@ fn spawn_acceptor(
                 if shutdown.load(Ordering::SeqCst) {
                     break;
                 }
-                let inboxes = inboxes.clone();
+                let inbox = inbox.clone();
                 let stats = Arc::clone(&stats);
                 let shutdown = Arc::clone(&shutdown);
                 readers.push(
                     std::thread::Builder::new()
                         .name(format!("{name}-rx"))
-                        .spawn(move || read_frames(stream, inboxes, stats, shutdown))
+                        .spawn(move || read_frames(stream, inbox, stats, shutdown))
                         .expect("spawn frame reader"),
                 );
             }
@@ -236,12 +224,12 @@ fn spawn_acceptor(
 
 /// Drain one connection: reassemble frames from whatever partial reads
 /// the socket produces, decode each packet, and deliver its parts to
-/// this slot's inboxes. Exits on EOF, on shutdown, or on the first
+/// this slot's server. Exits on EOF, on shutdown, or on the first
 /// malformed frame (counted, connection dropped — a corrupt stream has
 /// no trustworthy framing left).
 fn read_frames(
     mut stream: TcpStream,
-    inboxes: BTreeMap<ProcessId, Sender<(ProcessId, Message)>>,
+    inbox: (ServerId, ServerInbox),
     stats: Arc<Mutex<NetStats>>,
     shutdown: Arc<AtomicBool>,
 ) {
@@ -256,7 +244,7 @@ fn read_frames(
                 loop {
                     match dec.next_frame() {
                         Ok(Some(payload)) => match decode_packet(&payload) {
-                            Ok(parts) => deliver(&parts, &inboxes, &stats),
+                            Ok(parts) => deliver(&parts, &inbox, &stats),
                             Err(_) => {
                                 stats.lock().decode_errors += 1;
                                 break 'conn;
@@ -283,20 +271,18 @@ fn read_frames(
     }
 }
 
-/// Hand decoded parts to their processes. A part addressed to a process
-/// this slot does not host (only hostile frames can produce one — the
-/// router partitions by slot) or whose inbox has closed counts as
+/// Hand decoded parts to the slot's server. A part addressed to any
+/// other process (only hostile frames can produce one — the router
+/// partitions by slot) or arriving after the inbox closed counts as
 /// dropped, exactly like the channel transport's accounting.
 fn deliver(
     parts: &[(ProcessId, ProcessId, Message)],
-    inboxes: &BTreeMap<ProcessId, Sender<(ProcessId, Message)>>,
+    (server, inbox): &(ServerId, ServerInbox),
     stats: &Arc<Mutex<NetStats>>,
 ) {
     for (from, to, msg) in parts {
-        let lost = msg.part_count() as u64;
-        match inboxes.get(to) {
-            Some(tx) if tx.send((*from, msg.clone())).is_ok() => {}
-            _ => stats.lock().dropped += lost,
+        if *to != ProcessId::Server(*server) || inbox.send((*from, msg.clone())).is_err() {
+            stats.lock().dropped += msg.part_count() as u64;
         }
     }
 }

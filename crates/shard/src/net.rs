@@ -88,7 +88,7 @@ pub struct ShardNetStoreBuilder {
     cfg: StoreConfig,
     net: NetConfig,
     transport: Transport,
-    driver: Driver,
+    driver: Option<Driver>,
     register_quota: usize,
     byzantine: Vec<(GroupId, u16, Box<dyn ServerCore>)>,
     crashed: Vec<(GroupId, u16)>,
@@ -112,10 +112,11 @@ impl ShardNetStoreBuilder {
         self
     }
 
-    /// Client driver for every group (chainable).
+    /// Pin every group's wait strategy (chainable); unset, each group
+    /// derives it from the transport.
     #[must_use]
     pub fn driver(mut self, driver: Driver) -> Self {
-        self.driver = driver;
+        self.driver = Some(driver);
         self
     }
 
@@ -160,8 +161,10 @@ impl ShardNetStoreBuilder {
                     .protocol(cfg.cluster.protocol)
                     .batch(cfg.batch)
                     .trace(cfg.trace)
-                    .transport(self.transport)
-                    .driver(self.driver);
+                    .transport(self.transport);
+                if let Some(driver) = self.driver {
+                    b = b.driver(driver);
+                }
                 if let Some(dir) = &cfg.durable_dir {
                     b = b.durable(dir.join(format!("{gid}")));
                 }
@@ -208,7 +211,7 @@ impl ShardNetStore {
             cfg,
             net,
             transport: Transport::Channel,
-            driver: Driver::Threaded,
+            driver: None,
             register_quota: usize::MAX,
             byzantine: Vec::new(),
             crashed: Vec::new(),
@@ -441,7 +444,7 @@ impl ShardNetStore {
             total.per_group.insert(
                 GroupId(g as u16),
                 GroupStats {
-                    ops: store.history().ops.len() as u64,
+                    ops: store.history_len() as u64,
                     wire_bytes: s.wire_bytes,
                     recoveries: s.recoveries,
                     lucky_ratio,

@@ -10,8 +10,6 @@
 //!
 //! [`Message::Batch`]: crate::Message::Batch
 
-use serde::{Deserialize, Serialize};
-
 /// When and how aggressively to coalesce messages into batches.
 ///
 /// A flush happens when either bound is hit: the staging buffer holds
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// `max_delay_micros`. `max_delay_micros = 0` flushes on every
 /// scheduling opportunity (batching still groups messages that become
 /// ready together, but never *waits* for more).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct BatchConfig {
     /// Master switch. Disabled means no `Batch` envelope is ever created
     /// and the wire traffic is byte-identical to the unbatched protocol.

@@ -8,11 +8,10 @@
 //! by the `lucky-checker` oracles and the benchmark tables.
 
 use crate::{ProcessId, RegisterId, Time, Value};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of one operation instance within a run.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct OpId(pub u64);
 
 impl fmt::Display for OpId {
@@ -22,7 +21,7 @@ impl fmt::Display for OpId {
 }
 
 /// An operation a client may invoke on the storage.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum Op {
     /// `WRITE(v)` — only the writer invokes these.
     Write(Value),
@@ -47,7 +46,7 @@ impl Op {
 
 /// The kind of an operation, detached from its payload — carried by
 /// outcome types so consumers need not infer it from call-site context.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum OpKind {
     /// A `WRITE(v)`.
     Write,
@@ -65,7 +64,7 @@ impl fmt::Display for OpKind {
 }
 
 /// The record of one operation in a run.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct OpRecord {
     /// Operation id (unique within the run).
     pub id: OpId,
@@ -120,7 +119,7 @@ impl OpRecord {
 }
 
 /// A full run history: every operation, in invocation order.
-#[derive(Clone, PartialEq, Eq, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct History {
     /// Operations ordered by invocation time (ties by [`OpId`]).
     pub ops: Vec<OpRecord>,

@@ -10,7 +10,6 @@
 //! Every register has its own (logical) writer — the paper's model stays
 //! SWMR *per register* — addressed as [`ProcessId::writer`].
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Name of one register in a multi-register store.
@@ -19,9 +18,7 @@ use std::fmt;
 /// of them over the same server cluster, each register an independent SWMR
 /// atomic (or regular) register with its own writer, timestamps and frozen
 /// slots. Single-register deployments use [`RegisterId::DEFAULT`].
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct RegisterId(pub u32);
 
 impl RegisterId {
@@ -60,9 +57,7 @@ impl fmt::Display for RegisterId {
 }
 
 /// Index of a server process (`s_1 … s_S` in the paper), zero-based.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct ServerId(pub u16);
 
 impl ServerId {
@@ -84,9 +79,7 @@ impl fmt::Display for ServerId {
 }
 
 /// Index of a reader process (`r_1 … r_R` in the paper), zero-based.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct ReaderId(pub u16);
 
 impl ReaderId {
@@ -119,7 +112,7 @@ impl fmt::Display for ReaderId {
 /// build writer ids through [`ProcessId::writer`], which normalizes
 /// `WriterOf(DEFAULT)` to `Writer` so each logical process has exactly one
 /// representation.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum ProcessId {
     /// The writer of the default register (`w` in the paper).
     Writer,

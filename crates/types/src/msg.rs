@@ -9,12 +9,11 @@
 //! implementation can be audited line by line against it.
 
 use crate::{varint_len, ReadSeq, ReaderId, RegisterId, Seq, TsVal};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A `⟨r_j, pw, tsr⟩` triple the writer sends to freeze a value for reader
 /// `r_j`'s ongoing slow READ (Fig. 1 line 15).
-#[derive(Clone, PartialEq, PartialOrd, Ord, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, PartialOrd, Ord, Eq, Hash, Debug)]
 pub struct FrozenUpdate {
     /// The reader the value is frozen for.
     pub reader: ReaderId,
@@ -26,7 +25,7 @@ pub struct FrozenUpdate {
 
 /// A server's per-reader frozen slot `⟨frozen_rj.pw, frozen_rj.tsr⟩`
 /// (Fig. 3 line 2), echoed to the reader inside [`ReadAckMsg`].
-#[derive(Clone, PartialEq, PartialOrd, Ord, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, PartialOrd, Ord, Eq, Hash, Debug)]
 pub struct FrozenSlot {
     /// Frozen timestamp–value pair.
     pub pw: TsVal,
@@ -49,7 +48,7 @@ impl Default for FrozenSlot {
 
 /// A `⟨r_j, tsr_j⟩` entry of the `newread` field servers piggyback on
 /// `PW_ACK`s to report ongoing slow READs to the writer (Fig. 3 line 7).
-#[derive(Clone, Copy, PartialEq, PartialOrd, Ord, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, PartialOrd, Ord, Eq, Hash, Debug)]
 pub struct NewRead {
     /// The reader whose slow READ is in progress.
     pub reader: ReaderId,
@@ -63,7 +62,7 @@ pub struct NewRead {
 /// (Fig. 1 line 10); a reader's write-back rounds are tagged with its READ
 /// timestamp (Fig. 2 line 27). Keeping them in one enum means a writer can
 /// never mistake a write-back ack for one of its own and vice versa.
-#[derive(Clone, Copy, PartialEq, PartialOrd, Ord, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, PartialOrd, Ord, Eq, Hash, Debug)]
 pub enum Tag {
     /// Writer W phase for write timestamp `ts`.
     Write(Seq),
@@ -82,7 +81,7 @@ impl fmt::Display for Tag {
 
 /// `PW⟨ts, pw, w, frozen⟩` — first (pre-write) round of a WRITE
 /// (Fig. 1 line 4; Fig. 6 line 5 sends it without `frozen`).
-#[derive(Clone, PartialEq, PartialOrd, Ord, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, PartialOrd, Ord, Eq, Hash, Debug)]
 pub struct PwMsg {
     /// The register the WRITE targets.
     pub reg: RegisterId,
@@ -97,7 +96,7 @@ pub struct PwMsg {
 }
 
 /// `PW_ACK⟨ts, newread⟩` — server reply to [`PwMsg`] (Fig. 3 line 8).
-#[derive(Clone, PartialEq, PartialOrd, Ord, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, PartialOrd, Ord, Eq, Hash, Debug)]
 pub struct PwAckMsg {
     /// Echo of the register (validity check — the writer of register
     /// `reg` only counts acks for `reg`).
@@ -111,7 +110,7 @@ pub struct PwAckMsg {
 /// `W⟨round, tag, c⟩` — W-phase round of a WRITE (rounds 2–3, Fig. 1
 /// line 10) or a write-back round (Fig. 2 line 27). The two-round variant's
 /// writer additionally carries `frozen` here (Fig. 6 line 9).
-#[derive(Clone, PartialEq, PartialOrd, Ord, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, PartialOrd, Ord, Eq, Hash, Debug)]
 pub struct WriteMsg {
     /// The register the round targets.
     pub reg: RegisterId,
@@ -126,7 +125,7 @@ pub struct WriteMsg {
 }
 
 /// `WRITE_ACK⟨round, tag⟩` — server reply to [`WriteMsg`] (Fig. 3 line 16).
-#[derive(Clone, Copy, PartialEq, PartialOrd, Ord, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, PartialOrd, Ord, Eq, Hash, Debug)]
 pub struct WriteAckMsg {
     /// Echo of the register.
     pub reg: RegisterId,
@@ -137,7 +136,7 @@ pub struct WriteAckMsg {
 }
 
 /// `READ⟨tsr, rnd⟩` — one round of a READ (Fig. 2 line 16).
-#[derive(Clone, Copy, PartialEq, PartialOrd, Ord, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, PartialOrd, Ord, Eq, Hash, Debug)]
 pub struct ReadMsg {
     /// The register the READ targets.
     pub reg: RegisterId,
@@ -149,7 +148,7 @@ pub struct ReadMsg {
 
 /// `READ_ACK⟨tsr, rnd, pw, w, vw, frozen⟩` — server reply to [`ReadMsg`]
 /// (Fig. 3 line 11).
-#[derive(Clone, PartialEq, PartialOrd, Ord, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, PartialOrd, Ord, Eq, Hash, Debug)]
 pub struct ReadAckMsg {
     /// Echo of the register.
     pub reg: RegisterId,
@@ -172,7 +171,7 @@ pub struct ReadAckMsg {
 /// with the matching acks. [`Message::Batch`] is a transport envelope
 /// either side may use to ship several messages to one destination as a
 /// single wire message.
-#[derive(Clone, PartialEq, PartialOrd, Ord, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, PartialOrd, Ord, Eq, Hash, Debug)]
 pub enum Message {
     /// Pre-write round (writer → servers).
     Pw(PwMsg),

@@ -12,7 +12,6 @@
 //! * `invalidw` needs `S − t`, `invalidpw` needs `S − b − t`
 //!   (Fig. 2 lines 8, 9).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error returned when resilience parameters are inconsistent.
@@ -83,7 +82,7 @@ impl std::error::Error for ParamsError {}
 /// assert_eq!(p.fastpw_threshold(), 5); // 2b + t + 1
 /// assert!(Params::new(2, 1, 1, 1).is_err()); // fw + fr > t - b
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct Params {
     t: usize,
     b: usize,
@@ -240,7 +239,7 @@ impl fmt::Display for Params {
 /// Parameters of the two-round-write variant (Appendix C):
 /// `S = 2t + b + min(b, fr) + 1` servers, every WRITE exactly two rounds,
 /// every lucky READ fast despite `fr` failures.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct TwoRoundParams {
     t: usize,
     b: usize,

@@ -21,16 +21,13 @@
 //! ```
 
 use crate::RegisterId;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Name of one server group: an independent quorum of servers with its
 /// own resilience parameters, serving the registers the [`Placement`]
 /// routes to it. Single-group deployments use [`GroupId::DEFAULT`].
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct GroupId(pub u16);
 
 impl GroupId {
@@ -73,7 +70,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// pinned there routes to its pinned group regardless of the ring —
 /// this is how live migration re-homes a register without disturbing
 /// any other key.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Placement {
     /// Ring stations, sorted by hash. Ties (astronomically rare) break
     /// toward the lower group id via the sort on the pair.

@@ -6,14 +6,11 @@
 //! run. Durations are plain `u64` microsecond counts — every API that takes
 //! one says so in its name or documentation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
 /// An instant of virtual time (microseconds since the start of the run).
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Time(pub u64);
 
 impl Time {

@@ -5,7 +5,6 @@
 //! that; [`TsVal`] is the `⟨ts, val⟩` pair the protocols store and compare.
 
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Byte length of the canonical LEB128 varint encoding of `x` — the
@@ -29,9 +28,7 @@ pub fn varint_len(x: u64) -> usize {
 /// `Seq(0)` is `ts0`, the timestamp of the initial value `⊥`; the writer
 /// assigns `1, 2, …` to successive WRITEs, so a timestamp doubles as the
 /// write's index `k` in the atomicity definition of §2.2.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Seq(pub u64);
 
 impl Seq {
@@ -56,9 +53,7 @@ impl fmt::Display for Seq {
 /// Increased once at the beginning of every READ invocation (Fig. 2 line
 /// 12); servers store the highest value seen from rounds > 1 and the writer
 /// freezes values against it.
-#[derive(
-    Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct ReadSeq(pub u64);
 
 impl ReadSeq {
@@ -83,7 +78,7 @@ impl fmt::Display for ReadSeq {
 /// `⊥` is not a valid input to a WRITE (§2.2); [`Value::is_bot`] lets the
 /// API enforce that. Data payloads are cheaply-cloneable [`Bytes`] so that
 /// benchmarks can sweep payload sizes without copying.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub enum Value {
     /// The initial value `⊥`.
     #[default]
@@ -177,7 +172,7 @@ impl From<&[u8]> for Value {
 /// tiebreak merely makes the order total, which keeps candidate selection
 /// deterministic even against equivocating Byzantine servers that send two
 /// different values with one timestamp.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct TsVal {
     /// Write timestamp.
     pub ts: Seq,

@@ -5,11 +5,10 @@
 //! plus the length-prefixed, checksummed framing the TCP transport in
 //! `lucky-net` ships those encodings in.
 //!
-//! Until this crate existed, the workspace's `serde` derives were inert
-//! markers (see `crates/shims/README.md`) and every runtime moved
-//! messages through in-process channels — nothing ever exercised the
-//! byte level a Byzantine peer actually controls. `lucky-wire` closes
-//! that gap with three layers:
+//! Until this crate existed every runtime moved messages through
+//! in-process channels — nothing ever exercised the byte level a
+//! Byzantine peer actually controls. `lucky-wire` closes that gap with
+//! three layers:
 //!
 //! 1. **Codec** ([`Encode`]/[`Decode`]): varint-encoded integers,
 //!    length-prefixed [`Value`](lucky_types::Value) payload bytes, one

@@ -14,7 +14,7 @@
 //! * per-op accounting is real: every completed `OpRecord` attributes
 //!   nonzero wire messages and bytes;
 //! * the reactor actually runs on epoll (nonzero wakeup count on Linux)
-//!   and degrades to the polled loop elsewhere instead of failing.
+//!   and degrades to sleep-polling elsewhere instead of failing.
 //!
 //! ```sh
 //! cargo run --release --example reactor_smoke

@@ -9,8 +9,8 @@
 //! Run with: `cargo run --example replicated_config_store`
 
 use lucky_atomic::core::byz::ForgeValue;
-use lucky_atomic::net::{NetCluster, NetConfig};
-use lucky_atomic::types::{Params, Seq, TsVal, Value};
+use lucky_atomic::net::{NetConfig, NetStore};
+use lucky_atomic::types::{Params, RegisterId, Seq, TsVal, Value};
 use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -23,56 +23,50 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         seed: 42,
         timer: Duration::from_millis(8),
     };
-    let mut cluster = NetCluster::builder(params, cfg)
-        .readers(2)
+    let mut store = NetStore::builder(params, cfg)
+        .readers_per_register(2)
         // Server 2 tries to serve a forged configuration revision.
         .byzantine(2, Box::new(ForgeValue::new(TsVal::new(Seq(9), Value::from_u64(9999)))))
         .build();
 
-    let mut publisher = cluster.take_writer().expect("writer handle");
-    let mut poller_a = cluster.take_reader(0).expect("reader 0");
-    let mut poller_b = cluster.take_reader(1).expect("reader 1");
-
-    // Consumer threads poll concurrently with publishing.
-    let consumer_a = std::thread::spawn(move || {
+    // One register: the publisher writes it, the pollers each drive one
+    // of its two reader cores.
+    let config = store.register(RegisterId(0))?;
+    let poll = |reader: u16| {
         let mut last = 0u64;
         for _ in 0..20 {
-            let got = poller_a.read().expect("read").value.as_u64().unwrap_or(0);
+            let got = config.read(reader).expect("read").value.as_u64().unwrap_or(0);
             assert!(got >= last, "revision went backwards: {got} < {last}");
             assert!(got != 9999, "forged revision observed!");
             last = got;
         }
         last
-    });
-    let consumer_b = std::thread::spawn(move || {
-        let mut last = 0u64;
-        for _ in 0..20 {
-            let got = poller_b.read().expect("read").value.as_u64().unwrap_or(0);
-            assert!(got >= last, "revision went backwards: {got} < {last}");
-            last = got;
+    };
+
+    let (final_a, final_b) = std::thread::scope(|s| -> Result<_, Box<dyn std::error::Error>> {
+        // Consumer threads poll concurrently with publishing.
+        let consumer_a = s.spawn(|| poll(0));
+        let consumer_b = s.spawn(|| poll(1));
+
+        // Publish revisions 1..=10.
+        for rev in 1..=10u64 {
+            let out = config.write(Value::from_u64(rev))?;
+            println!(
+                "published revision {rev}: rounds={} fast={} in {:?}",
+                out.rounds, out.fast, out.elapsed
+            );
         }
-        last
-    });
-
-    // Publish revisions 1..=10.
-    for rev in 1..=10u64 {
-        let out = publisher.write(Value::from_u64(rev))?;
-        println!(
-            "published revision {rev}: rounds={} fast={} in {:?}",
-            out.rounds, out.fast, out.elapsed
-        );
-    }
-
-    let final_a = consumer_a.join().expect("consumer A");
-    let final_b = consumer_b.join().expect("consumer B");
+        Ok((consumer_a.join().expect("consumer A"), consumer_b.join().expect("consumer B")))
+    })?;
     println!("consumer A last saw revision {final_a}; consumer B last saw {final_b}");
 
-    let stats = cluster.stats();
+    store.check_atomicity()?;
+    let stats = store.stats();
     println!(
         "router carried {} messages ({} bytes), {} dropped",
         stats.messages, stats.bytes, stats.dropped
     );
-    cluster.shutdown();
+    store.shutdown();
     println!("revisions never went backwards and the forgery never surfaced ✓");
     Ok(())
 }

@@ -1,17 +1,18 @@
-//! Differential harness for the client-driving strategies: the
-//! **threaded** driver (one blocking `ClientDriver` per job) and the
-//! **polled** driver (one nonblocking readiness loop multiplexing each
-//! shard's sessions) must be observably interchangeable.
+//! Differential harness for the two wait strategies of the shard
+//! worker: **sleep-polling** (`Driver::Polled`, any transport) and the
+//! **epoll reactor** (`Driver::Reactor`, sockets on Linux) must be
+//! observably interchangeable.
 //!
-//! Both drivers consume the same sans-io `ClientSession`, so for a
-//! deterministic (sequential-per-register) workload they must produce
-//! **identical `OpOutcome` streams** — register, kind and value, for all
-//! three protocol variants — and identical checker verdicts; for a
+//! Both run the same worker loop over the same sans-io `ClientSession`,
+//! so for a deterministic (sequential-per-register) workload they must
+//! produce **identical `OpOutcome` streams** — register, kind and value,
+//! for all three protocol variants — each equal to the stream this file
+//! derives from `value_for`, with identical checker verdicts; for a
 //! concurrent workload, where wall-clock interleavings legitimately
 //! differ, the per-register linearizability/regularity oracles must pass
-//! under both. Fault tolerance must be driver-independent too: a crash +
-//! Byzantine run over real TCP sockets (`Transport::Tcp`) completes
-//! checker-clean under both drivers.
+//! under both. Fault tolerance must be strategy-independent too: a
+//! crash + Byzantine run over real TCP sockets (`Transport::Tcp`)
+//! completes checker-clean under both.
 
 use lucky_atomic::core::byz::ForgeValue;
 use lucky_atomic::core::Setup;
@@ -44,6 +45,22 @@ fn value_for(reg: RegisterId, round: u64) -> u64 {
     1 + reg.0 as u64 * 1_000 + round
 }
 
+/// The strategies that can watch a socket: epoll exists on Linux only.
+fn tcp_drivers() -> &'static [Driver] {
+    if cfg!(target_os = "linux") {
+        &[Driver::Polled, Driver::Reactor]
+    } else {
+        &[Driver::Polled]
+    }
+}
+
+/// Every (strategy, transport) pairing that exists: only sleep-polling
+/// can watch a channel.
+fn strategies() -> Vec<(Driver, Transport)> {
+    let tcp = tcp_drivers().iter().map(|&driver| (driver, Transport::Tcp));
+    std::iter::once((Driver::Polled, Transport::Channel)).chain(tcp).collect()
+}
+
 fn builder(setup: Setup, driver: Driver, transport: Transport, faulty: bool) -> NetStoreBuilder {
     let timer = if transport == Transport::Tcp { 8 } else { 4 };
     let mut b = NetStore::builder(setup, net_cfg(timer))
@@ -66,6 +83,20 @@ fn builder(setup: Setup, driver: Driver, transport: Transport, faulty: bool) -> 
 /// across drivers exactly (wall-clock metrics like `elapsed` and the
 /// fast/slow split legitimately vary between runs).
 type Outcome = (RegisterId, OpKind, Option<u64>);
+
+/// What the sequential workload must produce under any strategy: per
+/// round, every register's write and then each reader reading it back.
+fn expected_stream(rounds: u64) -> Vec<Outcome> {
+    let mut stream = Vec::new();
+    for round in 0..rounds {
+        for reg in RegisterId::all(REGISTERS) {
+            let v = Some(value_for(reg, round));
+            stream.push((reg, OpKind::Write, v));
+            stream.extend((0..READERS_PER_REGISTER).map(|_| (reg, OpKind::Read, v)));
+        }
+    }
+    stream
+}
 
 /// The sequential workload: per round, every register writes then both
 /// its readers read, each operation waited to completion before the
@@ -138,56 +169,53 @@ fn run_concurrent(setup: Setup, driver: Driver, transport: Transport, faulty: bo
 
 #[test]
 fn sequential_outcome_streams_are_identical_across_drivers() {
+    let expected = expected_stream(ROUNDS);
+    assert_eq!(expected.len(), (ROUNDS as usize) * REGISTERS * (1 + READERS_PER_REGISTER));
     for setup in setups() {
-        let threaded = run_sequential(setup, Driver::Threaded, Transport::Channel, false);
-        let polled = run_sequential(setup, Driver::Polled, Transport::Channel, false);
-        assert_eq!(
-            threaded, polled,
-            "threaded and polled drivers diverged on the deterministic workload ({setup:?})"
-        );
-        assert_eq!(threaded.len(), (ROUNDS as usize) * REGISTERS * (1 + READERS_PER_REGISTER));
-    }
-}
-
-#[test]
-fn concurrent_workloads_stay_checker_clean_under_both_drivers() {
-    for setup in setups() {
-        for driver in [Driver::Threaded, Driver::Polled] {
-            let completed = run_concurrent(setup, driver, Transport::Channel, false);
+        for (driver, transport) in strategies() {
             assert_eq!(
-                completed,
-                (ROUNDS as usize) * REGISTERS * (1 + READERS_PER_REGISTER),
-                "({setup:?}, {driver:?})"
+                run_sequential(setup, driver, transport, false),
+                expected,
+                "{driver:?} over {transport:?} diverged on the deterministic workload ({setup:?})"
             );
         }
     }
 }
 
 #[test]
+fn concurrent_workloads_stay_checker_clean_under_both_drivers() {
+    // Channel transport: the strategy that can watch a channel (the
+    // socket pairings run in the TCP twin of this test below).
+    for setup in setups() {
+        let completed = run_concurrent(setup, Driver::Polled, Transport::Channel, false);
+        assert_eq!(
+            completed,
+            (ROUNDS as usize) * REGISTERS * (1 + READERS_PER_REGISTER),
+            "({setup:?})"
+        );
+    }
+}
+
+#[test]
 fn crash_plus_byzantine_over_tcp_is_driver_independent() {
     // The acceptance run: a crashed server and a value-forging Byzantine
-    // server over real sockets, all three variants, all three drivers —
+    // server over real sockets, all three variants, both strategies —
     // identical deterministic streams and clean checker verdicts.
     for setup in setups() {
-        let threaded = run_sequential(setup, Driver::Threaded, Transport::Tcp, true);
-        let polled = run_sequential(setup, Driver::Polled, Transport::Tcp, true);
-        assert_eq!(threaded, polled, "drivers diverged under faults over TCP ({setup:?})");
-        if cfg!(target_os = "linux") {
-            let reactor = run_sequential(setup, Driver::Reactor, Transport::Tcp, true);
-            assert_eq!(threaded, reactor, "reactor diverged under faults over TCP ({setup:?})");
+        for &driver in tcp_drivers() {
+            assert_eq!(
+                run_sequential(setup, driver, Transport::Tcp, true),
+                expected_stream(ROUNDS),
+                "{driver:?} diverged under faults over TCP ({setup:?})"
+            );
         }
     }
 }
 
 #[test]
 fn concurrent_tcp_workloads_stay_checker_clean_under_all_drivers() {
-    let drivers: &[Driver] = if cfg!(target_os = "linux") {
-        &[Driver::Threaded, Driver::Polled, Driver::Reactor]
-    } else {
-        &[Driver::Threaded, Driver::Polled]
-    };
     for setup in setups() {
-        for &driver in drivers {
+        for &driver in tcp_drivers() {
             let completed = run_concurrent(setup, driver, Transport::Tcp, false);
             assert_eq!(
                 completed,
@@ -206,8 +234,9 @@ type LuckOutcome = (RegisterId, OpKind, Option<u64>, u32, bool);
 /// ever straddles the round-1 deadline: the rounds/fast classification
 /// is then fully determined by the variant, so it must be identical
 /// across drivers — not just the values read.
+const LUCK_ROUNDS: u64 = 2;
+
 fn run_luck_pinned(setup: Setup, driver: Driver) -> Vec<LuckOutcome> {
-    const LUCK_ROUNDS: u64 = 2;
     let mut store = NetStore::builder(setup, net_cfg(20))
         .registers(REGISTERS)
         .readers_per_register(READERS_PER_REGISTER)
@@ -235,43 +264,36 @@ fn run_luck_pinned(setup: Setup, driver: Driver) -> Vec<LuckOutcome> {
 #[test]
 fn round_counts_and_luck_classification_are_identical_across_drivers() {
     for setup in setups() {
-        let threaded = run_luck_pinned(setup, Driver::Threaded);
-        let polled = run_luck_pinned(setup, Driver::Polled);
-        assert_eq!(
-            threaded, polled,
-            "threaded and polled drivers classified luck differently ({setup:?})"
-        );
-        if cfg!(target_os = "linux") {
-            let reactor = run_luck_pinned(setup, Driver::Reactor);
-            assert_eq!(threaded, reactor, "reactor classified luck differently ({setup:?})");
-        }
         // Synchrony without contention: every op resolves in the
         // variant's canonical round count.
-        for (reg, kind, _, rounds, fast) in &threaded {
-            match setup {
-                Setup::TwoRound(_) if *kind == OpKind::Write => {
-                    assert_eq!((*rounds, *fast), (2, false), "{setup:?} {reg} {kind:?}");
-                }
-                _ => {
-                    assert_eq!((*rounds, *fast), (1, true), "{setup:?} {reg} {kind:?}");
-                }
-            }
+        let expected: Vec<LuckOutcome> = expected_stream(LUCK_ROUNDS)
+            .into_iter()
+            .map(|(reg, kind, v)| match setup {
+                Setup::TwoRound(_) if kind == OpKind::Write => (reg, kind, v, 2, false),
+                _ => (reg, kind, v, 1, true),
+            })
+            .collect();
+        for &driver in tcp_drivers() {
+            assert_eq!(
+                run_luck_pinned(setup, driver),
+                expected,
+                "{driver:?} classified luck differently ({setup:?})"
+            );
         }
     }
 }
 
 #[test]
 fn per_op_traffic_attribution_is_real_under_every_driver() {
-    // Every driver records real per-op msgs/bytes in the history — the
-    // polled append path used to hardcode zeros while the threaded one
-    // never counted at all. An op needs at least one full round to its
+    // Every strategy records real per-op msgs/bytes in the history (the
+    // append path used to hardcode zeros). An op needs at least one full round to its
     // quorum, so each record must attribute at least quorum-many
     // messages (sends + acks); exact totals legitimately differ between
     // drivers, because *when* a late ack is pumped decides which op (if
     // any) absorbs it.
     let setup = Setup::Atomic(Params::new(2, 1, 1, 0).unwrap());
-    for driver in [Driver::Threaded, Driver::Polled] {
-        let mut store = builder(setup, driver, Transport::Channel, false).build();
+    for (driver, transport) in strategies() {
+        let mut store = builder(setup, driver, transport, false).build();
         let handles: Vec<_> = RegisterId::all(REGISTERS)
             .map(|reg| store.register(reg).expect("fresh handle"))
             .collect();

@@ -1,17 +1,18 @@
 //! All three protocol variants on the threaded `lucky-net` runtime.
 //!
-//! Until the round-engine refactor the threaded cluster could only run
+//! Until the round-engine refactor the threaded runtime could only run
 //! the atomic algorithm; these tests pin down that the two-round
 //! (App. C) and regular (App. D) variants now run on real threads too,
-//! selected through the same [`Setup`] enum the simulator uses.
+//! selected through the same [`Setup`] enum the simulator uses — each on
+//! a one-register `NetStore`, the paper's single register.
 //!
 //! Wall-clock timing on a loaded CI machine is not deterministic, so the
 //! assertions stick to structural facts: values read, round counts that
 //! hold in every schedule, and liveness within the failure budget.
 
 use lucky_atomic::core::Setup;
-use lucky_atomic::net::{NetCluster, NetConfig};
-use lucky_atomic::types::{Params, TwoRoundParams, Value};
+use lucky_atomic::net::{NetConfig, NetStore};
+use lucky_atomic::types::{Params, RegisterId, TwoRoundParams, Value};
 use std::time::Duration;
 
 fn fast_cfg() -> NetConfig {
@@ -23,75 +24,70 @@ fn fast_cfg() -> NetConfig {
 #[test]
 fn atomic_variant_via_setup_enum() {
     let setup = Setup::Atomic(Params::new(1, 0, 1, 0).unwrap());
-    let mut cluster = NetCluster::builder(setup, fast_cfg()).build();
-    let mut writer = cluster.take_writer().unwrap();
-    let mut reader = cluster.take_reader(0).unwrap();
-    writer.write(Value::from_u64(7)).unwrap();
-    let r = reader.read().unwrap();
+    let mut store = NetStore::builder(setup, fast_cfg()).build();
+    let h = store.register(RegisterId(0)).unwrap();
+    h.write(Value::from_u64(7)).unwrap();
+    let r = h.read(0).unwrap();
     assert_eq!(r.value.as_u64(), Some(7));
-    cluster.shutdown();
+    store.shutdown();
 }
 
 #[test]
 fn two_round_variant_runs_on_threads() {
     // t = 1, b = 0, fr = 1 → S = 3, quorum 2.
     let params = TwoRoundParams::new(1, 0, 1).unwrap();
-    let mut cluster = NetCluster::builder(params, fast_cfg()).build();
-    let mut writer = cluster.take_writer().unwrap();
-    let mut reader = cluster.take_reader(0).unwrap();
+    let mut store = NetStore::builder(params, fast_cfg()).build();
+    let h = store.register(RegisterId(0)).unwrap();
     for i in 1..=5u64 {
-        let w = writer.write(Value::from_u64(i)).unwrap();
+        let w = h.write(Value::from_u64(i)).unwrap();
         // Structural invariant of App. C: every WRITE takes exactly two
         // rounds and is never fast, on any schedule.
         assert_eq!((w.rounds, w.fast), (2, false));
-        let r = reader.read().unwrap();
+        let r = h.read(0).unwrap();
         assert_eq!(r.value.as_u64(), Some(i));
     }
-    assert!(cluster.stats().messages > 0);
-    cluster.shutdown();
+    assert!(store.stats().messages > 0);
+    store.shutdown();
 }
 
 #[test]
 fn two_round_variant_survives_crash_within_t() {
     let params = TwoRoundParams::new(1, 0, 1).unwrap();
-    let mut cluster = NetCluster::builder(params, fast_cfg()).crashed(0).build();
-    let mut writer = cluster.take_writer().unwrap();
-    let mut reader = cluster.take_reader(0).unwrap();
-    let w = writer.write(Value::from_u64(3)).unwrap();
+    let mut store = NetStore::builder(params, fast_cfg()).crashed(0).build();
+    let h = store.register(RegisterId(0)).unwrap();
+    let w = h.write(Value::from_u64(3)).unwrap();
     assert_eq!(w.rounds, 2);
-    let r = reader.read().unwrap();
+    let r = h.read(0).unwrap();
     assert_eq!(r.value.as_u64(), Some(3));
-    cluster.shutdown();
+    store.shutdown();
 }
 
 #[test]
 fn regular_variant_runs_on_threads() {
     // Appendix D thresholds: t = 1, b = 0 → fw = 1, fr = 1, S = 3.
     let params = Params::trading_reads(1, 0).unwrap();
-    let mut cluster = NetCluster::builder(Setup::Regular(params), fast_cfg()).readers(2).build();
-    let mut writer = cluster.take_writer().unwrap();
-    let mut r0 = cluster.take_reader(0).unwrap();
-    let mut r1 = cluster.take_reader(1).unwrap();
+    let mut store =
+        NetStore::builder(Setup::Regular(params), fast_cfg()).readers_per_register(2).build();
+    let h = store.register(RegisterId(0)).unwrap();
     for i in 1..=5u64 {
-        writer.write(Value::from_u64(i)).unwrap();
-        assert_eq!(r0.read().unwrap().value.as_u64(), Some(i));
-        assert_eq!(r1.read().unwrap().value.as_u64(), Some(i));
+        h.write(Value::from_u64(i)).unwrap();
+        assert_eq!(h.read(0).unwrap().value.as_u64(), Some(i));
+        assert_eq!(h.read(1).unwrap().value.as_u64(), Some(i));
     }
-    cluster.shutdown();
+    store.shutdown();
 }
 
 #[test]
 fn regular_variant_reads_despite_fr_crash() {
     let params = Params::trading_reads(1, 0).unwrap();
-    let mut cluster = NetCluster::builder(Setup::Regular(params), fast_cfg()).crashed(2).build();
-    let mut writer = cluster.take_writer().unwrap();
-    let mut reader = cluster.take_reader(0).unwrap();
-    writer.write(Value::from_u64(9)).unwrap();
+    let mut store = NetStore::builder(Setup::Regular(params), fast_cfg()).crashed(2).build();
+    let h = store.register(RegisterId(0)).unwrap();
+    h.write(Value::from_u64(9)).unwrap();
     // fr = t = 1: one crash leaves the READ live (and, in a synchronous
     // schedule, fast — not asserted here, wall clocks are not synchrony).
-    let r = reader.read().unwrap();
+    let r = h.read(0).unwrap();
     assert_eq!(r.value.as_u64(), Some(9));
-    cluster.shutdown();
+    store.shutdown();
 }
 
 #[test]

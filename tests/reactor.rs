@@ -7,7 +7,7 @@
 //!   completed `OpRecord` carrying real (nonzero) per-op `msgs`/`bytes`
 //!   attribution;
 //! * **Generality** — the same reactor drives all three protocol
-//!   variants interchangeably with the other drivers;
+//!   variants interchangeably with sleep-polling;
 //! * **Idleness** — a reactor with no IO and no timers due sleeps in
 //!   `epoll_wait` and burns no CPU (its wakeup counter stops moving).
 //!
@@ -151,21 +151,23 @@ fn futures_api_drives_the_reactor_store() {
     let futs: Vec<_> = handles
         .iter()
         .map(|h| {
+            // Register 0 already holds the `block_on` write above.
+            let before = (h.id() == RegisterId(0)).then_some(1);
             let v = 100 + h.id().0 as u64;
             let write = h.write_future(Value::from_u64(v));
             let read = h.read_future(0);
             async move {
                 write.await.expect("write completes");
                 let r = read.await.expect("read completes");
-                (v, r.value.as_u64())
+                (before, v, r.value.as_u64())
             }
         })
         .collect();
-    for (v, read) in run_all(futs) {
+    for (before, v, read) in run_all(futs) {
         // Write and read were concurrent (both submitted up front), so
-        // the read saw the initial or the new value; the checker is the
+        // the read saw the previous or the new value; the checker is the
         // real oracle.
-        assert!(read.is_none() || read == Some(v), "read {read:?}, wrote {v}");
+        assert!(read == before || read == Some(v), "read {read:?}, wrote {v} over {before:?}");
     }
     store.check_atomicity().expect("async workload stays linearizable");
     store.shutdown();

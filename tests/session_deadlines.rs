@@ -4,12 +4,10 @@
 //! enforced inside the sans-io `ClientSession`), so the same behaviour
 //! must surface on every runtime:
 //!
-//! * threaded runtime, threaded driver: an operation that cannot
-//!   assemble a quorum (majority crashed) fails with
-//!   [`NetError::TimedOut`];
-//! * threaded runtime, polled driver (over real TCP sockets): same
-//!   error, same semantics — and tickets are pollable while the doomed
-//!   operation is still pending;
+//! * threaded runtime, whichever wait strategy the store derives or is
+//!   given: an operation that cannot assemble a quorum (majority
+//!   crashed) fails with [`NetError::TimedOut`] — and tickets are
+//!   pollable while the doomed operation is still pending;
 //! * simulator: the session abandons the operation at **exactly** the
 //!   configured deadline tick, surfacing as
 //!   [`RunError::OpFailed`] with the precise virtual instant.
@@ -37,7 +35,7 @@ fn stall_cfg() -> NetConfig {
 }
 
 #[test]
-fn threaded_driver_times_out_without_a_quorum() {
+fn derived_strategy_times_out_without_a_quorum() {
     let mut store = NetStore::builder(params(), stall_cfg()).crashed(0).crashed(1).build();
     let h = store.register(RegisterId(0)).unwrap();
     assert_eq!(h.write(Value::from_u64(1)).unwrap_err(), NetError::TimedOut);
@@ -114,20 +112,38 @@ fn deadline_failures_are_never_reported_as_driver_busy() {
         NetError::DriverBusy.to_string(),
         "driver invariant violation: an operation was already in flight"
     );
-    // Queued ops on one session are fine (serialized, never Busy): two
-    // concurrent writes on a healthy register both complete.
+    // Queued ops on one session are fine (serialized, never Busy): three
+    // writes queued on one handle all complete, each within a few round
+    // timers — an op that settles must start its successor in the same
+    // pass, or an epoll worker (no timer armed yet, nothing else to wake
+    // it) sits on the queue until the op deadline, a second away.
     let cfg = NetConfig {
         min_latency: Duration::from_micros(50),
         max_latency: Duration::from_micros(200),
         seed: 3,
         timer: Duration::from_millis(5),
     };
-    for driver in [Driver::Threaded, Driver::Polled] {
-        let mut store = NetStore::builder(params(), cfg.clone()).driver(driver).build();
+    let drivers: &[Driver] = if cfg!(target_os = "linux") {
+        &[Driver::Polled, Driver::Reactor]
+    } else {
+        &[Driver::Polled]
+    };
+    for &driver in drivers {
+        let mut store = NetStore::builder(params(), cfg.clone())
+            .transport(Transport::Tcp)
+            .driver(driver)
+            .build();
         let h = store.register(RegisterId(0)).unwrap();
-        let tickets: Vec<_> = (1..=2).map(|i| h.invoke_write(Value::from_u64(i))).collect();
-        for t in tickets {
-            t.wait().unwrap_or_else(|e| panic!("queued write completes under {driver:?}: {e}"));
+        let tickets: Vec<_> = (1..=3).map(|i| h.invoke_write(Value::from_u64(i))).collect();
+        for (queued, mut t) in tickets.into_iter().enumerate() {
+            let within = 20 * cfg.timer * (queued as u32 + 1);
+            let out = t
+                .wait_for(within)
+                .unwrap_or_else(|e| panic!("queued write completes under {driver:?}: {e}"));
+            assert!(
+                out.is_some(),
+                "queued write {queued} still pending after {within:?} under {driver:?}"
+            );
         }
         store.shutdown();
     }

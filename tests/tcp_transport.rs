@@ -4,8 +4,9 @@
 //! Under `Transport::Tcp` each server and each shard worker owns a real
 //! `std::net` listener; the router encodes its per-destination
 //! socket-slot batches as checksummed frames and writes them to the
-//! destination's socket, where a reader thread reassembles them from
-//! whatever partial reads TCP produces. These tests pin down:
+//! destination's socket, where a server's reader thread (or the shard
+//! worker itself) reassembles them from whatever partial reads TCP
+//! produces. These tests pin down:
 //!
 //! * **equivalence** — all three variants complete a multi-register,
 //!   batching-enabled workload over real sockets with checker-clean
@@ -22,7 +23,7 @@
 use lucky_atomic::core::byz::{ForgeValue, WireFuzz};
 use lucky_atomic::core::Setup;
 use lucky_atomic::explore::{random_walks, ByzKind, Scenario};
-use lucky_atomic::net::{NetCluster, NetConfig, NetStats, NetStore, Transport};
+use lucky_atomic::net::{NetConfig, NetStats, NetStore, Transport};
 use lucky_atomic::types::{BatchConfig, Params, RegisterId, Seq, TsVal, TwoRoundParams, Value};
 use std::io::Write;
 use std::net::TcpStream;
@@ -163,25 +164,24 @@ fn wire_fuzzing_byzantine_server_cannot_break_verdicts_over_tcp() {
 #[test]
 fn single_register_cluster_api_over_tcp() {
     let params = Params::new(1, 0, 1, 0).unwrap();
-    let mut cluster = NetCluster::builder(params, net_cfg()).transport(Transport::Tcp).build();
-    let mut writer = cluster.take_writer().unwrap();
-    let mut reader = cluster.take_reader(0).unwrap();
+    let mut store = NetStore::builder(params, net_cfg()).transport(Transport::Tcp).build();
+    let h = store.register(RegisterId(0)).unwrap();
     for i in 1..=5u64 {
-        writer.write(Value::from_u64(i)).unwrap();
-        assert_eq!(reader.read().unwrap().value.as_u64(), Some(i));
+        h.write(Value::from_u64(i)).unwrap();
+        assert_eq!(h.read(0).unwrap().value.as_u64(), Some(i));
     }
-    let stats = cluster.stats();
+    let stats = store.stats();
     assert!(stats.wire_bytes > 0);
     assert_eq!(stats.decode_errors, 0);
     assert_wire_bytes_bracket(&stats);
-    cluster.shutdown();
+    store.shutdown();
 }
 
 #[test]
 fn raw_garbage_on_a_server_socket_is_rejected_cleanly() {
     let params = Params::new(1, 0, 1, 0).unwrap();
-    let mut cluster = NetCluster::builder(params, net_cfg()).transport(Transport::Tcp).build();
-    let addr = cluster
+    let mut store = NetStore::builder(params, net_cfg()).transport(Transport::Tcp).build();
+    let addr = store
         .server_addr(lucky_atomic::types::ServerId(0))
         .expect("TCP transport exposes server addresses");
 
@@ -201,15 +201,14 @@ fn raw_garbage_on_a_server_socket_is_rejected_cleanly() {
     oversized.write_all(&frame).unwrap();
 
     // The protocol keeps working while the rejects land.
-    let mut writer = cluster.take_writer().unwrap();
-    let mut reader = cluster.take_reader(0).unwrap();
-    writer.write(Value::from_u64(7)).unwrap();
-    assert_eq!(reader.read().unwrap().value.as_u64(), Some(7));
+    let h = store.register(RegisterId(0)).unwrap();
+    h.write(Value::from_u64(7)).unwrap();
+    assert_eq!(h.read(0).unwrap().value.as_u64(), Some(7));
 
     // Rejections are asynchronous (reader threads); wait for all three.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let errors = cluster.stats().decode_errors;
+        let errors = store.stats().decode_errors;
         if errors >= 3 {
             break;
         }
@@ -217,11 +216,11 @@ fn raw_garbage_on_a_server_socket_is_rejected_cleanly() {
         std::thread::sleep(Duration::from_millis(20));
     }
 
-    // And the cluster still works afterwards.
-    writer.write(Value::from_u64(8)).unwrap();
-    assert_eq!(reader.read().unwrap().value.as_u64(), Some(8));
+    // And the store still works afterwards.
+    h.write(Value::from_u64(8)).unwrap();
+    assert_eq!(h.read(0).unwrap().value.as_u64(), Some(8));
     drop((garbage, bad_crc, oversized));
-    cluster.shutdown();
+    store.shutdown();
 }
 
 #[test]
@@ -229,15 +228,15 @@ fn channel_transport_reports_no_wire_bytes() {
     // The estimate/actual split is explicit: without sockets there are
     // no framed bytes and no decode errors, only the payload estimate.
     let params = Params::new(1, 0, 1, 0).unwrap();
-    let mut cluster = NetCluster::builder(params, net_cfg()).build();
-    let mut writer = cluster.take_writer().unwrap();
-    writer.write(Value::from_u64(1)).unwrap();
-    let stats = cluster.stats();
+    let mut store = NetStore::builder(params, net_cfg()).build();
+    let h = store.register(RegisterId(0)).unwrap();
+    h.write(Value::from_u64(1)).unwrap();
+    let stats = store.stats();
     assert!(stats.bytes > 0);
     assert_eq!(stats.wire_bytes, 0);
     assert_eq!(stats.decode_errors, 0);
-    assert!(cluster.server_addr(lucky_atomic::types::ServerId(0)).is_none());
-    cluster.shutdown();
+    assert!(store.server_addr(lucky_atomic::types::ServerId(0)).is_none());
+    store.shutdown();
 }
 
 #[test]
