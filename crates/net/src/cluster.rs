@@ -8,13 +8,18 @@
 //! two-round (App. C) and regular (App. D) algorithms all run on real
 //! threads with no variant-specific code in this crate.
 
+use crate::polled::PollIo;
+use crate::reactor::wait_strategy;
 use crate::router::Envelope;
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::{Receiver, Sender, TryRecvError};
+use epoll::WakeFd;
 use lucky_core::runtime::{ServerCore, SessionError, SessionOutcome};
 use lucky_sim::Effects;
 use lucky_types::{Message, Op, ProcessId, RegisterId, Value};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::net::SocketAddr;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -194,79 +199,161 @@ impl NetOutcome {
 /// Control-plane commands for one server thread: the crash-recovery
 /// harness speaks to a *live thread* whose protocol core comes and goes.
 pub(crate) enum ServerCtl {
-    /// Drop the protocol core: the thread keeps draining its inbox but
+    /// Drop the protocol core: the thread keeps draining its input but
     /// every delivery is discarded, exactly as a dead process loses the
     /// messages sent to it.
     Crash,
     /// Rebuild the core and resume answering. The builder runs on the
     /// server thread *after* the old core (and its open log handles)
     /// has been dropped, so a durable rebuild replays logs whose every
-    /// pre-crash write has completed. The second field acknowledges the
-    /// completed rebuild: the requester blocks on it so that once its
-    /// `restart_server` returns, no later message can race the
-    /// still-down window and be lost (deliveries *before* the rebuild
-    /// are lost like any message to a down server).
-    Restart(Box<dyn FnOnce() -> Box<dyn ServerCore> + Send>, Sender<()>),
+    /// pre-crash write has completed. A socket server then re-binds: the
+    /// old listener and its connections close, a fresh ephemeral one
+    /// takes their place. The second field acknowledges the completed
+    /// restart with the new listener's address (`None` for an inbox
+    /// server, or if no listener could be had): the requester blocks on
+    /// it so that once its `restart_server` returns, no later message
+    /// can race the still-down window and be lost (deliveries *before*
+    /// the rebuild are lost like any message to a down server).
+    Restart(Box<dyn FnOnce() -> Box<dyn ServerCore> + Send>, Sender<Option<SocketAddr>>),
 }
 
-/// How long a server thread blocks on its inbox before re-checking the
+/// What a server thread reads its protocol messages from — the only
+/// place the two transports' servers differ.
+pub(crate) enum ServerInput {
+    /// [`Transport::Channel`](crate::Transport::Channel): the inbox the
+    /// router hands messages to. A channel is something a thread can
+    /// block on, so the server does.
+    Inbox(Receiver<(ProcessId, Message)>),
+    /// [`Transport::Tcp`](crate::Transport::Tcp): the server's own
+    /// loopback listener, read by this thread like a shard worker reads
+    /// its own — with the eventfd (if any) the control port writes.
+    Socket(PollIo, Option<Arc<WakeFd>>),
+}
+
+/// How long an inbox server blocks on its inbox before re-checking the
 /// control channel — bounds how stale a crash/restart command can go
-/// unnoticed while the inbox is quiet.
+/// unnoticed while the inbox is quiet. (A socket server's control port
+/// interrupts its wait instead.)
 const CTL_POLL: Duration = Duration::from_millis(5);
 
-/// Spawn one server's event loop: deliver every inbox message to `core`
-/// and forward its replies to the router. The control channel injects
-/// crash/restart transitions. The thread exits when the inbox
-/// disconnects.
+/// One server: its protocol core, present unless crashed, and where its
+/// replies go.
+struct Server {
+    id: ProcessId,
+    core: Option<Box<dyn ServerCore>>,
+    router: Sender<Envelope>,
+}
+
+impl Server {
+    /// Apply one control command. A restart hands back its
+    /// acknowledgement, for the caller to send once its input is ready
+    /// for the new incarnation.
+    fn control(&mut self, cmd: ServerCtl) -> Option<Sender<Option<SocketAddr>>> {
+        match cmd {
+            ServerCtl::Crash => {
+                self.core = None;
+                None
+            }
+            ServerCtl::Restart(build, done) => {
+                // The old core (and its open log handles) drops before
+                // the rebuild opens the same logs.
+                drop(self.core.take());
+                self.core = Some(build());
+                Some(done)
+            }
+        }
+    }
+
+    /// Deliver one message to the core (a crashed server's delivery is
+    /// lost) and forward its replies — a durable core has persisted
+    /// before `deliver` returns, so before any reply leaves this thread.
+    /// `false` once the router is gone.
+    fn deliver(&mut self, from: ProcessId, msg: Message) -> bool {
+        let Some(core) = self.core.as_mut() else { return true };
+        let mut eff = Effects::new();
+        core.deliver(from, msg, &mut eff);
+        let (sends, _, _) = eff.into_parts();
+        sends.into_iter().all(|(to, out)| {
+            self.router.send(Envelope::Deliver { from: self.id, to, msg: out }).is_ok()
+        })
+    }
+}
+
+/// Spawn one server's event loop: deliver every inbound message to
+/// `core` and forward its replies to the router. The control channel
+/// injects crash/restart transitions, and always goes first: a queued
+/// crash takes effect before any queued delivery, so deliveries behind
+/// the command in wall-clock order are lost like a real crash loses
+/// them.
+///
+/// An inbox server exits when its inbox disconnects (no controller at
+/// all — the sender dropped — leaves it a plain server); a socket
+/// server, whose input never "disconnects", when its control port does.
+/// Both exit once the router is gone.
 pub(crate) fn spawn_server_thread(
     name: String,
     id: ProcessId,
     core: Box<dyn ServerCore>,
-    rx: Receiver<(ProcessId, Message)>,
+    input: ServerInput,
     ctl: Receiver<ServerCtl>,
     router: Sender<Envelope>,
 ) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || {
-            let mut core = Some(core);
-            loop {
-                // Control first: a queued crash takes effect before any
-                // queued delivery, so deliveries behind the command in
-                // wall-clock order are lost like a real crash loses them.
-                match ctl.try_recv() {
-                    Ok(ServerCtl::Crash) => core = None,
-                    Ok(ServerCtl::Restart(build, done)) => {
-                        // The old core (and its open log handles) drops
-                        // before the rebuild opens the same logs.
-                        drop(core.take());
-                        core = Some(build());
-                        let _ = done.send(());
-                    }
-                    // Empty, or no controller at all (sender dropped):
-                    // behave as a plain server.
-                    Err(_) => {}
-                }
-                match rx.recv_timeout(CTL_POLL) {
-                    Ok((from, msg)) => {
-                        let Some(core) = core.as_mut() else {
-                            continue; // crashed: the delivery is lost
-                        };
-                        let mut eff = Effects::new();
-                        core.deliver(from, msg, &mut eff);
-                        let (sends, _, _) = eff.into_parts();
-                        for (to, out) in sends {
-                            if router.send(Envelope::Deliver { from: id, to, msg: out }).is_err() {
-                                return;
-                            }
-                        }
-                    }
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+    let mut server = Server { id, core: Some(core), router };
+    let run = move || match input {
+        ServerInput::Inbox(rx) => loop {
+            if let Ok(cmd) = ctl.try_recv() {
+                if let Some(done) = server.control(cmd) {
+                    let _ = done.send(None);
                 }
             }
-        })
-        .expect("spawn server thread")
+            match rx.recv_timeout(CTL_POLL) {
+                Ok((from, msg)) => {
+                    if !server.deliver(from, msg) {
+                        return;
+                    }
+                }
+                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
+                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
+            }
+        },
+        ServerInput::Socket(mut io, wake) => {
+            let mut wait = wait_strategy(&io, wake.clone(), None);
+            let stats = Arc::clone(&io.stats);
+            let mut router_up = true;
+            loop {
+                loop {
+                    match ctl.try_recv() {
+                        Ok(cmd) => {
+                            if let Some(done) = server.control(cmd) {
+                                let (fresh, addr) = io.rebind();
+                                io = fresh;
+                                wait = wait_strategy(&io, wake.clone(), None);
+                                let _ = done.send(addr);
+                            }
+                        }
+                        Err(TryRecvError::Empty) => break,
+                        Err(TryRecvError::Disconnected) => return,
+                    }
+                }
+                // Only a part addressed to this server, while it is up,
+                // reaches the core; anything else on this socket (only
+                // hostile frames are mis-addressed — the router
+                // partitions by slot) is dropped and counted.
+                wait.input(&mut io, &mut |from, to, msg| {
+                    if to == id && server.core.is_some() {
+                        router_up &= server.deliver(from, msg);
+                    } else {
+                        stats.lock().dropped += msg.part_count() as u64;
+                    }
+                });
+                if !router_up {
+                    return;
+                }
+                wait.wait(&io, None);
+            }
+        }
+    };
+    std::thread::Builder::new().name(name).spawn(run).expect("spawn server thread")
 }
 
 /// Panic on a server index configured both crashed and Byzantine: the

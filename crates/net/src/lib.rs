@@ -3,9 +3,9 @@
 //! A thread-based, wall-clock runtime for the lucky storage protocols.
 //!
 //! The same sans-io cores that run under the deterministic simulator run
-//! here over real threads and channels (or sockets): every server is a
-//! thread, a router thread injects configurable per-message latency, and
-//! shard worker threads drive the writer/reader cores on behalf of the
+//! here over real threads and channels (or sockets): every server is
+//! one thread, a router thread injects configurable per-message latency,
+//! and shard worker threads drive the writer/reader cores on behalf of the
 //! register handles the caller holds, whose `write`/`read` calls block
 //! (tickets and futures do not). This is the runtime the
 //! `replicated_config_store` example uses to demonstrate the library
@@ -71,26 +71,27 @@
 //! in). Each shard worker multiplexes **all** of its sessions on one
 //! thread, in one loop — drain jobs, feed input, fire due timers,
 //! advance, wait — and under [`Transport::Tcp`] accepts and reads its
-//! own socket with `lucky-wire`'s push-based `FrameDecoder`. Sessions
-//! are driven one of two ways, which differ only in how the worker
-//! waits:
+//! own socket with `lucky-wire`'s push-based `FrameDecoder`. So does a
+//! server: there is one receive path, and a thread that owns a socket
+//! waits for it one of two ways:
 //!
 //! * [`Driver::Polled`] — sleep-capped polling: after at most a 500 µs
-//!   tick the worker re-polls its inboxes or sockets. Portable, and the
+//!   tick the thread re-polls its inboxes or sockets. Portable, and the
 //!   only way to watch a channel;
 //! * [`Driver::Reactor`] — a real `epoll` instance (Linux; requires
-//!   [`Transport::Tcp`]): the thread sleeps in `epoll_wait` with the
-//!   sessions' `next_wake` armed on a timerfd and wakes only for actual
-//!   IO, a timer, or a job submission (signalled via `eventfd`) — so
-//!   one thread drives thousands of concurrent in-flight sessions and
-//!   an idle store burns zero CPU.
+//!   [`Transport::Tcp`]): the thread sleeps in `epoll_wait` (a worker
+//!   with its sessions' `next_wake` armed on a timerfd) and wakes only
+//!   for actual IO, a timer, or a job submission or server command
+//!   (signalled via `eventfd`) — so one thread drives thousands of
+//!   concurrent in-flight sessions and an idle store burns zero CPU.
 //!
 //! The store derives the strategy from the transport — the reactor over
 //! TCP on Linux, polling otherwise — so the builder method `driver` is
 //! only for pinning one (benchmarks, the equivalence tests).
 //! `tests/driver_equivalence.rs` proves the two observably
-//! interchangeable, and `tests/reactor.rs` pins the concurrency and
-//! idle-CPU properties.
+//! interchangeable, `tests/reactor.rs` pins the concurrency and
+//! idle-CPU properties, and `tests/thread_budget.rs` the thread count
+//! (servers + router + workers, nothing in between).
 //!
 //! ## Futures
 //!
@@ -112,7 +113,7 @@
 //! every shard worker a real `std::net` loopback socket — each wire
 //! message is encoded by `lucky-wire`, framed with a checksum, written
 //! to the destination slot's socket and reassembled from partial reads
-//! on the far side. Under TCP, [`NetStats::wire_bytes`] reports the
+//! by the thread that owns it. Under TCP, [`NetStats::wire_bytes`] reports the
 //! true framed byte count (strictly above the codec-exact payload
 //! accounting in `bytes`), [`NetStats::decode_errors`] counts rejected
 //! hostile frames, and `server_addr` exposes each server's listener

@@ -1,40 +1,60 @@
-//! The session-multiplexing shard worker: the one client loop.
+//! The one receive path ([`PollIo`]), the one way to wait for it
+//! ([`Wait`]), and the session-multiplexing shard worker built on them.
 //!
-//! A [`PolledWorker`] multiplexes **all of a shard's client sessions on
-//! one thread**: a single loop ([`PolledWorker::run`]) drains the job
-//! queue, feeds whatever input is ready to the sessions, wakes the ones
-//! that are due, pumps their outputs to the router and settles finished
-//! operations. The sans-io `ClientSession` isolates all protocol and
-//! deadline logic, so the only thing two workers may differ in is how
-//! they find input and how they block when there is none — the [`Wait`]
-//! strategy:
+//! Every thread that receives protocol messages — a shard worker under
+//! either transport, a server under [`Transport::Tcp`](crate::Transport)
+//! — owns a [`PollIo`] and reads it itself, nonblocking, through a
+//! [`Wait`] strategy. What the thread *does* with a message is a sink it
+//! passes in; where ready input is found and how the thread blocks when
+//! there is none is the strategy:
 //!
 //! * [`Driver::Polled`] — this module's [`SleepPoll`]: re-poll every
 //!   input source after a sleep of at most [`POLL_TICK`]. Portable (no
 //!   OS reactor) and the only strategy that can watch a channel, at the
 //!   cost of scheduling noise up to one tick per input;
 //! * [`Driver::Reactor`] — `crate::reactor`'s `EpollWait`: block in
-//!   `epoll_wait` with the session timers armed on a timerfd, wake only
-//!   for actual IO, a timer or a job submission, and read only the
-//!   connections epoll reported.
+//!   `epoll_wait` with the caller's deadline armed on a timerfd, wake
+//!   only for actual IO, the deadline or a port's eventfd, and read only
+//!   the connections epoll reported.
 //!
 //! Input sources per [`Transport`](crate::Transport):
 //!
-//! * **Channel** — the worker owns its client processes' inboxes and
-//!   `try_recv`s them;
-//! * **Tcp** — the worker owns its slot's loopback listener *itself*
-//!   (the fabric spawns reader threads for server slots only): it
-//!   accepts the router's connection nonblocking, reads whatever bytes
-//!   arrived, reassembles frames with [`FrameDecoder`], decodes the
-//!   packet parts and dispatches them to sessions by recipient. One
-//!   thread, zero blocking reads — the push-based decoder from
-//!   `lucky-wire` is what makes this loop possible.
+//! * **Channel** — a worker owns its client processes' inboxes and
+//!   `try_recv`s them (a server blocks on its one inbox instead and
+//!   needs none of this);
+//! * **Tcp** — the thread owns its slot's loopback listener: it accepts
+//!   the router's connection nonblocking, reads whatever bytes arrived,
+//!   reassembles frames with [`FrameDecoder`], decodes the packet parts
+//!   and hands each `(from, to, message)` to the sink. One thread, zero
+//!   blocking reads — the push-based decoder from `lucky-wire` is what
+//!   makes this loop possible.
 //!
-//! Socket setup failures degrade instead of killing the worker: a
-//! connection that cannot be flipped nonblocking is dropped (counted in
-//! [`NetStats::io_errors`]), a listener that cannot be is abandoned —
-//! the shard's sessions then fail per-operation (deadline) rather than
-//! stranding every session the worker multiplexes.
+//! Trust model: a slot's socket delivers only to the sink of the thread
+//! that owns it, so a frame arriving on server 0's socket can never
+//! inject into server 1, and a sink only handles parts addressed to a
+//! process it hosts — anything else counts as [`NetStats::dropped`].
+//! Malformed frames (bad magic, version skew, oversized length prefixes,
+//! checksum failures, codec garbage) are counted in
+//! [`NetStats::decode_errors`] and the connection is dropped: a
+//! corrupted byte stream cannot be resynchronized, so continuing would
+//! mean guessing at frame boundaries. Peer *authentication* is out of
+//! scope for this loopback transport (the listener trusts whoever
+//! connects, which is how the adversarial tests inject hostile bytes);
+//! within the workspace the paper's channel model is preserved because
+//! every honest frame is written by the router.
+//!
+//! Socket failures degrade instead of killing the thread, each counted
+//! in [`NetStats::io_errors`]: a connection that cannot be flipped
+//! nonblocking is dropped, a listener that cannot be is abandoned, a
+//! failing `accept` backs off — the slot's operations then fail
+//! per-operation (deadline) rather than stranding everything the thread
+//! multiplexes.
+//!
+//! [`PolledWorker`] is the one client loop: it multiplexes **all of a
+//! shard's client sessions on one thread** — drain the job queue, feed
+//! ready input to the sessions, wake the ones that are due, pump their
+//! outputs to the router, settle finished operations, wait. The sans-io
+//! `ClientSession` isolates all protocol and deadline logic.
 
 use crate::cluster::{trace_actor, NetError, NetOutcome};
 use crate::future::NotifyGuard;
@@ -46,11 +66,12 @@ use lucky_wire::{decode_packet, FrameDecoder};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::Read;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How a `NetStore`'s shard workers wait for input. Unless the builder's
+/// How a `NetStore`'s socket-owning threads (shard workers, and servers
+/// over TCP) wait for input. Unless the builder's
 /// `driver` method names one, the store derives it from the transport:
 /// [`Driver::Reactor`] over [`Transport::Tcp`](crate::Transport::Tcp) on
 /// Linux, [`Driver::Polled`] otherwise (epoll cannot watch a channel).
@@ -59,7 +80,7 @@ pub enum Driver {
     /// Sleep-capped polling: the worker re-polls its inboxes or sockets
     /// after at most one tick. Works under every transport and platform.
     Polled,
-    /// One `epoll` instance per shard worker: the thread blocks in
+    /// One `epoll` instance per thread: it blocks in
     /// `epoll_wait` (wake eventfd + listener + accepted connections
     /// registered, session timers on a timerfd) instead of sleep-capped
     /// polling — so one thread drives thousands of concurrent sessions
@@ -125,84 +146,259 @@ impl PolledSlot {
     }
 }
 
-/// Where a polled worker's inbound protocol messages come from.
-pub(crate) enum PollIo {
-    /// Channel transport: the per-process inboxes this worker hosts.
-    Channel(BTreeMap<ProcessId, Receiver<(ProcessId, Message)>>),
-    /// TCP transport: the worker's own loopback listener (nonblocking;
-    /// `None` if it could not be made so — the worker then runs without
-    /// accepting, degraded but alive), plus a slab of the connections
-    /// accepted so far with their frame decoders. Slab indices are
-    /// stable (closed connections leave a `None` hole) so the reactor's
-    /// epoll tokens stay valid across closes.
-    Tcp { listener: Option<TcpListener>, conns: Vec<Option<(TcpStream, FrameDecoder)>> },
+/// What a receiving thread does with one decoded part: `(from, to,
+/// message)`. The sink decides whether `to` is a process it hosts.
+pub(crate) type Sink<'a> = &'a mut dyn FnMut(ProcessId, ProcessId, Message);
+
+/// Where a thread's inbound protocol messages come from, and the one
+/// code path that receives them.
+pub(crate) struct PollIo {
+    /// Channel transport: the per-process inboxes a worker hosts.
+    inboxes: BTreeMap<ProcessId, Receiver<(ProcessId, Message)>>,
+    /// TCP transport: the thread's own loopback listener, nonblocking.
+    /// `None` under the channel transport — or if it could not be bound
+    /// or made nonblocking: the thread then runs without accepting,
+    /// degraded but alive.
+    listener: Option<TcpListener>,
+    /// The connections accepted so far with their frame decoders. Slab
+    /// indices are stable (closed connections leave a `None` hole) so
+    /// the reactor's epoll tokens stay valid across closes.
+    conns: Vec<Option<(TcpStream, FrameDecoder)>>,
+    /// Read scratch, kept so a wakeup does not pay to clear 16 KiB.
+    scratch: Box<[u8; 16 * 1024]>,
+    pub(crate) stats: Arc<Mutex<NetStats>>,
+    tracer: Arc<lucky_trace::Tracer>,
+    epoch: Instant,
 }
 
 impl PollIo {
+    /// The channel-transport source: a worker's inboxes, no sockets.
+    pub(crate) fn channel(
+        inboxes: BTreeMap<ProcessId, Receiver<(ProcessId, Message)>>,
+        stats: &Arc<Mutex<NetStats>>,
+        tracer: &Arc<lucky_trace::Tracer>,
+        epoch: Instant,
+    ) -> PollIo {
+        PollIo {
+            inboxes,
+            listener: None,
+            conns: Vec::new(),
+            scratch: Box::new([0; 16 * 1024]),
+            stats: Arc::clone(stats),
+            tracer: Arc::clone(tracer),
+            epoch,
+        }
+    }
+
     /// A nonblocking TCP source. The listener must already be bound;
     /// this flips it nonblocking. If the OS refuses, the listener is
     /// **abandoned** (counted in [`NetStats::io_errors`]) rather than
-    /// kept blocking — a blocking `accept` would wedge the whole shard
-    /// worker, whereas a worker without a listener merely lets its
-    /// sessions fail per-operation.
+    /// kept blocking — a blocking `accept` would wedge the whole thread,
+    /// whereas a thread without a listener merely lets the operations
+    /// that need it fail one by one.
     pub(crate) fn tcp(
         listener: TcpListener,
         stats: &Arc<Mutex<NetStats>>,
-        tracer: &lucky_trace::Tracer,
+        tracer: &Arc<lucky_trace::Tracer>,
+        epoch: Instant,
     ) -> PollIo {
-        let listener = match listener.set_nonblocking(true) {
-            Ok(()) => Some(listener),
+        let mut io = PollIo::channel(BTreeMap::new(), stats, tracer, epoch);
+        match listener.set_nonblocking(true) {
+            Ok(()) => io.listener = Some(listener),
+            Err(_) => io.io_error("listener cannot be made nonblocking; abandoned"),
+        }
+        io
+    }
+
+    /// A fresh TCP source on a new ephemeral loopback port, reporting
+    /// where this one reports: the socket half of a server restart — a
+    /// restarted server resumes at a new address, exactly as a restarted
+    /// process would. The address is `None` if no listener could be had
+    /// (counted; the source then accepts nothing).
+    pub(crate) fn rebind(&self) -> (PollIo, Option<SocketAddr>) {
+        let mut io = PollIo::channel(BTreeMap::new(), &self.stats, &self.tracer, self.epoch);
+        let bound = TcpListener::bind("127.0.0.1:0").and_then(|listener| {
+            listener.set_nonblocking(true)?;
+            Ok((listener.local_addr()?, listener))
+        });
+        match bound {
+            Ok((addr, listener)) => {
+                io.listener = Some(listener);
+                (io, Some(addr))
+            }
             Err(_) => {
-                stats.lock().io_errors += 1;
-                tracer.note_io_error(0, "worker listener cannot be made nonblocking; abandoned");
-                discard_broken(listener);
-                None
+                io.io_error("no loopback listener for the restarted slot");
+                (io, None)
+            }
+        }
+    }
+
+    /// Count one absorbed socket failure and note it in the flight
+    /// recorder.
+    pub(crate) fn io_error(&self, what: &'static str) {
+        self.stats.lock().io_errors += 1;
+        self.tracer.note_io_error(self.epoch.elapsed().as_micros() as u64, what);
+    }
+
+    /// Hand the sink whatever arrived on any source, without blocking.
+    fn poll(&mut self, sink: Sink<'_>) {
+        for (pid, rx) in &self.inboxes {
+            while let Ok((from, msg)) = rx.try_recv() {
+                sink(from, *pid, msg);
+            }
+        }
+        self.accept_new();
+        for i in 0..self.conns.len() {
+            self.read_conn(i, sink);
+        }
+    }
+
+    /// Accept every connection waiting on the listener, returning the
+    /// slab indices of the new connections so a reactor can register
+    /// them. A connection that cannot be made nonblocking is dropped and
+    /// counted — one bad socket must not kill the thread.
+    pub(crate) fn accept_new(&mut self) -> Vec<usize> {
+        let mut added = Vec::new();
+        let Some(listener) = self.listener.as_ref() else { return added };
+        loop {
+            match listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        self.io_error("accepted connection cannot be made nonblocking; dropped");
+                        continue;
+                    }
+                    let i = match self.conns.iter().position(Option::is_none) {
+                        Some(hole) => hole,
+                        None => {
+                            self.conns.push(None);
+                            self.conns.len() - 1
+                        }
+                    };
+                    self.conns[i] = Some((stream, FrameDecoder::new()));
+                    added.push(i);
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(_) => {
+                    // `EMFILE`, a dead listener: the failure may well
+                    // persist, and a level-triggered epoll set reports
+                    // the listener ready for as long as it does. Back
+                    // off so that is a counted retry per millisecond,
+                    // not a spinning core.
+                    self.io_error("accept failed; backing off");
+                    std::thread::sleep(Duration::from_millis(1));
+                    break;
+                }
+            }
+        }
+        added
+    }
+
+    /// The loopback listener, for epoll registration (`None` for the
+    /// channel transport or a degraded TCP source).
+    pub(crate) fn listener(&self) -> Option<&TcpListener> {
+        self.listener.as_ref()
+    }
+
+    /// The accepted connection at slab index `i`, for epoll registration.
+    pub(crate) fn conn_stream(&self, i: usize) -> Option<&TcpStream> {
+        self.conns.get(i).and_then(|c| c.as_ref()).map(|(s, _)| s)
+    }
+
+    /// Drop the accepted connection at slab index `i` (its hole is
+    /// reused by later accepts).
+    pub(crate) fn drop_conn(&mut self, i: usize) {
+        if let Some(c) = self.conns.get_mut(i) {
+            *c = None;
+        }
+    }
+
+    /// Read connection `i` dry: reassemble frames, decode, hand every
+    /// part to the sink. Closes the connection on EOF, IO error or the
+    /// first malformed frame (counted — a corrupt stream has no
+    /// trustworthy framing left).
+    pub(crate) fn read_conn(&mut self, i: usize, sink: Sink<'_>) {
+        let Some(Some((stream, dec))) = self.conns.get_mut(i) else { return };
+        let close = 'conn: loop {
+            match stream.read(&mut self.scratch[..]) {
+                Ok(0) => break true, // EOF: peer closed
+                Ok(n) => {
+                    dec.feed(&self.scratch[..n]);
+                    loop {
+                        // A frame the framing rejects and a frame whose
+                        // packet the codec rejects end the same way.
+                        let parts = dec
+                            .next_frame()
+                            .and_then(|frame| frame.as_ref().map(decode_packet).transpose());
+                        match parts {
+                            Ok(Some(parts)) => {
+                                for (from, to, msg) in parts {
+                                    sink(from, to, msg);
+                                }
+                            }
+                            Ok(None) => break,
+                            Err(_) => {
+                                self.stats.lock().decode_errors += 1;
+                                break 'conn true;
+                            }
+                        }
+                    }
+                    // A short read drained the socket. Whatever arrives
+                    // later makes it readable again — level-triggered
+                    // epoll reports it, sleep-polling finds it next
+                    // tick — so skip the read that would only say
+                    // `WouldBlock`: one syscall per wakeup, not two.
+                    if n < self.scratch.len() {
+                        break false;
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break false,
+                Err(_) => break true,
             }
         };
-        PollIo::Tcp { listener, conns: Vec::new() }
+        if close {
+            self.conns[i] = None;
+        }
     }
 }
 
 /// Upper bound on one poll-loop sleep: inputs (jobs, bytes) that arrive
-/// while the worker sleeps are picked up at worst this much later.
+/// while the thread sleeps are picked up at worst this much later.
 const POLL_TICK: Duration = Duration::from_micros(500);
 
-/// How long an *idle* worker (no session pending, no job queued) parks
-/// on the job queue before re-checking for shutdown.
+/// How long an *idle* sleep-polling worker (no session pending, no job
+/// queued) parks on the job queue before polling its sources again.
 const IDLE_PARK: Duration = Duration::from_millis(20);
 
-/// The one thing two shard workers may differ in: where ready input is
-/// found and how the thread blocks when there is none.
+/// The one thing two receiving threads may differ in: where ready input
+/// is found and how the thread blocks when there is none.
 pub(crate) trait Wait {
-    /// Feed the sessions whatever input is ready, without blocking.
-    fn input(&mut self, worker: &mut PolledWorker);
-    /// Block until there may be work again: input, a due session timer
-    /// or a submitted job.
-    fn wait(&mut self, worker: &mut PolledWorker);
+    /// Hand the sink whatever input is ready, without blocking.
+    fn input(&mut self, io: &mut PollIo, sink: Sink<'_>);
+    /// Block until there may be work again: input, `timeout` (`None` =
+    /// no deadline) or — if [`Wait::interruptible`] — a port's eventfd.
+    fn wait(&mut self, io: &PollIo, timeout: Option<Duration>);
+    /// Whether a send on the thread's port cuts `wait` short. If not,
+    /// a thread that needs no input is better off blocking on the port's
+    /// queue than in `wait`.
+    fn interruptible(&self) -> bool;
 }
 
 /// The portable strategy: poll every input source, then sleep until the
-/// next session timer — capped at [`POLL_TICK`], since nothing
-/// interrupts the sleep — or, fully idle, park on the job queue so an
-/// idle store costs no CPU.
+/// deadline — capped at [`POLL_TICK`], since nothing interrupts the
+/// sleep.
 pub(crate) struct SleepPoll;
 
 impl Wait for SleepPoll {
-    fn input(&mut self, worker: &mut PolledWorker) {
-        worker.poll_io();
+    fn input(&mut self, io: &mut PollIo, sink: Sink<'_>) {
+        io.poll(sink);
     }
 
-    fn wait(&mut self, worker: &mut PolledWorker) {
-        if !worker.all_idle() {
-            let next = worker.next_wake_delay().unwrap_or(POLL_TICK);
-            std::thread::sleep(next.min(POLL_TICK));
-        } else if worker.jobs_open {
-            match worker.jobs.recv_timeout(IDLE_PARK) {
-                Ok(job) => worker.enqueue(job),
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => worker.jobs_open = false,
-            }
-        }
+    fn wait(&mut self, _io: &PollIo, timeout: Option<Duration>) {
+        std::thread::sleep(timeout.map_or(POLL_TICK, |t| t.min(POLL_TICK)));
+    }
+
+    fn interruptible(&self) -> bool {
+        false
     }
 }
 
@@ -240,7 +436,7 @@ impl PolledWorker {
             // 1. Drain newly submitted jobs into their session queues.
             self.drain_jobs();
             // 2. Feed ready input to the sessions.
-            wait.input(&mut self);
+            self.feed(wait.as_mut());
             // 3. Wake every session whose next_wake is due.
             self.fire_due_wakes();
             // 4. Settle finished operations, start queued ones, pump
@@ -250,9 +446,40 @@ impl PolledWorker {
             if !self.jobs_open && self.all_idle() {
                 return;
             }
-            // 6. Block until there may be work again.
-            wait.wait(&mut self);
+            // 6. Block until there may be work again. Idle, the only
+            //    work there can be is a job: where no submission can
+            //    interrupt the wait, park on the job queue itself, so an
+            //    idle store costs no CPU.
+            if self.all_idle() && !wait.interruptible() {
+                match self.jobs.recv_timeout(IDLE_PARK) {
+                    Ok(job) => self.enqueue(job),
+                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
+                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
+                        self.jobs_open = false;
+                    }
+                }
+            } else {
+                wait.wait(&self.io, self.next_wake_delay());
+            }
         }
+    }
+
+    /// Hand every ready inbound part to the session it is addressed to.
+    /// A part addressed to a process this worker does not host (only
+    /// hostile frames produce one) counts as dropped.
+    fn feed(&mut self, wait: &mut dyn Wait) {
+        let now = self.now();
+        let (by_pid, sessions, stats) = (&self.by_pid, &mut self.sessions, &self.stats);
+        wait.input(&mut self.io, &mut |from, to, msg| match by_pid
+            .get(&to)
+            .and_then(|key| sessions.get_mut(key))
+        {
+            Some(slot) => {
+                slot.credit_delivery(&msg);
+                slot.session.handle(Input::Deliver(from, msg), now);
+            }
+            None => stats.lock().dropped += msg.part_count() as u64,
+        });
     }
 
     /// Move every queued job into its session's queue; clears
@@ -283,10 +510,9 @@ impl PolledWorker {
     }
 
     /// How long until the earliest session timer is due (`None` when no
-    /// session needs waking — e.g. fully idle). The epoll strategy arms
-    /// its timerfd with this; the sleep-poll strategy caps it at
-    /// [`POLL_TICK`].
-    pub(crate) fn next_wake_delay(&self) -> Option<Duration> {
+    /// session needs waking — e.g. fully idle): the deadline the worker
+    /// hands its [`Wait`].
+    fn next_wake_delay(&self) -> Option<Duration> {
         let now = self.now();
         self.sessions
             .values()
@@ -302,156 +528,6 @@ impl PolledWorker {
         // the op's future, if any).
         if let Some(slot) = self.sessions.get_mut(&job.slot) {
             slot.queue.push_back((job.op, job.reply, job.notify));
-        }
-    }
-
-    /// Drain whatever input arrived on any source, without blocking.
-    fn poll_io(&mut self) {
-        match &mut self.io {
-            PollIo::Channel(_) => self.poll_channels(),
-            PollIo::Tcp { .. } => {
-                self.accept_new();
-                let PollIo::Tcp { conns, .. } = &self.io else { unreachable!() };
-                let live: Vec<usize> =
-                    conns.iter().enumerate().filter_map(|(i, c)| c.as_ref().map(|_| i)).collect();
-                for i in live {
-                    self.read_conn(i);
-                }
-            }
-        }
-    }
-
-    /// Drain the channel-transport inboxes.
-    fn poll_channels(&mut self) {
-        let now = self.now();
-        let PollIo::Channel(inboxes) = &mut self.io else { return };
-        for (pid, rx) in inboxes.iter() {
-            let Some(&key) = self.by_pid.get(pid) else { continue };
-            while let Ok((from, msg)) = rx.try_recv() {
-                if let Some(slot) = self.sessions.get_mut(&key) {
-                    slot.credit_delivery(&msg);
-                    slot.session.handle(Input::Deliver(from, msg), now);
-                }
-            }
-        }
-    }
-
-    /// Accept every connection the router has established (TCP only),
-    /// returning the slab indices of the new connections so a reactor
-    /// can register them. A connection that cannot be made nonblocking
-    /// is dropped and counted — one bad socket must not kill the worker.
-    pub(crate) fn accept_new(&mut self) -> Vec<usize> {
-        let mut added = Vec::new();
-        let PollIo::Tcp { listener, conns } = &mut self.io else { return added };
-        let Some(listener) = listener.as_ref() else { return added };
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        self.stats.lock().io_errors += 1;
-                        self.tracer.note_io_error(
-                            self.epoch.elapsed().as_micros() as u64,
-                            "accepted connection cannot be made nonblocking; dropped",
-                        );
-                        discard_broken(stream);
-                        continue;
-                    }
-                    let i = match conns.iter().position(Option::is_none) {
-                        Some(hole) => hole,
-                        None => {
-                            conns.push(None);
-                            conns.len() - 1
-                        }
-                    };
-                    conns[i] = Some((stream, FrameDecoder::new()));
-                    added.push(i);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-        added
-    }
-
-    /// The worker's loopback listener, for epoll registration (`None`
-    /// for channel transport or a degraded TCP source).
-    pub(crate) fn listener(&self) -> Option<&TcpListener> {
-        match &self.io {
-            PollIo::Tcp { listener, .. } => listener.as_ref(),
-            PollIo::Channel(_) => None,
-        }
-    }
-
-    /// The accepted connection at slab index `i`, for epoll registration.
-    pub(crate) fn conn_stream(&self, i: usize) -> Option<&TcpStream> {
-        match &self.io {
-            PollIo::Tcp { conns, .. } => conns.get(i).and_then(|c| c.as_ref()).map(|(s, _)| s),
-            PollIo::Channel(_) => None,
-        }
-    }
-
-    /// Drop the accepted connection at slab index `i` (its hole is
-    /// reused by later accepts).
-    pub(crate) fn drop_conn(&mut self, i: usize) {
-        if let PollIo::Tcp { conns, .. } = &mut self.io {
-            if let Some(c) = conns.get_mut(i) {
-                *c = None;
-            }
-        }
-    }
-
-    /// Read connection `i` dry: reassemble frames, decode, dispatch to
-    /// sessions. Closes the connection on EOF, IO error or the first
-    /// malformed frame (counted — a corrupt stream has no trustworthy
-    /// framing left).
-    pub(crate) fn read_conn(&mut self, i: usize) {
-        let now = self.now();
-        let PollIo::Tcp { conns, .. } = &mut self.io else { return };
-        let Some(Some((stream, dec))) = conns.get_mut(i) else { return };
-        let mut buf = [0u8; 16 * 1024];
-        let mut close = false;
-        'conn: loop {
-            match stream.read(&mut buf) {
-                Ok(0) => {
-                    close = true;
-                    break;
-                }
-                Ok(n) => {
-                    dec.feed(&buf[..n]);
-                    loop {
-                        match dec.next_frame() {
-                            Ok(Some(payload)) => match decode_packet(&payload) {
-                                Ok(parts) => dispatch(
-                                    &parts,
-                                    &self.by_pid,
-                                    &mut self.sessions,
-                                    &self.stats,
-                                    now,
-                                ),
-                                Err(_) => {
-                                    self.stats.lock().decode_errors += 1;
-                                    close = true;
-                                    break 'conn;
-                                }
-                            },
-                            Ok(None) => break,
-                            Err(_) => {
-                                self.stats.lock().decode_errors += 1;
-                                close = true;
-                                break 'conn;
-                            }
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(_) => {
-                    close = true;
-                    break;
-                }
-            }
-        }
-        if close {
-            conns[i] = None;
         }
     }
 
@@ -547,39 +623,6 @@ impl PolledWorker {
     }
 }
 
-/// Dispose of a socket whose `set_nonblocking` failed. The practical
-/// failure is `EBADF` — the descriptor is already dead (closed out from
-/// under us) — and `OwnedFd`'s drop *aborts the process* on a
-/// double-close. So instead of dropping, close through the raw,
-/// EBADF-tolerant helper and forget the handle: a live descriptor is
-/// closed exactly once, a dead one is left alone, and the worker
-/// survives either way.
-fn discard_broken(socket: impl std::os::fd::AsRawFd) {
-    epoll::close_fd(socket.as_raw_fd());
-    std::mem::forget(socket);
-}
-
-/// Hand decoded packet parts to their sessions. Parts addressed to a
-/// process this worker does not host (only hostile frames produce one)
-/// count as dropped, mirroring the fabric's accounting.
-fn dispatch(
-    parts: &[(ProcessId, ProcessId, Message)],
-    by_pid: &BTreeMap<ProcessId, (RegisterId, u32)>,
-    sessions: &mut BTreeMap<(RegisterId, u32), PolledSlot>,
-    stats: &Arc<Mutex<NetStats>>,
-    now: Time,
-) {
-    for (from, to, msg) in parts {
-        match by_pid.get(to).and_then(|key| sessions.get_mut(key)) {
-            Some(slot) => {
-                slot.credit_delivery(msg);
-                slot.session.handle(Input::Deliver(*from, msg.clone()), now);
-            }
-            None => stats.lock().dropped += msg.part_count() as u64,
-        }
-    }
-}
-
 /// Append one finished (or abandoned) operation to the shared history.
 /// `completion` is `None` for a failed operation (it stays an incomplete
 /// record, so the checkers treat it as pending, never as a bogus
@@ -656,8 +699,7 @@ mod tests {
         // nowhere by design. The caller keeps the receiver alive, or the
         // worker would see a shut-down store.
         let (router_tx, router_rx) = unbounded::<Envelope>();
-        let stats = Arc::new(Mutex::new(NetStats::default()));
-        let tracer = Arc::new(lucky_trace::Tracer::new(lucky_trace::TraceConfig::disabled()));
+        let (io, stats, tracer) = tcp_io(listener);
         let worker = PolledWorker {
             sessions,
             by_pid,
@@ -665,13 +707,19 @@ mod tests {
             jobs_open: true,
             router: router_tx,
             disconnected: false,
-            io: PollIo::tcp(listener, &stats, &tracer),
+            io,
             history: Arc::new(Mutex::new(History::new())),
             stats: Arc::clone(&stats),
             epoch: Instant::now(),
             tracer,
         };
         (worker, job_tx, router_rx, stats)
+    }
+
+    fn tcp_io(listener: TcpListener) -> (PollIo, Arc<Mutex<NetStats>>, Arc<lucky_trace::Tracer>) {
+        let stats = Arc::new(Mutex::new(NetStats::default()));
+        let tracer = Arc::new(lucky_trace::Tracer::new(lucky_trace::TraceConfig::disabled()));
+        (PollIo::tcp(listener, &stats, &tracer, Instant::now()), stats, tracer)
     }
 
     #[test]
@@ -681,17 +729,30 @@ mod tests {
         // `.expect()`ed here and killed the whole shard worker.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         epoll::close_fd(listener.as_raw_fd());
-        let stats = Arc::new(Mutex::new(NetStats::default()));
-        let tracer = lucky_trace::Tracer::new(lucky_trace::TraceConfig::disabled());
-        let io = PollIo::tcp(listener, &stats, &tracer);
-        match &io {
-            PollIo::Tcp { listener, conns } => {
-                assert!(listener.is_none(), "unusable listener is abandoned, not kept blocking");
-                assert!(conns.is_empty());
-            }
-            PollIo::Channel(_) => panic!("tcp() builds a Tcp source"),
-        }
+        let (io, stats, _tracer) = tcp_io(listener);
+        assert!(io.listener().is_none(), "unusable listener is abandoned, not kept blocking");
+        assert!(io.conns.is_empty());
         assert_eq!(stats.lock().io_errors, 1, "the degradation is counted");
+    }
+
+    #[test]
+    fn failing_accept_is_counted_and_backs_off_instead_of_spinning() {
+        // The listener dies *after* setup: every accept now fails with
+        // EBADF, and would for good. Each attempt must be visible in
+        // io_errors and cost the caller a pause — under level-triggered
+        // epoll the listener keeps reporting ready, and an uncounted
+        // `break` here was a silent 100 % CPU loop.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (mut io, stats, _tracer) = tcp_io(listener);
+        epoll::close_fd(io.listener().expect("healthy at setup").as_raw_fd());
+        let start = Instant::now();
+        for attempt in 1..=3 {
+            assert!(io.accept_new().is_empty());
+            assert_eq!(stats.lock().io_errors, attempt, "one io_error per failed accept");
+        }
+        assert!(start.elapsed() >= Duration::from_millis(3), "each failure backs off");
+        // The thread's other input is unaffected: polling still works.
+        io.poll(&mut |_, _, _| panic!("a dead listener delivers nothing"));
     }
 
     #[test]

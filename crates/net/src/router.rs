@@ -22,6 +22,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::{BTreeMap, BinaryHeap};
 use std::io::Write;
 use std::net::TcpStream;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -375,8 +376,12 @@ pub(crate) fn spawn_router(
             Router {
                 rx,
                 inboxes,
+                rng: SmallRng::seed_from_u64(cfg.seed),
                 cfg,
                 stats,
+                heap: BinaryHeap::new(),
+                staged: BTreeMap::new(),
+                seq: 0,
                 encoder: lucky_wire::PacketEncoder::new(),
                 spare_frames: Vec::new(),
             }
@@ -394,6 +399,14 @@ struct Router {
     inboxes: BTreeMap<ProcessId, Sender<(ProcessId, Message)>>,
     cfg: RouterConfig,
     stats: Arc<Mutex<NetStats>>,
+    /// Latency sampling.
+    rng: SmallRng,
+    /// Wire messages in flight, earliest due first.
+    heap: BinaryHeap<InFlight>,
+    /// Per destination slot: parts waiting for co-travellers.
+    staged: BTreeMap<usize, SlotBuf>,
+    /// Launch order, the heap's tie-break.
+    seq: u64,
     /// Recycled payload scratch for the TCP encode path.
     encoder: lucky_wire::PacketEncoder,
     /// Spent frame buffers: popped in `launch_one`, returned by
@@ -406,10 +419,6 @@ impl Router {
     /// Run the router loop until a [`Envelope::Stop`] arrives or every
     /// sender disconnects.
     fn run(mut self) {
-        let mut rng = SmallRng::seed_from_u64(self.cfg.seed);
-        let mut heap: BinaryHeap<InFlight> = BinaryHeap::new();
-        let mut staged: BTreeMap<usize, SlotBuf> = BTreeMap::new();
-        let mut seq = 0u64;
         let max_delay = Duration::from_micros(self.cfg.batch.max_delay_micros);
         loop {
             // Drain every envelope that is already queued *before*
@@ -418,63 +427,69 @@ impl Router {
             // envelopes sit in the channel as one burst).
             loop {
                 match self.rx.try_recv() {
-                    Ok(Envelope::Deliver { from, to, msg }) => {
-                        self.accept(from, to, msg, &mut staged, &mut rng, &mut heap, &mut seq);
+                    Ok(env) => {
+                        if self.on_envelope(env).is_break() {
+                            return;
+                        }
                     }
-                    Ok(Envelope::Sink { slot, stream }) => self.swap_sink(slot, stream),
-                    Ok(Envelope::Stop) => return,
                     Err(crossbeam::channel::TryRecvError::Empty) => break,
                     Err(crossbeam::channel::TryRecvError::Disconnected) => return,
                 }
             }
             // Deliver everything due.
             let now = Instant::now();
-            while heap.peek().is_some_and(|m| m.due <= now) {
-                let m = heap.pop().expect("peeked above");
+            while self.heap.peek().is_some_and(|m| m.due <= now) {
+                let m = self.heap.pop().expect("peeked above");
                 self.deliver(m.load);
             }
             // Flush every staged slot whose oldest part has waited long
             // enough.
-            let due_slots: Vec<usize> = staged
+            let due_slots: Vec<usize> = self
+                .staged
                 .iter()
                 .filter(|(_, buf)| buf.oldest + max_delay <= now)
                 .map(|(&slot, _)| slot)
                 .collect();
             for slot in due_slots {
-                let buf = staged.remove(&slot).expect("listed above");
-                self.launch(buf.parts, &mut rng, &mut heap, &mut seq);
+                let buf = self.staged.remove(&slot).expect("listed above");
+                self.launch(buf.parts);
             }
             // Wait for the next envelope, the next due delivery, or the
             // next slot flush deadline — whichever comes first.
-            let next_due = heap.peek().map(|m| m.due);
-            let next_flush = staged.values().map(|b| b.oldest + max_delay).min();
+            let next_due = self.heap.peek().map(|m| m.due);
+            let next_flush = self.staged.values().map(|b| b.oldest + max_delay).min();
             let deadline = match (next_due, next_flush) {
                 (Some(a), Some(b)) => Some(a.min(b)),
                 (a, b) => a.or(b),
             };
-            match deadline {
+            let next = match deadline {
                 Some(at) => {
                     let timeout = at.saturating_duration_since(Instant::now());
                     match self.rx.recv_timeout(timeout) {
-                        Ok(Envelope::Deliver { from, to, msg }) => {
-                            self.accept(from, to, msg, &mut staged, &mut rng, &mut heap, &mut seq);
-                        }
-                        Ok(Envelope::Sink { slot, stream }) => self.swap_sink(slot, stream),
-                        Ok(Envelope::Stop) => return,
-                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
+                        Ok(env) => Some(env),
+                        Err(crossbeam::channel::RecvTimeoutError::Timeout) => None,
                         Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
                     }
                 }
                 None => match self.rx.recv() {
-                    Ok(Envelope::Deliver { from, to, msg }) => {
-                        self.accept(from, to, msg, &mut staged, &mut rng, &mut heap, &mut seq);
-                    }
-                    Ok(Envelope::Sink { slot, stream }) => self.swap_sink(slot, stream),
-                    Ok(Envelope::Stop) => return,
+                    Ok(env) => Some(env),
                     Err(_) => return,
                 },
+            };
+            if next.is_some_and(|env| self.on_envelope(env).is_break()) {
+                return;
             }
         }
+    }
+
+    /// Act on one envelope; `Break` tears the router down.
+    fn on_envelope(&mut self, env: Envelope) -> ControlFlow<()> {
+        match env {
+            Envelope::Deliver { from, to, msg } => self.accept(from, to, msg),
+            Envelope::Sink { slot, stream } => self.swap_sink(slot, stream),
+            Envelope::Stop => return ControlFlow::Break(()),
+        }
+        ControlFlow::Continue(())
     }
 
     /// Install (or sever) one slot's socket sink. Frames already in
@@ -497,17 +512,7 @@ impl Router {
 
     /// Accept one envelope: stage it on its destination slot (batching
     /// enabled and a mapped destination) or put it straight in flight.
-    #[allow(clippy::too_many_arguments)]
-    fn accept(
-        &mut self,
-        from: ProcessId,
-        to: ProcessId,
-        msg: Message,
-        staged: &mut BTreeMap<usize, SlotBuf>,
-        rng: &mut SmallRng,
-        heap: &mut BinaryHeap<InFlight>,
-        seq: &mut u64,
-    ) {
+    fn accept(&mut self, from: ProcessId, to: ProcessId, msg: Message) {
         let slot = self.cfg.slots.get(&to).copied();
         match slot {
             Some(slot) if self.cfg.batch.enabled => {
@@ -515,13 +520,13 @@ impl Router {
                 // Strict size bound on *flattened* parts (an envelope may
                 // itself be a pre-batched ack batch): if joining would
                 // push the buffer over max_msgs, ship the buffer first.
-                if let Some(buf) = staged.get(&slot) {
+                if let Some(buf) = self.staged.get(&slot) {
                     if buf.part_total + count > self.cfg.batch.max_msgs {
-                        let buf = staged.remove(&slot).expect("checked above");
-                        self.launch(buf.parts, rng, heap, seq);
+                        let buf = self.staged.remove(&slot).expect("checked above");
+                        self.launch(buf.parts);
                     }
                 }
-                let buf = staged.entry(slot).or_insert_with(|| SlotBuf {
+                let buf = self.staged.entry(slot).or_insert_with(|| SlotBuf {
                     parts: Vec::new(),
                     part_total: 0,
                     oldest: Instant::now(),
@@ -529,13 +534,13 @@ impl Router {
                 buf.parts.push((from, to, msg));
                 buf.part_total += count;
                 if buf.part_total >= self.cfg.batch.max_msgs {
-                    let buf = staged.remove(&slot).expect("just inserted");
-                    self.launch(buf.parts, rng, heap, seq);
+                    let buf = self.staged.remove(&slot).expect("just inserted");
+                    self.launch(buf.parts);
                 }
             }
             // Batching disabled (or an unmapped destination): every
             // message is its own wire message.
-            _ => self.launch(vec![(from, to, msg)], rng, heap, seq),
+            _ => self.launch(vec![(from, to, msg)]),
         }
     }
 
@@ -546,16 +551,10 @@ impl Router {
     /// `max_msgs` sits far below the caps); a single protocol message
     /// whose encoding cannot fit any frame at all is dropped and
     /// counted, since no amount of splitting can put it on this wire.
-    fn launch(
-        &mut self,
-        parts: Vec<Part>,
-        rng: &mut SmallRng,
-        heap: &mut BinaryHeap<InFlight>,
-        seq: &mut u64,
-    ) {
+    fn launch(&mut self, parts: Vec<Part>) {
         debug_assert!(!parts.is_empty());
         if self.cfg.sinks.is_none() {
-            self.launch_one(parts, rng, heap, seq);
+            self.launch_one(parts);
             return;
         }
         // Conservative per-part frame cost: two encoded process ids
@@ -581,7 +580,7 @@ impl Router {
             {
                 let full = std::mem::take(&mut chunk);
                 (chunk_cost, chunk_flat) = (0, 0);
-                self.launch_one(full, rng, heap, seq);
+                self.launch_one(full);
             }
             chunk.push(part);
             chunk_cost += cost;
@@ -591,7 +590,7 @@ impl Router {
             self.stats.lock().dropped += lost;
         }
         if !chunk.is_empty() {
-            self.launch_one(chunk, rng, heap, seq);
+            self.launch_one(chunk);
         }
     }
 
@@ -600,33 +599,30 @@ impl Router {
     /// is encoded here — staged as the real bytes it will cross the
     /// socket as — and its framed size lands in `wire_bytes`. The
     /// caller guarantees the parts fit one frame's caps.
-    fn launch_one(
-        &mut self,
-        parts: Vec<Part>,
-        rng: &mut SmallRng,
-        heap: &mut BinaryHeap<InFlight>,
-        seq: &mut u64,
-    ) {
+    fn launch_one(&mut self, parts: Vec<Part>) {
         debug_assert!(!parts.is_empty());
         let (min, max) = self.cfg.latency;
         let delay = if max > min {
-            min + Duration::from_micros(rng.gen_range(0..=(max - min).as_micros() as u64))
+            min + Duration::from_micros(self.rng.gen_range(0..=(max - min).as_micros() as u64))
         } else {
             min
         };
         // Compute every accounting delta — and, under TCP, the encoded
         // frame — *before* touching the stats mutex, so this hot path
         // pays exactly one acquisition per wire message (the same lock
-        // serves the fabric's reader threads and `stats()` pollers).
+        // serves every receiving thread and `stats()` pollers).
         //
         // A part may itself be a pre-batched envelope (a server's
         // re-batched acks travel as one `Message::Batch` send):
         // protocol-message accounting always uses the flattened view.
         let total_parts: u64 = parts.iter().map(|(_, _, m)| m.part_count() as u64).sum();
         let part_bytes: u64 = parts.iter().map(|(_, _, m)| m.wire_size() as u64).sum();
-        // Coalesced envelopes share one wire frame: one extra header
-        // (12 bytes — `lucky_wire::FRAME_HEADER_BYTES`).
-        let bytes = if parts.len() > 1 { 12 + part_bytes } else { part_bytes };
+        // Coalesced envelopes share one wire frame: one extra header.
+        let bytes = if parts.len() > 1 {
+            lucky_wire::FRAME_HEADER_BYTES as u64 + part_bytes
+        } else {
+            part_bytes
+        };
         let batched = total_parts > 1;
         // Per-register deltas, in first-seen order.
         let mut per_register: Vec<(RegisterId, u64, u64)> = Vec::new();
@@ -707,8 +703,8 @@ impl Router {
         let Some(load) = load else {
             return;
         };
-        *seq += 1;
-        heap.push(InFlight { due: Instant::now() + delay, seq: *seq, load });
+        self.seq += 1;
+        self.heap.push(InFlight { due: Instant::now() + delay, seq: self.seq, load });
     }
 
     /// Hand a due wire message to its recipients.
@@ -718,8 +714,8 @@ impl Router {
     /// fan out as separate inbox sends, back-to-back. TCP transport:
     /// the staged frame (whose packet parts were grouped the same way
     /// at launch) is written to the destination slot's socket; the
-    /// slot's receive side (a server's reader thread, or the shard
-    /// worker itself) decodes and fans out on the far side.
+    /// thread that owns the slot (a server, or a shard worker) decodes
+    /// and fans out on the far side.
     fn deliver(&mut self, load: Load) {
         match load {
             Load::Parts(parts) => {

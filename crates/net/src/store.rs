@@ -1,8 +1,9 @@
 //! The multi-register store over the threaded runtime.
 //!
-//! One router thread and one set of server threads (each multiplexing
-//! per-register state through `lucky-core`'s `RegisterMux`) serve a whole
-//! namespace of registers. Client cores are **sharded across worker
+//! One router thread and one thread per server (each multiplexing
+//! per-register state through `lucky-core`'s `RegisterMux`, and under
+//! [`Transport::Tcp`] reading its own socket) serve a whole namespace of
+//! registers. Client cores are **sharded across worker
 //! threads by register**: a register's writer core lands on worker
 //! `hash(RegisterId)` and its reader cores on the neighbouring workers,
 //! so operations on independent registers proceed concurrently over the
@@ -18,13 +19,13 @@
 
 use crate::cluster::{
     assert_one_fault_per_server, spawn_server_thread, HandleError, NetConfig, NetError, NetOutcome,
-    ServerCtl,
+    ServerCtl, ServerInput,
 };
 use crate::future::{NotifyGuard, OpFuture, OpNotify};
-use crate::polled::{Driver, Job, PollIo, PolledSlot, PolledWorker, SleepPoll, Wait};
-use crate::reactor::EpollWait;
+use crate::polled::{Driver, Job, PollIo, PolledSlot, PolledWorker};
+use crate::reactor::wait_strategy;
 use crate::router::{spawn_router, Envelope, NetStats, RouterConfig, SlotMap};
-use crate::tcp::{build_fabric, TcpFabric, Transport};
+use crate::tcp::Transport;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use epoll::WakeFd;
 use lucky_core::runtime::ServerCore;
@@ -34,7 +35,7 @@ use lucky_types::{BatchConfig, History, Op, ProcessId, RegisterId, ServerId, Val
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -141,12 +142,13 @@ impl NetStoreBuilder {
         self
     }
 
-    /// How the shard workers wait for input. Not calling this is the
-    /// normal case: the store then picks [`Driver::Reactor`] over
-    /// [`Transport::Tcp`] on Linux and [`Driver::Polled`] otherwise
-    /// (epoll cannot watch a channel). Every worker runs the same loop
-    /// and multiplexes all of its client sessions on one thread either
-    /// way; the handle/ticket API is identical.
+    /// How the shard workers — and, over [`Transport::Tcp`], the
+    /// servers — wait for input. Not calling this is the normal case:
+    /// the store then picks [`Driver::Reactor`] over [`Transport::Tcp`]
+    /// on Linux and [`Driver::Polled`] otherwise (epoll cannot watch a
+    /// channel). Every worker runs the same loop and multiplexes all of
+    /// its client sessions on one thread either way; the handle/ticket
+    /// API is identical.
     ///
     /// [`NetStoreBuilder::build`] panics if [`Driver::Reactor`] is named
     /// without [`Transport::Tcp`].
@@ -281,20 +283,48 @@ impl NetStoreBuilder {
             }
         }
 
+        // A thread that blocks in `epoll_wait` is handed its work
+        // through a port carrying an eventfd; without one (sleep-polling
+        // by choice, exotic platform, fd exhaustion) it sleep-polls.
+        let stats = Arc::new(Mutex::new(NetStats::default()));
+        let tracer = Arc::new(lucky_trace::Tracer::new(self.trace));
+        let epoch = Instant::now();
+        let new_wake = || match driver {
+            Driver::Reactor => match WakeFd::new() {
+                Ok(wake) => Some(Arc::new(wake)),
+                Err(_) => {
+                    stats.lock().io_errors += 1;
+                    tracer.note_io_error(0, "reactor eventfd unavailable; sleep-polling");
+                    None
+                }
+            },
+            Driver::Polled => None,
+        };
+        // Where wire messages land. Channel: in every process's inbox,
+        // handed over by the router. TCP: on the destination slot's own
+        // socket — bound here so the router's sink can connect; the
+        // slot's thread itself accepts and reads, nonblocking.
+        let mut sinks = tcp.then(BTreeMap::new);
+        let mut own_socket = |slot: usize| {
+            let sinks = sinks.as_mut()?;
+            let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
+            let addr = listener.local_addr().expect("listener has an address");
+            sinks.insert(slot, connect_sink(addr).expect("connect router sink"));
+            Some((PollIo::tcp(listener, &stats, &tracer, epoch), addr))
+        };
+
         // Server threads: every honest server multiplexes all registers
         // and re-batches its acks per sender (when batching is enabled).
-        // Each gets a control channel so the store can crash and restart
+        // Each gets a control port so the store can crash and restart
         // it mid-run; a durable store's servers share one counter pair.
         let counters = Arc::new(LogCounters::default());
         let mut ctl = BTreeMap::new();
-        let mut server_inboxes = BTreeMap::new();
+        let mut server_addrs = BTreeMap::new();
         for s in ServerId::all(server_count) {
             slots.insert(ProcessId::Server(s), s.index());
             if self.crashed.contains(&s.0) {
                 continue;
             }
-            let (tx, rx) = unbounded::<(ProcessId, lucky_types::Message)>();
-            server_inboxes.insert(s, tx);
             let core: Box<dyn ServerCore> = match self.byzantine.remove(&s.0) {
                 Some(byz) => byz,
                 None => store_server_core(
@@ -305,68 +335,43 @@ impl NetStoreBuilder {
                 ),
             };
             let (ctl_tx, ctl_rx) = unbounded::<ServerCtl>();
-            ctl.insert(s.0, ctl_tx);
+            let (input, wake) = match own_socket(s.index()) {
+                Some((io, addr)) => {
+                    server_addrs.insert(s, addr);
+                    let wake = new_wake();
+                    (ServerInput::Socket(io, wake.clone()), wake)
+                }
+                None => {
+                    let (tx, rx) = unbounded();
+                    inboxes.insert(ProcessId::Server(s), tx);
+                    (ServerInput::Inbox(rx), None)
+                }
+            };
+            ctl.insert(s.0, Port::new(ctl_tx, wake));
             server_threads.push(spawn_server_thread(
                 format!("lucky-store-server-{}", s.0),
                 ProcessId::Server(s),
                 core,
-                rx,
+                input,
                 ctl_rx,
                 router_tx.clone(),
             ));
         }
 
-        // Where wire messages land. Channel: in every process's inbox,
-        // handed over by the router. TCP: on the destination slot's
-        // socket — the fabric is the receive side of the server slots,
-        // and each worker owns its slot's listener (bound here so the
-        // router's sink can connect; the worker itself accepts and
-        // reads, nonblocking).
-        let stats = Arc::new(Mutex::new(NetStats::default()));
-        let tracer = Arc::new(lucky_trace::Tracer::new(self.trace));
-        let (fabric, sinks, worker_ios): (_, _, Vec<PollIo>) = if tcp {
-            let (fabric, mut sinks) = build_fabric("lucky-store", server_inboxes, &stats);
-            let ios = (0..shard_count)
-                .map(|w| {
-                    let listener =
-                        TcpListener::bind("127.0.0.1:0").expect("bind shard-worker listener");
-                    let addr = listener.local_addr().expect("listener has an address");
-                    let sink = std::net::TcpStream::connect(addr).expect("connect worker sink");
-                    sink.set_nodelay(true).expect("set TCP_NODELAY");
-                    sinks.insert(server_count + w, sink);
-                    PollIo::tcp(listener, &stats, &tracer)
-                })
-                .collect();
-            (Some(fabric), Some(sinks), ios)
-        } else {
-            inboxes.extend(server_inboxes.into_iter().map(|(s, tx)| (ProcessId::Server(s), tx)));
-            (None, None, shard_inboxes.into_iter().map(PollIo::Channel).collect())
-        };
-        let router_thread = spawn_router(
-            "lucky-store-router",
-            router_rx,
-            inboxes,
-            RouterConfig {
-                latency: (self.cfg.min_latency, self.cfg.max_latency),
-                seed: self.cfg.seed,
-                batch: self.batch,
-                slots,
-                sinks,
-            },
-            Arc::clone(&stats),
-        );
-
         // Shard workers: each owns its registers' client sessions,
         // multiplexes them on one loop, and appends completed operations
-        // to the shared history. An epoll worker's `JobPort`s carry an
-        // eventfd so submissions can interrupt its `epoll_wait`.
-        let epoch = Instant::now();
+        // to the shared history.
         let history = Arc::new(Mutex::new(History::new()));
         let wakeups = Arc::new(AtomicU64::new(0));
         let mut workers = Vec::new();
-        let mut worker_txs: Vec<JobPort> = Vec::new();
-        let worker_parts = shard_sessions.into_iter().zip(worker_ios).zip(shard_pids).enumerate();
-        for (w, ((sessions, io), by_pid)) in worker_parts {
+        let mut worker_txs: Vec<Port<Job>> = Vec::new();
+        let worker_parts =
+            shard_sessions.into_iter().zip(shard_inboxes).zip(shard_pids).enumerate();
+        for (w, ((sessions, inboxes), by_pid)) in worker_parts {
+            let io = match own_socket(server_count + w) {
+                Some((io, _)) => io,
+                None => PollIo::channel(inboxes, &stats, &tracer, epoch),
+            };
             let (tx, rx) = unbounded::<Job>();
             let worker = PolledWorker {
                 sessions,
@@ -381,39 +386,31 @@ impl NetStoreBuilder {
                 epoch,
                 tracer: Arc::clone(&tracer),
             };
-            // The epoll strategy needs a working eventfd to be woken for
-            // job submissions; without one (exotic platform, fd
-            // exhaustion) the worker sleep-polls.
-            let wake = match driver {
-                Driver::Reactor => match WakeFd::new() {
-                    Ok(wake) => Some(Arc::new(wake)),
-                    Err(_) => {
-                        stats.lock().io_errors += 1;
-                        tracer.note_io_error(0, "reactor eventfd unavailable; sleep-polling");
-                        None
-                    }
-                },
-                Driver::Polled => None,
-            };
-            worker_txs.push(JobPort { tx, wake: wake.clone() });
+            let wake = new_wake();
+            worker_txs.push(Port::new(tx, wake.clone()));
             let wakeups = Arc::clone(&wakeups);
             let thread = std::thread::Builder::new().name(format!("lucky-store-worker-{w}")).spawn(
                 move || {
-                    // Likewise when no epoll set can be built around it.
-                    let wait: Box<dyn Wait> =
-                        match wake.map(|wake| EpollWait::new(&worker, wake, wakeups)) {
-                            Some(Ok(epoll)) => Box::new(epoll),
-                            Some(Err(())) => {
-                                worker.stats.lock().io_errors += 1;
-                                Box::new(SleepPoll)
-                            }
-                            None => Box::new(SleepPoll),
-                        };
+                    let wait = wait_strategy(&worker.io, wake, Some(wakeups));
                     worker.run(wait)
                 },
             );
             workers.push(thread.expect("spawn shard worker"));
         }
+
+        let router_thread = spawn_router(
+            "lucky-store-router",
+            router_rx,
+            inboxes,
+            RouterConfig {
+                latency: (self.cfg.min_latency, self.cfg.max_latency),
+                seed: self.cfg.seed,
+                batch: self.batch,
+                slots,
+                sinks,
+            },
+            Arc::clone(&stats),
+        );
 
         let handles = RegisterId::all(self.registers)
             .map(|reg| {
@@ -430,7 +427,7 @@ impl NetStoreBuilder {
             router_tx,
             router_thread: Some(router_thread),
             server_threads,
-            fabric,
+            server_addrs,
             _workers: workers,
             handles,
             registers: self.registers,
@@ -449,38 +446,58 @@ impl NetStoreBuilder {
     }
 }
 
-/// A shard worker's job-submission endpoint: the job channel plus — for
-/// a reactor worker — the eventfd that interrupts its `epoll_wait`.
-/// Cloned into every register handle whose cores the worker hosts.
-#[derive(Clone)]
-pub(crate) struct JobPort {
-    tx: Sender<Job>,
-    wake: Option<Arc<WakeFd>>,
+/// A thread's command endpoint — a shard worker's jobs, a server's
+/// control commands: the channel plus, for a thread that blocks in
+/// `epoll_wait`, the eventfd that interrupts it. A worker's is cloned
+/// into every register handle whose cores it hosts.
+pub(crate) struct Port<T> {
+    tx: Sender<T>,
+    /// Declared after `tx`, so dropped after it.
+    wake: Option<WakeOnDrop>,
 }
 
-impl JobPort {
-    /// Send a job, then wake the reactor (the order matters: the worker
-    /// must find the job when the wakeup drains).
-    fn send(&self, job: Job) {
-        // A send failure means the store shut down; the dropped reply
-        // sender (and notify guard, for futures) surfaces it.
-        let _ = self.tx.send(job);
-        if let Some(wake) = &self.wake {
-            wake.wake();
-        }
-    }
-}
+/// The reactor detects "nothing can ever arrive again" by the channel
+/// disconnecting — which it only observes when awake. Each dropping
+/// port fires the eventfd *after* its sender is gone, so the last drop
+/// (the disconnect) always interrupts a blocked `epoll_wait`, and the
+/// woken thread finds the channel already disconnected.
+struct WakeOnDrop(Arc<WakeFd>);
 
-impl Drop for JobPort {
+impl Drop for WakeOnDrop {
     fn drop(&mut self) {
-        // The reactor detects "no more jobs can ever arrive" by the job
-        // channel disconnecting — which it only observes when awake.
-        // Each dropping port fires the eventfd so the *last* drop (the
-        // disconnect) always interrupts a blocked `epoll_wait`.
+        self.0.wake();
+    }
+}
+
+impl<T> Port<T> {
+    fn new(tx: Sender<T>, wake: Option<Arc<WakeFd>>) -> Port<T> {
+        Port { tx, wake: wake.map(WakeOnDrop) }
+    }
+
+    /// Send an item, then wake the reactor (the order matters: the
+    /// thread must find the item when the wakeup drains).
+    fn send(&self, item: T) {
+        // A send failure means the store shut down; whatever reply
+        // sender (and notify guard, for futures) the item carried drops
+        // with it, which surfaces it.
+        let _ = self.tx.send(item);
         if let Some(wake) = &self.wake {
-            wake.wake();
+            wake.0.wake();
         }
     }
+}
+
+impl<T> Clone for Port<T> {
+    fn clone(&self) -> Self {
+        Port::new(self.tx.clone(), self.wake.as_ref().map(|w| Arc::clone(&w.0)))
+    }
+}
+
+/// Connect the router-side write half of a slot's socket.
+fn connect_sink(addr: SocketAddr) -> std::io::Result<TcpStream> {
+    let sink = TcpStream::connect(addr)?;
+    sink.set_nodelay(true)?;
+    Ok(sink)
 }
 
 /// Build one server's protocol core: a durable store opens (and on a
@@ -606,7 +623,7 @@ pub struct NetRegisterHandle {
     readers: usize,
     /// One job port per client core: index 0 is the writer, `j + 1`
     /// reader `j`. Cores may live on different shard workers.
-    slots: Vec<JobPort>,
+    slots: Vec<Port<Job>>,
 }
 
 impl fmt::Debug for NetRegisterHandle {
@@ -759,7 +776,10 @@ pub struct NetStore {
     router_tx: Sender<Envelope>,
     router_thread: Option<JoinHandle<()>>,
     server_threads: Vec<JoinHandle<()>>,
-    fabric: Option<TcpFabric>,
+    /// Listener address of each live server's slot under
+    /// [`Transport::Tcp`] (empty under the channel transport), for
+    /// tests and adversarial harnesses that talk raw bytes to a server.
+    server_addrs: BTreeMap<ServerId, SocketAddr>,
     /// Worker threads exit when every job sender (the untaken handles
     /// below plus whatever the caller took) is dropped.
     _workers: Vec<JoinHandle<()>>,
@@ -769,8 +789,9 @@ pub struct NetStore {
     shard_count: usize,
     stats: Arc<Mutex<NetStats>>,
     history: Arc<Mutex<History>>,
-    /// Control channel of each live server thread, by server index.
-    ctl: BTreeMap<u16, Sender<ServerCtl>>,
+    /// Control port of each live server thread, by server index. A
+    /// socket server runs until its port drops.
+    ctl: BTreeMap<u16, Port<ServerCtl>>,
     /// Durability counters shared by every server backend (and every
     /// restarted incarnation); rolled into [`NetStats`] by `stats()`.
     counters: Arc<LogCounters>,
@@ -886,11 +907,11 @@ impl NetStore {
     /// frames count as dropped, exactly like a never-spawned server's.
     /// No-op for a server that was built crashed (it has no thread).
     pub fn crash_server(&mut self, i: u16) {
-        let Some(tx) = self.ctl.get(&i) else {
+        let Some(port) = self.ctl.get(&i) else {
             return;
         };
-        let _ = tx.send(ServerCtl::Crash);
-        if self.fabric.is_some() {
+        port.send(ServerCtl::Crash);
+        if self.server_addrs.contains_key(&ServerId(i)) {
             let _ = self.router_tx.send(Envelope::Sink { slot: i as usize, stream: None });
         }
     }
@@ -899,36 +920,46 @@ impl NetStore {
     /// durable store by replaying the server's `lucky-log` logs, so the
     /// incarnation rejoins the quorum with everything it ever acked; for
     /// a memory store amnesiac, with completely fresh state. Under
-    /// [`Transport::Tcp`] the server's slot re-binds its listener on a
-    /// fresh ephemeral port (see [`NetStore::server_addr`]) and the
-    /// router installs the freshly connected sink. No-op for a server
-    /// that was built crashed.
+    /// [`Transport::Tcp`] the server re-binds its listener on a fresh
+    /// ephemeral port (see [`NetStore::server_addr`]) and the router
+    /// installs the freshly connected sink. No-op for a server that was
+    /// built crashed.
     ///
     /// Blocks until the server thread has performed the rebuild:
     /// messages sent after this returns cannot race the still-down
     /// window and be silently lost — which matters the moment the
     /// recovered server is quorum-critical (exactly `t` others down).
     pub fn restart_server(&mut self, i: u16) {
-        let Some(tx) = self.ctl.get(&i) else {
+        let Some(port) = self.ctl.get(&i) else {
             return;
         };
         let setup = self.setup;
         let batch = self.batch;
         let durable = self.durable_dir.clone().map(|d| (d, Arc::clone(&self.counters)));
-        let (done_tx, done_rx) = unbounded::<()>();
-        let _ = tx.send(ServerCtl::Restart(
+        let (done_tx, done_rx) = unbounded();
+        port.send(ServerCtl::Restart(
             Box::new(move || store_server_core(setup, batch, durable, i)),
             done_tx,
         ));
-        if let Some(fabric) = self.fabric.as_mut() {
-            if let Some(sink) = fabric.rebind_slot(i as usize) {
+        // The bound only guards against a thread that already exited.
+        let rebound = done_rx.recv_timeout(std::time::Duration::from_secs(5)).ok().flatten();
+        // A socket server comes back at a new address: the old one is
+        // gone either way, and the new one is the slot's only once the
+        // router holds a sink connected to it. (An inbox server acks no
+        // address; a socket server that could not re-bind counted that
+        // itself.)
+        self.server_addrs.remove(&ServerId(i));
+        let Some(addr) = rebound else {
+            return;
+        };
+        match connect_sink(addr) {
+            Ok(sink) => {
+                self.server_addrs.insert(ServerId(i), addr);
                 let _ =
                     self.router_tx.send(Envelope::Sink { slot: i as usize, stream: Some(sink) });
             }
+            Err(_) => self.stats.lock().io_errors += 1,
         }
-        // The server thread polls its control channel every CTL_POLL;
-        // the bound only guards against a thread that already exited.
-        let _ = done_rx.recv_timeout(std::time::Duration::from_secs(5));
     }
 
     /// A snapshot of the operation history so far (all registers
@@ -985,24 +1016,23 @@ impl NetStore {
     /// The loopback address server `s` listens on, when the store runs
     /// over [`Transport::Tcp`] (`None` under the channel transport or
     /// for a crashed server).
-    pub fn server_addr(&self, s: ServerId) -> Option<std::net::SocketAddr> {
-        self.fabric.as_ref().and_then(|f| f.server_addrs.get(&s).copied())
+    pub fn server_addr(&self, s: ServerId) -> Option<SocketAddr> {
+        self.server_addrs.get(&s).copied()
     }
 
-    /// Stop the router, fabric and server threads and wait for them.
-    /// Shard workers exit once every register handle is dropped;
-    /// pending operations fail with [`NetError`].
+    /// Stop the router and server threads and wait for them. Shard
+    /// workers exit once every register handle is dropped; pending
+    /// operations fail with [`NetError`].
     pub fn shutdown(&mut self) {
         self.handles.clear();
         let _ = self.router_tx.send(Envelope::Stop);
         if let Some(t) = self.router_thread.take() {
             let _ = t.join();
         }
-        // Router gone → its socket sinks closed → the fabric's readers
-        // see EOF and release the inbox senders as the fabric joins.
-        if let Some(mut fabric) = self.fabric.take() {
-            fabric.shutdown();
-        }
+        // Router gone → every inbox sender dropped, which is what an
+        // inbox server waits for; a socket server waits for its control
+        // port to go.
+        self.ctl.clear();
         for t in self.server_threads.drain(..) {
             let _ = t.join();
         }

@@ -16,8 +16,9 @@
 //!   the reactor **nanosecond-granular** timeouts where `epoll_wait`'s
 //!   own timeout argument rounds up to whole milliseconds.
 //! * [`close_fd`] — a fault-injection helper: tests in `forbid(unsafe)`
-//!   crates use it to sabotage a socket's descriptor and exercise the
-//!   graceful-degradation paths without any unsafe of their own.
+//!   crates use it to kill the socket behind a descriptor (the number
+//!   itself stays reserved) and exercise the graceful-degradation paths
+//!   without any unsafe of their own.
 //!
 //! On non-Linux targets every constructor returns
 //! [`std::io::ErrorKind::Unsupported`]; callers are expected to degrade
@@ -116,6 +117,8 @@ mod imp {
     const CLOCK_MONOTONIC: c_int = 1;
     const TFD_CLOEXEC: c_int = 0o2000000;
     const TFD_NONBLOCK: c_int = 0o4000;
+    const O_PATH: c_int = 0o10000000;
+    const O_CLOEXEC: c_int = 0o2000000;
 
     /// Kernel ABI of one timerfd setting (two `struct timespec`s).
     #[repr(C)]
@@ -152,6 +155,8 @@ mod imp {
         fn read(fd: c_int, buf: *mut u8, count: usize) -> isize;
         fn write(fd: c_int, buf: *const u8, count: usize) -> isize;
         fn close(fd: c_int) -> c_int;
+        fn open(path: *const std::ffi::c_char, flags: c_int, ...) -> c_int;
+        fn dup2(oldfd: c_int, newfd: c_int) -> c_int;
     }
 
     /// How many kernel events one `epoll_wait` call may deliver. More
@@ -400,15 +405,31 @@ mod imp {
         }
     }
 
-    /// Close a raw descriptor out from under its owner. **Fault
-    /// injection only**: after this, the owner's next syscall on the
-    /// descriptor fails with `EBADF` — which is exactly what the
-    /// graceful-degradation tests in `forbid(unsafe_code)` crates need
-    /// to provoke without unsafe of their own.
+    /// Close the file behind a raw descriptor out from under its owner.
+    /// **Fault injection only**: the socket (or whatever `fd` named) is
+    /// closed, and the owner's next syscall on the descriptor fails with
+    /// `EBADF` — which is exactly what the graceful-degradation tests in
+    /// `forbid(unsafe_code)` crates need to provoke without unsafe of
+    /// their own.
+    ///
+    /// The descriptor *number* stays taken: it is atomically re-pointed
+    /// at an `O_PATH` handle, on which every IO call (`ioctl`, `accept`,
+    /// `read`, `epoll_ctl`) answers `EBADF`. A plain `close` would free
+    /// the number for the next `socket()` of any parallel test thread,
+    /// and the owner's eventual drop would then close *that* socket; this
+    /// way the owner's drop closes the placeholder, exactly once.
     pub fn close_fd(fd: RawFd) {
-        // SAFETY: the caller asserts nothing else will reuse `fd`; tests
-        // sabotage descriptors they own and then drop.
-        unsafe { close(fd) };
+        // SAFETY: the path is a C string literal; `dup2` and
+        // `close` take no pointers. `dup2` closes what `fd` named and
+        // installs the placeholder in one step, so no other thread can
+        // be handed the number in between.
+        unsafe {
+            let dead = open(c"/".as_ptr(), O_PATH | O_CLOEXEC);
+            if dead >= 0 {
+                dup2(dead, fd);
+                close(dead);
+            }
+        }
     }
 }
 
@@ -650,6 +671,10 @@ mod tests {
         close_fd(listener.as_raw_fd());
         let err = ep.add(&listener, 1).unwrap_err();
         assert_eq!(err.raw_os_error(), Some(9), "EBADF from a sabotaged descriptor");
-        std::mem::forget(listener); // its fd is already closed
+        // The number is still the listener's to close: nothing a parallel
+        // test opened in the meantime can have been given it.
+        let fd = listener.as_raw_fd();
+        let other = TcpListener::bind("127.0.0.1:0").unwrap();
+        assert_ne!(other.as_raw_fd(), fd, "the sabotaged number stays reserved");
     }
 }

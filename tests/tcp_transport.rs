@@ -4,8 +4,8 @@
 //! Under `Transport::Tcp` each server and each shard worker owns a real
 //! `std::net` listener; the router encodes its per-destination
 //! socket-slot batches as checksummed frames and writes them to the
-//! destination's socket, where a server's reader thread (or the shard
-//! worker itself) reassembles them from whatever partial reads TCP
+//! destination's socket, where the thread that owns it (the server, or
+//! the shard worker) reassembles them from whatever partial reads TCP
 //! produces. These tests pin down:
 //!
 //! * **equivalence** — all three variants complete a multi-register,
@@ -18,15 +18,20 @@
 //!   forgers, codec-level `WireFuzz`) within the budget change nothing;
 //! * **hostile bytes** — raw garbage injected straight into a server's
 //!   socket is rejected cleanly (counted, connection dropped) while the
-//!   protocol sails on.
+//!   protocol sails on, before and after the server re-binds;
+//! * **slot isolation** — a well-formed frame on server 0's socket
+//!   addressed to anyone else is dropped (counted), never handled.
 
 use lucky_atomic::core::byz::{ForgeValue, WireFuzz};
 use lucky_atomic::core::Setup;
 use lucky_atomic::explore::{random_walks, ByzKind, Scenario};
 use lucky_atomic::net::{NetConfig, NetStats, NetStore, Transport};
-use lucky_atomic::types::{BatchConfig, Params, RegisterId, Seq, TsVal, TwoRoundParams, Value};
+use lucky_atomic::types::{
+    BatchConfig, Message, Params, ProcessId, PwAckMsg, PwMsg, RegisterId, Seq, ServerId, TsVal,
+    TwoRoundParams, Value,
+};
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 const REGISTERS: usize = 4;
@@ -177,17 +182,25 @@ fn single_register_cluster_api_over_tcp() {
     store.shutdown();
 }
 
-#[test]
-fn raw_garbage_on_a_server_socket_is_rejected_cleanly() {
-    let params = Params::new(1, 0, 1, 0).unwrap();
-    let mut store = NetStore::builder(params, net_cfg()).transport(Transport::Tcp).build();
-    let addr = store
-        .server_addr(lucky_atomic::types::ServerId(0))
-        .expect("TCP transport exposes server addresses");
+/// Poll `stats()` until `counter` reaches `target` (receive-side
+/// accounting is asynchronous: the slot's thread does it).
+fn await_count(store: &NetStore, what: &str, target: u64, counter: fn(&NetStats) -> u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let seen = counter(&store.stats());
+        if seen >= target {
+            assert_eq!(seen, target, "{what}: counted more than was sent");
+            return;
+        }
+        assert!(Instant::now() < deadline, "{what}: only {seen} of {target} counted in time");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
 
-    // Three hostile connections: plain garbage, a frame with a smashed
-    // checksum, and an oversized length prefix. Each must be counted
-    // and dropped without disturbing the protocol.
+/// Three hostile connections to `addr`: plain garbage, a frame with a
+/// smashed checksum, and an oversized length prefix. Each must be
+/// counted and dropped without disturbing the protocol.
+fn assault(store: &NetStore, addr: SocketAddr, errors_before: u64) {
     let mut garbage = TcpStream::connect(addr).unwrap();
     garbage.write_all(b"this is definitely not a lucky-wire frame....").unwrap();
     let mut bad_crc = TcpStream::connect(addr).unwrap();
@@ -199,27 +212,69 @@ fn raw_garbage_on_a_server_socket_is_rejected_cleanly() {
     let mut frame = lucky_wire::encode_frame(b"payload");
     frame[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
     oversized.write_all(&frame).unwrap();
+    await_count(store, "hostile frames rejected", errors_before + 3, |s| s.decode_errors);
+}
 
-    // The protocol keeps working while the rejects land.
+#[test]
+fn raw_garbage_on_a_server_socket_is_rejected_cleanly() {
+    let params = Params::new(1, 0, 1, 0).unwrap();
+    let mut store = NetStore::builder(params, net_cfg()).transport(Transport::Tcp).build();
     let h = store.register(RegisterId(0)).unwrap();
+    let first = store.server_addr(ServerId(0)).expect("TCP transport exposes server addresses");
+    assault(&store, first, 0);
+    // The protocol keeps working around the rejects.
     h.write(Value::from_u64(7)).unwrap();
     assert_eq!(h.read(0).unwrap().value.as_u64(), Some(7));
 
-    // Rejections are asynchronous (reader threads); wait for all three.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        let errors = store.stats().decode_errors;
-        if errors >= 3 {
-            break;
-        }
-        assert!(Instant::now() < deadline, "only {errors} of 3 hostile frames rejected in time");
-        std::thread::sleep(Duration::from_millis(20));
-    }
-
-    // And the store still works afterwards.
+    // A restarted server listens somewhere new, with the same manners.
+    store.crash_server(0);
+    store.restart_server(0);
+    let second = store.server_addr(ServerId(0)).expect("restarted slot re-binds");
+    assert_ne!(first, second);
+    assault(&store, second, 3);
     h.write(Value::from_u64(8)).unwrap();
     assert_eq!(h.read(0).unwrap().value.as_u64(), Some(8));
-    drop((garbage, bad_crc, oversized));
+    store.check_atomicity().unwrap();
+    store.shutdown();
+}
+
+#[test]
+fn well_formed_frames_for_someone_else_are_dropped_not_handled() {
+    // Checksum-valid, codec-valid frames on server 0's socket that are
+    // not *for* server 0. With b = 0 a reader trusts any single server,
+    // so a forged pre-write that reached a core would be readable — the
+    // checker below would see a value nobody wrote.
+    let params = Params::new(1, 0, 1, 0).unwrap();
+    let mut store = NetStore::builder(params, net_cfg()).transport(Transport::Tcp).build();
+    let h = store.register(RegisterId(0)).unwrap();
+    h.write(Value::from_u64(1)).unwrap();
+    let reg = RegisterId(0);
+    let writer = ProcessId::writer(reg);
+    let forged = TsVal::new(Seq(9_000), Value::from_u64(666));
+    let pw = Message::Pw(PwMsg {
+        reg,
+        ts: forged.ts,
+        pw: forged.clone(),
+        w: forged,
+        frozen: Vec::new(),
+    });
+    let ack = Message::PwAck(PwAckMsg { reg, ts: Seq(9_000), newread: Vec::new() });
+    let mut wire = TcpStream::connect(store.server_addr(ServerId(0)).unwrap()).unwrap();
+
+    // Two parts for server 1, arriving at server 0.
+    let to_peer = (writer, ProcessId::Server(ServerId(1)), Message::batch(vec![pw.clone(), pw]));
+    wire.write_all(&lucky_wire::encode_packet(&[to_peer])).unwrap();
+    await_count(&store, "parts for another server", 2, |s| s.dropped);
+    // One part for a client process, arriving at server 0.
+    let to_client = (ProcessId::Server(ServerId(0)), writer, ack);
+    wire.write_all(&lucky_wire::encode_packet(&[to_client])).unwrap();
+    await_count(&store, "parts for a client", 3, |s| s.dropped);
+
+    assert_eq!(store.stats().decode_errors, 0, "the frames were well-formed");
+    assert_eq!(h.read(0).unwrap().value.as_u64(), Some(1));
+    h.write(Value::from_u64(2)).unwrap();
+    assert_eq!(h.read(0).unwrap().value.as_u64(), Some(2));
+    store.check_atomicity().unwrap();
     store.shutdown();
 }
 
@@ -235,7 +290,7 @@ fn channel_transport_reports_no_wire_bytes() {
     assert!(stats.bytes > 0);
     assert_eq!(stats.wire_bytes, 0);
     assert_eq!(stats.decode_errors, 0);
-    assert!(store.server_addr(lucky_atomic::types::ServerId(0)).is_none());
+    assert!(store.server_addr(ServerId(0)).is_none());
     store.shutdown();
 }
 
