@@ -123,11 +123,13 @@ fn bench_variants(c: &mut Criterion) {
     group.finish();
 }
 
-/// The two wait strategies of the real-time runtime's shard worker,
-/// over real TCP sockets: wall-clock latency of a sequential write +
-/// read pair. Both run the same loop over the same sans-io
-/// `ClientSession`, so the spread between them is pure wait overhead
-/// (sleep-capped polling vs epoll reactor).
+/// One lucky WRITE and one lucky READ over real TCP sockets, per wait
+/// strategy of the real-time runtime's shard worker (sleep-capped
+/// polling vs epoll reactor; same loop, same sans-io `ClientSession`).
+/// The two rows price different waits: a fast WRITE returns on its
+/// deciding PW ack, so it costs the injected latency band (2 × 50–200 µs)
+/// plus the loopback round trip; a fast READ still waits its round-1
+/// timer out, so it costs the 2 ms timer plus everything else.
 fn bench_net_drivers(c: &mut Criterion) {
     let params = Params::new(1, 0, 1, 0).unwrap();
     let cfg = || NetConfig {
@@ -142,23 +144,36 @@ fn bench_net_drivers(c: &mut Criterion) {
         // fallback under the reactor label would just mislead the gate.
         drivers.push(("reactor", Driver::Reactor));
     }
-    let mut group = c.benchmark_group("net_driver_write_read_pair_tcp");
-    for (name, driver) in drivers {
+    let store = |driver| {
+        let mut store = NetStore::builder(params, cfg())
+            .registers(1)
+            .transport(Transport::Tcp)
+            .driver(driver)
+            .build();
+        let handle = store.register(RegisterId(0)).expect("fresh handle");
+        (store, handle)
+    };
+    let mut group = c.benchmark_group("net_fast_write_tcp");
+    for &(name, driver) in &drivers {
+        group.bench_function(name, |bencher| {
+            bencher.iter_batched_ref(
+                || store(driver),
+                |(_store, handle)| handle.write(Value::from_u64(1)).expect("write completes"),
+                BatchSize::LargeInput,
+            );
+        });
+    }
+    group.finish();
+    let mut group = c.benchmark_group("net_fast_read_tcp");
+    for &(name, driver) in &drivers {
         group.bench_function(name, |bencher| {
             bencher.iter_batched_ref(
                 || {
-                    let mut store = NetStore::builder(params, cfg())
-                        .registers(1)
-                        .transport(Transport::Tcp)
-                        .driver(driver)
-                        .build();
-                    let handle = store.register(RegisterId(0)).expect("fresh handle");
+                    let (store, handle) = store(driver);
+                    handle.write(Value::from_u64(1)).expect("write completes");
                     (store, handle)
                 },
-                |(_store, handle)| {
-                    handle.write(Value::from_u64(1)).expect("write completes");
-                    handle.read(0).expect("read completes")
-                },
+                |(_store, handle)| handle.read(0).expect("read completes"),
                 BatchSize::LargeInput,
             );
         });

@@ -11,7 +11,7 @@ fn settled_span() -> OpSpan {
     let mut span = OpSpan::begin(10);
     span.note_send_batch(11);
     span.note_send_batch(250);
-    span.settle(420);
+    span.settle(420, true);
     span
 }
 

@@ -3,8 +3,9 @@
 //! for all three variants plus the ABD baseline.
 //!
 //! Expected shape: rounds stay constant (the whole point of quorum
-//! protocols); messages scale linearly in `S`; lucky latency is flat at
-//! one timer-bounded round-trip.
+//! protocols); messages scale linearly in `S`; lucky latency is flat —
+//! one round-trip for a WRITE (it returns on its deciding ack), one
+//! round-1 timer for a READ.
 
 use lucky_baselines::abd::{AbdCluster, AbdConfig};
 use lucky_bench::{mean, print_table};
@@ -104,8 +105,8 @@ fn main() {
     println!(
         "\nReading guide: rounds per op are independent of t across all systems — \
          latency stays flat while message count grows linearly with S. The lucky \
-         algorithm pays 2t + b + 1 servers (vs ABD's 2t + 1) and the fixed 2δ \
-         timer for Byzantine tolerance plus one-round reads; the two-round variant \
+         algorithm pays 2t + b + 1 servers (vs ABD's 2t + 1) and, on reads, the \
+         fixed 2δ timer for Byzantine tolerance plus one-round reads; the two-round variant \
          pays min(b, fr) extra servers to flatten write latency at two rounds."
     );
 }

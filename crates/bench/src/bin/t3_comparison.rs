@@ -5,9 +5,10 @@
 //! Expected shape: in the synchronous, contention-free common case the
 //! lucky algorithm does every operation in one round-trip; ABD pays two
 //! rounds per read; slow-only pays 3 (writes) and 4 (reads). Absolute
-//! latencies include the lucky round-1 timer (2δ), which is the
+//! READ latencies include the lucky round-1 timer (2δ), which is the
 //! documented price of tolerating Byzantine servers without
-//! authentication.
+//! authentication; a WRITE's PW phase ends on the ack that decides its
+//! outcome, so a lucky WRITE costs one round trip.
 
 use lucky_baselines::abd::{AbdCluster, AbdConfig};
 use lucky_bench::{mean, print_table};
@@ -138,9 +139,9 @@ fn main() {
     println!(
         "\nReading guide: synchronously, lucky ops are 1 round each vs ABD's 2-round \
          reads and slow-only's 3/4 rounds; note lucky's 1-round ops still tolerate \
-         b = 1 Byzantine server, which ABD cannot at any cost. Lucky write latency \
+         b = 1 Byzantine server, which ABD cannot at any cost. Lucky read latency \
          includes waiting out the 2δ timer (§2.3) — the constant price of the fast \
-         path. Asynchronously every system degrades to its slow path; the lucky \
+         path; a lucky write returns on its deciding PW ack, one round trip in. Asynchronously every system degrades to its slow path; the lucky \
          algorithm's extra rounds buy Byzantine tolerance, not speed."
     );
 }

@@ -30,7 +30,9 @@ pub enum Variant {
 pub struct ProtocolConfig {
     /// Round-1 timer for both the writer's PW phase and the reader's first
     /// round, in microseconds. Per §2.3 this should be at least one
-    /// round-trip under the synchrony bound: `2δ` plus a margin.
+    /// round-trip under the synchrony bound: `2δ` plus a margin. A READ
+    /// waits it out; a WRITE only does while its PW acks leave the
+    /// outcome undecided (see [`crate::engine::WriteEngine`]).
     pub timer_micros: u64,
     /// Enable the one-round fast WRITE path (Fig. 1 line 8).
     pub fast_writes: bool,

@@ -15,8 +15,9 @@
 //!   the round-1 fast gate, write-back sequencing and the round-cap
 //!   parking used by the starvation experiments;
 //! * [`WriteEngine`] — the WRITE of Fig. 1 / Fig. 6: the PW phase (with
-//!   or without the synchrony timer), the one-round fast path, the
-//!   W-round schedule and the `freezevalues()` hand-off.
+//!   or without the synchrony timer, ending as soon as its outcome is
+//!   decided), the one-round fast path, the W-round schedule and the
+//!   `freezevalues()` hand-off.
 //!
 //! Each variant contributes a **policy** — [`ReadPolicy`] /
 //! [`WritePolicy`] — naming its thresholds, quorum sizes, round schedule

@@ -1,4 +1,35 @@
 //! The WRITE phase driver shared by every variant writer.
+//!
+//! # When the PW phase ends (a deliberate deviation from Fig. 1 line 5)
+//!
+//! The paper's writer waits for *a quorum of PW acks **and** the expiry
+//! of its timer* before it looks at how many acks it holds. The timer is
+//! there so that a synchronous run collects every correct server's ack;
+//! it carries no safety argument. This engine ends the phase as soon as
+//! its outcome is **decided**: a quorum has acked and either the timer
+//! expired, or all `S` servers answered, or `S − fw` acks are in — Fig. 1
+//! line 8 is monotone in the ack count, so once it holds no later ack
+//! can take the fast completion away, and with all `S` acks in hand no
+//! later ack exists. A lucky WRITE therefore costs one round trip, not
+//! one timer.
+//!
+//! Every run this produces is a run of the paper's algorithm: the model
+//! is asynchronous (§2.1), the writer's timer is a local clock with no
+//! bound relating it to message delays, so "the timer expired right
+//! after the deciding ack" is an admissible schedule — exactly the ones
+//! `lucky-explore` enumerates when it fires client timers at any point
+//! relative to deliveries. Acks that arrive after the phase ended are
+//! dropped, as they always were once the timer had fired.
+//!
+//! What the early end gives up is only *surplus* information, and two
+//! mechanisms were sized for its absence: a WRITE that returns on
+//! `S − fw` acks leaves up to `fw` correct servers without `pw` yet, and
+//! the reader's `fastpw = S − fw − fr` threshold is exactly what keeps
+//! the next lucky READ fast in that state; `freezevalues()` sees `S − fw`
+//! `newread` sets instead of up to `S`, and servers re-report a waiting
+//! reader on every PW ack until its value is frozen, so a report that
+//! missed this WRITE rides the next one (the paper's liveness argument
+//! only ever assumed `S − t` acks).
 
 use crate::engine::quorum::AckSet;
 use lucky_sim::{Effects, TimerId};
@@ -15,8 +46,9 @@ use std::collections::BTreeMap;
 /// round-1 timer, W-round sequencing and the `freezevalues()` hand-off —
 /// lives in [`WriteEngine`].
 pub trait WritePolicy {
-    /// Does the PW phase wait for the round-1 timer before deciding
-    /// (Fig. 1 line 5)? The two-round variant has no timer (Fig. 6).
+    /// Does the PW phase arm a round-1 timer (Fig. 1 line 5)? With one,
+    /// a quorum that leaves the outcome undecided waits for it; the
+    /// two-round variant has no timer (Fig. 6) and decides on the quorum.
     const PW_TIMER: bool;
 
     /// W-phase round numbers run, in order, when the fast path is not
@@ -53,8 +85,8 @@ pub trait WritePolicy {
 enum WriteState {
     /// No operation in progress.
     Idle,
-    /// PW phase: collecting acks (and, with [`WritePolicy::PW_TIMER`],
-    /// waiting for the timer).
+    /// PW phase: collecting acks until the outcome is decided or (with
+    /// [`WritePolicy::PW_TIMER`]) the timer expires.
     Pw { acks: BTreeMap<ServerId, Vec<NewRead>>, timer_expired: bool },
     /// W phase: `idx` indexes [`WritePolicy::W_ROUNDS`].
     W { idx: usize, acks: AckSet<u8> },
@@ -63,6 +95,11 @@ enum WriteState {
 /// The generic WRITE driver: owns the timestamp counter, the `pw`/`w`
 /// pairs, the per-reader freeze watermarks and the phase state machine;
 /// consults a [`WritePolicy`] for everything variant-specific.
+///
+/// The PW phase ends when its outcome is decided — a quorum of acks plus
+/// any of *timer expired*, *all `S` acked*, *`S − fw` acked* — where
+/// Fig. 1 line 5 always waits the timer out; the module source argues
+/// why every such run is one the paper's asynchronous model admits.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct WriteEngine<P> {
     policy: P,
@@ -239,14 +276,23 @@ impl<P: WritePolicy> WriteEngine<P> {
         }
     }
 
-    /// Fig. 1 lines 5–9 / Fig. 6 lines 6–10: once a quorum of acks has
-    /// arrived (and any timer expired), run `freezevalues()`, adopt
-    /// `w := ⟨ts, v⟩`, and either complete fast or start the W schedule.
+    /// Fig. 1 lines 5–9 / Fig. 6 lines 6–10: once the PW phase is
+    /// *settled*, run `freezevalues()`, adopt `w := ⟨ts, v⟩`, and either
+    /// complete fast or start the W schedule.
+    ///
+    /// Settled: a quorum has acked and nothing that could still arrive
+    /// can change what happens next — the timer expired (no further wait
+    /// is owed), every server answered (no further ack exists), or the
+    /// fast threshold is met (and stays met).
     fn try_finish_pw(&mut self, eff: &mut Effects<Message>) {
         let WriteState::Pw { acks, timer_expired } = &self.state else {
             return;
         };
-        if acks.len() < self.policy.quorum() || !*timer_expired {
+        let n = acks.len();
+        // Fig. 1 line 8; what settles the phase early is what completes it.
+        let fast = self.policy.fast_write_acks().is_some_and(|fast_acks| n >= fast_acks);
+        let settled = *timer_expired || n == self.policy.server_count() || fast;
+        if n < self.policy.quorum() || !settled {
             return;
         }
         let acks = acks.clone();
@@ -260,13 +306,11 @@ impl<P: WritePolicy> WriteEngine<P> {
             // Fig. 1: the frozen set rides the *next* WRITE's PW message.
             self.frozen = frozen_now.clone();
         }
-        if let Some(fast_acks) = self.policy.fast_write_acks() {
-            if acks.len() >= fast_acks {
-                // One-round fast WRITE (Fig. 1 line 8).
-                self.state = WriteState::Idle;
-                eff.complete(None, 1, true);
-                return;
-            }
+        if fast {
+            // One-round fast WRITE.
+            self.state = WriteState::Idle;
+            eff.complete(None, 1, true);
+            return;
         }
         let first_frozen = if P::FROZEN_ON_W { frozen_now } else { Vec::new() };
         self.start_w_round(0, first_frozen, eff);
@@ -525,6 +569,109 @@ mod tests {
         let (sends, _, completion) = eff.into_parts();
         assert!(completion.is_none());
         assert!(sends.iter().any(|(_, m)| matches!(m, Message::Write(_))));
+    }
+
+    fn pw_ack_reporting(tsr: u64) -> Message {
+        Message::PwAck(PwAckMsg {
+            reg: RegisterId::DEFAULT,
+            ts: Seq(1),
+            newread: vec![NewRead { reader: ReaderId(0), tsr: ReadSeq(tsr) }],
+        })
+    }
+
+    #[test]
+    fn deciding_ack_completes_the_fast_write_before_the_timer() {
+        let mut e = engine(true);
+        e.invoke(Value::from_u64(7), &mut Effects::new());
+        // Quorum (4) but one short of S − fw = 5: luck is in doubt, the
+        // phase stays open.
+        let mut eff = Effects::new();
+        for i in 0..4 {
+            e.on_message(server(i), pw_ack(1), &mut eff);
+        }
+        assert!(eff.is_empty());
+        assert!(!e.is_idle());
+        // The (S − fw)-th ack decides Fig. 1 line 8: fast, in that step.
+        let mut eff = Effects::new();
+        e.on_message(server(4), pw_ack(1), &mut eff);
+        let (sends, _, completion) = eff.into_parts();
+        assert!(sends.is_empty());
+        let c = completion.expect("settled on the deciding ack");
+        assert_eq!((c.rounds, c.fast), (1, true));
+        assert!(e.is_idle());
+        // The timer it no longer waits for is a no-op when it fires.
+        let settled = e.clone();
+        let mut eff = Effects::new();
+        e.on_timer(TimerId(1), &mut eff);
+        assert!(eff.is_empty());
+        assert_eq!(e, settled);
+    }
+
+    #[test]
+    fn undecided_quorum_waits_for_the_timer_and_goes_slow() {
+        let mut e = engine(true);
+        e.invoke(Value::from_u64(7), &mut Effects::new());
+        let mut eff = Effects::new();
+        for i in 0..4 {
+            e.on_message(server(i), pw_ack(1), &mut eff);
+        }
+        assert!(eff.is_empty(), "S − fw − 1 acks never settle the phase on their own");
+        e.on_timer(TimerId(1), &mut eff);
+        let (sends, _, completion) = eff.into_parts();
+        assert!(completion.is_none(), "no false luck at the timer");
+        assert!(sends.iter().all(|(_, m)| matches!(m, Message::Write(wm) if wm.round == 2)));
+        assert_eq!(sends.len(), 6);
+    }
+
+    #[test]
+    fn all_s_acks_start_the_w_schedule_without_the_timer() {
+        let mut e = engine(false);
+        e.invoke(Value::from_u64(7), &mut Effects::new());
+        let mut eff = Effects::new();
+        for i in 0..5 {
+            e.on_message(server(i), pw_ack(1), &mut eff);
+        }
+        assert!(eff.is_empty(), "an ack may still arrive: the phase stays open");
+        e.on_message(server(5), pw_ack(1), &mut eff);
+        let (sends, _, completion) = eff.into_parts();
+        assert!(completion.is_none());
+        assert_eq!(sends.len(), 6);
+        assert!(sends.iter().all(|(_, m)| matches!(m, Message::Write(wm) if wm.round == 2)));
+        // The PW timer fires into the W phase: stale, ignored.
+        let in_w = e.clone();
+        let mut eff = Effects::new();
+        e.on_timer(TimerId(1), &mut eff);
+        assert!(eff.is_empty());
+        assert_eq!(e, in_w);
+    }
+
+    #[test]
+    fn byzantine_reack_counts_once_before_settle_and_not_at_all_after() {
+        let mut e = engine(true);
+        e.invoke(Value::from_u64(7), &mut Effects::new());
+        let mut eff = Effects::new();
+        // Before settle: server 0 acks five times with five different
+        // `newread` sets. One server is one ack, whatever it says.
+        for tsr in 1..=5 {
+            e.on_message(server(0), pw_ack_reporting(tsr), &mut eff);
+        }
+        for i in 1..4 {
+            e.on_message(server(i), pw_ack(1), &mut eff);
+        }
+        assert!(eff.is_empty(), "four servers, however chatty, are not S − fw");
+        e.on_message(server(4), pw_ack(1), &mut eff);
+        assert!(eff.into_parts().2.is_some_and(|c| c.fast));
+        // One reporter is not b + 1 = 2: nothing was frozen.
+        assert_eq!(e.read_ts_for(ReaderId(0)), ReadSeq::INITIAL);
+        // After settle: re-acks with yet another `newread`, from the
+        // liar and from the server whose ack was still in flight, are
+        // dropped — no effect, no state change, no retroactive freeze.
+        let settled = e.clone();
+        let mut eff = Effects::new();
+        e.on_message(server(0), pw_ack_reporting(9), &mut eff);
+        e.on_message(server(5), pw_ack_reporting(9), &mut eff);
+        assert!(eff.is_empty());
+        assert_eq!(e, settled);
     }
 
     #[test]

@@ -24,6 +24,22 @@
 //!   configured once via [`SessionConfig`] and reported as
 //!   [`SessionError::DeadlineExceeded`].
 //!
+//! # Completion on a delivery
+//!
+//! A round's timer bounds a wait; it does not define one. The WRITE
+//! engine ends its PW phase on the ack that *decides* the outcome
+//! (`S − fw` acks, or all `S`) instead of waiting Fig. 1 line 5's timer
+//! out — legal because the timer is the client's local clock in an
+//! asynchronous model, free to expire at any instant — so an operation
+//! can complete inside [`Input::Deliver`] while its timer is still
+//! pending. Completion clears every pending timer and the deadline:
+//! [`ClientSession::next_wake`] is `None` from that step on and a driver
+//! arms nothing stale. When the deciding ack instead *starts* a later
+//! round (fast writes off, all `S` acked), the superseded timer stays
+//! queued until it fires as a no-op in the core — a wasted wake-up, never
+//! a wrong one. The op's span records whether it settled with a timer
+//! still pending, which `lucky-trace` rolls up as `writes_before_timer`.
+//!
 //! # Driving one atomic write by hand
 //!
 //! The session API is small enough to operate manually — this is exactly
@@ -57,15 +73,17 @@
 //! assert_eq!(pw_targets.len(), 3, "PW broadcast to every server");
 //! let due = session.next_wake().expect("the round-1 synchrony timer is pending");
 //!
-//! // Two servers ack (S - fw = 2) within the synchrony bound …
-//! for to in pw_targets.iter().take(2) {
-//!     let ack = Message::PwAck(PwAckMsg { reg: RegisterId::DEFAULT, ts: Seq(1), newread: vec![] });
-//!     session.handle(Input::Deliver(*to, ack), Time(40));
-//! }
-//! // … and when the driver wakes at the timer, the fast path completes.
-//! session.handle(Input::Wake, due);
+//! // One ack is not a quorum: the write is pending, the timer still owed.
+//! let ack = Message::PwAck(PwAckMsg { reg: RegisterId::DEFAULT, ts: Seq(1), newread: vec![] });
+//! session.handle(Input::Deliver(pw_targets[0], ack.clone()), Time(40));
+//! assert_eq!(session.next_wake(), Some(due));
+//! // The second ack is the (S - fw)-th: the fast path is decided, so the
+//! // write completes on that delivery — one round trip, no timer wait.
+//! session.handle(Input::Deliver(pw_targets[1], ack), Time(45));
 //! let outcome = session.take_outcome().expect("fast write completed");
 //! assert_eq!((outcome.rounds, outcome.fast), (1, true));
+//! assert_eq!(outcome.completed_at, Time(45));
+//! assert_eq!(session.next_wake(), None, "nothing left to wake for");
 //! assert_eq!(session.status(), &SessionStatus::Idle, "ready for the next operation");
 //! # Ok(())
 //! # }
@@ -462,9 +480,11 @@ impl<C: ClientCore> ClientSession<C> {
                 // completion is discarded like any other stale traffic.
                 return;
             }
+            // A timer still queued here never got to fire: the op was
+            // bounded by the network, not by the timer.
+            self.span.settle(now.0, !self.timers.is_empty());
             self.timers.clear();
             self.deadline = None;
-            self.span.settle(now.0);
             let op = self.op.as_ref().expect("pending implies an op");
             self.status = SessionStatus::Done(SessionOutcome {
                 reg: self.reg,
@@ -538,24 +558,107 @@ mod tests {
         assert!(wake > Time(100), "due strictly after begin");
     }
 
+    /// S = 5 (t = 2, fw = fr = 1): quorum 3, fast threshold S − fw = 4 —
+    /// wide enough for a quorum that leaves luck undecided.
+    fn wide_writer_session() -> ClientSession {
+        let setup = Setup::Atomic(Params::new(2, 0, 1, 1).unwrap());
+        ClientSession::new(
+            ProcessId::Writer,
+            RegisterId::DEFAULT,
+            setup.make_writer(RegisterId::DEFAULT, Default::default()),
+            SessionConfig::default(),
+        )
+    }
+
+    fn deliver_acks<C: ClientCore>(
+        s: &mut ClientSession<C>,
+        servers: std::ops::Range<u16>,
+        at: u64,
+    ) {
+        for i in servers {
+            s.handle(Input::Deliver(ProcessId::Server(ServerId(i)), pw_ack()), Time(at));
+        }
+    }
+
     #[test]
-    fn fast_write_completes_on_quorum_acks_at_the_timer() {
-        let mut s = writer_session(SessionConfig::default());
+    fn undecided_quorum_waits_for_the_timer_and_goes_slow() {
+        let mut s = wide_writer_session();
         s.begin(Op::Write(Value::from_u64(7)), Time(0)).unwrap();
         drain(&mut s);
         let due = s.next_wake().expect("round-1 timer");
-        s.handle(Input::Deliver(ProcessId::Server(ServerId(0)), pw_ack()), Time(10));
-        s.handle(Input::Deliver(ProcessId::Server(ServerId(1)), pw_ack()), Time(20));
-        assert!(s.is_pending(), "the fast path waits for the synchrony timer (Fig. 1 line 7)");
+        // S − fw − 1 = 3 acks: a quorum, one short of deciding Fig. 1
+        // line 8. Still pending one microsecond before the timer …
+        deliver_acks(&mut s, 0..3, 10);
+        s.handle(Input::Wake, Time(due.0 - 1));
+        assert!(s.is_pending());
+        assert!(drain(&mut s).is_empty());
+        assert_eq!(s.next_wake(), Some(due));
+        // … and slow at it: no false luck.
         s.handle(Input::Wake, due);
-        let outcome = s.take_outcome().expect("S - fw acks + timer complete the fast write");
+        assert!(s.is_pending());
+        let outs = drain(&mut s);
+        assert_eq!(outs.len(), 5, "W round 2 broadcast");
+        assert!(outs
+            .iter()
+            .all(|o| matches!(o, Output::Send(_, Message::Write(m)) if m.round == 2)));
+    }
+
+    #[test]
+    fn fast_write_completes_on_the_deciding_ack() {
+        let mut s = wide_writer_session();
+        s.begin(Op::Write(Value::from_u64(7)), Time(0)).unwrap();
+        drain(&mut s);
+        deliver_acks(&mut s, 0..3, 10);
+        assert!(s.is_pending(), "three acks decide nothing");
+        // The (S − fw)-th ack completes the write fast in that step.
+        let status = s.handle(Input::Deliver(ProcessId::Server(ServerId(3)), pw_ack()), Time(40));
+        assert!(matches!(status, SessionStatus::Done(_)));
+        assert_eq!(s.next_wake(), None, "completion on a delivery leaves no timer armed");
+        let outcome = s.take_outcome().expect("S − fw acks complete the fast write");
         assert_eq!((outcome.rounds, outcome.fast), (1, true));
         assert_eq!(outcome.kind, OpKind::Write);
-        assert_eq!(outcome.invoked_at, Time(0));
-        assert_eq!(outcome.completed_at, due);
+        assert_eq!((outcome.invoked_at, outcome.completed_at), (Time(0), Time(40)));
         assert_eq!(outcome.value_or(&Op::Write(Value::from_u64(7))).as_u64(), Some(7));
         assert_eq!(s.status(), &SessionStatus::Idle);
-        assert_eq!(s.next_wake(), None, "timers cleared on completion");
+        assert!(drain(&mut s).is_empty(), "a fast write sends nothing after PW");
+    }
+
+    #[test]
+    fn all_acks_start_the_w_rounds_and_the_stale_timer_is_a_noop() {
+        use crate::atomic::AtomicWriter;
+        use crate::config::ProtocolConfig;
+        use lucky_trace::SpanPhase;
+        // A concrete core, so the session can be cloned and compared.
+        let mut s: ClientSession<AtomicWriter> = ClientSession::new(
+            ProcessId::Writer,
+            RegisterId::DEFAULT,
+            AtomicWriter::new(params(), ProtocolConfig::slow_only(100)),
+            SessionConfig::default(),
+        );
+        s.begin(Op::Write(Value::from_u64(1)), Time(0)).unwrap();
+        drain(&mut s);
+        let due = s.next_wake().unwrap();
+        deliver_acks(&mut s, 0..2, 10);
+        assert!(drain(&mut s).is_empty(), "a third ack may still arrive: the phase stays open");
+        // Fast writes are off, so nothing is decided until every server
+        // has answered; the S-th ack starts W round 2 in that step.
+        deliver_acks(&mut s, 2..3, 30);
+        let outs = drain(&mut s);
+        assert_eq!(outs.len(), 3);
+        assert!(outs
+            .iter()
+            .all(|o| matches!(o, Output::Send(_, Message::Write(m)) if m.round == 2)));
+        assert_eq!(s.span().marks()[1].phase, SpanPhase::Round(2));
+        assert_eq!(s.span().marks()[1].at, 30, "round 2 starts at the ack, not at the timer");
+        // The superseded PW timer is still queued; firing it is a no-op.
+        assert_eq!(s.next_wake(), Some(due));
+        let before = s.clone();
+        s.handle(Input::Wake, due);
+        assert_eq!(s.next_wake(), None);
+        assert!(s.is_pending());
+        assert!(drain(&mut s).is_empty());
+        assert_eq!(s.core(), before.core());
+        assert_eq!(s.span(), before.span());
     }
 
     #[test]
@@ -673,22 +776,23 @@ mod tests {
     #[test]
     fn spans_timestamp_the_phase_transitions() {
         use lucky_trace::SpanPhase;
-        // Fast write: the span is invoke → settle, at the right times.
+        // Fast write: the span is invoke → settle, and settle carries the
+        // deciding ack's time — not the timer's.
         let mut s = writer_session(SessionConfig::default());
         s.begin(Op::Write(Value::from_u64(7)), Time(100)).unwrap();
         drain(&mut s);
         let due = s.next_wake().unwrap();
         s.handle(Input::Deliver(ProcessId::Server(ServerId(0)), pw_ack()), Time(110));
         s.handle(Input::Deliver(ProcessId::Server(ServerId(1)), pw_ack()), Time(120));
-        s.handle(Input::Wake, due);
         let outcome = s.take_outcome().unwrap();
         let phases: Vec<SpanPhase> = outcome.span.marks().iter().map(|m| m.phase).collect();
         assert_eq!(phases, vec![SpanPhase::Invoke, SpanPhase::Settle]);
         assert_eq!(outcome.span.invoked_at(), Some(100));
-        assert_eq!(outcome.span.ended_at(), Some(due.0));
+        assert_eq!(outcome.span.ended_at(), Some(120));
+        assert!(due > Time(120));
 
-        // Slow write (fast path disabled): the W-round broadcast after
-        // the round-1 timer marks round 2 in the span.
+        // Slow write (fast path disabled, one ack missing): the W-round
+        // broadcast after the round-1 timer marks round 2 in the span.
         use crate::config::ProtocolConfig;
         let setup = Setup::Atomic(params());
         let mut s = ClientSession::new(
@@ -715,6 +819,34 @@ mod tests {
         assert_eq!(s.take_failure(), Some(SessionError::DeadlineExceeded));
         assert_eq!(s.span().marks().last().unwrap().phase, SpanPhase::Deadline);
         assert_eq!(s.span().ended_at(), Some(1_000));
+    }
+
+    #[test]
+    fn span_tells_rtt_bound_fast_writes_from_timer_bound_ones() {
+        use lucky_trace::{Actor, TraceConfig, Tracer};
+        let tracer = Tracer::new(TraceConfig::enabled());
+        let record = |outcome: SessionOutcome| {
+            assert!(outcome.fast);
+            tracer.record_settle(Actor::Writer { reg: 0 }, true, 1, true, 0, &outcome.span);
+            tracer.report().writes_before_timer
+        };
+        // Both acks inside the timer: settled with the timer pending.
+        let mut s = writer_session(SessionConfig::default());
+        s.begin(Op::Write(Value::from_u64(1)), Time(0)).unwrap();
+        deliver_acks(&mut s, 0..2, 10);
+        assert_eq!(record(s.take_outcome().unwrap()), 1);
+        // The deciding ack arrives after the timer fired: still fast
+        // (Fig. 1 line 8 holds), but the timer did not wait for it.
+        s.begin(Op::Write(Value::from_u64(2)), Time(1_000)).unwrap();
+        let due = s.next_wake().unwrap();
+        s.handle(Input::Wake, due);
+        let ack =
+            Message::PwAck(PwAckMsg { reg: RegisterId::DEFAULT, ts: Seq(2), newread: vec![] });
+        for i in 0..2 {
+            s.handle(Input::Deliver(ProcessId::Server(ServerId(i)), ack.clone()), Time(due.0 + 5));
+        }
+        assert_eq!(record(s.take_outcome().unwrap()), 1, "not counted a second time");
+        assert_eq!(tracer.report().fast_writes, 2);
     }
 
     #[test]

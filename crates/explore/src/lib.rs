@@ -15,7 +15,10 @@
 //!   letting the scheduler pick any in-flight message (or none, by
 //!   exploring the branches where it is delivered later or never);
 //! * client timers may fire at any point relative to deliveries
-//!   (asynchronous local clocks);
+//!   (asynchronous local clocks) — which is why the writer ending its
+//!   PW phase on the deciding ack, instead of waiting the timer out as
+//!   Fig. 1 line 5 does, adds no schedule: "the timer fired right after
+//!   that ack" was always one of the explored runs;
 //! * Byzantine servers follow a behaviour from the catalogue
 //!   ([`ByzKind`]), including the split-brain equivocation used by the
 //!   paper's impossibility proofs.
@@ -279,8 +282,13 @@ pub struct Report {
 
 /// Exhaustively explore `scenario` within `cfg`'s bounds.
 pub fn explore(scenario: &Scenario, cfg: &ExploreConfig) -> Report {
+    explore_from(scenario, initial_state(scenario), cfg)
+}
+
+/// [`explore`] every continuation of the schedule prefix that led to
+/// `initial`.
+fn explore_from(scenario: &Scenario, mut initial: State, cfg: &ExploreConfig) -> Report {
     let mut report = Report::default();
-    let mut initial = initial_state(scenario);
     prune_noops(&mut initial);
     let mut seen: HashSet<u64> = HashSet::new();
     seen.insert(hash_state(&initial));
@@ -998,13 +1006,184 @@ mod tests {
     #[test]
     fn write_concurrent_with_read_is_atomic_everywhere() {
         let scenario = Scenario::new(small_params()).write(Value::from_u64(1)).reads(0, 1);
-        let cfg = ExploreConfig { max_states: budget(250_000, 25_000), ..ExploreConfig::default() };
+        let cfg = ExploreConfig { max_states: budget(450_000, 25_000), ..ExploreConfig::default() };
         let report = explore(&scenario, &cfg);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
         if !cfg!(debug_assertions) {
-            // The full scope (~201k states) fits the release budget.
+            // The full scope (~381k states) fits the release budget.
             assert!(!report.truncated, "explored {} states", report.states);
         }
+    }
+
+    /// Extend a schedule prefix by the first enabled choice `pick`
+    /// accepts; returns whether a client operation completed in it.
+    fn step(scenario: &Scenario, state: &mut State, pick: impl Fn(&Choice) -> bool) -> bool {
+        let choice = enumerate_choices(scenario, state)
+            .into_iter()
+            .find(|c| pick(c))
+            .expect("the prefix's next choice is enabled");
+        let completed = apply_choice(scenario, state, &choice);
+        prune_noops(state);
+        completed
+    }
+
+    fn server(i: u16) -> ProcessId {
+        ProcessId::Server(lucky_types::ServerId(i))
+    }
+
+    /// Extend the prefix by delivering the `from → to` message `is` accepts.
+    fn deliver(
+        scenario: &Scenario,
+        state: &mut State,
+        from: ProcessId,
+        to: ProcessId,
+        is: impl Fn(&Message) -> bool,
+    ) -> bool {
+        step(
+            scenario,
+            state,
+            |c| matches!(c, Choice::Deliver(f, t, m) if *f == from && *t == to && is(m)),
+        )
+    }
+
+    /// Invoke the scripted WRITE and deliver its PW to `servers`.
+    fn prewrite(scenario: &Scenario, state: &mut State, servers: std::ops::Range<u16>) {
+        step(scenario, state, |c| *c == Choice::Invoke(ProcessId::Writer));
+        for i in servers {
+            deliver(scenario, state, ProcessId::Writer, server(i), |m| matches!(m, Message::Pw(_)));
+        }
+    }
+
+    fn deliver_pw_ack(scenario: &Scenario, state: &mut State, i: u16) -> bool {
+        deliver(scenario, state, server(i), ProcessId::Writer, |m| matches!(m, Message::PwAck(_)))
+    }
+
+    fn writer_can_wake(scenario: &Scenario, state: &State) -> bool {
+        enumerate_choices(scenario, state).contains(&Choice::Wake(ProcessId::Writer))
+    }
+
+    #[test]
+    fn write_settled_on_the_deciding_ack_is_atomic_in_every_continuation() {
+        // S = 3, fw = 1: the WRITE returns on its second PW ack. Two
+        // prefixes the timer used to paper over — the third server's
+        // ack, or its PW itself, still in transit at that return — each
+        // followed by every schedule of a READ invoked at any later
+        // point.
+        let scenario = Scenario::new(small_params()).write(Value::from_u64(1)).reads(0, 1);
+        for pw_reaches in [3u16, 2] {
+            let mut state = initial_state(&scenario);
+            prewrite(&scenario, &mut state, 0..pw_reaches);
+            assert!(!deliver_pw_ack(&scenario, &mut state, 0), "one ack is no quorum");
+            assert!(deliver_pw_ack(&scenario, &mut state, 1), "the S − fw-th ack completes it");
+            assert!(
+                !writer_can_wake(&scenario, &state),
+                "the PW timer died with the phase: no wake left to schedule"
+            );
+            // The straggler's ack is a no-op for an idle writer (pruned);
+            // a PW still travelling to it is very much not.
+            let in_transit: Vec<_> = state.inflight.keys().collect();
+            if pw_reaches == 3 {
+                assert!(in_transit.is_empty(), "{in_transit:?}");
+            } else {
+                assert!(
+                    matches!(in_transit[..], [(ProcessId::Writer, to, Message::Pw(_))] if *to == server(2)),
+                    "{in_transit:?}"
+                );
+            }
+            let report = explore_from(&scenario, state, &ExploreConfig::default());
+            assert!(report.violations.is_empty(), "{:?}", report.violations);
+            assert!(!report.truncated, "explored {} states", report.states);
+            assert!(report.completed_runs > 0);
+        }
+    }
+
+    #[test]
+    fn undecided_quorum_with_a_forger_goes_slow_and_stays_atomic() {
+        // S = 4, b = 1, fw = 0: three PW acks (one of them the forger's)
+        // are a quorum that decides nothing, so the writer still owes its
+        // timer, and goes slow at it with the honest fourth ack held
+        // back. Server 3 lags through the W rounds too: when the WRITE
+        // returns, a READ invoked before it has reached nobody yet and
+        // W2/W3 are still travelling to server 3. Every schedule from
+        // there is explored — up to two READ rounds: the forged pair is
+        // only refuted by all three honest replies, server 3's may come
+        // arbitrarily late, and an uncapped reader would iterate rounds
+        // (and states) without bound until it does.
+        let params = Params::new(1, 1, 0, 0).unwrap();
+        let protocol = ProtocolConfig { max_read_rounds: Some(2), ..ProtocolConfig::default() };
+        let scenario = Scenario::new(params)
+            .with_protocol(protocol)
+            .write(Value::from_u64(1))
+            .reads(0, 1)
+            .byzantine(
+                0,
+                ByzKind::ForgeValue(TsVal::new(lucky_types::Seq(9), Value::from_u64(99))),
+            );
+        let mut state = initial_state(&scenario);
+        step(&scenario, &mut state, |c| *c == Choice::Invoke(ProcessId::Reader(ReaderId(0))));
+        prewrite(&scenario, &mut state, 0..4);
+        for i in 0..3 {
+            assert!(!deliver_pw_ack(&scenario, &mut state, i));
+        }
+        assert!(writer_can_wake(&scenario, &state), "luck in doubt: the timer is still owed");
+        step(&scenario, &mut state, |c| *c == Choice::Wake(ProcessId::Writer));
+        assert!(
+            !state.inflight.keys().any(|(_, _, m)| matches!(m, Message::PwAck(_))),
+            "the held-back ack is stale the moment the W phase starts"
+        );
+        let mut completed = false;
+        for round in [2u8, 3] {
+            for i in 0..3 {
+                deliver(
+                    &scenario,
+                    &mut state,
+                    ProcessId::Writer,
+                    server(i),
+                    |m| matches!(m, Message::Write(w) if w.round == round),
+                );
+                completed = deliver(
+                    &scenario,
+                    &mut state,
+                    server(i),
+                    ProcessId::Writer,
+                    |m| matches!(m, Message::WriteAck(a) if a.round == round),
+                );
+            }
+        }
+        assert!(completed, "the third W3 ack completes the slow WRITE");
+        let cfg = ExploreConfig { max_states: budget(400_000, 25_000), ..ExploreConfig::default() };
+        let report = explore_from(&scenario, state, &cfg);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        if !cfg!(debug_assertions) {
+            // ~330k states.
+            assert!(!report.truncated, "explored {} states", report.states);
+            assert!(report.completed_runs > 0);
+        }
+    }
+
+    #[test]
+    fn early_slow_path_leaves_no_dead_timer_to_explore() {
+        // Fast writes off: nothing is decided until every server has
+        // answered, and the S-th ack starts the W rounds. The PW timer
+        // that phase no longer waits for must not survive as a wake
+        // choice, or every later state would branch on a no-op.
+        let scenario = Scenario::new(small_params())
+            .with_protocol(ProtocolConfig::slow_only(100))
+            .write(Value::from_u64(1));
+        let mut state = initial_state(&scenario);
+        prewrite(&scenario, &mut state, 0..3);
+        for i in 0..3 {
+            assert!(writer_can_wake(&scenario, &state), "acks so far: {i}");
+            assert!(!deliver_pw_ack(&scenario, &mut state, i));
+        }
+        assert!(
+            state.inflight.keys().any(|(_, _, m)| matches!(m, Message::Write(w) if w.round == 2)),
+            "the last ack started W round 2"
+        );
+        assert!(!writer_can_wake(&scenario, &state), "the dead PW timer was pruned");
+        let report = explore_from(&scenario, state, &ExploreConfig::default());
+        assert!(report.violations.is_empty() && !report.truncated);
+        assert!(report.completed_runs > 0);
     }
 
     #[test]

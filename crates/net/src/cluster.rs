@@ -34,7 +34,9 @@ pub struct NetConfig {
     pub seed: u64,
     /// Client round-1 timer. Must be at least `2 × max_latency` plus a
     /// scheduling margin for operations to be reliably lucky;
-    /// [`NetConfig::for_latency`] computes exactly that.
+    /// [`NetConfig::for_latency`] computes exactly that. A lucky READ
+    /// lasts one timer; a lucky WRITE returns on its deciding ack, one
+    /// round trip in, and only waits the timer out when luck is in doubt.
     pub timer: Duration,
 }
 

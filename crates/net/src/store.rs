@@ -1089,29 +1089,35 @@ mod tests {
 
     #[test]
     fn tcp_encode_path_reuses_frames_after_warmup() {
-        // Satellite of the sharding PR: the router used to build a fresh
-        // Vec per outgoing TCP frame. With the frame pool + PacketEncoder
-        // every steady-state encode reuses a recycled buffer, so
-        // `frame_allocs` (pool misses) must stop growing after warmup.
+        // The router pops a frame buffer from its pool per outgoing TCP
+        // frame and gets it back after the socket write, so
+        // `frame_allocs` (pool misses) counts the most frames that were
+        // ever in flight at once — not the frames sent. One client runs
+        // one op at a time: at most S requests or S replies of that op,
+        // plus stragglers of the previous one (a fast write returns on
+        // S − fw acks while the last PW or its ack is still travelling).
+        // *When* that high-water mark is reached is timing; that it is a
+        // constant, flat in the number of ops, is the guarantee.
         let params = Params::new(1, 0, 1, 0).unwrap();
+        let bound = 3 * params.server_count() as u64;
         let mut store =
             NetStore::builder(params, fast_cfg()).registers(1).transport(Transport::Tcp).build();
         let h = store.register(RegisterId(0)).unwrap();
-        for i in 0..8 {
-            h.write(Value::from_u64(i)).unwrap();
-            h.read(0).unwrap();
+        let mut allocs = Vec::new();
+        for batch in 0..3 {
+            for i in 0..32 {
+                h.write(Value::from_u64(100 * batch + i)).unwrap();
+                h.read(0).unwrap();
+            }
+            allocs.push(store.stats().frame_allocs);
         }
-        let warm = store.stats().frame_allocs;
-        assert!(warm > 0, "TCP ops must have encoded at least one frame");
-        for i in 0..32 {
-            h.write(Value::from_u64(100 + i)).unwrap();
-            h.read(0).unwrap();
-        }
-        let after = store.stats().frame_allocs;
-        assert_eq!(
-            after, warm,
-            "steady-state encodes must hit the frame pool, not allocate \
-             ({warm} allocs after warmup, {after} after 64 more ops)"
+        assert!(allocs[0] > 0, "TCP ops must have encoded at least one frame");
+        // 64 ops are ≥ 384 frames, 192 ops ≥ 1152: per-frame allocation
+        // would blow through the bound in the first batch.
+        assert!(
+            allocs.iter().all(|&a| a <= bound),
+            "steady-state encodes must hit the frame pool, not allocate: \
+             {allocs:?} allocs after 64/128/192 ops, in-flight bound {bound}"
         );
         store.shutdown();
     }

@@ -691,7 +691,7 @@ impl<M: Payload> World<M> {
             if let Some(tracer) = &self.tracer {
                 let write = matches!(rec.op, Op::Write(_));
                 let mut span = lucky_trace::OpSpan::begin(rec.invoked_at.0);
-                span.settle(self.now.0);
+                span.settle(self.now.0, false);
                 let latency = self.now.0.saturating_sub(rec.invoked_at.0);
                 tracer.record_settle(actor, write, rounds, fast, latency, &span);
             }

@@ -19,6 +19,13 @@ pub struct TraceReport {
     pub fast_writes: u64,
     /// Writes that fell back to the slow path.
     pub slow_writes: u64,
+    /// Fast writes that settled while their round-1 timer was still
+    /// pending — RTT-bound, where the rest of `fast_writes` were
+    /// timer-bound (their deciding ack came after the timer had fired).
+    /// Read off the session's own span: the simulator's `World` rolls up
+    /// spans it synthesises from invoke/complete times, cannot see
+    /// session timers, and reports 0 here.
+    pub writes_before_timer: u64,
     /// Operations failed by the per-op deadline.
     pub timeouts: u64,
     /// Socket-level errors absorbed while tracing was on.
@@ -69,6 +76,10 @@ impl TraceReport {
             100.0 * self.lucky_write_ratio(),
         ));
         out.push_str(&format!(
+            "       fast writes: {} ({} before the timer)\n",
+            self.fast_writes, self.writes_before_timer
+        ));
+        out.push_str(&format!(
             "       timeouts={} io_errors={} dumps={}\n",
             self.timeouts, self.io_errors, self.dumps
         ));
@@ -91,6 +102,7 @@ impl TraceReport {
         out.push_str(&format!("\"slow_reads\":{},", self.slow_reads));
         out.push_str(&format!("\"fast_writes\":{},", self.fast_writes));
         out.push_str(&format!("\"slow_writes\":{},", self.slow_writes));
+        out.push_str(&format!("\"writes_before_timer\":{},", self.writes_before_timer));
         out.push_str(&format!("\"timeouts\":{},", self.timeouts));
         out.push_str(&format!("\"io_errors\":{},", self.io_errors));
         out.push_str(&format!("\"dumps\":{},", self.dumps));
@@ -180,7 +192,7 @@ mod tests {
         let t = Tracer::new(TraceConfig::enabled());
         let mut span = OpSpan::begin(0);
         span.note_send_batch(0);
-        span.settle(4_000);
+        span.settle(4_000, false);
         t.record_settle(Actor::Reader { reg: 0, id: 0 }, false, 1, true, 4_000, &span);
         t.record_settle(Actor::Writer { reg: 0 }, true, 2, false, 11_000, &span);
         t.report()
@@ -202,6 +214,7 @@ mod tests {
         let text = sample_report().render_text();
         assert!(text.contains("reads 1/1 lucky (100.0%)"));
         assert!(text.contains("writes 0/1 lucky (0.0%)"));
+        assert!(text.contains("fast writes: 0 (0 before the timer)"));
         assert!(text.contains("read  latency: n=1"));
     }
 
@@ -214,6 +227,7 @@ mod tests {
             "\"enabled\":true",
             "\"fast_reads\":1",
             "\"slow_writes\":1",
+            "\"writes_before_timer\":0",
             "\"read_latency_us\":{\"count\":1,",
             "\"recent\":[",
             "\"last_dump\":\"line1\\nline\\\"2\\\"\"",

@@ -66,6 +66,9 @@ pub struct OpSpan {
     len: u8,
     /// Send batches absorbed while pending; batch `k > 1` marks round `k`.
     batches: u16,
+    /// The op settled with a core timer still pending: its last wait was
+    /// bounded by the network, not by a timer.
+    pub(crate) settled_before_timer: bool,
 }
 
 impl OpSpan {
@@ -91,9 +94,12 @@ impl OpSpan {
         }
     }
 
-    /// The operation completed at `now`.
-    pub fn settle(&mut self, now: u64) {
+    /// The operation completed at `now`; `timer_pending` says whether a
+    /// core timer the session had armed was still waiting to fire — for
+    /// a one-round operation, whether it beat its round-1 timer.
+    pub fn settle(&mut self, now: u64, timer_pending: bool) {
         self.push(SpanPhase::Settle, now);
+        self.settled_before_timer = timer_pending;
     }
 
     /// The operation deadline passed at `now`.
@@ -142,7 +148,7 @@ mod tests {
         let mut s = OpSpan::begin(100);
         s.note_send_batch(100); // invoke broadcast: no extra mark
         s.note_send_batch(5_100); // round 2 starts
-        s.settle(9_000);
+        s.settle(9_000, false);
         let phases: Vec<SpanPhase> = s.marks().iter().map(|m| m.phase).collect();
         assert_eq!(phases, vec![SpanPhase::Invoke, SpanPhase::Round(2), SpanPhase::Settle]);
         assert_eq!(s.invoked_at(), Some(100));

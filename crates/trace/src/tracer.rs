@@ -55,6 +55,7 @@ pub struct Tracer {
     slow_reads: AtomicU64,
     fast_writes: AtomicU64,
     slow_writes: AtomicU64,
+    writes_before_timer: AtomicU64,
     timeouts: AtomicU64,
     io_errors: AtomicU64,
     dumps: AtomicU64,
@@ -82,6 +83,7 @@ impl Tracer {
             slow_reads: AtomicU64::new(0),
             fast_writes: AtomicU64::new(0),
             slow_writes: AtomicU64::new(0),
+            writes_before_timer: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             io_errors: AtomicU64::new(0),
             dumps: AtomicU64::new(0),
@@ -132,6 +134,9 @@ impl Tracer {
             (false, false) => &self.slow_reads,
         };
         counter.fetch_add(1, Ordering::Relaxed);
+        if write && fast && span.settled_before_timer {
+            self.writes_before_timer.fetch_add(1, Ordering::Relaxed);
+        }
         let hist = if write { &self.write_latency } else { &self.read_latency };
         hist.record(latency_micros);
         self.push_span(actor, write, span);
@@ -225,6 +230,7 @@ impl Tracer {
             slow_reads: self.slow_reads.load(Ordering::Relaxed),
             fast_writes: self.fast_writes.load(Ordering::Relaxed),
             slow_writes: self.slow_writes.load(Ordering::Relaxed),
+            writes_before_timer: self.writes_before_timer.load(Ordering::Relaxed),
             timeouts: self.timeouts.load(Ordering::Relaxed),
             io_errors: self.io_errors.load(Ordering::Relaxed),
             dumps: self.dumps.load(Ordering::Relaxed),
@@ -244,7 +250,7 @@ mod tests {
     fn settled_span() -> OpSpan {
         let mut s = OpSpan::begin(100);
         s.note_send_batch(100);
-        s.settle(5_100);
+        s.settle(5_100, false);
         s
     }
 
@@ -272,6 +278,21 @@ mod tests {
         assert_eq!(r.read_latency.count(), 2);
         assert_eq!(r.write_latency.count(), 1);
         assert!(r.recent.iter().any(|e| matches!(e.kind, EventKind::Settle { fast: true, .. })));
+    }
+
+    #[test]
+    fn only_fast_writes_settled_with_a_timer_pending_count_as_before_the_timer() {
+        let t = Tracer::new(TraceConfig::enabled());
+        let mut early = OpSpan::begin(100);
+        early.settle(300, true);
+        let w = Actor::Writer { reg: 0 };
+        t.record_settle(w, true, 1, true, 200, &early);
+        t.record_settle(w, true, 1, true, 5_000, &settled_span()); // at the timer
+        t.record_settle(w, true, 3, false, 900, &early); // slow: a later round's wait
+        t.record_settle(Actor::Reader { reg: 0, id: 0 }, false, 1, true, 200, &early); // a read
+        let r = t.report();
+        assert_eq!((r.fast_writes, r.writes_before_timer), (2, 1));
+        assert!(r.render_text().contains("fast writes: 2 (1 before the timer)"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! thresholds, and the thresholds trade off exactly as `fw + fr = t − b`.
 
 use lucky_atomic::core::{ClusterConfig, SimCluster};
-use lucky_atomic::types::{Params, ProcessId, ReaderId, ServerId, Value};
+use lucky_atomic::types::{Params, ProcessId, ReaderId, Seq, ServerId, TsVal, Value};
 
 /// Every (t, b, fw, fr) configuration on the tight bound used across the
 /// fast-path tests.
@@ -105,6 +105,93 @@ fn theorem4_lucky_reads_fast_after_slow_writes_too() {
             assert!(r.fast, "{params}: lucky read after slow write, {crashes} ≤ fr crashes");
             assert_eq!(r.value.as_u64(), Some(1));
         }
+        c.check_atomicity().unwrap();
+    }
+}
+
+#[test]
+fn early_settled_write_keeps_the_next_read_lucky_in_the_worst_case() {
+    // The WRITE returns on its (S − fw)-th PW ack instead of waiting the
+    // timer out, so up to `fw` *correct* servers may not hold `pw` yet
+    // when it returns — the case the timer used to hide in synchronous
+    // runs. `fastpw = S − fw − fr` was sized for exactly this: the next
+    // lucky READ stays fast even if `fr` of the servers that did ack
+    // fail and the READ reaches every laggard before its PW does.
+    for params in bound_configs() {
+        let s = params.server_count() as u16;
+        let (fw, fr) = (params.fw() as u16, params.fr() as u16);
+        let server = |i: u16| ProcessId::Server(ServerId(i));
+        let cfg = ClusterConfig::synchronous(params);
+        let timer = cfg.protocol.timer_micros;
+        let mut c = SimCluster::new(cfg, 1);
+        // An older value everywhere, so a laggard answers with something
+        // the reader could wrongly prefer.
+        assert!(c.write(Value::from_u64(1)).fast);
+        c.run_for(1_000);
+
+        // The PW to exactly `fw` correct servers stays in transit.
+        for i in (s - fw)..s {
+            c.world_mut().hold(ProcessId::Writer, server(i));
+        }
+        let w = c.write(Value::from_u64(2));
+        assert!(w.fast && w.rounds == 1, "{params}: {fw} laggards must not unluck the write");
+        assert!(
+            w.latency < timer,
+            "{params}: settled on the (S − fw)-th ack after {} µs, not at the {timer} µs timer",
+            w.latency
+        );
+        assert_eq!(w.msgs, u64::from(2 * s - fw), "{params}: S sends + exactly S − fw acks");
+        for i in (s - fw)..s {
+            assert_eq!(c.world().held_count(ProcessId::Writer, server(i)), 1);
+        }
+
+        // After the return, `fr` of the servers that acked fail: crashes,
+        // and with b > 0 one of them turns into a forger that lies to
+        // readers from now on.
+        let forger = u16::from(params.b() > 0 && fr > 0);
+        if forger == 1 {
+            c.install_forge_value(0, TsVal::new(Seq(99), Value::from_u64(666)));
+        }
+        for i in forger..fr {
+            c.crash_server(i);
+        }
+
+        // A READ invoked after that return reaches the laggards before
+        // their PW does: still one round, still the written value.
+        let r = c.read(ReaderId(0));
+        assert!(
+            r.fast && r.rounds == 1,
+            "{params}: lucky read after an early-settled write, {fw} laggards + {fr} failures"
+        );
+        assert_eq!(r.value.as_u64(), Some(2), "{params}");
+
+        c.world_mut().release_all_from(ProcessId::Writer);
+        c.run_for(1_000);
+        c.check_atomicity().unwrap();
+    }
+}
+
+#[test]
+fn one_laggard_too_many_keeps_luck_in_doubt_until_the_timer() {
+    // S − fw − 1 acks never decide Fig. 1 line 8: the write waits its
+    // timer out and then goes slow, exactly as the paper's writer does.
+    for params in bound_configs() {
+        if params.fw() == params.t() {
+            continue; // fw + 1 laggards would starve the quorum
+        }
+        let cfg = ClusterConfig::synchronous(params);
+        let timer = cfg.protocol.timer_micros;
+        let mut c = SimCluster::new(cfg, 1);
+        for i in 0..=params.fw() as u16 {
+            c.world_mut().hold(ProcessId::Writer, ProcessId::Server(ServerId(i)));
+        }
+        let w = c.write(Value::from_u64(1));
+        assert!(!w.fast && w.rounds == 3, "{params}: fw + 1 laggards force the slow path");
+        assert!(w.latency >= timer, "{params}: no decision before the timer ({} µs)", w.latency);
+        c.world_mut().release_all_from(ProcessId::Writer);
+        c.run_for(1_000);
+        let r = c.read(ReaderId(0));
+        assert_eq!(r.value.as_u64(), Some(1));
         c.check_atomicity().unwrap();
     }
 }

@@ -153,3 +153,117 @@ fn two_concurrent_slow_readers_both_terminate() {
     assert!(c.history().get(rd1).unwrap().is_complete(), "reader 1 terminated");
     c.check_atomicity().unwrap();
 }
+
+/// A starving READ whose only `b + 1` reporters are (or are not) the
+/// servers whose PW acks lag behind the writer's early settle.
+///
+/// S = 8 (t = 3, b = 1, fw = 2): quorum 5, a WRITE settles fast on its
+/// 6th ack. The reader's messages are released to one server at a time
+/// with two WRITEs in between, so every view it holds is from a
+/// different write epoch, no pair is ever vouched for by `b + 1`
+/// servers, and only a frozen value can end the READ. Servers 6 and 7
+/// are slow towards the writer throughout, so every WRITE settles on the
+/// acks of servers 0–5 — except, with `reports_lag`, the first WRITE
+/// after servers 0 and 1 learnt of the READ, which settles on 2–7
+/// instead: the only two `newread` reports arrive after the writer
+/// moved on.
+///
+/// Returns the READ's outcome and the value of that first WRITE.
+fn starving_read_with_two_reporters(
+    reports_lag: bool,
+) -> (lucky_atomic::core::OpOutcome, u64, SimCluster) {
+    let params = Params::new(3, 1, 2, 0).unwrap();
+    let cfg = ClusterConfig::synchronous(params);
+    let timer = cfg.protocol.timer_micros;
+    let mut c = SimCluster::new(cfg, 1);
+    let reader = ProcessId::Reader(ReaderId(0));
+    let server = |i: u16| ProcessId::Server(ServerId(i));
+    let mut written = 0u64;
+    let mut write = |c: &mut SimCluster| {
+        written += 1;
+        let w = c.write(Value::from_u64(written));
+        assert!(w.fast && w.latency < timer, "write {written} settles on its 6th ack");
+        written
+    };
+    // Hand the reader's pending message to server `i` alone and let the
+    // reply come back; everything it sends afterwards is held again.
+    let deliver = |c: &mut SimCluster, i: u16| {
+        c.world_mut().release(reader, server(i));
+        c.world_mut().hold(reader, server(i));
+        c.run_for(300);
+    };
+    for i in 0..8 {
+        c.world_mut().hold(reader, server(i));
+    }
+    for i in [6, 7] {
+        c.world_mut().hold(server(i), ProcessId::Writer);
+    }
+    write(&mut c);
+    let read = c.invoke_read(ReaderId(0));
+    c.run_for(300); // past the round-1 timer
+
+    // Round 1: five views from five epochs, no candidate. (A round-1
+    // READ leaves no trace at the servers.)
+    for i in 0..5 {
+        deliver(&mut c, i);
+        write(&mut c);
+        write(&mut c);
+    }
+    // Round 2 reaches server 0, then — two WRITEs later — server 1: from
+    // here on exactly b + 1 servers report the READ on every PW ack.
+    deliver(&mut c, 0);
+    write(&mut c);
+    write(&mut c);
+    deliver(&mut c, 1);
+
+    if reports_lag {
+        for i in [6, 7] {
+            c.world_mut().release(server(i), ProcessId::Writer);
+        }
+        for i in [0, 1] {
+            c.world_mut().hold(server(i), ProcessId::Writer);
+        }
+    }
+    let first_after_reports = write(&mut c);
+    if reports_lag {
+        // The two reports arrive now, after the WRITE returned: dropped.
+        for i in [0, 1] {
+            c.world_mut().release(server(i), ProcessId::Writer);
+        }
+        for i in [6, 7] {
+            c.world_mut().hold(server(i), ProcessId::Writer);
+        }
+        c.run_for(300);
+    }
+
+    // The rest of round 2, same staggering.
+    for i in 2..5 {
+        write(&mut c);
+        write(&mut c);
+        deliver(&mut c, i);
+    }
+    assert!(!c.is_complete(read), "the write-back is still held");
+    c.world_mut().release_all_from(reader);
+    let outcome = c.run_until_complete(read).expect("the frozen value ends the READ");
+    (outcome, first_after_reports, c)
+}
+
+#[test]
+fn reports_that_miss_an_early_settled_write_ride_the_next_one() {
+    // Control: the reporters' acks are among the S − fw the writer
+    // settles on. That WRITE freezes its own value for the READ, the
+    // next one ships it, and the READ's next round returns it.
+    let (on_time, k, c) = starving_read_with_two_reporters(false);
+    assert_eq!(on_time.value.as_u64(), Some(k), "frozen by the first WRITE that saw the reports");
+    assert_eq!((on_time.rounds, on_time.fast), (2 + 3, false), "round 2, then the write-back");
+    c.check_atomicity().unwrap();
+
+    // The reporters are the `fw` laggards of that WRITE: it returns on
+    // the other S − fw acks and freezes nothing. Nothing is lost — the
+    // servers report the READ again on the next PW ack, *that* WRITE
+    // freezes, and the READ ends in the same round, one WRITE later.
+    let (lagged, k, c) = starving_read_with_two_reporters(true);
+    assert_eq!(lagged.value.as_u64(), Some(k + 1), "frozen exactly one WRITE later");
+    assert_eq!((lagged.rounds, lagged.fast), (on_time.rounds, false), "same round bound");
+    c.check_atomicity().unwrap();
+}

@@ -41,9 +41,14 @@ fn quiet_tcp_run_reports_over_ninety_percent_lucky_reads() {
     assert_eq!(report.read_latency.count(), 20, "every read latency was recorded");
     assert!(report.read_latency.p50() > 0);
     assert_eq!(report.timeouts, 0);
+    // The write was RTT-bound: it settled on its deciding ack, ~0.5 ms
+    // in, with the 10 ms round-1 timer still pending.
+    assert_eq!((report.fast_writes, report.writes_before_timer), (1, 1));
     // The rollup renders both ways without panicking.
     assert!(report.render_text().contains("lucky"));
+    assert!(report.render_text().contains("fast writes: 1 (1 before the timer)"));
     assert!(report.to_json().contains("\"fast_reads\""));
+    assert!(report.to_json().contains("\"writes_before_timer\":1"));
     drop(h);
     store.shutdown();
 }
@@ -68,6 +73,10 @@ fn induced_slow_path_shows_up_as_unlucky_ops() {
     assert_eq!(report.fast_reads, 0, "no read could be lucky with the fast path off");
     assert!(report.lucky_read_ratio() < 0.5);
     assert!(report.slow_ops() > 0);
+    // A slow write is never counted as having beaten its timer, even
+    // when all S acks started its W rounds before the timer fired.
+    assert_eq!((report.fast_writes, report.slow_writes), (0, 1));
+    assert_eq!(report.writes_before_timer, 0);
     drop(h);
     store.shutdown();
 }
