@@ -129,7 +129,12 @@ fn bench_variants(c: &mut Criterion) {
 /// The two rows price different waits: a fast WRITE returns on its
 /// deciding PW ack, so it costs the injected latency band (2 × 50–200 µs)
 /// plus the loopback round trip; a fast READ still waits its round-1
-/// timer out, so it costs the 2 ms timer plus everything else.
+/// timer out, so it costs the 2 ms timer plus everything else. The third
+/// group holds one WRITE ticket per register in flight on 64 registers
+/// and waits for all of them: 384 frames that reach the router in a few
+/// bursts, so the row prices a frame that shares its socket write (and
+/// its receiver's wake-up) with its neighbours. Writes only — they are
+/// round-trip-bound, reads would measure the timer.
 fn bench_net_drivers(c: &mut Criterion) {
     let params = Params::new(1, 0, 1, 0).unwrap();
     let cfg = || NetConfig {
@@ -144,21 +149,23 @@ fn bench_net_drivers(c: &mut Criterion) {
         // fallback under the reactor label would just mislead the gate.
         drivers.push(("reactor", Driver::Reactor));
     }
-    let store = |driver| {
+    let store = |driver, registers: usize| {
         let mut store = NetStore::builder(params, cfg())
-            .registers(1)
+            .registers(registers)
             .transport(Transport::Tcp)
             .driver(driver)
             .build();
-        let handle = store.register(RegisterId(0)).expect("fresh handle");
-        (store, handle)
+        let handles: Vec<_> = RegisterId::all(registers)
+            .map(|reg| store.register(reg).expect("fresh handle"))
+            .collect();
+        (store, handles)
     };
     let mut group = c.benchmark_group("net_fast_write_tcp");
     for &(name, driver) in &drivers {
         group.bench_function(name, |bencher| {
             bencher.iter_batched_ref(
-                || store(driver),
-                |(_store, handle)| handle.write(Value::from_u64(1)).expect("write completes"),
+                || store(driver, 1),
+                |(_store, handles)| handles[0].write(Value::from_u64(1)).expect("write completes"),
                 BatchSize::LargeInput,
             );
         });
@@ -169,11 +176,28 @@ fn bench_net_drivers(c: &mut Criterion) {
         group.bench_function(name, |bencher| {
             bencher.iter_batched_ref(
                 || {
-                    let (store, handle) = store(driver);
-                    handle.write(Value::from_u64(1)).expect("write completes");
-                    (store, handle)
+                    let (store, handles) = store(driver, 1);
+                    handles[0].write(Value::from_u64(1)).expect("write completes");
+                    (store, handles)
                 },
-                |(_store, handle)| handle.read(0).expect("read completes"),
+                |(_store, handles)| handles[0].read(0).expect("read completes"),
+                BatchSize::LargeInput,
+            );
+        });
+    }
+    group.finish();
+    let mut group = c.benchmark_group("net_pipelined_writes_tcp");
+    for &(name, driver) in &drivers {
+        group.bench_function(name, |bencher| {
+            bencher.iter_batched_ref(
+                || store(driver, 64),
+                |(_store, handles)| {
+                    let tickets: Vec<_> =
+                        handles.iter().map(|h| h.invoke_write(Value::from_u64(1))).collect();
+                    for ticket in tickets {
+                        ticket.wait().expect("write completes");
+                    }
+                },
                 BatchSize::LargeInput,
             );
         });

@@ -113,7 +113,12 @@
 //! every shard worker a real `std::net` loopback socket — each wire
 //! message is encoded by `lucky-wire`, framed with a checksum, written
 //! to the destination slot's socket and reassembled from partial reads
-//! by the thread that owns it. Under TCP, [`NetStats::wire_bytes`] reports the
+//! by the thread that owns it. The frames that fall due in one router
+//! pass leave in **one `write` per destination** (no hold-back: a lone
+//! frame is written at once), so under load a message costs its bytes,
+//! not a syscall and a wake-up of its receiver —
+//! [`NetStats::socket_writes`] against [`NetStats::messages`] is the
+//! ratio achieved. Under TCP, [`NetStats::wire_bytes`] reports the
 //! true framed byte count (strictly above the codec-exact payload
 //! accounting in `bytes`), [`NetStats::decode_errors`] counts rejected
 //! hostile frames, and `server_addr` exposes each server's listener

@@ -756,6 +756,39 @@ mod tests {
     }
 
     #[test]
+    fn a_burst_larger_than_the_read_scratch_is_reassembled() {
+        // What the router's coalesced write looks like from the far
+        // side: many frames back to back, several scratch-fuls of them,
+        // with frames straddling every read boundary.
+        use lucky_types::{PwAckMsg, Seq, ServerId};
+        use std::io::Write;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (mut io, stats, _tracer) = tcp_io(listener);
+        let (from, to) = (ProcessId::writer(RegisterId(0)), ProcessId::Server(ServerId(0)));
+        let ack =
+            |n| Message::PwAck(PwAckMsg { reg: RegisterId(0), ts: Seq(n), newread: Vec::new() });
+        const FRAMES: u64 = 4_000;
+        let burst: Vec<u8> =
+            (0..FRAMES).flat_map(|n| lucky_wire::encode_packet(&[(from, to, ack(n))])).collect();
+        assert!(burst.len() > 4 * io.scratch.len(), "{} bytes is not a burst", burst.len());
+        let mut got = Vec::new();
+        std::thread::scope(|s| {
+            // One `write_all`, from a thread of its own: it may block
+            // until the reader below has made room.
+            s.spawn(|| TcpStream::connect(addr).unwrap().write_all(&burst).unwrap());
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while (got.len() as u64) < FRAMES && Instant::now() < deadline {
+                io.poll(&mut |f, t, msg| got.push((f, t, msg)));
+                std::thread::yield_now();
+            }
+        });
+        let sent: Vec<_> = (0..FRAMES).map(|n| (from, to, ack(n))).collect();
+        assert!(got == sent, "{} of {FRAMES} frames, or out of order", got.len());
+        assert_eq!(stats.lock().decode_errors, 0);
+    }
+
+    #[test]
     fn worker_with_degraded_listener_stays_alive_and_times_ops_out() {
         // A worker whose listener was abandoned at setup keeps running:
         // the submitted op can never receive acks, so it fails with

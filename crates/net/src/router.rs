@@ -12,6 +12,44 @@
 //! [`Message::Batch`]; parts from different senders are fanned out
 //! back-to-back, preserving sender identity (the channel, not the
 //! payload, authenticates the sender — a batch can never forge one).
+//!
+//! # One `write` per destination per pass
+//!
+//! Under [`Transport::Tcp`](crate::Transport::Tcp) a wire message is a
+//! frame, and frames leave in two steps. Every frame that is due in a
+//! router pass is **appended** to its destination slot's write buffer;
+//! when the pass has no more due frames, each non-empty buffer is
+//! flushed with **one** `write_all` — the only place this crate writes
+//! to a sink. Frames stay what they were (one per wire message, same
+//! bytes, same checksum), so this changes what a message costs the
+//! kernel, not what crosses the wire: at saturation a pass carries many
+//! frames per destination and pays one syscall — and the receiver one
+//! wake-up — for all of them ([`NetStats::socket_writes`] against
+//! [`NetStats::messages`]); at low load a pass carries one frame and
+//! issues one write, as if nothing coalesced.
+//!
+//! * **Order.** A slot's buffer receives frames in the order the heap
+//!   releases them, `(due, launch sequence)`, so per-destination order
+//!   on the socket is exactly the order per-frame writes had.
+//! * **No hold-back.** A buffer is flushed in the pass that filled it
+//!   and is empty between passes: there is no timer, no size threshold
+//!   and nothing to tune. Only frames that are due *together* share a
+//!   write; a frame is never written before its `due`, and never later
+//!   than the end of the pass that found it due.
+//! * **Loss accounting.** [`NetStats::dropped`] counts protocol parts,
+//!   not writes: a frame whose slot has no sink drops its parts on the
+//!   spot, and a flush that fails drops every part in that buffer. A
+//!   `write_all` that breaks mid-buffer may already have handed the
+//!   kernel some of the buffer's leading frames, so the count can
+//!   overstate the loss by at most those — on a connection that is dead
+//!   either way, where an upper bound is the honest number.
+//! * **Sink swaps.** The buffer lives with its stream, and a swap
+//!   ([`Envelope::Sink`]) is handled between flushes, when the buffer is
+//!   empty: bytes staged for one incarnation of a slot cannot reach the
+//!   next one's socket.
+//! * **Memory.** Buffers keep their capacity from pass to pass (no
+//!   allocation per pass) and are trimmed back to [`SINK_BUF_KEEP`]
+//!   after an unusually large one.
 
 use crossbeam::channel::{Receiver, Sender};
 use lucky_types::{BatchConfig, Message, ProcessId, RegisterId, ServerId};
@@ -178,11 +216,18 @@ pub struct NetStats {
     pub reactor_wakeups: u64,
     /// Frame buffers the TCP encode path had to **allocate** because no
     /// recycled buffer was free: the router pops a spent buffer per
-    /// outgoing frame and returns it after the socket write, so in
-    /// steady state this counter stops growing (at most the in-flight
-    /// high-water mark of buffers ever exist). Zero under the channel
-    /// transport, which stages no frames.
+    /// outgoing frame and returns it once the frame has been copied
+    /// into its destination's write buffer, so in steady state this
+    /// counter stops growing (at most the in-flight high-water mark of
+    /// buffers ever exist). Zero under the channel transport, which
+    /// stages no frames.
     pub frame_allocs: u64,
+    /// `write_all` calls the router issued on its socket sinks: one per
+    /// destination slot per router pass that had frames due for it,
+    /// however many frames that was. Never above [`NetStats::messages`];
+    /// the gap is the syscalls (and receiver wake-ups) coalescing saved.
+    /// Zero under the channel transport, which has no sockets.
+    pub socket_writes: u64,
     /// Traffic broken down by the register each protocol message names.
     pub per_register: BTreeMap<RegisterId, RegisterStats>,
     /// Traffic broken down by destination server.
@@ -200,10 +245,14 @@ pub struct NetStats {
 /// it.
 impl std::fmt::Display for NetStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} wire msgs", self.messages)?;
+        // Sockets only, and only when coalescing had something to save.
+        if self.socket_writes > 0 && self.socket_writes != self.messages {
+            write!(f, " in {} writes", self.socket_writes)?;
+        }
         write!(
             f,
-            "{} wire msgs ({} parts, {:.2} parts/msg), {} payload B",
-            self.messages,
+            " ({} parts, {:.2} parts/msg), {} payload B",
             self.parts,
             self.msgs_per_batch(),
             self.bytes
@@ -302,7 +351,8 @@ type Part = (ProcessId, ProcessId, Message);
 /// transport, materialized per recipient at delivery time) or an
 /// already-encoded frame (TCP transport — the bytes are staged at
 /// launch, so encode cost and true size are paid and known when the
-/// message enters the wire, and delivery is a plain socket write).
+/// message enters the wire, and delivery is a copy into the slot's
+/// write buffer).
 enum Load {
     Parts(Vec<Part>),
     Frame {
@@ -350,6 +400,28 @@ struct SlotBuf {
     oldest: Instant,
 }
 
+/// The write half of one destination slot's socket, with the frames of
+/// the current router pass staged in front of it.
+pub(crate) struct SlotSink {
+    stream: TcpStream,
+    /// The frames due in this pass, back to back in delivery order.
+    /// Empty between passes; the allocation is kept.
+    pending: Vec<u8>,
+    /// Protocol parts riding in `pending`: what a failed flush drops.
+    parts: u64,
+}
+
+impl SlotSink {
+    pub(crate) fn new(stream: TcpStream) -> SlotSink {
+        SlotSink { stream, pending: Vec::new(), parts: 0 }
+    }
+}
+
+/// Write-buffer capacity a sink keeps from pass to pass. A pass that
+/// staged more (a burst of large values) gives the excess back, so one
+/// big pass does not pin its high-water mark for the store's lifetime.
+const SINK_BUF_KEEP: usize = 64 * 1024;
+
 /// Everything the router needs besides its channels.
 pub(crate) struct RouterConfig {
     pub(crate) latency: (Duration, Duration),
@@ -359,7 +431,7 @@ pub(crate) struct RouterConfig {
     /// `Some` under [`Transport::Tcp`](crate::Transport::Tcp): the
     /// write half of each destination slot's loopback socket. `None`
     /// delivers through the in-process inboxes.
-    pub(crate) sinks: Option<BTreeMap<usize, TcpStream>>,
+    pub(crate) sinks: Option<BTreeMap<usize, SlotSink>>,
 }
 
 /// Spawn the router thread.
@@ -372,21 +444,7 @@ pub(crate) fn spawn_router(
 ) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name(name.into())
-        .spawn(move || {
-            Router {
-                rx,
-                inboxes,
-                rng: SmallRng::seed_from_u64(cfg.seed),
-                cfg,
-                stats,
-                heap: BinaryHeap::new(),
-                staged: BTreeMap::new(),
-                seq: 0,
-                encoder: lucky_wire::PacketEncoder::new(),
-                spare_frames: Vec::new(),
-            }
-            .run()
-        })
+        .spawn(move || Router::new(rx, inboxes, cfg, stats).run())
         .expect("spawn router thread")
 }
 
@@ -410,52 +468,43 @@ struct Router {
     /// Recycled payload scratch for the TCP encode path.
     encoder: lucky_wire::PacketEncoder,
     /// Spent frame buffers: popped in `launch_one`, returned by
-    /// `deliver` after the socket write. Steady state allocates nothing
-    /// per frame ([`NetStats::frame_allocs`] stops growing).
+    /// `deliver` once the frame sits in its slot's write buffer. Steady
+    /// state allocates nothing per frame ([`NetStats::frame_allocs`]
+    /// stops growing).
     spare_frames: Vec<Vec<u8>>,
 }
 
 impl Router {
+    fn new(
+        rx: Receiver<Envelope>,
+        inboxes: BTreeMap<ProcessId, Sender<(ProcessId, Message)>>,
+        cfg: RouterConfig,
+        stats: Arc<Mutex<NetStats>>,
+    ) -> Router {
+        Router {
+            rx,
+            inboxes,
+            rng: SmallRng::seed_from_u64(cfg.seed),
+            cfg,
+            stats,
+            heap: BinaryHeap::new(),
+            staged: BTreeMap::new(),
+            seq: 0,
+            encoder: lucky_wire::PacketEncoder::new(),
+            spare_frames: Vec::new(),
+        }
+    }
+
     /// Run the router loop until a [`Envelope::Stop`] arrives or every
-    /// sender disconnects.
+    /// sender disconnects: a [`Router::pass`], then block for the next
+    /// envelope, the next due delivery, or the next slot flush deadline
+    /// — whichever comes first.
     fn run(mut self) {
-        let max_delay = Duration::from_micros(self.cfg.batch.max_delay_micros);
+        let max_delay = self.max_delay();
         loop {
-            // Drain every envelope that is already queued *before*
-            // flushing any slot: messages that became ready together
-            // coalesce even with max_delay_micros = 0 (a broadcast's
-            // envelopes sit in the channel as one burst).
-            loop {
-                match self.rx.try_recv() {
-                    Ok(env) => {
-                        if self.on_envelope(env).is_break() {
-                            return;
-                        }
-                    }
-                    Err(crossbeam::channel::TryRecvError::Empty) => break,
-                    Err(crossbeam::channel::TryRecvError::Disconnected) => return,
-                }
+            if self.pass().is_break() {
+                return;
             }
-            // Deliver everything due.
-            let now = Instant::now();
-            while self.heap.peek().is_some_and(|m| m.due <= now) {
-                let m = self.heap.pop().expect("peeked above");
-                self.deliver(m.load);
-            }
-            // Flush every staged slot whose oldest part has waited long
-            // enough.
-            let due_slots: Vec<usize> = self
-                .staged
-                .iter()
-                .filter(|(_, buf)| buf.oldest + max_delay <= now)
-                .map(|(&slot, _)| slot)
-                .collect();
-            for slot in due_slots {
-                let buf = self.staged.remove(&slot).expect("listed above");
-                self.launch(buf.parts);
-            }
-            // Wait for the next envelope, the next due delivery, or the
-            // next slot flush deadline — whichever comes first.
             let next_due = self.heap.peek().map(|m| m.due);
             let next_flush = self.staged.values().map(|b| b.oldest + max_delay).min();
             let deadline = match (next_due, next_flush) {
@@ -482,6 +531,63 @@ impl Router {
         }
     }
 
+    /// Longest a staged part waits for co-travellers.
+    fn max_delay(&self) -> Duration {
+        Duration::from_micros(self.cfg.batch.max_delay_micros)
+    }
+
+    /// One non-blocking pass: drain the queued envelopes, launch the
+    /// staged slots whose wait is over, deliver what is due. `Break`
+    /// tears the router down.
+    fn pass(&mut self) -> ControlFlow<()> {
+        // Drain every envelope that is already queued *before*
+        // flushing any slot: messages that became ready together
+        // coalesce even with max_delay_micros = 0 (a broadcast's
+        // envelopes sit in the channel as one burst).
+        loop {
+            match self.rx.try_recv() {
+                Ok(env) => self.on_envelope(env)?,
+                Err(crossbeam::channel::TryRecvError::Empty) => break,
+                Err(crossbeam::channel::TryRecvError::Disconnected) => {
+                    return ControlFlow::Break(())
+                }
+            }
+        }
+        // Launch every staged slot whose oldest part has waited long
+        // enough.
+        let max_delay = self.max_delay();
+        let now = Instant::now();
+        let due_slots: Vec<usize> = self
+            .staged
+            .iter()
+            .filter(|(_, buf)| buf.oldest + max_delay <= now)
+            .map(|(&slot, _)| slot)
+            .collect();
+        for slot in due_slots {
+            let buf = self.staged.remove(&slot).expect("listed above");
+            self.launch(buf.parts);
+        }
+        // Deliver everything due — against a fresh clock reading, so
+        // what was launched above with no latency to wait out leaves in
+        // this pass. Whatever is due *together* coalesces: frames are
+        // appended to their slots' write buffers, and the buffers are
+        // flushed, one write each, once nothing more is due.
+        let now = Instant::now();
+        let mut lost = 0;
+        while self.heap.peek().is_some_and(|m| m.due <= now) {
+            let m = self.heap.pop().expect("peeked above");
+            lost += self.deliver(m.load);
+        }
+        let (writes, unwritten) = self.flush_sinks();
+        lost += unwritten;
+        if lost + writes > 0 {
+            let mut s = self.stats.lock();
+            s.dropped += lost;
+            s.socket_writes += writes;
+        }
+        ControlFlow::Continue(())
+    }
+
     /// Act on one envelope; `Break` tears the router down.
     fn on_envelope(&mut self, env: Envelope) -> ControlFlow<()> {
         match env {
@@ -495,18 +601,20 @@ impl Router {
     /// Install (or sever) one slot's socket sink. Frames already in
     /// flight toward the slot land on whatever sink is current when
     /// they come due — a restart therefore loses at most the traffic
-    /// the crash itself would have lost. No-op under the channel
-    /// transport, which has no sinks to swap.
+    /// the crash itself would have lost. Envelopes are only handled
+    /// between flushes, so the outgoing sink's write buffer is empty:
+    /// nothing staged for the old socket is inherited by the new one.
+    /// No-op under the channel transport, which has no sinks to swap.
     fn swap_sink(&mut self, slot: usize, stream: Option<TcpStream>) {
         if let Some(sinks) = self.cfg.sinks.as_mut() {
-            match stream {
-                Some(s) => {
-                    sinks.insert(slot, s);
-                }
-                None => {
-                    sinks.remove(&slot);
-                }
-            }
+            let old = match stream {
+                Some(s) => sinks.insert(slot, SlotSink::new(s)),
+                None => sinks.remove(&slot),
+            };
+            debug_assert!(
+                old.is_none_or(|sink| sink.pending.is_empty() && sink.parts == 0),
+                "a sink is swapped between passes, when its write buffer is empty"
+            );
         }
     }
 
@@ -707,46 +815,72 @@ impl Router {
         self.heap.push(InFlight { due: Instant::now() + delay, seq: self.seq, load });
     }
 
-    /// Hand a due wire message to its recipients.
+    /// Hand a due wire message to its recipients; returns the protocol
+    /// messages that were lost on the spot.
     ///
     /// Channel transport: runs of parts sharing one sender and one
     /// recipient arrive as a single [`Message::Batch`]; sender changes
     /// fan out as separate inbox sends, back-to-back. TCP transport:
     /// the staged frame (whose packet parts were grouped the same way
-    /// at launch) is written to the destination slot's socket; the
-    /// thread that owns the slot (a server, or a shard worker) decodes
-    /// and fans out on the far side.
-    fn deliver(&mut self, load: Load) {
+    /// at launch) is *appended* to the destination slot's write buffer
+    /// — [`Router::flush_sinks`] writes it, together with every other
+    /// frame this pass found due for the slot; the thread that owns the
+    /// slot (a server, or a shard worker) decodes and fans out on the
+    /// far side. A slot without a sink loses the frame here, parts and
+    /// all, and no write is issued for it.
+    fn deliver(&mut self, load: Load) -> u64 {
+        let mut lost = 0;
         match load {
             Load::Parts(parts) => {
                 for (from, to, msg) in group_runs(parts) {
                     // `dropped` counts protocol messages, so a lost
                     // batch counts each of its parts.
-                    let lost = msg.part_count() as u64;
+                    let count = msg.part_count() as u64;
                     match self.inboxes.get(&to) {
                         Some(tx) if tx.send((from, msg)).is_ok() => {}
-                        _ => self.stats.lock().dropped += lost,
+                        _ => lost += count,
                     }
                 }
             }
             Load::Frame { slot, bytes, parts } => {
-                let sink = self.cfg.sinks.as_mut().and_then(|s| s.get_mut(&slot));
-                let written = match sink {
-                    Some(stream) => stream.write_all(&bytes).is_ok(),
-                    // No socket: the slot never spawned (crashed server).
-                    None => false,
-                };
-                if !written {
-                    // The wire message is lost, parts and all.
-                    self.stats.lock().dropped += parts;
+                match self.cfg.sinks.as_mut().and_then(|s| s.get_mut(&slot)) {
+                    Some(sink) => {
+                        sink.pending.extend_from_slice(&bytes);
+                        sink.parts += parts;
+                    }
+                    // No socket: the slot never spawned, or crashed.
+                    None => lost = parts,
                 }
-                // Written or lost, the buffer itself is spent: recycle
+                // Staged or lost, the buffer itself is spent: recycle
                 // it for the next `launch_one`.
                 if self.spare_frames.len() < FRAME_POOL_CAP {
                     self.spare_frames.push(bytes);
                 }
             }
         }
+        lost
+    }
+
+    /// Flush every slot's write buffer with one `write_all` — the only
+    /// write this crate issues on a sink — and leave it empty. Returns
+    /// the writes issued and the parts lost to failed ones: every part
+    /// the buffer carried (an upper bound: frames ahead of the break may
+    /// have reached the kernel, on a connection that is dead anyway).
+    fn flush_sinks(&mut self) -> (u64, u64) {
+        let (mut writes, mut lost) = (0, 0);
+        for sink in self.cfg.sinks.iter_mut().flat_map(BTreeMap::values_mut) {
+            if sink.pending.is_empty() {
+                continue;
+            }
+            writes += 1;
+            if sink.stream.write_all(&sink.pending).is_err() {
+                lost += sink.parts;
+            }
+            sink.pending.clear();
+            sink.pending.shrink_to(SINK_BUF_KEEP);
+            sink.parts = 0;
+        }
+        (writes, lost)
     }
 }
 
@@ -781,4 +915,204 @@ fn group_runs(parts: Vec<Part>) -> Vec<PacketPart> {
     }
     flush(run_key, &mut run, &mut out);
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossbeam::channel::unbounded;
+    use lucky_types::{PwAckMsg, Seq};
+    use std::io::Read;
+    use std::net::{Shutdown, TcpListener};
+
+    /// A connected loopback pair: the router's sink and the peer reading it.
+    fn pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let sink = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (peer, _) = listener.accept().unwrap();
+        (sink, peer)
+    }
+
+    /// A TCP router that is driven by hand, one [`Router::pass`] at a
+    /// time, with no thread: servers `0..servers` own slots `0..servers`,
+    /// `sinks` says which of them have a socket.
+    struct Rig {
+        router: Router,
+        tx: Sender<Envelope>,
+        stats: Arc<Mutex<NetStats>>,
+    }
+
+    fn rig(servers: u16, sinks: Vec<(usize, TcpStream)>, latency: Duration) -> Rig {
+        let slots = (0..servers).map(|i| (server(i), i as usize)).collect();
+        let sinks = sinks.into_iter().map(|(slot, s)| (slot, SlotSink::new(s))).collect();
+        let cfg = RouterConfig {
+            latency: (latency, latency),
+            seed: 1,
+            batch: BatchConfig::disabled(),
+            slots,
+            sinks: Some(sinks),
+        };
+        let (tx, rx) = unbounded();
+        let stats = Arc::new(Mutex::new(NetStats::default()));
+        Rig { router: Router::new(rx, BTreeMap::new(), cfg, Arc::clone(&stats)), tx, stats }
+    }
+
+    impl Rig {
+        /// Queue one message for server `to`; returns the frame it will
+        /// cross the wire as.
+        fn send(&self, to: u16, msg: Message) -> Vec<u8> {
+            let part = (ProcessId::writer(RegisterId(0)), server(to), msg);
+            let frame = lucky_wire::encode_packet(std::slice::from_ref(&part));
+            let (from, to, msg) = part;
+            self.tx.send(Envelope::Deliver { from, to, msg }).unwrap();
+            frame
+        }
+
+        /// Exactly one pass — after which no write buffer may hold a byte.
+        fn pass(&mut self) {
+            assert!(self.router.pass().is_continue());
+            for sink in self.router.cfg.sinks.iter().flat_map(BTreeMap::values) {
+                assert!(sink.pending.is_empty() && sink.parts == 0, "flushed in the same pass");
+            }
+        }
+
+        fn stats(&self) -> NetStats {
+            self.stats.lock().clone()
+        }
+    }
+
+    fn server(i: u16) -> ProcessId {
+        ProcessId::Server(ServerId(i))
+    }
+
+    fn ack(n: u64) -> Message {
+        Message::PwAck(PwAckMsg { reg: RegisterId(0), ts: Seq(n), newread: Vec::new() })
+    }
+
+    /// Everything `peer` was ever sent, once the far end is closed.
+    fn drain(mut peer: TcpStream) -> Vec<u8> {
+        let mut all = Vec::new();
+        peer.read_to_end(&mut all).unwrap();
+        all
+    }
+
+    #[test]
+    fn a_pass_issues_one_write_per_destination_and_keeps_launch_order() {
+        let ((sink0, peer0), (sink1, peer1)) = (pair(), pair());
+        let mut rig = rig(2, vec![(0, sink0), (1, sink1)], Duration::ZERO);
+        let mut expected = [Vec::new(), Vec::new()];
+        let (mut parts, mut bytes) = (0, 0);
+        // Nine frames for two slots, interleaved; one carries three parts.
+        for n in 0..9u64 {
+            let msg = if n == 4 { Message::batch(vec![ack(40), ack(41), ack(42)]) } else { ack(n) };
+            parts += msg.part_count() as u64;
+            bytes += msg.wire_size() as u64;
+            expected[(n % 2) as usize].extend(rig.send((n % 2) as u16, msg));
+        }
+        rig.pass();
+        let s = rig.stats();
+        assert_eq!(s.socket_writes, 2, "nine frames, two destinations, two writes");
+        // The counters per-frame delivery kept are unmoved.
+        assert_eq!((s.messages, s.parts, s.bytes, s.dropped), (9, parts, bytes, 0));
+        assert_eq!(s.wire_bytes, (expected[0].len() + expected[1].len()) as u64);
+
+        // At low load a pass carries one frame and issues one write.
+        expected[0].extend(rig.send(0, ack(9)));
+        rig.pass();
+        let s = rig.stats();
+        assert_eq!((s.socket_writes, s.messages), (3, 10));
+
+        // Each peer read the concatenation of its frames, byte for
+        // byte, in launch order.
+        drop(rig);
+        assert_eq!(drain(peer0), expected[0]);
+        assert_eq!(drain(peer1), expected[1]);
+    }
+
+    #[test]
+    fn a_frame_for_a_slot_without_a_sink_drops_its_parts_and_issues_no_write() {
+        let (sink0, peer0) = pair();
+        let mut rig = rig(2, vec![(0, sink0)], Duration::ZERO);
+        rig.send(1, Message::batch(vec![ack(1), ack(2), ack(3)]));
+        rig.send(1, ack(4));
+        rig.pass();
+        let s = rig.stats();
+        assert_eq!((s.dropped, s.socket_writes), (4, 0), "parts are counted, not frames");
+
+        // Severing a live slot makes it the same case.
+        let delivered = rig.send(0, ack(5));
+        rig.pass();
+        rig.tx.send(Envelope::Sink { slot: 0, stream: None }).unwrap();
+        rig.send(0, ack(6));
+        rig.pass();
+        let s = rig.stats();
+        assert_eq!((s.dropped, s.socket_writes), (5, 1));
+        assert_eq!(drain(peer0), delivered);
+    }
+
+    #[test]
+    fn a_failed_flush_drops_every_part_in_the_buffer() {
+        let (sink0, _peer0) = pair();
+        sink0.shutdown(Shutdown::Write).unwrap(); // every write now fails
+        let mut rig = rig(1, vec![(0, sink0)], Duration::ZERO);
+        rig.send(0, ack(1));
+        rig.send(0, Message::batch(vec![ack(2), ack(3), ack(4)]));
+        rig.send(0, ack(5));
+        rig.pass();
+        let s = rig.stats();
+        assert_eq!((s.socket_writes, s.dropped), (1, 5), "one write issued, five parts lost");
+    }
+
+    #[test]
+    fn a_frame_is_never_written_before_its_due() {
+        // Two frames for one slot, launched half a latency apart: each
+        // leaves the heap no earlier than `latency` after it was sent,
+        // whether or not the other was flushed meanwhile. (Lower bounds
+        // only: a stalled test thread delays a frame, never hurries it.)
+        let latency = Duration::from_millis(20);
+        let (sink0, peer0) = pair();
+        let mut rig = rig(1, vec![(0, sink0)], latency);
+        let mut sent: Vec<Instant> = Vec::new();
+        // One pass, then: whatever has left the heap was due.
+        let pass = |rig: &mut Rig, sent: &[Instant]| {
+            rig.pass();
+            let after = Instant::now();
+            let left = rig.router.heap.len();
+            for (n, &at) in sent.iter().enumerate().take(sent.len() - left) {
+                assert!(after >= at + latency, "frame {n} left {:?} early", at + latency - after);
+            }
+            assert_eq!(rig.stats().socket_writes > 0, left < sent.len(), "a write iff one left");
+            left
+        };
+        sent.push(Instant::now());
+        let mut expected = rig.send(0, ack(1));
+        pass(&mut rig, &sent);
+        std::thread::sleep(latency / 2);
+        sent.push(Instant::now());
+        expected.extend(rig.send(0, ack(2)));
+        while pass(&mut rig, &sent) > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(rig.stats().socket_writes <= 2);
+        drop(rig);
+        assert_eq!(drain(peer0), expected, "due order is launch order");
+    }
+
+    #[test]
+    fn a_swapped_sink_inherits_no_bytes_from_its_predecessor() {
+        let ((old, old_peer), (new, new_peer)) = (pair(), pair());
+        let mut rig = rig(1, vec![(0, old)], Duration::ZERO);
+        let to_old = rig.send(0, ack(1));
+        rig.pass();
+        // A frame already in flight when the swap is handled lands on
+        // the sink that is current when it comes due: the new one.
+        let mut to_new = rig.send(0, ack(2));
+        rig.tx.send(Envelope::Sink { slot: 0, stream: Some(new) }).unwrap();
+        to_new.extend(rig.send(0, ack(3)));
+        rig.pass();
+        assert_eq!(rig.stats().socket_writes, 2);
+        assert_eq!(drain(old_peer), to_old, "the old socket closed with the swap");
+        drop(rig);
+        assert_eq!(drain(new_peer), to_new);
+    }
 }

@@ -24,7 +24,7 @@ use crate::cluster::{
 use crate::future::{NotifyGuard, OpFuture, OpNotify};
 use crate::polled::{Driver, Job, PollIo, PolledSlot, PolledWorker};
 use crate::reactor::wait_strategy;
-use crate::router::{spawn_router, Envelope, NetStats, RouterConfig, SlotMap};
+use crate::router::{spawn_router, Envelope, NetStats, RouterConfig, SlotMap, SlotSink};
 use crate::tcp::Transport;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use epoll::WakeFd;
@@ -309,7 +309,7 @@ impl NetStoreBuilder {
             let sinks = sinks.as_mut()?;
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
             let addr = listener.local_addr().expect("listener has an address");
-            sinks.insert(slot, connect_sink(addr).expect("connect router sink"));
+            sinks.insert(slot, SlotSink::new(connect_sink(addr).expect("connect router sink")));
             Some((PollIo::tcp(listener, &stats, &tracer, epoch), addr))
         };
 
@@ -1090,7 +1090,7 @@ mod tests {
     #[test]
     fn tcp_encode_path_reuses_frames_after_warmup() {
         // The router pops a frame buffer from its pool per outgoing TCP
-        // frame and gets it back after the socket write, so
+        // frame and gets it back when the frame comes due, so
         // `frame_allocs` (pool misses) counts the most frames that were
         // ever in flight at once — not the frames sent. One client runs
         // one op at a time: at most S requests or S replies of that op,
@@ -1161,17 +1161,29 @@ mod tests {
     fn tickets_outlive_their_handle() {
         // Submit through the ticket API, then drop the handle before
         // waiting: the shard worker owns the session, so the operations
-        // complete and the tickets resolve normally.
+        // complete and the tickets resolve normally. What they resolve
+        // *to* is atomicity's call: a READ invoked while the WRITE is in
+        // flight may return the initial value or the written one, a
+        // READ invoked after the WRITE returned only the written one.
         let params = Params::new(1, 0, 1, 0).unwrap();
         let mut store = NetStore::builder(params, fast_cfg()).registers(2).build();
         let h = store.register(RegisterId(0)).unwrap();
         let w = h.invoke_write(Value::from_u64(9));
-        let r = h.invoke_read(0);
-        drop(h);
+        let concurrent = h.invoke_read(0);
         assert_eq!(w.wait().unwrap().kind, OpKind::Write);
-        let read = r.wait().unwrap();
+        let later = h.invoke_read(0);
+        drop(h);
+        let read = concurrent.wait().unwrap();
+        assert_eq!(read.kind, OpKind::Read);
+        assert!(
+            read.value.is_bot() || read.value.as_u64() == Some(9),
+            "a READ concurrent with the WRITE sees ⊥ or 9, got {:?}",
+            read.value
+        );
+        let read = later.wait().unwrap();
         assert_eq!(read.kind, OpKind::Read);
         assert_eq!(read.value.as_u64(), Some(9), "ticket resolves after the handle is gone");
+        store.check_atomicity().unwrap();
         store.shutdown();
     }
 

@@ -20,7 +20,11 @@
 //!   socket is rejected cleanly (counted, connection dropped) while the
 //!   protocol sails on, before and after the server re-binds;
 //! * **slot isolation** — a well-formed frame on server 0's socket
-//!   addressed to anyone else is dropped (counted), never handled.
+//!   addressed to anyone else is dropped (counted), never handled;
+//! * **coalesced bursts** — with many frames per router pass sharing
+//!   one socket write, a destination that crashes mid-burst loses its
+//!   own parts and nothing else, and its restarted incarnation's socket
+//!   sees only whole frames meant for it.
 
 use lucky_atomic::core::byz::{ForgeValue, WireFuzz};
 use lucky_atomic::core::Setup;
@@ -274,6 +278,71 @@ fn well_formed_frames_for_someone_else_are_dropped_not_handled() {
     assert_eq!(h.read(0).unwrap().value.as_u64(), Some(1));
     h.write(Value::from_u64(2)).unwrap();
     assert_eq!(h.read(0).unwrap().value.as_u64(), Some(2));
+    store.check_atomicity().unwrap();
+    store.shutdown();
+}
+
+#[test]
+fn a_coalesced_burst_survives_the_crash_and_restart_of_a_destination() {
+    // One WRITE in flight per register: every router pass finds many
+    // frames due per destination and writes them as one buffer. S = 3
+    // and t = 1, so S − 1 servers are a quorum (and, with fw = 1, enough
+    // for a fast WRITE). The latency band keeps a burst's frames in
+    // flight long enough for the crash to land among them; the timer is
+    // far above the round trip, which a lucky WRITE does not wait out.
+    const BURST: usize = 64;
+    let params = Params::new(1, 0, 1, 0).unwrap();
+    let mut cfg = NetConfig::for_latency(Duration::from_millis(10), Duration::from_micros(10_200));
+    cfg.timer = Duration::from_millis(100);
+    let mut store =
+        NetStore::builder(params, cfg).registers(BURST).transport(Transport::Tcp).build();
+    let handles: Vec<_> =
+        RegisterId::all(BURST).map(|reg| store.register(reg).expect("fresh handle")).collect();
+    let burst = |round: u64| -> Vec<_> {
+        handles
+            .iter()
+            .map(|h| h.invoke_write(Value::from_u64(round * 1_000 + h.id().0 as u64)))
+            .collect()
+    };
+    let s0 = ServerId(0);
+    let first = store.server_addr(s0).expect("TCP transport exposes server addresses");
+
+    // Crash server 0 under the burst: every ticket still resolves, and
+    // what is lost is exactly traffic that was bound for server 0 — a
+    // failed or sink-less flush counts its own slot's parts, no other's.
+    let tickets = burst(1);
+    store.crash_server(0);
+    for t in tickets {
+        t.wait().expect("S − 1 servers still answer");
+    }
+    let crashed = store.stats();
+    assert!(crashed.dropped > 0, "the burst was still in flight when server 0 went: {crashed}");
+    assert!(
+        crashed.dropped <= crashed.server(s0).parts,
+        "only parts bound for server 0 may be lost: {crashed}"
+    );
+    assert!(
+        crashed.socket_writes < crashed.messages,
+        "{BURST} tickets in flight must share socket writes: {crashed}"
+    );
+
+    // Restart it: a new listener, a new sink, and a burst that is fast
+    // on all S again. Nothing more is dropped — by the router (the new
+    // sink took every frame) or by server 0 (it was up to take them).
+    store.restart_server(0);
+    assert_ne!(first, store.server_addr(s0).expect("restarted slot re-binds"));
+    let restarted = store.stats();
+    for t in burst(2) {
+        assert!(t.wait().expect("all S servers answer").fast);
+    }
+    let end = store.stats();
+    assert_eq!(end.dropped, restarted.dropped, "server 0 is back: {end}");
+    assert!(
+        end.server(s0).parts >= restarted.server(s0).parts + BURST as u64,
+        "server 0 is routed to again: {end}"
+    );
+    assert_eq!(end.decode_errors, 0, "every socket only ever saw whole frames");
+    assert!(end.socket_writes < end.messages, "{end}");
     store.check_atomicity().unwrap();
     store.shutdown();
 }
