@@ -263,12 +263,12 @@ pub struct AbdConfig {
 
 impl AbdConfig {
     /// Synchronous network preset matching `lucky-core`'s
-    /// `ClusterConfig::synchronous` (δ = 100µs), for fair comparisons.
+    /// `StoreConfig::synchronous` (δ = 100µs), for fair comparisons.
     pub fn synchronous(t: usize) -> AbdConfig {
         AbdConfig { t, net: NetworkModel::uniform(50, 100), seed: 0 }
     }
 
-    /// Asynchronous preset matching `ClusterConfig::asynchronous`.
+    /// Asynchronous preset matching `StoreConfig::asynchronous`.
     pub fn asynchronous(t: usize) -> AbdConfig {
         AbdConfig { t, net: NetworkModel::uniform(50, 20_000), seed: 0 }
     }
@@ -281,7 +281,8 @@ impl AbdConfig {
     }
 }
 
-/// A simulated ABD cluster mirroring `SimCluster`'s surface.
+/// A simulated ABD cluster serving one register, with the `write`/`read`
+/// surface of a one-register `lucky-core` `SimStore`.
 #[derive(Debug)]
 pub struct AbdCluster {
     world: World<AbdMessage>,

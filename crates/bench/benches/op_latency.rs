@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lucky_baselines::abd::{AbdCluster, AbdConfig};
-use lucky_core::{ClusterConfig, ProtocolConfig, SimCluster};
+use lucky_core::{ProtocolConfig, Setup, StoreConfig};
 use lucky_net::{Driver, NetConfig, NetStore, Transport};
 use lucky_types::{Params, ReaderId, RegisterId, TwoRoundParams, Value};
 use std::time::Duration;
@@ -19,8 +19,8 @@ fn bench_lucky_ops(c: &mut Criterion) {
 
     group.bench_function("fast_write", |bencher| {
         bencher.iter_batched_ref(
-            || SimCluster::new(ClusterConfig::synchronous(params), 1),
-            |cluster| cluster.write(Value::from_u64(1)),
+            || StoreConfig::synchronous(params).build_sim(),
+            |store| store.register(RegisterId::DEFAULT).write(Value::from_u64(1)),
             BatchSize::SmallInput,
         );
     });
@@ -28,11 +28,11 @@ fn bench_lucky_ops(c: &mut Criterion) {
     group.bench_function("fast_read", |bencher| {
         bencher.iter_batched_ref(
             || {
-                let mut cluster = SimCluster::new(ClusterConfig::synchronous(params), 1);
-                cluster.write(Value::from_u64(1));
-                cluster
+                let mut store = StoreConfig::synchronous(params).build_sim();
+                store.register(RegisterId::DEFAULT).write(Value::from_u64(1));
+                store
             },
-            |cluster| cluster.read(ReaderId(0)),
+            |store| store.register(RegisterId::DEFAULT).read(0),
             BatchSize::SmallInput,
         );
     });
@@ -40,15 +40,13 @@ fn bench_lucky_ops(c: &mut Criterion) {
     group.bench_function("slow_write", |bencher| {
         bencher.iter_batched_ref(
             || {
-                let mut cluster = SimCluster::new(
-                    ClusterConfig::synchronous(params)
-                        .with_protocol(ProtocolConfig::slow_only(100)),
-                    1,
-                );
-                cluster.write(Value::from_u64(1));
-                cluster
+                let mut store = StoreConfig::synchronous(params)
+                    .with_protocol(ProtocolConfig::slow_only(100))
+                    .build_sim();
+                store.register(RegisterId::DEFAULT).write(Value::from_u64(1));
+                store
             },
-            |cluster| cluster.write(Value::from_u64(2)),
+            |store| store.register(RegisterId::DEFAULT).write(Value::from_u64(2)),
             BatchSize::SmallInput,
         );
     });
@@ -56,15 +54,13 @@ fn bench_lucky_ops(c: &mut Criterion) {
     group.bench_function("slow_read_with_writeback", |bencher| {
         bencher.iter_batched_ref(
             || {
-                let mut cluster = SimCluster::new(
-                    ClusterConfig::synchronous(params)
-                        .with_protocol(ProtocolConfig::slow_only(100)),
-                    1,
-                );
-                cluster.write(Value::from_u64(1));
-                cluster
+                let mut store = StoreConfig::synchronous(params)
+                    .with_protocol(ProtocolConfig::slow_only(100))
+                    .build_sim();
+                store.register(RegisterId::DEFAULT).write(Value::from_u64(1));
+                store
             },
-            |cluster| cluster.read(ReaderId(0)),
+            |store| store.register(RegisterId::DEFAULT).read(0),
             BatchSize::SmallInput,
         );
     });
@@ -77,10 +73,10 @@ fn bench_variants(c: &mut Criterion) {
     let params = Params::new(2, 1, 1, 0).unwrap();
     group.bench_function("atomic", |bencher| {
         bencher.iter_batched_ref(
-            || SimCluster::new(ClusterConfig::synchronous(params), 1),
-            |cluster| {
-                cluster.write(Value::from_u64(1));
-                cluster.read(ReaderId(0))
+            || StoreConfig::synchronous(params).build_sim(),
+            |store| {
+                store.register(RegisterId::DEFAULT).write(Value::from_u64(1));
+                store.register(RegisterId::DEFAULT).read(0)
             },
             BatchSize::SmallInput,
         );
@@ -89,10 +85,10 @@ fn bench_variants(c: &mut Criterion) {
     let trp = TwoRoundParams::new(2, 1, 1).unwrap();
     group.bench_function("two_round", |bencher| {
         bencher.iter_batched_ref(
-            || SimCluster::new(ClusterConfig::synchronous_two_round(trp), 1),
-            |cluster| {
-                cluster.write(Value::from_u64(1));
-                cluster.read(ReaderId(0))
+            || StoreConfig::synchronous(trp).build_sim(),
+            |store| {
+                store.register(RegisterId::DEFAULT).write(Value::from_u64(1));
+                store.register(RegisterId::DEFAULT).read(0)
             },
             BatchSize::SmallInput,
         );
@@ -101,10 +97,10 @@ fn bench_variants(c: &mut Criterion) {
     let reg = Params::trading_reads(2, 1).unwrap();
     group.bench_function("regular", |bencher| {
         bencher.iter_batched_ref(
-            || SimCluster::new(ClusterConfig::synchronous_regular(reg), 1),
-            |cluster| {
-                cluster.write(Value::from_u64(1));
-                cluster.read(ReaderId(0))
+            || StoreConfig::synchronous(Setup::Regular(reg)).build_sim(),
+            |store| {
+                store.register(RegisterId::DEFAULT).write(Value::from_u64(1));
+                store.register(RegisterId::DEFAULT).read(0)
             },
             BatchSize::SmallInput,
         );

@@ -7,9 +7,9 @@
 //! latency grows with the slow-path (write-back) share.
 
 use lucky_bench::{mean, print_table};
-use lucky_core::{ClusterConfig, SimCluster};
+use lucky_core::StoreConfig;
 use lucky_trace::Histogram;
-use lucky_types::{Params, ReaderId, Time, Value};
+use lucky_types::{Params, RegisterId, Time, Value};
 
 fn main() {
     println!("# F1 — read luck vs write contention");
@@ -23,7 +23,7 @@ fn main() {
         let mut lats = Vec::new();
         let hist = Histogram::new();
         let mut rounds = Vec::new();
-        let mut c = SimCluster::new(ClusterConfig::synchronous(params).with_seed(duty_pct), 1);
+        let mut c = StoreConfig::synchronous(params).with_seed(duty_pct).build_sim();
         let mut next_val = 1u64;
         // Pre-schedule the write storm: within every 5ms slot, writes
         // occupy the first `duty_pct`% (one write every 300µs).
@@ -34,7 +34,7 @@ fn main() {
             let busy = period * duty_pct / 100;
             let mut offset = 0u64;
             while offset + write_len <= busy {
-                c.invoke_write_at(
+                c.register(RegisterId::DEFAULT).invoke_write_at(
                     Time(slot_start.micros() + offset + 1),
                     Value::from_u64(next_val),
                 );
@@ -47,7 +47,9 @@ fn main() {
         let mut read_ops = Vec::new();
         for slot in 0..READS as u64 {
             let phase = (slot.wrapping_mul(769)) % (period - 1_500);
-            read_ops.push(c.invoke_read_at(Time(slot * period + phase), ReaderId(0)));
+            read_ops.push(
+                c.register(RegisterId::DEFAULT).invoke_read_at(Time(slot * period + phase), 0),
+            );
         }
         c.run_until_idle(50_000_000);
         for op in read_ops {

@@ -8,9 +8,9 @@
 //! algorithm is "optimized for the common, not that bad conditions" (§1).
 
 use lucky_bench::{mean, print_table};
-use lucky_core::{ClusterConfig, SimCluster};
+use lucky_core::StoreConfig;
 use lucky_sim::NetworkModel;
-use lucky_types::{Params, ReaderId, Value};
+use lucky_types::{Params, RegisterId, Value};
 
 fn main() {
     println!("# F2 — luck vs network delay spread (timer fixed at 2δ, δ = 100µs)");
@@ -23,15 +23,15 @@ fn main() {
         let mut wr_lat = Vec::new();
         let mut rd_lat = Vec::new();
         for seed in 0..4u64 {
-            let cfg = ClusterConfig::synchronous(params)
+            let mut c = StoreConfig::synchronous(params)
                 .with_net(NetworkModel::uniform(50, max_delay))
-                .with_seed(seed);
-            let mut c = SimCluster::new(cfg, 1);
+                .with_seed(seed)
+                .build_sim();
             for i in 1..=OPS / 4 {
-                let w = c.write(Value::from_u64(seed * 1_000 + i));
+                let w = c.register(RegisterId::DEFAULT).write(Value::from_u64(seed * 1_000 + i));
                 wr_fast += w.fast as usize;
                 wr_lat.push(w.latency);
-                let r = c.read(ReaderId(0));
+                let r = c.register(RegisterId::DEFAULT).read(0);
                 rd_fast += r.fast as usize;
                 rd_lat.push(r.latency);
             }

@@ -9,21 +9,21 @@
 
 use lucky_baselines::abd::{AbdCluster, AbdConfig};
 use lucky_bench::{mean, print_table};
-use lucky_core::{ClusterConfig, SimCluster};
-use lucky_types::{Params, ReaderId, TwoRoundParams, Value};
+use lucky_core::StoreConfig;
+use lucky_types::{Params, ReaderId, RegisterId, TwoRoundParams, Value};
 
 const OPS: u64 = 30;
 
 fn lucky_row(t: usize, b: usize) -> Vec<String> {
     let params = Params::new(t, b, t - b, 0).unwrap();
-    let mut c = SimCluster::new(ClusterConfig::synchronous(params), 1);
+    let mut c = StoreConfig::synchronous(params).build_sim();
     let (mut wl, mut wm, mut wb, mut rl, mut rm) = (vec![], vec![], vec![], vec![], vec![]);
     for i in 1..=OPS {
-        let w = c.write(Value::from_u64(i));
+        let w = c.register(RegisterId::DEFAULT).write(Value::from_u64(i));
         wl.push(w.latency);
         wm.push(w.msgs);
         wb.push(w.bytes);
-        let r = c.read(ReaderId(0));
+        let r = c.register(RegisterId::DEFAULT).read(0);
         rl.push(r.latency);
         rm.push(r.msgs);
     }
@@ -41,14 +41,14 @@ fn lucky_row(t: usize, b: usize) -> Vec<String> {
 
 fn tworound_row(t: usize, b: usize, fr: usize) -> Vec<String> {
     let params = TwoRoundParams::new(t, b, fr).unwrap();
-    let mut c = SimCluster::new(ClusterConfig::synchronous_two_round(params), 1);
+    let mut c = StoreConfig::synchronous(params).build_sim();
     let (mut wl, mut wm, mut wb, mut rl, mut rm) = (vec![], vec![], vec![], vec![], vec![]);
     for i in 1..=OPS {
-        let w = c.write(Value::from_u64(i));
+        let w = c.register(RegisterId::DEFAULT).write(Value::from_u64(i));
         wl.push(w.latency);
         wm.push(w.msgs);
         wb.push(w.bytes);
-        let r = c.read(ReaderId(0));
+        let r = c.register(RegisterId::DEFAULT).read(0);
         rl.push(r.latency);
         rm.push(r.msgs);
     }

@@ -9,8 +9,8 @@
 //! rates stay at 100% and atomicity holds, at constant S.
 
 use lucky_bench::{mean, pct, print_table};
-use lucky_core::{ClusterConfig, SimCluster};
-use lucky_types::{Params, ReaderId, Value};
+use lucky_core::StoreConfig;
+use lucky_types::{Params, RegisterId, Value};
 
 fn main() {
     println!("# F4 — supporting many readers at constant S");
@@ -41,14 +41,14 @@ fn main() {
     let params = Params::new(t, b, 1, 0).unwrap();
     let mut rows = Vec::new();
     for readers in [1usize, 2, 4, 8, 16] {
-        let mut c = SimCluster::new(ClusterConfig::synchronous(params), readers);
+        let mut c = StoreConfig::synchronous(params).readers_per_register(readers).build_sim();
         let mut fast = 0usize;
         let mut total = 0usize;
         let mut lat = Vec::new();
         for i in 1..=10u64 {
-            c.write(Value::from_u64(i));
+            c.register(RegisterId::DEFAULT).write(Value::from_u64(i));
             for r in 0..readers {
-                let out = c.read(ReaderId(r as u16));
+                let out = c.register(RegisterId::DEFAULT).read(r as u16);
                 assert_eq!(out.value.as_u64(), Some(i));
                 fast += out.fast as usize;
                 total += 1;

@@ -14,8 +14,8 @@
 //! the worst-case pattern reads are 1 round iff `crashes ≤ fr`, else 4.
 
 use lucky_bench::{mean, print_table};
-use lucky_core::{ClusterConfig, SimCluster};
-use lucky_types::{Params, ProcessId, ReaderId, ServerId, Value};
+use lucky_core::StoreConfig;
+use lucky_types::{Params, ProcessId, RegisterId, ServerId, Value};
 
 const REPS: usize = 20;
 
@@ -24,11 +24,11 @@ fn write_side(params: Params, crashes: usize) -> (f64, f64) {
     let mut rounds = Vec::new();
     let mut fast = 0;
     for seed in 0..REPS as u64 {
-        let mut c = SimCluster::new(ClusterConfig::synchronous(params).with_seed(seed), 1);
+        let mut c = StoreConfig::synchronous(params).with_seed(seed).build_sim();
         for i in 0..crashes {
             c.crash_server(i as u16);
         }
-        let w = c.write(Value::from_u64(1));
+        let w = c.register(RegisterId::DEFAULT).write(Value::from_u64(1));
         rounds.push(w.rounds as u64);
         fast += w.fast as usize;
         c.check_atomicity().expect("atomicity");
@@ -42,7 +42,7 @@ fn read_side(params: Params, crashes: usize, worst_case: bool) -> (f64, f64) {
     let mut rounds = Vec::new();
     let mut fast = 0;
     for seed in 0..REPS as u64 {
-        let mut c = SimCluster::new(ClusterConfig::synchronous(params).with_seed(seed), 1);
+        let mut c = StoreConfig::synchronous(params).with_seed(seed).build_sim();
         if worst_case {
             // The fast write misses its full budget of fw servers (PW in
             // transit), then `crashes` holders fail.
@@ -50,7 +50,7 @@ fn read_side(params: Params, crashes: usize, worst_case: bool) -> (f64, f64) {
                 let id = (params.server_count() - 1 - i) as u16;
                 c.world_mut().hold(ProcessId::Writer, ProcessId::Server(ServerId(id)));
             }
-            c.write(Value::from_u64(1));
+            c.register(RegisterId::DEFAULT).write(Value::from_u64(1));
             for i in 0..crashes {
                 c.crash_server(i as u16);
             }
@@ -58,9 +58,9 @@ fn read_side(params: Params, crashes: usize, worst_case: bool) -> (f64, f64) {
             for i in 0..crashes {
                 c.crash_server(i as u16);
             }
-            c.write(Value::from_u64(1));
+            c.register(RegisterId::DEFAULT).write(Value::from_u64(1));
         }
-        let r = c.read(ReaderId(0));
+        let r = c.register(RegisterId::DEFAULT).read(0);
         rounds.push(r.rounds as u64);
         fast += r.fast as usize;
         c.check_atomicity().expect("atomicity");

@@ -8,8 +8,8 @@
 
 use lucky_bench::print_table;
 use lucky_core::byz::SplitBrain;
-use lucky_core::{ClusterConfig, ProtocolConfig, SimCluster};
-use lucky_types::{Params, ProcessId, ReaderId, ServerId, Time, Value};
+use lucky_core::{ProtocolConfig, StoreConfig};
+use lucky_types::{Params, ProcessId, ReaderId, RegisterId, ServerId, Time, Value};
 
 fn server(i: u16) -> ProcessId {
     ProcessId::Server(ServerId(i))
@@ -24,26 +24,28 @@ fn fig4(params: Params, naive: bool) -> (bool, Option<u64>, Option<u64>, bool) {
         fastpw_override: naive.then(|| params.naive_fastpw_threshold()),
         ..ProtocolConfig::for_sync_bound(100)
     };
-    let cfg = ClusterConfig::synchronous(params).with_protocol(protocol);
-    let mut c = SimCluster::new(cfg, 2);
+    let mut c = StoreConfig::synchronous(params)
+        .with_protocol(protocol)
+        .readers_per_register(2)
+        .build_sim();
     c.install_byzantine(
         1,
         Box::new(SplitBrain::new([ProcessId::Writer, ProcessId::Reader(ReaderId(0))])),
     );
     c.world_mut().hold(ProcessId::Writer, server(4));
     c.world_mut().hold(ProcessId::Writer, server(5));
-    let _wr1 = c.invoke_write(Value::from_u64(1));
-    c.crash_writer_at(Time(150));
+    let _wr1 = c.register(RegisterId::DEFAULT).invoke_write(Value::from_u64(1));
+    c.crash_writer_at(RegisterId::DEFAULT, Time(150));
     c.run_until(Time(1_000));
 
     c.world_mut().hold(ProcessId::Reader(ReaderId(0)), server(4));
     c.world_mut().hold(server(4), ProcessId::Reader(ReaderId(0)));
-    let rd1 = c.invoke_read(ReaderId(0));
+    let rd1 = c.register(RegisterId::DEFAULT).invoke_read(0);
     c.run_until(Time(3_000));
 
     c.world_mut().hold(server(2), ProcessId::Reader(ReaderId(1)));
     c.world_mut().hold(server(3), ProcessId::Reader(ReaderId(1)));
-    let rd2 = c.invoke_read(ReaderId(1));
+    let rd2 = c.register(RegisterId::DEFAULT).invoke_read(1);
     let _ = c.run_until_complete(rd2);
 
     let rd1_rec = c.history().get(rd1).cloned();

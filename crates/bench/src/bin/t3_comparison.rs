@@ -12,8 +12,8 @@
 
 use lucky_baselines::abd::{AbdCluster, AbdConfig};
 use lucky_bench::{mean, print_table};
-use lucky_core::{ClusterConfig, ProtocolConfig, SimCluster};
-use lucky_types::{Params, ReaderId, Value};
+use lucky_core::{ProtocolConfig, StoreConfig};
+use lucky_types::{Params, ReaderId, RegisterId, Value};
 
 const OPS: u64 = 50;
 
@@ -29,23 +29,23 @@ struct Row {
 
 fn lucky_run(params: Params, slow_only: bool, asynchronous: bool, seed: u64) -> Row {
     let mut cfg = if asynchronous {
-        ClusterConfig::asynchronous(params)
+        StoreConfig::asynchronous(params)
     } else {
-        ClusterConfig::synchronous(params)
+        StoreConfig::synchronous(params)
     }
     .with_seed(seed);
     if slow_only {
         cfg = cfg.with_protocol(ProtocolConfig::slow_only(100));
     }
-    let mut c = SimCluster::new(cfg, 1);
+    let mut c = cfg.build_sim();
     let (mut wr, mut wl, mut wm, mut rr, mut rl, mut rm) =
         (vec![], vec![], vec![], vec![], vec![], vec![]);
     for i in 1..=OPS {
-        let w = c.write(Value::from_u64(i));
+        let w = c.register(RegisterId::DEFAULT).write(Value::from_u64(i));
         wr.push(w.rounds as u64);
         wl.push(w.latency);
         wm.push(w.msgs);
-        let r = c.read(ReaderId(0));
+        let r = c.register(RegisterId::DEFAULT).read(0);
         rr.push(r.rounds as u64);
         rl.push(r.latency);
         rm.push(r.msgs);

@@ -4,8 +4,8 @@
 //! `t` and any sequence length.
 
 use lucky_bench::{pct, print_table};
-use lucky_core::{ClusterConfig, SimCluster};
-use lucky_types::{Params, ProcessId, ReaderId, ServerId, Value};
+use lucky_core::StoreConfig;
+use lucky_types::{Params, ProcessId, RegisterId, ServerId, Value};
 
 fn main() {
     println!("# T4 — trading (few) reads: fw = t − b, fr = t (Prop. 3 / Thm 5)");
@@ -19,8 +19,7 @@ fn main() {
                 let mut first_fast = 0usize;
                 const REPS: usize = 10;
                 for seed in 0..REPS as u64 {
-                    let mut c =
-                        SimCluster::new(ClusterConfig::synchronous(params).with_seed(seed), 1);
+                    let mut c = StoreConfig::synchronous(params).with_seed(seed).build_sim();
                     // Worst case: one server misses the fast write, then
                     // `crashes` holders fail.
                     if crashes > 0 {
@@ -29,13 +28,13 @@ fn main() {
                             ProcessId::Server(ServerId((params.server_count() - 1) as u16)),
                         );
                     }
-                    c.write(Value::from_u64(1));
+                    c.register(RegisterId::DEFAULT).write(Value::from_u64(1));
                     for i in 0..crashes {
                         c.crash_server(i as u16);
                     }
                     let mut slow = 0usize;
                     for k in 0..n {
-                        let r = c.read(ReaderId(0));
+                        let r = c.register(RegisterId::DEFAULT).read(0);
                         if !r.fast {
                             slow += 1;
                         } else if k == 0 {

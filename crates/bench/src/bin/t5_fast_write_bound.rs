@@ -9,8 +9,8 @@
 
 use lucky_bench::print_table;
 use lucky_core::byz::SplitBrain;
-use lucky_core::{ClusterConfig, SimCluster};
-use lucky_types::{Params, ProcessId, ReaderId, ServerId, Time, Value};
+use lucky_core::StoreConfig;
+use lucky_types::{Params, ProcessId, ReaderId, RegisterId, ServerId, Time, Value};
 
 fn server(i: u16) -> ProcessId {
     ProcessId::Server(ServerId(i))
@@ -22,12 +22,12 @@ fn server(i: u16) -> ProcessId {
 /// Returns (write fast?, write rounds, read value, safe?).
 fn appendix_b(fw: usize) -> (bool, u32, Option<u64>, bool) {
     let params = Params::new_unchecked(2, 1, fw, 0);
-    let mut c = SimCluster::new(ClusterConfig::synchronous(params), 1);
+    let mut c = StoreConfig::synchronous(params).build_sim();
     c.install_byzantine(1, Box::new(SplitBrain::new([ProcessId::Writer])));
     c.world_mut().hold(ProcessId::Writer, server(4));
     c.world_mut().hold(ProcessId::Writer, server(5));
 
-    let w = c.try_write(Value::from_u64(1));
+    let w = c.register(RegisterId::DEFAULT).try_write(Value::from_u64(1));
     let (fast, rounds) = match &w {
         Ok(o) => (o.fast, o.rounds),
         Err(_) => (false, 0),
@@ -35,7 +35,7 @@ fn appendix_b(fw: usize) -> (bool, u32, Option<u64>, bool) {
 
     c.world_mut().hold(server(2), ProcessId::Reader(ReaderId(0)));
     c.world_mut().hold(server(3), ProcessId::Reader(ReaderId(0)));
-    let rd = c.invoke_read(ReaderId(0));
+    let rd = c.register(RegisterId::DEFAULT).invoke_read(0);
     // Give the read 5ms; if it (correctly) refuses to decide without T1,
     // release the delayed links — mirroring "delayed until after t3".
     c.run_until(Time(c.now().micros() + 5_000));

@@ -9,8 +9,8 @@
 
 use lucky_bench::{mean, print_table};
 use lucky_core::byz::SplitBrain;
-use lucky_core::{ClusterConfig, SimCluster};
-use lucky_types::{ProcessId, ReaderId, ServerId, Time, TwoRoundParams, Value};
+use lucky_core::StoreConfig;
+use lucky_types::{ProcessId, ReaderId, RegisterId, ServerId, Time, TwoRoundParams, Value};
 
 fn server(i: u16) -> ProcessId {
     ProcessId::Server(ServerId(i))
@@ -25,16 +25,13 @@ fn algorithm_table() {
             let mut wr_rounds = Vec::new();
             let mut rd_fast = 0usize;
             for seed in 0..REPS as u64 {
-                let mut c = SimCluster::new(
-                    ClusterConfig::synchronous_two_round(params).with_seed(seed),
-                    1,
-                );
-                let w = c.write(Value::from_u64(1));
+                let mut c = StoreConfig::synchronous(params).with_seed(seed).build_sim();
+                let w = c.register(RegisterId::DEFAULT).write(Value::from_u64(1));
                 wr_rounds.push(w.rounds as u64);
                 for i in 0..crashes {
                     c.crash_server(i as u16);
                 }
-                let r = c.read(ReaderId(0));
+                let r = c.register(RegisterId::DEFAULT).read(0);
                 rd_fast += r.fast as usize;
                 c.check_atomicity().expect("atomicity");
             }
@@ -63,25 +60,25 @@ fn fig5(short: bool) -> (Option<u64>, Option<u64>, bool) {
     } else {
         TwoRoundParams::new(1, 1, 1).unwrap()
     };
-    let mut c = SimCluster::new(ClusterConfig::synchronous_two_round(params), 2);
+    let mut c = StoreConfig::synchronous(params).readers_per_register(2).build_sim();
     c.install_byzantine(
         2,
         Box::new(SplitBrain::new([ProcessId::Writer, ProcessId::Reader(ReaderId(0))])),
     );
     c.world_mut().hold(ProcessId::Writer, server(0));
-    let _wr1 = c.invoke_write(Value::from_u64(1));
+    let _wr1 = c.register(RegisterId::DEFAULT).invoke_write(Value::from_u64(1));
     c.run_until(Time(150));
     c.world_mut().hold(ProcessId::Writer, server(3));
     c.run_until(Time(1_000));
-    c.crash_writer_at(Time(1_001));
+    c.crash_writer_at(RegisterId::DEFAULT, Time(1_001));
     c.run_until(Time(2_000));
 
     c.world_mut().hold(ProcessId::Reader(ReaderId(0)), server(3));
-    let rd1 = c.invoke_read(ReaderId(0));
+    let rd1 = c.register(RegisterId::DEFAULT).invoke_read(0);
     let _ = c.run_until_complete(rd1);
 
     c.world_mut().hold(server(1), ProcessId::Reader(ReaderId(1)));
-    let rd2 = c.invoke_read(ReaderId(1));
+    let rd2 = c.register(RegisterId::DEFAULT).invoke_read(1);
     let _ = c.run_until_complete(rd2);
 
     let v = |op| {

@@ -3,7 +3,7 @@
 //! with the atomic variant as the vulnerable control.
 
 use lucky_bench::{pct, print_table};
-use lucky_core::{ClusterConfig, SimCluster};
+use lucky_core::{Setup, SimStore, StoreConfig};
 use lucky_types::{
     Message, Params, ProcessId, ReadSeq, ReaderId, RegisterId, Seq, ServerId, Tag, TsVal, Value,
     WriteMsg,
@@ -20,21 +20,21 @@ fn fast_rate_table() {
             for seed in 0..REPS as u64 {
                 // Write side: all crashes in place before the write.
                 let mut c =
-                    SimCluster::new(ClusterConfig::synchronous_regular(params).with_seed(seed), 1);
+                    StoreConfig::synchronous(Setup::Regular(params)).with_seed(seed).build_sim();
                 for i in 0..crashes {
                     c.crash_server(i as u16);
                 }
-                let w = c.write(Value::from_u64(1));
+                let w = c.register(RegisterId::DEFAULT).write(Value::from_u64(1));
                 wr_fast += w.fast as usize;
                 c.check_regularity().expect("regularity");
                 // Read side: the write completes first, then the crashes.
                 let mut c =
-                    SimCluster::new(ClusterConfig::synchronous_regular(params).with_seed(seed), 1);
-                c.write(Value::from_u64(1));
+                    StoreConfig::synchronous(Setup::Regular(params)).with_seed(seed).build_sim();
+                c.register(RegisterId::DEFAULT).write(Value::from_u64(1));
                 for i in 0..crashes {
                     c.crash_server(i as u16);
                 }
-                let r = c.read(ReaderId(0));
+                let r = c.register(RegisterId::DEFAULT).read(0);
                 rd_fast += r.fast as usize;
                 c.check_regularity().expect("regularity");
             }
@@ -56,7 +56,7 @@ fn fast_rate_table() {
 
 /// A malicious reader write-back flood (§5 "Tolerating malicious
 /// readers"): forged pair injected as WB rounds 1–3 to every server.
-fn poison(c: &mut SimCluster) {
+fn poison(c: &mut SimStore) {
     let forged = TsVal::new(Seq(40), Value::from_u64(666));
     for round in 1..=3u8 {
         for i in 0..c.server_count() as u16 {
@@ -81,10 +81,10 @@ fn malicious_reader_table() {
 
     // Control: the atomic variant trusts write-backs.
     let params = Params::new(2, 1, 1, 0).unwrap();
-    let mut c = SimCluster::new(ClusterConfig::synchronous(params), 1);
-    c.write(Value::from_u64(1));
+    let mut c = StoreConfig::synchronous(params).build_sim();
+    c.register(RegisterId::DEFAULT).write(Value::from_u64(1));
     poison(&mut c);
-    let r = c.read(ReaderId(0));
+    let r = c.register(RegisterId::DEFAULT).read(0);
     rows.push(vec![
         "atomic (§3)".into(),
         format!("{}", r.value),
@@ -93,10 +93,10 @@ fn malicious_reader_table() {
 
     // The regular variant ignores reader write-backs.
     let params = Params::trading_reads(2, 1).unwrap();
-    let mut c = SimCluster::new(ClusterConfig::synchronous_regular(params), 1);
-    c.write(Value::from_u64(1));
+    let mut c = StoreConfig::synchronous(Setup::Regular(params)).build_sim();
+    c.register(RegisterId::DEFAULT).write(Value::from_u64(1));
     poison(&mut c);
-    let r = c.read(ReaderId(0));
+    let r = c.register(RegisterId::DEFAULT).read(0);
     rows.push(vec![
         "regular (App. D)".into(),
         format!("{}", r.value),

@@ -3,8 +3,8 @@
 //! slow synchronous READs before returning to fast operation.
 
 use lucky_bench::print_table;
-use lucky_core::{ClusterConfig, SimCluster};
-use lucky_types::{Params, ProcessId, ReaderId, ServerId, Time, Value};
+use lucky_core::{SimStore, StoreConfig};
+use lucky_types::{Params, ProcessId, RegisterId, ServerId, Time, Value};
 
 fn server(i: u16) -> ProcessId {
     ProcessId::Server(ServerId(i))
@@ -13,27 +13,28 @@ fn server(i: u16) -> ProcessId {
 /// Crash the writer mid-write. `phase` selects where: 0 = during PW
 /// (delivered to `reach` servers), 1 = during W round 2 (delivered to the
 /// non-held servers), 2 = during W round 3.
-fn ghost(params: Params, phase: u8, reach: usize, seed: u64) -> SimCluster {
-    let mut c = SimCluster::new(ClusterConfig::synchronous(params).with_seed(seed), 2);
-    c.write(Value::from_u64(1));
+fn ghost(params: Params, phase: u8, reach: usize, seed: u64) -> SimStore {
+    let mut c =
+        StoreConfig::synchronous(params).with_seed(seed).readers_per_register(2).build_sim();
+    c.register(RegisterId::DEFAULT).write(Value::from_u64(1));
     match phase {
         0 => {
             for i in reach..params.server_count() {
                 c.world_mut().hold(ProcessId::Writer, server(i as u16));
             }
-            let _ghost = c.invoke_write(Value::from_u64(2));
+            let _ghost = c.register(RegisterId::DEFAULT).invoke_write(Value::from_u64(2));
             let at = c.now() + 5;
-            c.crash_writer_at(Time(at.micros()));
+            c.crash_writer_at(RegisterId::DEFAULT, Time(at.micros()));
         }
         _ => {
             // Deny the fast path (hold two PW links) so the W phase runs;
             // crash after round 2 (~+260µs) or round 3 (~+460µs) went out.
             c.world_mut().hold(ProcessId::Writer, server(4));
             c.world_mut().hold(ProcessId::Writer, server(5));
-            let _ghost = c.invoke_write(Value::from_u64(2));
+            let _ghost = c.register(RegisterId::DEFAULT).invoke_write(Value::from_u64(2));
             let offset = if phase == 1 { 260 } else { 460 };
             let at = c.now() + offset;
-            c.crash_writer_at(Time(at.micros()));
+            c.crash_writer_at(RegisterId::DEFAULT, Time(at.micros()));
         }
     }
     c.run_for(2_000);
@@ -61,7 +62,7 @@ fn main() {
             let mut slow = 0usize;
             let mut last_fast = false;
             for _ in 0..READS {
-                let r = c.read(ReaderId(0));
+                let r = c.register(RegisterId::DEFAULT).read(0);
                 if !r.fast {
                     slow += 1;
                 }

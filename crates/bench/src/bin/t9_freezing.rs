@@ -4,18 +4,18 @@
 //! it, it exhausts any round budget.
 
 use lucky_bench::{mean, print_table};
-use lucky_core::{ClusterConfig, ProtocolConfig, SimCluster};
+use lucky_core::{ProtocolConfig, SimStore, StoreConfig};
 use lucky_sim::Delay;
-use lucky_types::{OpId, Params, ProcessId, ReaderId, ServerId, Value};
+use lucky_types::{OpId, Params, ProcessId, ReaderId, RegisterId, ServerId, Value};
 
-fn storm(freezing: bool, cap: u32, seed: u64) -> (SimCluster, OpId, u64) {
+fn storm(freezing: bool, cap: u32, seed: u64) -> (SimStore, OpId, u64) {
     let params = Params::new(2, 1, 1, 0).unwrap();
     let protocol = ProtocolConfig {
         freezing,
         max_read_rounds: Some(cap),
         ..ProtocolConfig::for_sync_bound(100)
     };
-    let mut cfg = ClusterConfig::synchronous(params).with_protocol(protocol).with_seed(seed);
+    let mut cfg = StoreConfig::synchronous(params).with_protocol(protocol).with_seed(seed);
     // Staggered sampling: each round sees four non-adjacent write epochs.
     for i in 0..params.server_count() as u16 {
         cfg.net.set_link(
@@ -24,14 +24,15 @@ fn storm(freezing: bool, cap: u32, seed: u64) -> (SimCluster, OpId, u64) {
             Delay::Constant(100 + 1_300 * i as u64),
         );
     }
-    let mut c = SimCluster::new(cfg, 1);
+    let mut c = cfg.build_sim();
     c.crash_server(4);
     c.crash_server(5);
-    let read_op = c.invoke_read_at(c.now() + 2_000, ReaderId(0));
+    let start = c.now() + 2_000;
+    let read_op = c.register(RegisterId::DEFAULT).invoke_read_at(start, 0);
     let mut writes = 0u64;
     while !c.is_complete(read_op) && writes < 500 {
         writes += 1;
-        c.write(Value::from_u64(writes));
+        c.register(RegisterId::DEFAULT).write(Value::from_u64(writes));
     }
     c.run_until_idle(5_000_000);
     (c, read_op, writes)

@@ -1,8 +1,8 @@
 //! # lucky-bench
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! reproduction (see `DESIGN.md` §3 for the experiment index and
-//! `EXPERIMENTS.md` for recorded results).
+//! reproduction: the repository README lists them, and each binary's
+//! module doc names the paper result it reproduces.
 //!
 //! Each experiment is a binary under `src/bin/` printing a markdown
 //! table; run them all with
@@ -10,12 +10,16 @@
 //! ```text
 //! for b in t1_fast_path t2_bound_validation t3_comparison t4_trading_reads \
 //!          t5_fast_write_bound t6_tworound t7_regular t8_ghost t9_freezing \
-//!          f1_latency_contention f2_latency_synchrony f3_scalability; do
+//!          t10_exhaustive f1_latency_contention f2_latency_synchrony \
+//!          f3_scalability f4_reader_scaling; do
 //!     cargo run --release -p lucky-bench --bin $b
 //! done
 //! ```
 //!
-//! Criterion micro-benchmarks live under `benches/`.
+//! Every binary but `t10_exhaustive` runs on virtual time with fixed
+//! seeds; `tests/paper_tables.rs` holds their output byte for byte
+//! against the recorded tables in `golden/`. Criterion micro-benchmarks
+//! live under `benches/`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

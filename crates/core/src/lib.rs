@@ -41,25 +41,25 @@
 //! * [`byz`] — Byzantine server behaviours (state forging, split-brain
 //!   equivocation, value forging, …) used by the bound-violation
 //!   experiments and the fault-injection tests;
-//! * [`runtime`] — `lucky-sim` adapters, the single-register
-//!   [`SimCluster`] API, and the multi-register store facade
+//! * [`runtime`] — `lucky-sim` adapters and the store facade
 //!   ([`StoreConfig`] → [`SimStore`], with [`RegisterMux`] multiplexing
 //!   per-register server state so one cluster serves a whole register
-//!   namespace).
+//!   namespace; the paper's single register is
+//!   [`RegisterId::DEFAULT`](lucky_types::RegisterId::DEFAULT)).
 //!
 //! ## Example
 //!
 //! ```
-//! use lucky_core::{ClusterConfig, SimCluster};
-//! use lucky_types::{Params, ReaderId, Value};
+//! use lucky_core::StoreConfig;
+//! use lucky_types::{Params, RegisterId, Value};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let params = Params::new(2, 1, 1, 0)?; // t=2, b=1, fw=1, fr=0
-//! let mut cluster = SimCluster::new(ClusterConfig::synchronous(params), 1);
-//! assert!(cluster.write(Value::from_u64(7)).fast);
-//! let read = cluster.read(ReaderId(0));
+//! let mut store = StoreConfig::synchronous(params).build_sim();
+//! assert!(store.register(RegisterId::DEFAULT).write(Value::from_u64(7)).fast);
+//! let read = store.register(RegisterId::DEFAULT).read(0); // reader 0
 //! assert_eq!(read.value.as_u64(), Some(7));
-//! cluster.check_atomicity()?;
+//! store.check_atomicity()?;
 //! # Ok(())
 //! # }
 //! ```
@@ -80,8 +80,7 @@ pub mod view;
 
 pub use config::{ProtocolConfig, Variant};
 pub use runtime::{
-    ClientSession, ClusterConfig, OpOutcome, RegisterMux, SessionConfig, SessionError,
-    SessionOutcome, SessionStatus, Setup, SimCluster, SimRegister, SimStore, StoreConfig,
-    SYNC_BOUND_MICROS,
+    ClientSession, OpOutcome, RegisterMux, SessionConfig, SessionError, SessionOutcome,
+    SessionStatus, Setup, SimRegister, SimStore, StoreConfig, SYNC_BOUND_MICROS,
 };
 pub use view::{ServerView, ViewTable};

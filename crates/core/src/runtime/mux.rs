@@ -1,7 +1,7 @@
 //! Multiplexing one server process over many registers.
 
 use crate::runtime::adapters::ServerCore;
-use crate::runtime::cluster::Setup;
+use crate::runtime::setup::Setup;
 use lucky_log::{MemoryBackend, ServerBackend};
 use lucky_sim::Effects;
 use lucky_types::{BatchConfig, Message, ProcessId, RegisterId};

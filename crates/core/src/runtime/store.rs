@@ -1,4 +1,4 @@
-//! The multi-register store facade over the simulator runtime.
+//! The store facade over the simulator runtime.
 //!
 //! The paper emulates *one* robust register; a production store serves a
 //! whole namespace of them over a single `S = 2t + b + 1` server cluster.
@@ -8,7 +8,9 @@
 //! server multiplexes per-register state through a
 //! [`RegisterMux`](crate::runtime::RegisterMux), and [`SimStore::register`]
 //! hands out typed [`SimRegister`] handles exposing the familiar
-//! `write`/`read`/`invoke_*` operations.
+//! `write`/`read`/`invoke_*` operations. The default namespace is the
+//! paper's single register, [`RegisterId::DEFAULT`], whose writer is
+//! [`ProcessId::Writer`] and whose reader `j` is `ReaderId(j)`.
 //!
 //! ```
 //! use lucky_core::StoreConfig;
@@ -29,31 +31,45 @@
 //! ```
 
 use crate::byz;
+use crate::config::ProtocolConfig;
 use crate::runtime::adapters::{ServerAutomaton, ServerCore, SessionAutomaton};
-use crate::runtime::cluster::{ClusterConfig, OpOutcome, Setup};
 use crate::runtime::session::SessionConfig;
+use crate::runtime::setup::Setup;
 use lucky_checker::Violations;
 use lucky_log::{DurableBackend, LogCounters};
 use lucky_sim::{NetworkModel, RunError, World};
 use lucky_types::{
-    BatchConfig, History, Message, Op, OpId, Params, ProcessId, ReaderId, RegisterId, ServerId,
-    Time, TwoRoundParams, Value,
+    BatchConfig, History, Message, Op, OpId, OpKind, OpRecord, ProcessId, ReaderId, RegisterId,
+    ServerId, Time, Value,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// Configuration of a multi-register store: a cluster configuration plus
+/// The synchrony bound δ used by the presets, in microseconds.
+pub const SYNC_BOUND_MICROS: u64 = 100;
+
+/// Configuration of a store: the protocol variant, the network regime and
 /// the shape of the register namespace.
 ///
-/// The presets mirror [`ClusterConfig`]'s network regimes; chain
-/// [`StoreConfig::registers`] and [`StoreConfig::readers_per_register`] to
-/// size the namespace, then build a runtime with
-/// [`StoreConfig::build_sim`] (or hand the config to `lucky-net`'s
-/// `NetStore` for the threaded runtime).
+/// The presets encode the two network regimes the paper distinguishes
+/// (§2.3): [`StoreConfig::synchronous`] keeps every delay within the bound
+/// the clients' timers assume (δ = [`SYNC_BOUND_MICROS`]), so operations
+/// are *lucky* whenever they are contention-free;
+/// [`StoreConfig::asynchronous`] draws delays far beyond that bound. Both
+/// serve one register with one reader; chain [`StoreConfig::registers`]
+/// and [`StoreConfig::readers_per_register`] to size the namespace, then
+/// build a runtime with [`StoreConfig::build_sim`] (or hand the config to
+/// `lucky-net`'s `NetStore` for the threaded runtime).
 #[derive(Clone, Debug)]
 pub struct StoreConfig {
-    /// Variant, protocol tunables, network model and seed.
-    pub cluster: ClusterConfig,
+    /// Protocol variant and resilience parameters.
+    pub setup: Setup,
+    /// Protocol tunables (timers, fast paths, freezing).
+    pub protocol: ProtocolConfig,
+    /// Network delay model.
+    pub net: NetworkModel,
+    /// Simulation seed.
+    pub seed: u64,
     /// Number of registers the store serves (≥ 1).
     pub registers: usize,
     /// Reader processes per register.
@@ -91,16 +107,18 @@ pub struct StoreConfig {
     pub groups: usize,
     /// Per-group protocol setup overrides, keyed by group index: a group
     /// listed here runs its own quorum parameters (S, B and the timers
-    /// derived from them) instead of the cluster-wide `cluster.setup`.
-    /// Resolved through [`StoreConfig::setup_for`]; consumed by
-    /// `lucky-shard`.
+    /// derived from them) instead of the store-wide `setup`. Resolved
+    /// through [`StoreConfig::setup_for`]; consumed by `lucky-shard`.
     pub group_setups: Vec<(u16, Setup)>,
 }
 
-impl From<ClusterConfig> for StoreConfig {
-    fn from(cluster: ClusterConfig) -> StoreConfig {
+impl StoreConfig {
+    fn preset(setup: Setup, max_delay_micros: u64) -> StoreConfig {
         StoreConfig {
-            cluster,
+            setup,
+            protocol: ProtocolConfig::for_sync_bound(SYNC_BOUND_MICROS),
+            net: NetworkModel::uniform(SYNC_BOUND_MICROS / 2, max_delay_micros),
+            seed: 0,
             registers: 1,
             readers_per_register: 1,
             batch: BatchConfig::disabled(),
@@ -111,27 +129,20 @@ impl From<ClusterConfig> for StoreConfig {
             group_setups: Vec::new(),
         }
     }
-}
 
-impl StoreConfig {
-    /// Atomic variant on a synchronous network.
-    pub fn synchronous(params: Params) -> StoreConfig {
-        ClusterConfig::synchronous(params).into()
+    /// `setup` on a synchronous network: every delay within δ. Accepts a
+    /// [`Setup`] directly or anything converting into one (`Params` for
+    /// the atomic variant, `TwoRoundParams`); the regular variant is
+    /// `Setup::Regular(params)`.
+    pub fn synchronous(setup: impl Into<Setup>) -> StoreConfig {
+        StoreConfig::preset(setup.into(), SYNC_BOUND_MICROS)
     }
 
-    /// Atomic variant on an asynchronous network.
-    pub fn asynchronous(params: Params) -> StoreConfig {
-        ClusterConfig::asynchronous(params).into()
-    }
-
-    /// Two-round variant (App. C) on a synchronous network.
-    pub fn synchronous_two_round(params: TwoRoundParams) -> StoreConfig {
-        ClusterConfig::synchronous_two_round(params).into()
-    }
-
-    /// Regular variant (App. D) on a synchronous network.
-    pub fn synchronous_regular(params: Params) -> StoreConfig {
-        ClusterConfig::synchronous_regular(params).into()
+    /// `setup` on an asynchronous network: delays up to 200δ, so round-1
+    /// timers expire long before a quorum assembles and no operation is
+    /// synchronous.
+    pub fn asynchronous(setup: impl Into<Setup>) -> StoreConfig {
+        StoreConfig::preset(setup.into(), 200 * SYNC_BOUND_MICROS)
     }
 
     /// Size the register namespace (chainable).
@@ -156,21 +167,21 @@ impl StoreConfig {
     /// Replace the seed (chainable).
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> StoreConfig {
-        self.cluster.seed = seed;
+        self.seed = seed;
         self
     }
 
     /// Replace the network model (chainable).
     #[must_use]
     pub fn with_net(mut self, net: NetworkModel) -> StoreConfig {
-        self.cluster.net = net;
+        self.net = net;
         self
     }
 
     /// Replace the protocol tunables (chainable).
     #[must_use]
-    pub fn with_protocol(mut self, protocol: crate::config::ProtocolConfig) -> StoreConfig {
-        self.cluster.protocol = protocol;
+    pub fn with_protocol(mut self, protocol: ProtocolConfig) -> StoreConfig {
+        self.protocol = protocol;
         self
     }
 
@@ -234,13 +245,9 @@ impl StoreConfig {
     }
 
     /// The protocol setup group `g` runs: its override if present,
-    /// otherwise the cluster-wide `cluster.setup`.
+    /// otherwise the store-wide `setup`.
     pub fn setup_for(&self, g: lucky_types::GroupId) -> Setup {
-        self.group_setups
-            .iter()
-            .find(|(i, _)| *i == g.0)
-            .map(|(_, s)| *s)
-            .unwrap_or(self.cluster.setup)
+        self.group_setups.iter().find(|(i, _)| *i == g.0).map(|(_, s)| *s).unwrap_or(self.setup)
     }
 
     /// Build a simulated store.
@@ -255,14 +262,60 @@ impl StoreConfig {
     }
 }
 
-/// A simulated multi-register store: one server cluster of the configured
-/// variant serving `registers` independent SWMR registers, each with its
-/// own writer and `readers_per_register` readers.
+/// The outcome of one completed operation, flattened for assertions and
+/// table rows.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct OpOutcome {
+    /// Operation id.
+    pub id: OpId,
+    /// The register the operation targeted.
+    pub reg: RegisterId,
+    /// Whether the operation was a WRITE or a READ.
+    pub kind: OpKind,
+    /// Value read (for READs) or written (for WRITEs).
+    pub value: Value,
+    /// Communication round-trips used.
+    pub rounds: u32,
+    /// `true` iff the operation was fast (one round-trip, §2.4).
+    pub fast: bool,
+    /// Latency in virtual microseconds.
+    pub latency: u64,
+    /// Messages sent by + delivered to the client during the operation.
+    pub msgs: u64,
+    /// Estimated wire bytes for those messages.
+    pub bytes: u64,
+}
+
+impl OpOutcome {
+    fn from_record(rec: &OpRecord) -> OpOutcome {
+        let value = match (&rec.result, &rec.op) {
+            (Some(v), _) => v.clone(),
+            (None, Op::Write(v)) => v.clone(),
+            (None, Op::Read) => Value::Bot,
+        };
+        OpOutcome {
+            id: rec.id,
+            reg: rec.reg,
+            kind: rec.op.kind(),
+            value,
+            rounds: rec.rounds,
+            fast: rec.fast,
+            latency: rec.latency().unwrap_or(0),
+            msgs: rec.msgs,
+            bytes: rec.bytes,
+        }
+    }
+}
+
+/// A simulated store: one server cluster of the configured variant
+/// serving `registers` independent SWMR registers, each with its own
+/// writer and `readers_per_register` readers, plus fault-injection and
+/// checking helpers.
 ///
-/// All the fault-injection and checking machinery of the single-register
-/// [`SimCluster`](crate::SimCluster) is available here; atomicity and
-/// regularity checks partition the history per register, since registers
-/// are independent objects.
+/// The checks partition the history per register, since registers are
+/// independent objects; a violation is reported inside
+/// [`Violation::InRegister`](lucky_checker::Violation::InRegister) naming
+/// its register.
 #[derive(Debug)]
 pub struct SimStore {
     setup: Setup,
@@ -304,7 +357,10 @@ impl SimStore {
     /// [`Setup`] factories, so the constructor is variant-agnostic.
     pub fn new(cfg: StoreConfig) -> SimStore {
         let StoreConfig {
-            cluster,
+            setup,
+            protocol,
+            net,
+            seed,
             registers,
             readers_per_register,
             batch,
@@ -324,13 +380,11 @@ impl SimStore {
             registers * readers_per_register <= u16::MAX as usize,
             "reader namespace exceeds the ReaderId range"
         );
-        let mut world = World::new(cluster.net.clone(), cluster.seed);
+        let mut world = World::new(net, seed);
         world.set_batch(batch);
         let tracer = Arc::new(lucky_trace::Tracer::new(trace));
         world.set_tracer(Arc::clone(&tracer));
-        let protocol = cluster.protocol;
         let session = SessionConfig { deadline_micros: op_deadline_micros };
-        let setup = cluster.setup;
         let counters = Arc::new(LogCounters::default());
         for reg in RegisterId::all(registers) {
             world.add_process(
@@ -466,17 +520,30 @@ impl SimStore {
     }
 
     // ------------------------------------------------------------------
-    // Fault injection
+    // Fault injection. Every server-indexed injector panics unless
+    // `i < S`: aimed at a server the store does not have, a fault would
+    // otherwise be dropped or install a phantom server no client
+    // addresses, and the run would silently test nothing.
     // ------------------------------------------------------------------
+
+    /// Server `i`'s process id, checked against the cluster size.
+    #[track_caller]
+    fn server(&self, i: u16) -> ProcessId {
+        let s = self.server_count();
+        assert!(usize::from(i) < s, "server {i} does not exist: the store has S = {s} servers");
+        ProcessId::Server(ServerId(i))
+    }
 
     /// Crash server `i` immediately (it stops serving *every* register).
     pub fn crash_server(&mut self, i: u16) {
-        self.world.crash_now(ProcessId::Server(ServerId(i)));
+        let server = self.server(i);
+        self.world.crash_now(server);
     }
 
     /// Crash server `i` at time `at`.
     pub fn crash_server_at(&mut self, i: u16, at: Time) {
-        self.world.crash_at(ProcessId::Server(ServerId(i)), at);
+        let server = self.server(i);
+        self.world.crash_at(server, at);
     }
 
     /// Crash register `reg`'s writer immediately.
@@ -497,9 +564,10 @@ impl SimStore {
     /// amnesiac, modeling the paper's crash-stop server that rejoins
     /// empty.
     pub fn restart_server(&mut self, i: u16) {
+        let server = self.server(i);
         let durable = self.durable_dir.as_ref().map(|d| (d.clone(), Arc::clone(&self.counters)));
         self.world.add_process(
-            ProcessId::Server(ServerId(i)),
+            server,
             Box::new(ServerAutomaton(server_core(self.setup, self.batch, durable, i))),
         );
     }
@@ -509,11 +577,12 @@ impl SimStore {
     /// everything persisted up to the restart point of the schedule —
     /// not the (earlier) moment the restart was scheduled.
     pub fn restart_server_at(&mut self, i: u16, at: Time) {
+        let server = self.server(i);
         let setup = self.setup;
         let batch = self.batch;
         let durable = self.durable_dir.as_ref().map(|d| (d.clone(), Arc::clone(&self.counters)));
         self.world.restart_at(
-            ProcessId::Server(ServerId(i)),
+            server,
             at,
             Box::new(move || Box::new(ServerAutomaton(server_core(setup, batch, durable, i)))),
         );
@@ -535,7 +604,8 @@ impl SimStore {
     /// behaviour answers *all* registers — a malicious server is malicious
     /// towards the whole namespace.
     pub fn install_byzantine(&mut self, i: u16, core: Box<dyn ServerCore>) {
-        self.world.add_process(ProcessId::Server(ServerId(i)), Box::new(ServerAutomaton(core)));
+        let server = self.server(i);
+        self.world.add_process(server, Box::new(ServerAutomaton(core)));
     }
 
     /// Replace server `i` with the [`byz::ForgeValue`] behaviour — the
@@ -583,6 +653,16 @@ impl SimStore {
     /// Returns the violations found, across all registers.
     pub fn check_regularity(&self) -> Result<(), Violations> {
         lucky_checker::assert_regular_per_register_traced(self.history(), &self.tracer)
+    }
+
+    /// Check every register's sub-history against safeness (App. B).
+    ///
+    /// # Errors
+    ///
+    /// Returns the violations found, across all registers.
+    pub fn check_safeness(&self) -> Result<(), Violations> {
+        lucky_checker::check_per_register(self.history(), lucky_checker::check_safeness)
+            .map_err(Violations)
     }
 
     // ------------------------------------------------------------------
@@ -694,7 +774,7 @@ impl SimRegister<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lucky_types::OpKind;
+    use lucky_types::{Params, TwoRoundParams};
 
     fn params() -> Params {
         Params::new(1, 0, 1, 0).unwrap()
@@ -757,7 +837,7 @@ mod tests {
     #[test]
     fn two_round_and_regular_stores_serve_many_registers() {
         let trp = TwoRoundParams::new(1, 0, 1).unwrap();
-        let mut store = StoreConfig::synchronous_two_round(trp).registers(3).build_sim();
+        let mut store = StoreConfig::synchronous(trp).registers(3).build_sim();
         for reg in RegisterId::all(3) {
             let w = store.register(reg).write(Value::from_u64(1 + reg.0 as u64));
             assert_eq!(w.rounds, 2, "App. C: always two rounds");
@@ -766,7 +846,7 @@ mod tests {
         store.check_atomicity().unwrap();
 
         let p = Params::trading_reads(1, 0).unwrap();
-        let mut store = StoreConfig::synchronous_regular(p).registers(3).build_sim();
+        let mut store = StoreConfig::synchronous(Setup::Regular(p)).registers(3).build_sim();
         for reg in RegisterId::all(3) {
             store.register(reg).write(Value::from_u64(1 + reg.0 as u64));
             assert_eq!(store.register(reg).read(0).value.as_u64(), Some(1 + reg.0 as u64));
@@ -888,5 +968,169 @@ mod tests {
         assert_eq!(store.register(RegisterId(0)).read(0).value.as_u64(), Some(3));
         assert!(store.recoveries() > 0, "the restarted server replayed its log");
         store.check_atomicity().unwrap();
+    }
+
+    #[test]
+    fn out_of_range_server_faults_are_rejected() {
+        use lucky_types::{Seq, TsVal};
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // Unchecked, each would install a phantom server or schedule an
+        // event for a process that does not exist: the fault never fires.
+        fn rejects(name: &str, inject: fn(&mut SimStore, u16)) {
+            let mut store = StoreConfig::synchronous(params()).build_sim();
+            let s = store.server_count() as u16;
+            let err = catch_unwind(AssertUnwindSafe(|| inject(&mut store, s))).expect_err(name);
+            let msg = err.downcast_ref::<String>().expect("a formatted panic message");
+            assert!(msg.contains(&format!("server {s} ")), "{name}: {msg}");
+            assert!(msg.contains(&format!("S = {s}")), "{name}: {msg}");
+            // The last server in range is accepted.
+            inject(&mut store, s - 1);
+        }
+        rejects("crash_server_at", |s, i| s.crash_server_at(i, Time(10)));
+        rejects("restart_server", |s, i| s.restart_server(i));
+        rejects("restart_server_at", |s, i| s.restart_server_at(i, Time(10)));
+        rejects("install_forge_value", |s, i| {
+            s.install_forge_value(i, TsVal::new(Seq(9), Value::from_u64(9)))
+        });
+    }
+
+    // The paper's single register: a one-register store of the S = 6
+    // cluster t = 2, b = 1, fw = 1, fr = 0, addressed as register 0.
+
+    fn s6() -> Params {
+        Params::new(2, 1, 1, 0).unwrap()
+    }
+
+    #[test]
+    fn failure_free_lucky_write_and_read_are_fast() {
+        let mut c = StoreConfig::synchronous(s6()).build_sim();
+        let w = c.register(RegisterId::DEFAULT).write(Value::from_u64(7));
+        assert!(w.fast);
+        assert_eq!(w.rounds, 1);
+        let r = c.register(RegisterId::DEFAULT).read(0);
+        assert!(r.fast);
+        assert_eq!(r.value.as_u64(), Some(7));
+        c.check_atomicity().unwrap();
+    }
+
+    #[test]
+    fn read_of_empty_register_returns_bot() {
+        let mut c = StoreConfig::synchronous(s6()).build_sim();
+        let r = c.register(RegisterId::DEFAULT).read(0);
+        assert!(r.value.is_bot());
+        assert!(r.fast);
+        c.check_atomicity().unwrap();
+    }
+
+    #[test]
+    fn write_survives_fw_crashes_fast_and_more_crashes_slow() {
+        // fw = 1: one crash keeps writes fast.
+        let mut c = StoreConfig::synchronous(s6()).build_sim();
+        c.crash_server(0);
+        let w = c.register(RegisterId::DEFAULT).write(Value::from_u64(1));
+        assert!(w.fast, "fw = 1 crash still fast");
+        // Two crashes (≤ t) force the slow path but preserve liveness.
+        c.crash_server(1);
+        let w = c.register(RegisterId::DEFAULT).write(Value::from_u64(2));
+        assert!(!w.fast);
+        assert_eq!(w.rounds, 3);
+        c.check_atomicity().unwrap();
+    }
+
+    #[test]
+    fn read_slow_when_failures_exceed_fr() {
+        // fr = 0 guarantees fast lucky reads only with zero failures. The
+        // adversarial pattern needs a server that *missed* the fast write
+        // (its PW stays in transit) plus a crash of a holder: then only
+        // S − fw − 1 = 4 < fastpw pw-copies respond and the read goes slow.
+        let mut c = StoreConfig::synchronous(s6()).build_sim();
+        c.world_mut().hold(ProcessId::Writer, ProcessId::Server(ServerId(4)));
+        let w = c.register(RegisterId::DEFAULT).write(Value::from_u64(1));
+        assert!(w.fast, "S - fw = 5 acks suffice");
+        c.crash_server(5); // a holder of the value
+        let r = c.register(RegisterId::DEFAULT).read(0);
+        assert!(!r.fast);
+        assert_eq!(r.rounds, 4, "1 read round + 3 write-back rounds");
+        assert_eq!(r.value.as_u64(), Some(1));
+        c.check_atomicity().unwrap();
+    }
+
+    #[test]
+    fn asynchronous_network_forces_slow_operations() {
+        let mut c = StoreConfig::asynchronous(s6()).with_seed(3).build_sim();
+        let w = c.register(RegisterId::DEFAULT).write(Value::from_u64(1));
+        let r = c.register(RegisterId::DEFAULT).read(0);
+        assert_eq!(r.value.as_u64(), Some(1));
+        // With delays up to 200δ the timer (2δ) always expires first and
+        // the quorum-sized view is almost never fast; atomicity holds
+        // regardless.
+        assert!(!w.fast || !r.fast);
+        c.check_atomicity().unwrap();
+    }
+
+    #[test]
+    fn two_round_cluster_round_counts() {
+        let trp = TwoRoundParams::new(2, 1, 1).unwrap();
+        let mut c = StoreConfig::synchronous(trp).build_sim();
+        let w = c.register(RegisterId::DEFAULT).write(Value::from_u64(5));
+        assert_eq!((w.rounds, w.fast), (2, false));
+        let r = c.register(RegisterId::DEFAULT).read(0);
+        assert!(r.fast, "lucky read after a complete two-round write");
+        assert_eq!(r.value.as_u64(), Some(5));
+        c.check_atomicity().unwrap();
+    }
+
+    #[test]
+    fn regular_cluster_reads_fast_despite_t_crashes() {
+        let p = Params::trading_reads(2, 1).unwrap();
+        let mut c = StoreConfig::synchronous(Setup::Regular(p)).build_sim();
+        c.register(RegisterId::DEFAULT).write(Value::from_u64(4));
+        // Crash t = 2 servers: regular lucky reads stay fast (fr = t).
+        c.crash_server(0);
+        c.crash_server(1);
+        let r = c.register(RegisterId::DEFAULT).read(0);
+        assert!(r.fast);
+        assert_eq!(r.value.as_u64(), Some(4));
+        c.check_regularity().unwrap();
+    }
+
+    #[test]
+    fn byzantine_forger_cannot_corrupt_reads() {
+        use lucky_types::{Seq, TsVal};
+        let mut c = StoreConfig::synchronous(s6()).build_sim();
+        c.install_forge_value(2, TsVal::new(Seq(99), Value::from_u64(666)));
+        c.register(RegisterId::DEFAULT).write(Value::from_u64(1));
+        let r = c.register(RegisterId::DEFAULT).read(0);
+        assert_eq!(r.value.as_u64(), Some(1));
+        c.check_atomicity().unwrap();
+    }
+
+    #[test]
+    fn contending_read_and_write_preserve_atomicity() {
+        let mut c = StoreConfig::synchronous(s6()).readers_per_register(2).build_sim();
+        c.register(RegisterId::DEFAULT).write(Value::from_u64(1));
+        // Writer and both readers overlap.
+        let late = c.now() + 40;
+        let mut reg = c.register(RegisterId::DEFAULT);
+        let w = reg.invoke_write(Value::from_u64(2));
+        let r0 = reg.invoke_read(0);
+        let r1 = reg.invoke_read_at(late, 1);
+        c.world_mut().run_until_all_complete(&[w, r0, r1]).unwrap();
+        let v0 = c.outcome(r0).value.as_u64().unwrap();
+        let v1 = c.outcome(r1).value.as_u64().unwrap();
+        assert!(v0 == 1 || v0 == 2);
+        assert!(v1 == 1 || v1 == 2);
+        c.check_atomicity().unwrap();
+    }
+
+    #[test]
+    fn deterministic_per_seed() {
+        let run = |seed| {
+            let mut c = StoreConfig::asynchronous(s6()).with_seed(seed).build_sim();
+            c.register(RegisterId::DEFAULT).write(Value::from_u64(1));
+            c.register(RegisterId::DEFAULT).read(0);
+            c.history().clone()
+        };
+        assert_eq!(run(11), run(11));
     }
 }

@@ -852,10 +852,10 @@ impl NetStore {
             "a NetStore is one group's engine; multi-group configs build through \
              lucky-shard's ShardNetStore"
         );
-        NetStore::builder(cfg.cluster.setup, net)
+        NetStore::builder(cfg.setup, net)
             .registers(cfg.registers)
             .readers_per_register(cfg.readers_per_register)
-            .protocol(cfg.cluster.protocol)
+            .protocol(cfg.protocol)
             .batch(cfg.batch)
             .trace(cfg.trace)
             .build()

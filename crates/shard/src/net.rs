@@ -158,7 +158,7 @@ impl ShardNetStoreBuilder {
                 let mut b = NetStore::builder(cfg.setup_for(gid), net)
                     .registers(cfg.registers)
                     .readers_per_register(cfg.readers_per_register)
-                    .protocol(cfg.cluster.protocol)
+                    .protocol(cfg.protocol)
                     .batch(cfg.batch)
                     .trace(cfg.trace)
                     .transport(self.transport);

@@ -45,8 +45,8 @@ impl ShardSimStore {
             .map(|g| {
                 let gid = GroupId(g as u16);
                 let mut c = cfg.clone();
-                c.cluster.setup = cfg.setup_for(gid);
-                c.cluster.seed = cfg.cluster.seed.wrapping_add(g as u64);
+                c.setup = cfg.setup_for(gid);
+                c.seed = cfg.seed.wrapping_add(g as u64);
                 c.groups = 1;
                 c.group_setups = Vec::new();
                 if let Some(dir) = &cfg.durable_dir {

@@ -11,22 +11,22 @@
 //!
 //! Run with: `cargo run --example contention_and_freezing`
 
-use lucky_atomic::core::{ClusterConfig, ProtocolConfig, SimCluster};
-use lucky_atomic::types::{Params, ReaderId, Value};
+use lucky_atomic::core::{ProtocolConfig, StoreConfig};
+use lucky_atomic::types::{Params, ReaderId, RegisterId, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = Params::new(2, 1, 1, 0)?;
 
     // --- 1. Contention -------------------------------------------------
-    let mut cluster = SimCluster::new(ClusterConfig::synchronous(params), 1);
-    cluster.write(Value::from_u64(1));
+    let mut store = StoreConfig::synchronous(params).build_sim();
+    store.register(RegisterId::DEFAULT).write(Value::from_u64(1));
     // Writer and reader overlap: the read is under contention -> unlucky.
-    let w = cluster.invoke_write(Value::from_u64(2));
-    let r = cluster.invoke_read(ReaderId(0));
-    cluster.run_until_complete(w)?;
-    let read = cluster.run_until_complete(r)?;
+    let w = store.register(RegisterId::DEFAULT).invoke_write(Value::from_u64(2));
+    let r = store.register(RegisterId::DEFAULT).invoke_read(0);
+    store.run_until_complete(w)?;
+    let read = store.run_until_complete(r)?;
     println!("contended READ returned {}: rounds={} fast={}", read.value, read.rounds, read.fast);
-    cluster.check_atomicity()?;
+    store.check_atomicity()?;
     println!("atomicity holds under contention ✓\n");
 
     // --- 2. Freezing vs. starvation ------------------------------------
@@ -44,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             max_read_rounds: Some(25),
             ..ProtocolConfig::for_sync_bound(100)
         };
-        let mut cfg = ClusterConfig::synchronous(params).with_protocol(protocol);
+        let mut cfg = StoreConfig::synchronous(params).with_protocol(protocol);
         // Stagger the reader -> server links by ~2.5 write periods each,
         // so no two sampled server states are ever from the same or
         // adjacent write epochs.
@@ -57,23 +57,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 Delay::Constant(100 + 1_300 * i as u64),
             );
         }
-        let mut cluster = SimCluster::new(cfg, 1);
+        let mut store = cfg.build_sim();
         // Crash two servers (the full crash budget t = 2): the read
         // quorum is now exactly the four staggered servers, so every
         // round's view mixes four non-adjacent epochs.
-        cluster.crash_server(4);
-        cluster.crash_server(5);
+        store.crash_server(4);
+        store.crash_server(5);
 
         // Closed-loop write storm concurrent with one read.
-        let read_op = cluster.invoke_read_at(cluster.now() + 2_000, ReaderId(0));
+        let start = store.now() + 2_000;
+        let read_op = store.register(RegisterId::DEFAULT).invoke_read_at(start, 0);
         let mut i = 0u64;
-        while !cluster.is_complete(read_op) && i < 400 {
+        while !store.is_complete(read_op) && i < 400 {
             i += 1;
-            cluster.write(Value::from_u64(i));
+            store.register(RegisterId::DEFAULT).write(Value::from_u64(i));
         }
-        cluster.run_until_idle(5_000_000);
+        store.run_until_idle(5_000_000);
 
-        let rec = cluster.history().get(read_op).expect("read record").clone();
+        let rec = store.history().get(read_op).expect("read record").clone();
         if freezing {
             assert!(rec.is_complete(), "freezing must let the reader finish");
             println!(
@@ -83,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 i,
                 rec.result.clone().unwrap()
             );
-            cluster.check_atomicity()?;
+            store.check_atomicity()?;
         } else {
             assert!(!rec.is_complete(), "ablation: the reader should starve");
             println!(

@@ -9,25 +9,25 @@
 
 use lucky_atomic::core::byz::{ForgeValue, InflateTs, Mute, RandomNoise, SplitBrain, StaleEcho};
 use lucky_atomic::core::runtime::ServerCore;
-use lucky_atomic::core::{ClusterConfig, SimCluster};
-use lucky_atomic::types::{Params, ProcessId, ReaderId, Seq, TsVal, Value};
+use lucky_atomic::core::StoreConfig;
+use lucky_atomic::types::{Params, ProcessId, RegisterId, Seq, TsVal, Value};
 
 fn attack(name: &str, make: impl Fn() -> Box<dyn ServerCore>) {
     let params = Params::new(2, 1, 0, 1).unwrap(); // fast reads survive 1 failure
-    let mut cluster = SimCluster::new(ClusterConfig::synchronous(params), 1);
+    let mut store = StoreConfig::synchronous(params).build_sim();
     // Server 3 is malicious (within the budget b = 1).
-    cluster.install_byzantine(3, make());
+    store.install_byzantine(3, make());
 
     let mut fast_reads = 0;
     for i in 1..=10u64 {
-        cluster.write(Value::from_u64(i));
-        let r = cluster.read(ReaderId(0));
+        store.register(RegisterId::DEFAULT).write(Value::from_u64(i));
+        let r = store.register(RegisterId::DEFAULT).read(0);
         assert_eq!(r.value.as_u64(), Some(i), "attack {name} corrupted a read");
         if r.fast {
             fast_reads += 1;
         }
     }
-    cluster.check_atomicity().expect("attack broke atomicity");
+    store.check_atomicity().expect("attack broke atomicity");
     println!("  {name:<12} 10/10 reads correct, {fast_reads}/10 fast — atomicity holds");
 }
 
@@ -46,14 +46,14 @@ fn main() {
     // of which b = 1 malicious.
     println!("\nfull fault budget (1 Byzantine + 1 crash):");
     let params = Params::new(2, 1, 0, 1).unwrap();
-    let mut cluster = SimCluster::new(ClusterConfig::synchronous(params), 1);
-    cluster.install_byzantine(0, Box::new(InflateTs::new(500)));
-    cluster.crash_server(1);
+    let mut store = StoreConfig::synchronous(params).build_sim();
+    store.install_byzantine(0, Box::new(InflateTs::new(500)));
+    store.crash_server(1);
     for i in 1..=5u64 {
-        cluster.write(Value::from_u64(i));
-        let r = cluster.read(ReaderId(0));
+        store.register(RegisterId::DEFAULT).write(Value::from_u64(i));
+        let r = store.register(RegisterId::DEFAULT).read(0);
         assert_eq!(r.value.as_u64(), Some(i));
     }
-    cluster.check_atomicity().expect("atomicity");
+    store.check_atomicity().expect("atomicity");
     println!("  5/5 reads correct under 1 Byzantine + 1 crash — atomicity holds");
 }

@@ -7,8 +7,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use lucky_atomic::core::{ClusterConfig, SimCluster};
-use lucky_atomic::types::{Params, ReaderId, Value};
+use lucky_atomic::core::StoreConfig;
+use lucky_atomic::types::{Params, RegisterId, Value};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // fw + fr = t - b = 1: here fast writes survive one failure (fw = 1)
@@ -16,10 +16,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = Params::new(2, 1, 1, 0)?;
     println!("deploying lucky atomic storage: {params}");
 
-    let mut cluster = SimCluster::new(ClusterConfig::synchronous(params), 2);
+    let mut store = StoreConfig::synchronous(params).readers_per_register(2).build_sim();
 
     // A lucky write: synchronous network, no failures -> one round-trip.
-    let w = cluster.write(Value::from_u64(1));
+    let w = store.register(RegisterId::DEFAULT).write(Value::from_u64(1));
     println!(
         "WRITE(v1): rounds={} fast={} latency={}µs msgs={}",
         w.rounds, w.fast, w.latency, w.msgs
@@ -27,21 +27,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(w.fast);
 
     // A lucky read: one round-trip, no write-back.
-    let r = cluster.read(ReaderId(0));
+    let r = store.register(RegisterId::DEFAULT).read(0);
     println!("READ() = {}: rounds={} fast={} latency={}µs", r.value, r.rounds, r.fast, r.latency);
     assert!(r.fast);
     assert_eq!(r.value.as_u64(), Some(1));
 
     // One crash is within fw: writes stay fast.
-    cluster.crash_server(5);
-    let w = cluster.write(Value::from_u64(2));
+    store.crash_server(5);
+    let w = store.register(RegisterId::DEFAULT).write(Value::from_u64(2));
     println!("WRITE(v2) with 1 crash: rounds={} fast={}", w.rounds, w.fast);
     assert!(w.fast);
 
     // A second crash exceeds fw: the write falls back to the slow path
     // (PW + two W rounds) but still completes — wait-freedom.
-    cluster.crash_server(4);
-    let w = cluster.write(Value::from_u64(3));
+    store.crash_server(4);
+    let w = store.register(RegisterId::DEFAULT).write(Value::from_u64(3));
     println!("WRITE(v3) with 2 crashes: rounds={} fast={}", w.rounds, w.fast);
     assert!(!w.fast);
     assert_eq!(w.rounds, 3);
@@ -49,12 +49,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Reads stay correct too. (They may even still be fast here: the slow
     // write's third round installed `vw` at every live server, so the
     // `fastvw` predicate holds — fr bounds the guarantee, not the luck.)
-    let r = cluster.read(ReaderId(1));
+    let r = store.register(RegisterId::DEFAULT).read(1);
     println!("READ() with 2 crashes = {}: rounds={} fast={}", r.value, r.rounds, r.fast);
     assert_eq!(r.value.as_u64(), Some(3));
 
     // The whole history satisfies the four atomicity conditions of §2.2.
-    cluster.check_atomicity()?;
-    println!("history of {} operations is atomic ✓", cluster.history().ops.len());
+    store.check_atomicity()?;
+    println!("history of {} operations is atomic ✓", store.history().ops.len());
     Ok(())
 }

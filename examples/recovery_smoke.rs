@@ -53,12 +53,8 @@ fn check(name: &str, setup: Setup, store_check: impl FnOnce() -> bool) {
 /// Scripted crash/restart on the simulator: deterministic, virtual-time.
 fn run_sim(name: &str, setup: Setup) -> (u64, u64) {
     let dir = TempDir::new("recovery-smoke-sim");
-    let cfg = match setup {
-        Setup::Atomic(p) => StoreConfig::synchronous(p),
-        Setup::TwoRound(p) => StoreConfig::synchronous_two_round(p),
-        Setup::Regular(p) => StoreConfig::synchronous_regular(p),
-    };
-    let mut store = cfg.registers(REGISTERS).durable(dir.path()).build_sim();
+    let mut store =
+        StoreConfig::synchronous(setup).registers(REGISTERS).durable(dir.path()).build_sim();
     let n = store.server_count() as u16;
 
     for reg in RegisterId::all(REGISTERS) {

@@ -8,7 +8,7 @@
 
 use lucky_atomic::core::ProtocolConfig;
 use lucky_atomic::explore::{explore, random_walks, ByzKind, ExploreConfig, Scenario};
-use lucky_atomic::types::{Params, ProcessId, ReaderId, Value};
+use lucky_atomic::types::{Params, ProcessId, ReaderId, RegisterId, Value};
 
 fn main() {
     // --- 1. Exhaustive: every schedule of write ∥ read on S = 3 --------
@@ -53,19 +53,19 @@ fn main() {
     }
 
     // --- 3. Message tracing on the simulator ---------------------------
-    use lucky_atomic::core::{ClusterConfig, SimCluster};
+    use lucky_atomic::core::StoreConfig;
     let params = Params::new(1, 0, 1, 0).unwrap();
-    let mut cluster = SimCluster::new(ClusterConfig::synchronous(params), 1);
-    cluster.world_mut().enable_trace();
-    cluster.write(Value::from_u64(7));
-    cluster.read(ReaderId(0));
+    let mut store = StoreConfig::synchronous(params).build_sim();
+    store.world_mut().enable_trace();
+    store.register(RegisterId::DEFAULT).write(Value::from_u64(7));
+    store.register(RegisterId::DEFAULT).read(0);
     println!("\nmessage trace of one fast write + one fast read (S = 3):");
-    for entry in cluster.world().trace() {
+    for entry in store.world().trace() {
         println!("  {entry}");
     }
     println!(
         "\n{} messages total — 2 round-trips of S messages each, exactly the \
          paper's fast-path complexity ✓",
-        cluster.world().trace().len()
+        store.world().trace().len()
     );
 }

@@ -10,8 +10,8 @@
 //! * [`sim`] — the deterministic discrete-event simulator the protocols are
 //!   evaluated on;
 //! * [`core`] — the protocol cores (atomic §3, two-round Appendix C,
-//!   regular Appendix D), Byzantine behaviours and the [`core::SimCluster`]
-//!   high-level API;
+//!   regular Appendix D), Byzantine behaviours and the simulated store
+//!   ([`core::StoreConfig`] → [`core::SimStore`]);
 //! * [`checker`] — atomicity / regularity / safeness history checkers;
 //! * [`baselines`] — the ABD crash-only register used for comparison;
 //! * [`wire`] — the hand-rolled binary codec and framing every byte on
@@ -28,21 +28,23 @@
 //! ## Quickstart
 //!
 //! ```
-//! use lucky_atomic::core::{ClusterConfig, SimCluster};
-//! use lucky_atomic::types::{Params, ReaderId, Value};
+//! use lucky_atomic::core::StoreConfig;
+//! use lucky_atomic::types::{Params, RegisterId, Value};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // t = 2 failures, b = 1 Byzantine; fast writes survive 1 failure.
 //! let params = Params::new(2, 1, 1, 0)?;
-//! let mut cluster = SimCluster::new(ClusterConfig::synchronous(params), 1);
+//! // One register (the paper's), one reader, on a synchronous network.
+//! let mut store = StoreConfig::synchronous(params).build_sim();
+//! let mut register = store.register(RegisterId::DEFAULT);
 //!
-//! let w = cluster.write(Value::from_u64(7));
+//! let w = register.write(Value::from_u64(7));
 //! assert!(w.fast, "a lucky write completes in one round-trip");
 //!
-//! let r = cluster.read(ReaderId(0));
+//! let r = register.read(0); // reader 0
 //! assert_eq!(r.value.as_u64(), Some(7));
 //! assert!(r.fast, "a lucky read completes in one round-trip");
-//! cluster.check_atomicity()?;
+//! store.check_atomicity()?;
 //! # Ok(())
 //! # }
 //! ```

@@ -4,8 +4,8 @@
 //! reads pay one).
 
 use lucky_atomic::baselines::abd::{AbdCluster, AbdConfig};
-use lucky_atomic::core::{ClusterConfig, SimCluster};
-use lucky_atomic::types::{Params, ReaderId, Value};
+use lucky_atomic::core::StoreConfig;
+use lucky_atomic::types::{Params, ReaderId, RegisterId, Value};
 use proptest::prelude::*;
 
 #[test]
@@ -30,11 +30,11 @@ fn lucky_reads_beat_abd_reads_in_rounds_and_latency() {
     // modulo the lucky round-1 timer which waits out the synchrony bound.
     let t = 2;
     let params = Params::new(t, 0, 1, 1).unwrap();
-    let mut lucky = SimCluster::new(ClusterConfig::synchronous(params), 1);
+    let mut lucky = StoreConfig::synchronous(params).build_sim();
     let mut abd = AbdCluster::new(AbdConfig::synchronous(t), 1);
-    lucky.write(Value::from_u64(1));
+    lucky.register(RegisterId::DEFAULT).write(Value::from_u64(1));
     abd.write(Value::from_u64(1));
-    let lr = lucky.read(ReaderId(0));
+    let lr = lucky.register(RegisterId::DEFAULT).read(0);
     let ar = abd.read(ReaderId(0));
     assert_eq!(lr.rounds, 1);
     assert_eq!(ar.rounds, 2);

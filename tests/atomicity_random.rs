@@ -4,9 +4,9 @@
 
 use lucky_atomic::core::byz::{ForgeValue, InflateTs, Mute, RandomNoise, StaleEcho};
 use lucky_atomic::core::runtime::ServerCore;
-use lucky_atomic::core::{ClusterConfig, SimCluster};
+use lucky_atomic::core::{Setup, SimStore, StoreConfig};
 use lucky_atomic::sim::NetworkModel;
-use lucky_atomic::types::{Params, ReaderId, Seq, TsVal, TwoRoundParams, Value};
+use lucky_atomic::types::{Params, RegisterId, Seq, TsVal, TwoRoundParams, Value};
 use proptest::prelude::*;
 
 /// A randomly chosen protocol action in a workload script.
@@ -70,12 +70,13 @@ fn run_script(
     crashes: usize,
     byz: Option<u8>,
     script: &[Step],
-) -> SimCluster {
+) -> SimStore {
     let readers = 2;
-    let cfg = ClusterConfig::synchronous(params)
+    let mut c = StoreConfig::synchronous(params)
         .with_seed(seed)
-        .with_net(NetworkModel::uniform(50, net_max.max(51)));
-    let mut c = SimCluster::new(cfg, readers);
+        .with_net(NetworkModel::uniform(50, net_max.max(51)))
+        .readers_per_register(readers)
+        .build_sim();
     let mut budget = params.t();
     if let Some(kind) = byz {
         if params.b() > 0 && budget > 0 {
@@ -92,16 +93,20 @@ fn run_script(
             Step::Write => {
                 let v = Value::from_u64(next_val);
                 next_val += 1;
-                c.try_write(v).expect("write must complete (wait-freedom)");
+                c.register(RegisterId::DEFAULT)
+                    .try_write(v)
+                    .expect("write must complete (wait-freedom)");
             }
             Step::Read(r) => {
-                c.try_read(ReaderId(r % 2)).expect("read must complete (wait-freedom)");
+                c.register(RegisterId::DEFAULT)
+                    .try_read(r % 2)
+                    .expect("read must complete (wait-freedom)");
             }
             Step::Contend(r) => {
                 let v = Value::from_u64(next_val);
                 next_val += 1;
-                let w = c.invoke_write(v);
-                let rd = c.invoke_read(ReaderId(r % 2));
+                let w = c.register(RegisterId::DEFAULT).invoke_write(v);
+                let rd = c.register(RegisterId::DEFAULT).invoke_read(r % 2);
                 c.world_mut()
                     .run_until_all_complete(&[w, rd])
                     .expect("contended ops must complete");
@@ -138,12 +143,12 @@ proptest! {
         seed in 0u64..10_000,
         ops in 1usize..12,
     ) {
-        let cfg = ClusterConfig::synchronous(params).with_seed(seed);
-        let mut c = SimCluster::new(cfg, 1);
+        let mut c = StoreConfig::synchronous(params).with_seed(seed).build_sim();
         for i in 0..ops {
-            let w = c.try_write(Value::from_u64(i as u64 + 1)).unwrap();
+            let v = Value::from_u64(i as u64 + 1);
+            let w = c.register(RegisterId::DEFAULT).try_write(v).unwrap();
             prop_assert!(w.fast, "{params}: write {i} not fast");
-            let r = c.try_read(ReaderId(0)).unwrap();
+            let r = c.register(RegisterId::DEFAULT).try_read(0).unwrap();
             prop_assert!(r.fast, "{params}: read {i} not fast");
             prop_assert_eq!(r.value.as_u64(), Some(i as u64 + 1));
         }
@@ -159,10 +164,11 @@ proptest! {
         script in proptest::collection::vec(step_strategy(2), 1..20),
     ) {
         let params = TwoRoundParams::new(2, 1, 1).unwrap();
-        let cfg = ClusterConfig::synchronous_two_round(params)
+        let mut c = StoreConfig::synchronous(params)
             .with_seed(seed)
-            .with_net(NetworkModel::uniform(50, net_max));
-        let mut c = SimCluster::new(cfg, 2);
+            .with_net(NetworkModel::uniform(50, net_max))
+            .readers_per_register(2)
+            .build_sim();
         for i in 0..crashes.min(params.t()) {
             c.crash_server((params.server_count() - 1 - i) as u16);
         }
@@ -173,14 +179,14 @@ proptest! {
                     let v = Value::from_u64(next_val);
                     next_val += 1;
                     if let Step::Contend(r) = step {
-                        let w = c.invoke_write(v);
-                        let rd = c.invoke_read(ReaderId(r % 2));
+                        let w = c.register(RegisterId::DEFAULT).invoke_write(v);
+                        let rd = c.register(RegisterId::DEFAULT).invoke_read(r % 2);
                         c.world_mut().run_until_all_complete(&[w, rd]).unwrap();
                     } else {
-                        c.try_write(v).unwrap();
+                        c.register(RegisterId::DEFAULT).try_write(v).unwrap();
                     }
                 }
-                Step::Read(r) => { c.try_read(ReaderId(r % 2)).unwrap(); }
+                Step::Read(r) => { c.register(RegisterId::DEFAULT).try_read(r % 2).unwrap(); }
                 Step::Quiesce => c.run_for(5_000),
             }
         }
@@ -196,8 +202,10 @@ proptest! {
         script in proptest::collection::vec(step_strategy(2), 1..20),
     ) {
         let params = Params::trading_reads(2, 1).unwrap();
-        let cfg = ClusterConfig::synchronous_regular(params).with_seed(seed);
-        let mut c = SimCluster::new(cfg, 2);
+        let mut c = StoreConfig::synchronous(Setup::Regular(params))
+            .with_seed(seed)
+            .readers_per_register(2)
+            .build_sim();
         let mut budget = params.t();
         if let Some(kind) = byz {
             c.install_byzantine(0, make_byz(kind, seed));
@@ -212,14 +220,14 @@ proptest! {
                 Step::Write => {
                     let v = Value::from_u64(next_val);
                     next_val += 1;
-                    c.try_write(v).unwrap();
+                    c.register(RegisterId::DEFAULT).try_write(v).unwrap();
                 }
-                Step::Read(r) => { c.try_read(ReaderId(r % 2)).unwrap(); }
+                Step::Read(r) => { c.register(RegisterId::DEFAULT).try_read(r % 2).unwrap(); }
                 Step::Contend(r) => {
                     let v = Value::from_u64(next_val);
                     next_val += 1;
-                    let w = c.invoke_write(v);
-                    let rd = c.invoke_read(ReaderId(r % 2));
+                    let w = c.register(RegisterId::DEFAULT).invoke_write(v);
+                    let rd = c.register(RegisterId::DEFAULT).invoke_read(r % 2);
                     c.world_mut().run_until_all_complete(&[w, rd]).unwrap();
                 }
                 Step::Quiesce => c.run_for(5_000),

@@ -19,7 +19,7 @@
 //!   `lucky_explore::random_walks`, which must find no atomicity
 //!   violation with the batch-delivery choice enabled.
 
-use lucky_atomic::core::{ClusterConfig, OpOutcome, ProtocolConfig, Setup, SimStore, StoreConfig};
+use lucky_atomic::core::{OpOutcome, ProtocolConfig, Setup, SimStore, StoreConfig};
 use lucky_atomic::explore::{random_walks, ByzKind, Scenario};
 use lucky_atomic::net::{NetConfig, NetStore};
 use lucky_atomic::types::{
@@ -39,14 +39,6 @@ fn setups() -> Vec<Setup> {
     ]
 }
 
-fn cluster_for(setup: Setup) -> ClusterConfig {
-    match setup {
-        Setup::Atomic(p) => ClusterConfig::synchronous(p),
-        Setup::TwoRound(p) => ClusterConfig::synchronous_two_round(p),
-        Setup::Regular(p) => ClusterConfig::synchronous_regular(p),
-    }
-}
-
 fn value_for(reg: RegisterId, round: u64) -> u64 {
     1 + reg.0 as u64 * 1_000 + round
 }
@@ -59,7 +51,7 @@ fn value_for(reg: RegisterId, round: u64) -> u64 {
 /// invoked before anything completes, so cross-register traffic genuinely
 /// overlaps. Returns the outcomes in operation order.
 fn run_sim(setup: Setup, seed: u64, batch: BatchConfig) -> (SimStore, Vec<OpOutcome>) {
-    let mut store: SimStore = StoreConfig::from(cluster_for(setup))
+    let mut store: SimStore = StoreConfig::synchronous(setup)
         .registers(REGISTERS)
         .readers_per_register(READERS_PER_REGISTER)
         .with_seed(seed)

@@ -19,8 +19,8 @@
 
 use lucky_atomic::checker::Violation;
 use lucky_atomic::core::byz::SplitBrain;
-use lucky_atomic::core::{ClusterConfig, ProtocolConfig, SimCluster};
-use lucky_atomic::types::{Params, ProcessId, ReaderId, ServerId, Time, Value};
+use lucky_atomic::core::{ProtocolConfig, StoreConfig};
+use lucky_atomic::types::{Params, ProcessId, ReaderId, RegisterId, ServerId, Time, Value};
 
 #[allow(dead_code)] // named for symmetry with the proof's block layout
 const B1: u16 = 0;
@@ -44,8 +44,10 @@ fn run_fig4_schedule(
 ) -> Result<(), lucky_atomic::checker::Violations> {
     let protocol =
         ProtocolConfig { fastpw_override: naive_fastpw, ..ProtocolConfig::for_sync_bound(100) };
-    let cfg = ClusterConfig::synchronous(params).with_protocol(protocol);
-    let mut c = SimCluster::new(cfg, 2);
+    let mut c = StoreConfig::synchronous(params)
+        .with_protocol(protocol)
+        .readers_per_register(2)
+        .build_sim();
 
     // B2 equivocates: faithful to the writer and reader1 (r0); towards
     // reader2 (r1) it pretends it never heard from them.
@@ -61,8 +63,8 @@ fn run_fig4_schedule(
     // sends, before any further step).
     c.world_mut().hold(ProcessId::Writer, server(FR));
     c.world_mut().hold(ProcessId::Writer, server(FW));
-    let _wr1 = c.invoke_write(Value::from_u64(1));
-    c.crash_writer_at(Time(150));
+    let _wr1 = c.register(RegisterId::DEFAULT).invoke_write(Value::from_u64(1));
+    c.crash_writer_at(RegisterId::DEFAULT, Time(150));
     c.run_until(Time(1_000));
 
     // rd1 by reader1 (r0): lucky; its messages to Fr stay in transit
@@ -70,7 +72,7 @@ fn run_fig4_schedule(
     // ⟨1, v1⟩) plus Fw (initial).
     c.world_mut().hold(ProcessId::Reader(ReaderId(0)), server(FR));
     c.world_mut().hold(server(FR), ProcessId::Reader(ReaderId(0)));
-    let rd1 = c.invoke_read(ReaderId(0));
+    let rd1 = c.register(RegisterId::DEFAULT).invoke_read(0);
     c.run_until(Time(3_000));
 
     // rd2 by reader2 (r1): T1's replies to it are delayed past the end of
@@ -78,7 +80,7 @@ fn run_fig4_schedule(
     // B2 (equivocating: blank), Fr and Fw (honest, never saw the write).
     c.world_mut().hold(server(T1A), ProcessId::Reader(ReaderId(1)));
     c.world_mut().hold(server(T1B), ProcessId::Reader(ReaderId(1)));
-    let rd2 = c.invoke_read(ReaderId(1));
+    let rd2 = c.register(RegisterId::DEFAULT).invoke_read(1);
     c.run_until_complete(rd2).expect("rd2 must complete");
 
     // rd1 must have completed too (fast, before rd2 started).
@@ -97,7 +99,11 @@ fn proposition2_naive_thresholds_beyond_bound_violate_atomicity() {
     // rd1 returned v1 (fast, from 4 = S−fw−fr confirmations); rd2 then
     // returned ⊥: a new/old inversion — condition (4) of §2.2.
     assert!(
-        err.0.iter().any(|v| matches!(v, Violation::NewOldInversion { .. })),
+        err.0.iter().any(|v| matches!(
+            v,
+            Violation::InRegister { reg: RegisterId::DEFAULT, violation }
+                if matches!(**violation, Violation::NewOldInversion { .. })
+        )),
         "expected a new/old inversion, got: {err}"
     );
 }
@@ -138,8 +144,7 @@ fn proposition4_fast_writes_beyond_t_minus_b_violate_safeness() {
     // Inflate fw to 2 > t − b = 1 (fr = 0). The writer then accepts
     // S − fw = 4 PW acks for a fast write.
     let params = Params::new_unchecked(2, 1, 2, 0);
-    let cfg = ClusterConfig::synchronous(params);
-    let mut c = SimCluster::new(cfg, 1);
+    let mut c = StoreConfig::synchronous(params).build_sim();
 
     // B2 equivocates: faithful to the writer, blank towards readers.
     c.install_byzantine(B2, Box::new(SplitBrain::new([ProcessId::Writer])));
@@ -149,21 +154,25 @@ fn proposition4_fast_writes_beyond_t_minus_b_violate_safeness() {
     c.world_mut().hold(ProcessId::Writer, server(FW));
 
     // wr1 completes FAST with acks from B1, B2, T1×2 (4 = S − fw).
-    let w = c.write(Value::from_u64(1));
+    let w = c.register(RegisterId::DEFAULT).write(Value::from_u64(1));
     assert!(w.fast, "inflated fw lets the write complete in one round");
 
     // The read: T1's replies delayed past the experiment; quorum = B1
     // (honest, has v1), B2 (lies: blank), s4, s5 (honest, never saw v1).
     c.world_mut().hold(server(T1A), ProcessId::Reader(ReaderId(0)));
     c.world_mut().hold(server(T1B), ProcessId::Reader(ReaderId(0)));
-    let r = c.read(ReaderId(0));
+    let r = c.register(RegisterId::DEFAULT).read(0);
     assert!(r.value.is_bot(), "the completed write is invisible: read returned ⊥");
 
     // Safeness (and a fortiori atomicity) is violated: the read is
     // contention-free and succeeds a complete write.
     let err = c.check_safeness().expect_err("safeness must be violated");
     assert!(
-        err.0.iter().any(|v| matches!(v, Violation::StaleRead { .. })),
+        err.0.iter().any(|v| matches!(
+            v,
+            Violation::InRegister { reg: RegisterId::DEFAULT, violation }
+                if matches!(**violation, Violation::StaleRead { .. })
+        )),
         "expected a stale read, got: {err}"
     );
 }
@@ -175,20 +184,19 @@ fn proposition4_fast_writes_beyond_t_minus_b_violate_safeness() {
 #[test]
 fn proposition4_same_schedule_is_safe_within_the_bound() {
     let params = Params::new(2, 1, 1, 0).unwrap();
-    let cfg = ClusterConfig::synchronous(params);
-    let mut c = SimCluster::new(cfg, 1);
+    let mut c = StoreConfig::synchronous(params).build_sim();
     c.install_byzantine(B2, Box::new(SplitBrain::new([ProcessId::Writer])));
     c.world_mut().hold(ProcessId::Writer, server(FR));
     c.world_mut().hold(ProcessId::Writer, server(FW));
 
-    let w = c.write(Value::from_u64(1));
+    let w = c.register(RegisterId::DEFAULT).write(Value::from_u64(1));
     assert!(!w.fast, "4 acks < S − fw = 5: the write must go slow");
     assert_eq!(w.rounds, 3);
 
     // Delay T1 to the reader initially; release after 5ms.
     c.world_mut().hold(server(T1A), ProcessId::Reader(ReaderId(0)));
     c.world_mut().hold(server(T1B), ProcessId::Reader(ReaderId(0)));
-    let rd = c.invoke_read(ReaderId(0));
+    let rd = c.register(RegisterId::DEFAULT).invoke_read(0);
     c.run_until(Time(c.now().micros() + 5_000));
     assert!(!c.is_complete(rd), "without T1 the read cannot decide safely");
     c.world_mut().release(server(T1A), ProcessId::Reader(ReaderId(0)));
@@ -208,7 +216,8 @@ fn randomized_adversary_never_breaks_correct_configs() {
     use lucky_atomic::types::{Seq, TsVal};
     for seed in 0..30u64 {
         let params = Params::new(2, 1, 1, 0).unwrap();
-        let mut c = SimCluster::new(ClusterConfig::asynchronous(params).with_seed(seed), 2);
+        let mut c =
+            StoreConfig::asynchronous(params).with_seed(seed).readers_per_register(2).build_sim();
         match seed % 3 {
             0 => c.install_byzantine(
                 (seed % 6) as u16,
@@ -220,8 +229,8 @@ fn randomized_adversary_never_breaks_correct_configs() {
         // One crash on top (within t = 2 together with the Byzantine).
         c.crash_server(((seed + 1) % 6) as u16);
         for i in 1..=6u64 {
-            c.write(Value::from_u64(i));
-            c.read(ReaderId((i % 2) as u16));
+            c.register(RegisterId::DEFAULT).write(Value::from_u64(i));
+            c.register(RegisterId::DEFAULT).read((i % 2) as u16);
         }
         c.check_atomicity().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
     }

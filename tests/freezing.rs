@@ -8,21 +8,21 @@
 //! starvation pattern, verify freezing defeats it, and check the
 //! mechanism's bookkeeping end to end.
 
-use lucky_atomic::core::{ClusterConfig, ProtocolConfig, SimCluster};
+use lucky_atomic::core::{ProtocolConfig, SimStore, StoreConfig};
 use lucky_atomic::sim::Delay;
-use lucky_atomic::types::{OpId, Params, ProcessId, ReaderId, ServerId, Value};
+use lucky_atomic::types::{OpId, Params, ProcessId, ReaderId, RegisterId, ServerId, Value};
 
 /// Build the adversarial storm cluster: reader → server links staggered
 /// so every round samples non-adjacent write epochs; two servers crashed
 /// so the staggered four are exactly the quorum.
-fn storm_cluster(freezing: bool, cap: u32, seed: u64) -> SimCluster {
+fn storm_cluster(freezing: bool, cap: u32, seed: u64) -> SimStore {
     let params = Params::new(2, 1, 1, 0).unwrap();
     let protocol = ProtocolConfig {
         freezing,
         max_read_rounds: Some(cap),
         ..ProtocolConfig::for_sync_bound(100)
     };
-    let mut cfg = ClusterConfig::synchronous(params).with_protocol(protocol).with_seed(seed);
+    let mut cfg = StoreConfig::synchronous(params).with_protocol(protocol).with_seed(seed);
     for i in 0..params.server_count() as u16 {
         cfg.net.set_link(
             ProcessId::Reader(ReaderId(0)),
@@ -30,7 +30,7 @@ fn storm_cluster(freezing: bool, cap: u32, seed: u64) -> SimCluster {
             Delay::Constant(100 + 1_300 * i as u64),
         );
     }
-    let mut c = SimCluster::new(cfg, 1);
+    let mut c = cfg.build_sim();
     c.crash_server(4);
     c.crash_server(5);
     c
@@ -38,18 +38,19 @@ fn storm_cluster(freezing: bool, cap: u32, seed: u64) -> SimCluster {
 
 /// Drive the storm: closed-loop writes until the read completes or
 /// `max_writes` writes have run.
-fn run_storm(c: &mut SimCluster, max_writes: u64) -> (OpId, u64) {
+fn run_storm(c: &mut SimStore, max_writes: u64) -> (OpId, u64) {
     run_storm_from(c, max_writes, 0)
 }
 
 /// Like [`run_storm`] but writing values `base+1, base+2, …` so repeated
 /// storms on one cluster keep written values distinct.
-fn run_storm_from(c: &mut SimCluster, max_writes: u64, base: u64) -> (OpId, u64) {
-    let read_op = c.invoke_read_at(c.now() + 2_000, ReaderId(0));
+fn run_storm_from(c: &mut SimStore, max_writes: u64, base: u64) -> (OpId, u64) {
+    let start = c.now() + 2_000;
+    let read_op = c.register(RegisterId::DEFAULT).invoke_read_at(start, 0);
     let mut writes = 0;
     while !c.is_complete(read_op) && writes < max_writes {
         writes += 1;
-        c.write(Value::from_u64(base + writes));
+        c.register(RegisterId::DEFAULT).write(Value::from_u64(base + writes));
     }
     c.run_until_idle(5_000_000);
     (read_op, writes)
@@ -88,7 +89,7 @@ fn frozen_value_satisfies_atomicity() {
     let returned = frozen_read.value.as_u64().expect("a real value");
     assert!(returned >= 1 && returned <= writes);
     // Subsequent reads (quiet system now) must not return anything older.
-    let next = c.read(ReaderId(0));
+    let next = c.register(RegisterId::DEFAULT).read(0);
     assert!(next.value.as_u64().unwrap() >= returned);
     c.check_atomicity().unwrap();
 }
@@ -112,10 +113,10 @@ fn sequential_reads_between_writes_never_need_freezing() {
     // Without contention the freezing machinery stays dormant: reads are
     // fast and no frozen slot is ever consulted (observable as rounds=1).
     let params = Params::new(2, 1, 1, 0).unwrap();
-    let mut c = SimCluster::new(ClusterConfig::synchronous(params), 1);
+    let mut c = StoreConfig::synchronous(params).build_sim();
     for i in 1..=20u64 {
-        c.write(Value::from_u64(i));
-        let r = c.read(ReaderId(0));
+        c.register(RegisterId::DEFAULT).write(Value::from_u64(i));
+        let r = c.register(RegisterId::DEFAULT).read(0);
         assert!(r.fast);
     }
     c.check_atomicity().unwrap();
@@ -128,7 +129,7 @@ fn two_concurrent_slow_readers_both_terminate() {
     let params = Params::new(2, 1, 1, 0).unwrap();
     let protocol =
         ProtocolConfig { max_read_rounds: Some(80), ..ProtocolConfig::for_sync_bound(100) };
-    let mut cfg = ClusterConfig::synchronous(params).with_protocol(protocol);
+    let mut cfg = StoreConfig::synchronous(params).with_protocol(protocol);
     for r in 0..2u16 {
         for i in 0..params.server_count() as u16 {
             cfg.net.set_link(
@@ -138,15 +139,16 @@ fn two_concurrent_slow_readers_both_terminate() {
             );
         }
     }
-    let mut c = SimCluster::new(cfg, 2);
+    let mut c = cfg.readers_per_register(2).build_sim();
     c.crash_server(4);
     c.crash_server(5);
-    let rd0 = c.invoke_read_at(c.now() + 2_000, ReaderId(0));
-    let rd1 = c.invoke_read_at(c.now() + 2_500, ReaderId(1));
+    let now = c.now();
+    let rd0 = c.register(RegisterId::DEFAULT).invoke_read_at(now + 2_000, 0);
+    let rd1 = c.register(RegisterId::DEFAULT).invoke_read_at(now + 2_500, 1);
     let mut writes = 0u64;
     while (!c.is_complete(rd0) || !c.is_complete(rd1)) && writes < 600 {
         writes += 1;
-        c.write(Value::from_u64(writes));
+        c.register(RegisterId::DEFAULT).write(Value::from_u64(writes));
     }
     c.run_until_idle(8_000_000);
     assert!(c.history().get(rd0).unwrap().is_complete(), "reader 0 terminated");
@@ -171,23 +173,23 @@ fn two_concurrent_slow_readers_both_terminate() {
 /// Returns the READ's outcome and the value of that first WRITE.
 fn starving_read_with_two_reporters(
     reports_lag: bool,
-) -> (lucky_atomic::core::OpOutcome, u64, SimCluster) {
+) -> (lucky_atomic::core::OpOutcome, u64, SimStore) {
     let params = Params::new(3, 1, 2, 0).unwrap();
-    let cfg = ClusterConfig::synchronous(params);
+    let cfg = StoreConfig::synchronous(params);
     let timer = cfg.protocol.timer_micros;
-    let mut c = SimCluster::new(cfg, 1);
+    let mut c = cfg.build_sim();
     let reader = ProcessId::Reader(ReaderId(0));
     let server = |i: u16| ProcessId::Server(ServerId(i));
     let mut written = 0u64;
-    let mut write = |c: &mut SimCluster| {
+    let mut write = |c: &mut SimStore| {
         written += 1;
-        let w = c.write(Value::from_u64(written));
+        let w = c.register(RegisterId::DEFAULT).write(Value::from_u64(written));
         assert!(w.fast && w.latency < timer, "write {written} settles on its 6th ack");
         written
     };
     // Hand the reader's pending message to server `i` alone and let the
     // reply come back; everything it sends afterwards is held again.
-    let deliver = |c: &mut SimCluster, i: u16| {
+    let deliver = |c: &mut SimStore, i: u16| {
         c.world_mut().release(reader, server(i));
         c.world_mut().hold(reader, server(i));
         c.run_for(300);
@@ -199,7 +201,7 @@ fn starving_read_with_two_reporters(
         c.world_mut().hold(server(i), ProcessId::Writer);
     }
     write(&mut c);
-    let read = c.invoke_read(ReaderId(0));
+    let read = c.register(RegisterId::DEFAULT).invoke_read(0);
     c.run_for(300); // past the round-1 timer
 
     // Round 1: five views from five epochs, no candidate. (A round-1

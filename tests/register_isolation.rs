@@ -91,12 +91,7 @@ fn run_sim_store(setup: Setup, seed: u64) {
 }
 
 fn run_sim_store_with(setup: Setup, seed: u64, batch: BatchConfig, adversary: Adversary) {
-    let cluster = match setup {
-        Setup::Atomic(p) => lucky_atomic::core::ClusterConfig::synchronous(p),
-        Setup::TwoRound(p) => lucky_atomic::core::ClusterConfig::synchronous_two_round(p),
-        Setup::Regular(p) => lucky_atomic::core::ClusterConfig::synchronous_regular(p),
-    };
-    let mut store: SimStore = StoreConfig::from(cluster)
+    let mut store: SimStore = StoreConfig::synchronous(setup)
         .registers(REGISTERS)
         .readers_per_register(READERS_PER_REGISTER)
         .with_seed(seed)
