@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lucky_baselines::abd::{AbdCluster, AbdConfig};
 use lucky_core::{ProtocolConfig, Setup, StoreConfig};
-use lucky_net::{Driver, NetConfig, NetStore, Transport};
+use lucky_net::{Driver, NetConfig, NetStore};
 use lucky_types::{Params, ReaderId, RegisterId, TwoRoundParams, Value};
 use std::time::Duration;
 
@@ -146,11 +146,8 @@ fn bench_net_drivers(c: &mut Criterion) {
         drivers.push(("reactor", Driver::Reactor));
     }
     let store = |driver, registers: usize| {
-        let mut store = NetStore::builder(params, cfg())
-            .registers(registers)
-            .transport(Transport::Tcp)
-            .driver(driver)
-            .build();
+        let mut store =
+            NetStore::builder(params, cfg()).registers(registers).driver(driver).build();
         let handles: Vec<_> = RegisterId::all(registers)
             .map(|reg| store.register(reg).expect("fresh handle"))
             .collect();

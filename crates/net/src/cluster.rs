@@ -1,6 +1,7 @@
 //! What every store is assembled from: the latency/timer configuration,
 //! the error and outcome types of the client API, and the server
-//! thread.
+//! thread, which reads its own loopback socket through the same
+//! [`PollIo`] receive path as a shard worker.
 //!
 //! Stores are **variant-generic**: they are built from the same
 //! [`Setup`](lucky_core::Setup) enum the simulator uses, and every
@@ -201,42 +202,23 @@ impl NetOutcome {
 /// Control-plane commands for one server thread: the crash-recovery
 /// harness speaks to a *live thread* whose protocol core comes and goes.
 pub(crate) enum ServerCtl {
-    /// Drop the protocol core: the thread keeps draining its input but
+    /// Drop the protocol core: the thread keeps draining its socket but
     /// every delivery is discarded, exactly as a dead process loses the
     /// messages sent to it.
     Crash,
     /// Rebuild the core and resume answering. The builder runs on the
     /// server thread *after* the old core (and its open log handles)
     /// has been dropped, so a durable rebuild replays logs whose every
-    /// pre-crash write has completed. A socket server then re-binds: the
-    /// old listener and its connections close, a fresh ephemeral one
-    /// takes their place. The second field acknowledges the completed
-    /// restart with the new listener's address (`None` for an inbox
-    /// server, or if no listener could be had): the requester blocks on
+    /// pre-crash write has completed. The server then re-binds: the old
+    /// listener and its connections close, a fresh ephemeral one takes
+    /// their place. The second field acknowledges the completed restart
+    /// with the new listener's address (`None` if no listener could be
+    /// had): the requester blocks on
     /// it so that once its `restart_server` returns, no later message
     /// can race the still-down window and be lost (deliveries *before*
     /// the rebuild are lost like any message to a down server).
     Restart(Box<dyn FnOnce() -> Box<dyn ServerCore> + Send>, Sender<Option<SocketAddr>>),
 }
-
-/// What a server thread reads its protocol messages from — the only
-/// place the two transports' servers differ.
-pub(crate) enum ServerInput {
-    /// [`Transport::Channel`](crate::Transport::Channel): the inbox the
-    /// router hands messages to. A channel is something a thread can
-    /// block on, so the server does.
-    Inbox(Receiver<(ProcessId, Message)>),
-    /// [`Transport::Tcp`](crate::Transport::Tcp): the server's own
-    /// loopback listener, read by this thread like a shard worker reads
-    /// its own — with the eventfd (if any) the control port writes.
-    Socket(PollIo, Option<Arc<WakeFd>>),
-}
-
-/// How long an inbox server blocks on its inbox before re-checking the
-/// control channel — bounds how stale a crash/restart command can go
-/// unnoticed while the inbox is quiet. (A socket server's control port
-/// interrupts its wait instead.)
-const CTL_POLL: Duration = Duration::from_millis(5);
 
 /// One server: its protocol core, present unless crashed, and where its
 /// replies go.
@@ -248,7 +230,7 @@ struct Server {
 
 impl Server {
     /// Apply one control command. A restart hands back its
-    /// acknowledgement, for the caller to send once its input is ready
+    /// acknowledgement, for the caller to send once its socket is ready
     /// for the new incarnation.
     fn control(&mut self, cmd: ServerCtl) -> Option<Sender<Option<SocketAddr>>> {
         match cmd {
@@ -281,78 +263,58 @@ impl Server {
     }
 }
 
-/// Spawn one server's event loop: deliver every inbound message to
-/// `core` and forward its replies to the router. The control channel
-/// injects crash/restart transitions, and always goes first: a queued
-/// crash takes effect before any queued delivery, so deliveries behind
-/// the command in wall-clock order are lost like a real crash loses
-/// them.
+/// Spawn one server's event loop: read `io`, deliver every inbound
+/// message to `core` and forward its replies to the router. The control
+/// port (whose eventfd, if any, is `wake`) injects crash/restart
+/// transitions, and always goes first: a queued crash takes effect
+/// before any queued delivery, so deliveries behind the command in
+/// wall-clock order are lost like a real crash loses them.
 ///
-/// An inbox server exits when its inbox disconnects (no controller at
-/// all — the sender dropped — leaves it a plain server); a socket
-/// server, whose input never "disconnects", when its control port does.
-/// Both exit once the router is gone.
+/// The server exits when its control port disconnects, or once the
+/// router is gone.
 pub(crate) fn spawn_server_thread(
     name: String,
     id: ProcessId,
     core: Box<dyn ServerCore>,
-    input: ServerInput,
+    mut io: PollIo,
+    wake: Option<Arc<WakeFd>>,
     ctl: Receiver<ServerCtl>,
     router: Sender<Envelope>,
 ) -> JoinHandle<()> {
     let mut server = Server { id, core: Some(core), router };
-    let run = move || match input {
-        ServerInput::Inbox(rx) => loop {
-            if let Ok(cmd) = ctl.try_recv() {
-                if let Some(done) = server.control(cmd) {
-                    let _ = done.send(None);
-                }
-            }
-            match rx.recv_timeout(CTL_POLL) {
-                Ok((from, msg)) => {
-                    if !server.deliver(from, msg) {
-                        return;
-                    }
-                }
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => return,
-            }
-        },
-        ServerInput::Socket(mut io, wake) => {
-            let mut wait = wait_strategy(&io, wake.clone(), None);
-            let stats = Arc::clone(&io.stats);
-            let mut router_up = true;
+    let run = move || {
+        let mut wait = wait_strategy(&io, wake.clone(), None);
+        let stats = Arc::clone(&io.stats);
+        let mut router_up = true;
+        loop {
             loop {
-                loop {
-                    match ctl.try_recv() {
-                        Ok(cmd) => {
-                            if let Some(done) = server.control(cmd) {
-                                let (fresh, addr) = io.rebind();
-                                io = fresh;
-                                wait = wait_strategy(&io, wake.clone(), None);
-                                let _ = done.send(addr);
-                            }
+                match ctl.try_recv() {
+                    Ok(cmd) => {
+                        if let Some(done) = server.control(cmd) {
+                            let addr = io.rebind();
+                            wait = wait_strategy(&io, wake.clone(), None);
+                            let _ = done.send(addr);
                         }
-                        Err(TryRecvError::Empty) => break,
-                        Err(TryRecvError::Disconnected) => return,
                     }
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => return,
                 }
-                // Only a part addressed to this server, while it is up,
-                // reaches the core; anything else on this socket (only
-                // hostile frames are mis-addressed — the router
-                // partitions by slot) is dropped and counted.
-                wait.input(&mut io, &mut |from, to, msg| {
-                    if to == id && server.core.is_some() {
-                        router_up &= server.deliver(from, msg);
-                    } else {
-                        stats.lock().dropped += msg.part_count() as u64;
-                    }
-                });
-                if !router_up {
-                    return;
-                }
-                wait.wait(&io, None);
             }
+            // Only a part addressed to this server, while it is up,
+            // reaches the core; anything else on this socket (only
+            // hostile frames are mis-addressed — the router partitions
+            // by slot) is dropped and counted.
+            wait.input(&mut io, &mut |from, to, msg| {
+                if to == id && server.core.is_some() {
+                    router_up &= server.deliver(from, msg);
+                } else {
+                    stats.lock().dropped += msg.part_count() as u64;
+                }
+            });
+            if !router_up {
+                return;
+            }
+            wait.wait(&io, None);
         }
     };
     std::thread::Builder::new().name(name).spawn(run).expect("spawn server thread")

@@ -3,8 +3,8 @@
 //! A thread-based, wall-clock runtime for the lucky storage protocols.
 //!
 //! The same sans-io cores that run under the deterministic simulator run
-//! here over real threads and channels (or sockets): every server is
-//! one thread, a router thread injects configurable per-message latency,
+//! here over real threads and loopback sockets: every server is one
+//! thread, a router thread injects configurable per-message latency,
 //! and shard worker threads drive the writer/reader cores on behalf of the
 //! register handles the caller holds, whose `write`/`read` calls block
 //! (tickets and futures do not). This is the runtime the
@@ -70,24 +70,25 @@
 //! (the poll-based op lifecycle with the per-operation deadline built
 //! in). Each shard worker multiplexes **all** of its sessions on one
 //! thread, in one loop — drain jobs, feed input, fire due timers,
-//! advance, wait — and under [`Transport::Tcp`] accepts and reads its
-//! own socket with `lucky-wire`'s push-based `FrameDecoder`. So does a
-//! server: there is one receive path, and a thread that owns a socket
-//! waits for it one of two ways:
+//! advance, wait — and accepts and reads its own socket with
+//! `lucky-wire`'s push-based `FrameDecoder`. So does a server: there is
+//! one receive path, and a thread that owns a socket waits for it one of
+//! two ways:
 //!
+//! * [`Driver::Reactor`] — a real `epoll` instance (Linux): the thread
+//!   sleeps in `epoll_wait` (a worker with its sessions' `next_wake`
+//!   armed on a timerfd) and wakes only for actual IO, a timer, or a job
+//!   submission or server command (signalled via `eventfd`) — so one
+//!   thread drives thousands of concurrent in-flight sessions and an
+//!   idle store burns zero CPU;
 //! * [`Driver::Polled`] — sleep-capped polling: after at most a 500 µs
-//!   tick the thread re-polls its inboxes or sockets. Portable, and the
-//!   only way to watch a channel;
-//! * [`Driver::Reactor`] — a real `epoll` instance (Linux; requires
-//!   [`Transport::Tcp`]): the thread sleeps in `epoll_wait` (a worker
-//!   with its sessions' `next_wake` armed on a timerfd) and wakes only
-//!   for actual IO, a timer, or a job submission or server command
-//!   (signalled via `eventfd`) — so one thread drives thousands of
-//!   concurrent in-flight sessions and an idle store burns zero CPU.
+//!   tick the thread re-polls its sockets. The portable fallback, used
+//!   off Linux and by any thread that cannot get an epoll set or an
+//!   eventfd; the tick is paid once per hop.
 //!
-//! The store derives the strategy from the transport — the reactor over
-//! TCP on Linux, polling otherwise — so the builder method `driver` is
-//! only for pinning one (benchmarks, the equivalence tests).
+//! The store picks the reactor on Linux and polling otherwise, so the
+//! builder method `driver` is only for pinning one (benchmarks, the
+//! equivalence tests).
 //! `tests/driver_equivalence.rs` proves the two observably
 //! interchangeable, `tests/reactor.rs` pins the concurrency and
 //! idle-CPU properties, and `tests/thread_budget.rs` the thread count
@@ -105,24 +106,23 @@
 //! [`exec::Executor`], [`exec::run_all`]) are enough to hold thousands
 //! of operations in flight from one caller thread.
 //!
-//! ## Transports
+//! ## Transport
 //!
-//! The router moves wire messages over one of two transports (builder
-//! method `transport`): [`Transport::Channel`] (default) hands them to
-//! in-process inboxes, while [`Transport::Tcp`] gives every server and
-//! every shard worker a real `std::net` loopback socket — each wire
-//! message is encoded by `lucky-wire`, framed with a checksum, written
-//! to the destination slot's socket and reassembled from partial reads
-//! by the thread that owns it. The frames that fall due in one router
-//! pass leave in **one `write` per destination** (no hold-back: a lone
-//! frame is written at once), so under load a message costs its bytes,
-//! not a syscall and a wake-up of its receiver —
-//! [`NetStats::socket_writes`] against [`NetStats::messages`] is the
-//! ratio achieved. Under TCP, [`NetStats::wire_bytes`] reports the
-//! true framed byte count (strictly above the codec-exact payload
-//! accounting in `bytes`), [`NetStats::decode_errors`] counts rejected
-//! hostile frames, and `server_addr` exposes each server's listener
-//! for adversarial harnesses that talk raw bytes.
+//! Every server and every shard worker owns a real `std::net` loopback
+//! socket ([`Transport::Tcp`], the only transport): each wire message is
+//! encoded by `lucky-wire`, framed with a checksum, written to the
+//! destination slot's socket and reassembled from partial reads by the
+//! thread that owns it. The frames that fall due in one router pass
+//! leave in **one `write` per destination** (no hold-back: a lone frame
+//! is written at once), so under load a message costs its bytes, not a
+//! syscall and a wake-up of its receiver — [`NetStats::socket_writes`]
+//! against [`NetStats::messages`] is the ratio achieved.
+//! [`NetStats::wire_bytes`] reports the true framed byte count (strictly
+//! above the codec-exact payload accounting in `bytes`),
+//! [`NetStats::decode_errors`] counts rejected hostile frames, and
+//! `server_addr` exposes each server's listener for adversarial
+//! harnesses that talk raw bytes. The builders' `transport` setters are
+//! inert; they remain for callers that still name the transport.
 //!
 //! ## Batching
 //!

@@ -1,33 +1,26 @@
 //! The one receive path ([`PollIo`]), the one way to wait for it
 //! ([`Wait`]), and the session-multiplexing shard worker built on them.
 //!
-//! Every thread that receives protocol messages — a shard worker under
-//! either transport, a server under [`Transport::Tcp`](crate::Transport)
-//! — owns a [`PollIo`] and reads it itself, nonblocking, through a
-//! [`Wait`] strategy. What the thread *does* with a message is a sink it
-//! passes in; where ready input is found and how the thread blocks when
-//! there is none is the strategy:
+//! Every thread that receives protocol messages — a shard worker or a
+//! server — owns a [`PollIo`] and reads it itself, nonblocking, through
+//! a [`Wait`] strategy. What the thread *does* with a message is a sink
+//! it passes in; where ready input is found and how the thread blocks
+//! when there is none is the strategy:
 //!
 //! * [`Driver::Polled`] — this module's [`SleepPoll`]: re-poll every
-//!   input source after a sleep of at most [`POLL_TICK`]. Portable (no
-//!   OS reactor) and the only strategy that can watch a channel, at the
-//!   cost of scheduling noise up to one tick per input;
+//!   socket after a sleep of at most [`POLL_TICK`]. The portable
+//!   fallback, at the cost of scheduling noise up to one tick per hop;
 //! * [`Driver::Reactor`] — `crate::reactor`'s `EpollWait`: block in
 //!   `epoll_wait` with the caller's deadline armed on a timerfd, wake
 //!   only for actual IO, the deadline or a port's eventfd, and read only
 //!   the connections epoll reported.
 //!
-//! Input sources per [`Transport`](crate::Transport):
-//!
-//! * **Channel** — a worker owns its client processes' inboxes and
-//!   `try_recv`s them (a server blocks on its one inbox instead and
-//!   needs none of this);
-//! * **Tcp** — the thread owns its slot's loopback listener: it accepts
-//!   the router's connection nonblocking, reads whatever bytes arrived,
-//!   reassembles frames with [`FrameDecoder`], decodes the packet parts
-//!   and hands each `(from, to, message)` to the sink. One thread, zero
-//!   blocking reads — the push-based decoder from `lucky-wire` is what
-//!   makes this loop possible.
+//! The input source is the thread's own loopback listener: the thread
+//! accepts the router's connection nonblocking, reads whatever bytes
+//! arrived, reassembles frames with [`FrameDecoder`], decodes the packet
+//! parts and hands each `(from, to, message)` to the sink. One thread,
+//! zero blocking reads — the push-based decoder from `lucky-wire` is
+//! what makes this loop possible.
 //!
 //! Trust model: a slot's socket delivers only to the sink of the thread
 //! that owns it, so a frame arriving on server 0's socket can never
@@ -39,9 +32,10 @@
 //! corrupted byte stream cannot be resynchronized, so continuing would
 //! mean guessing at frame boundaries. Peer *authentication* is out of
 //! scope for this loopback transport (the listener trusts whoever
-//! connects, which is how the adversarial tests inject hostile bytes);
-//! within the workspace the paper's channel model is preserved because
-//! every honest frame is written by the router.
+//! connects and the `from` each part names, which is how the
+//! adversarial tests inject hostile bytes); within one store the paper's
+//! channel model holds because every honest frame is written by the
+//! router. ROADMAP item 9 is the work that closes this gap.
 //!
 //! Socket failures degrade instead of killing the thread, each counted
 //! in [`NetStats::io_errors`]: a connection that cannot be flipped
@@ -70,24 +64,25 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How a `NetStore`'s socket-owning threads (shard workers, and servers
-/// over TCP) wait for input. Unless the builder's
-/// `driver` method names one, the store derives it from the transport:
-/// [`Driver::Reactor`] over [`Transport::Tcp`](crate::Transport::Tcp) on
-/// Linux, [`Driver::Polled`] otherwise (epoll cannot watch a channel).
+/// How a `NetStore`'s socket-owning threads (shard workers and servers)
+/// wait for input. Unless the builder's `driver` method names one, the
+/// store picks [`Driver::Reactor`] on Linux and [`Driver::Polled`]
+/// otherwise.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Driver {
-    /// Sleep-capped polling: the worker re-polls its inboxes or sockets
-    /// after at most one tick. Works under every transport and platform.
+    /// Sleep-capped polling: the thread re-polls its sockets after at
+    /// most a 500 µs tick, which a message pays once per hop. The
+    /// portable fallback: it runs off Linux, and it is what a
+    /// [`Driver::Reactor`] thread degrades to when no epoll set or
+    /// eventfd can be had.
     Polled,
     /// One `epoll` instance per thread: it blocks in
     /// `epoll_wait` (wake eventfd + listener + accepted connections
     /// registered, session timers on a timerfd) instead of sleep-capped
     /// polling — so one thread drives thousands of concurrent sessions
-    /// and an idle worker costs zero CPU. Requires
-    /// [`Transport::Tcp`](crate::Transport::Tcp); where no epoll
-    /// instance can be had the worker falls back to sleep-polling
-    /// (counted in [`NetStats::io_errors`]).
+    /// and an idle worker costs zero CPU. Linux only; where no epoll
+    /// instance or eventfd can be had the thread falls back to
+    /// sleep-polling (counted in [`NetStats::io_errors`]).
     Reactor,
 }
 
@@ -153,12 +148,9 @@ pub(crate) type Sink<'a> = &'a mut dyn FnMut(ProcessId, ProcessId, Message);
 /// Where a thread's inbound protocol messages come from, and the one
 /// code path that receives them.
 pub(crate) struct PollIo {
-    /// Channel transport: the per-process inboxes a worker hosts.
-    inboxes: BTreeMap<ProcessId, Receiver<(ProcessId, Message)>>,
-    /// TCP transport: the thread's own loopback listener, nonblocking.
-    /// `None` under the channel transport — or if it could not be bound
-    /// or made nonblocking: the thread then runs without accepting,
-    /// degraded but alive.
+    /// The thread's own loopback listener, nonblocking. `None` if it
+    /// could not be bound or made nonblocking: the thread then runs
+    /// without accepting, degraded but alive.
     listener: Option<TcpListener>,
     /// The connections accepted so far with their frame decoders. Slab
     /// indices are stable (closed connections leave a `None` hole) so
@@ -172,24 +164,6 @@ pub(crate) struct PollIo {
 }
 
 impl PollIo {
-    /// The channel-transport source: a worker's inboxes, no sockets.
-    pub(crate) fn channel(
-        inboxes: BTreeMap<ProcessId, Receiver<(ProcessId, Message)>>,
-        stats: &Arc<Mutex<NetStats>>,
-        tracer: &Arc<lucky_trace::Tracer>,
-        epoch: Instant,
-    ) -> PollIo {
-        PollIo {
-            inboxes,
-            listener: None,
-            conns: Vec::new(),
-            scratch: Box::new([0; 16 * 1024]),
-            stats: Arc::clone(stats),
-            tracer: Arc::clone(tracer),
-            epoch,
-        }
-    }
-
     /// A nonblocking TCP source. The listener must already be bound;
     /// this flips it nonblocking. If the OS refuses, the listener is
     /// **abandoned** (counted in [`NetStats::io_errors`]) rather than
@@ -202,7 +176,14 @@ impl PollIo {
         tracer: &Arc<lucky_trace::Tracer>,
         epoch: Instant,
     ) -> PollIo {
-        let mut io = PollIo::channel(BTreeMap::new(), stats, tracer, epoch);
+        let mut io = PollIo {
+            listener: None,
+            conns: Vec::new(),
+            scratch: Box::new([0; 16 * 1024]),
+            stats: Arc::clone(stats),
+            tracer: Arc::clone(tracer),
+            epoch,
+        };
         match listener.set_nonblocking(true) {
             Ok(()) => io.listener = Some(listener),
             Err(_) => io.io_error("listener cannot be made nonblocking; abandoned"),
@@ -210,25 +191,27 @@ impl PollIo {
         io
     }
 
-    /// A fresh TCP source on a new ephemeral loopback port, reporting
-    /// where this one reports: the socket half of a server restart — a
-    /// restarted server resumes at a new address, exactly as a restarted
-    /// process would. The address is `None` if no listener could be had
-    /// (counted; the source then accepts nothing).
-    pub(crate) fn rebind(&self) -> (PollIo, Option<SocketAddr>) {
-        let mut io = PollIo::channel(BTreeMap::new(), &self.stats, &self.tracer, self.epoch);
+    /// Close the listener and every connection it accepted, and listen
+    /// on a new ephemeral loopback port instead: the socket half of a
+    /// server restart — a restarted server resumes at a new address,
+    /// exactly as a restarted process would. Returns that address, or
+    /// `None` if no listener could be had (counted; the source then
+    /// accepts nothing).
+    pub(crate) fn rebind(&mut self) -> Option<SocketAddr> {
+        self.listener = None;
+        self.conns.clear();
         let bound = TcpListener::bind("127.0.0.1:0").and_then(|listener| {
             listener.set_nonblocking(true)?;
             Ok((listener.local_addr()?, listener))
         });
         match bound {
             Ok((addr, listener)) => {
-                io.listener = Some(listener);
-                (io, Some(addr))
+                self.listener = Some(listener);
+                Some(addr)
             }
             Err(_) => {
-                io.io_error("no loopback listener for the restarted slot");
-                (io, None)
+                self.io_error("no loopback listener for the restarted slot");
+                None
             }
         }
     }
@@ -240,13 +223,9 @@ impl PollIo {
         self.tracer.note_io_error(self.epoch.elapsed().as_micros() as u64, what);
     }
 
-    /// Hand the sink whatever arrived on any source, without blocking.
+    /// Hand the sink whatever arrived on any connection, without
+    /// blocking.
     fn poll(&mut self, sink: Sink<'_>) {
-        for (pid, rx) in &self.inboxes {
-            while let Ok((from, msg)) = rx.try_recv() {
-                sink(from, *pid, msg);
-            }
-        }
         self.accept_new();
         for i in 0..self.conns.len() {
             self.read_conn(i, sink);
@@ -293,8 +272,8 @@ impl PollIo {
         added
     }
 
-    /// The loopback listener, for epoll registration (`None` for the
-    /// channel transport or a degraded TCP source).
+    /// The loopback listener, for epoll registration (`None` for a
+    /// degraded source).
     pub(crate) fn listener(&self) -> Option<&TcpListener> {
         self.listener.as_ref()
     }
@@ -383,7 +362,7 @@ pub(crate) trait Wait {
     fn interruptible(&self) -> bool;
 }
 
-/// The portable strategy: poll every input source, then sleep until the
+/// The portable strategy: poll every connection, then sleep until the
 /// deadline — capped at [`POLL_TICK`], since nothing interrupts the
 /// sleep.
 pub(crate) struct SleepPoll;

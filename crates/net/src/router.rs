@@ -7,16 +7,20 @@
 //! (a server, or the shard worker hosting a group of client cores) are
 //! coalesced — up to `max_msgs` parts, waiting at most
 //! `max_delay_micros` for co-travellers — and travel as one wire message
-//! with a single sampled delay. At delivery, runs of parts that share a
-//! sender and recipient are handed to the inbox as one
-//! [`Message::Batch`]; parts from different senders are fanned out
-//! back-to-back, preserving sender identity (the channel, not the
-//! payload, authenticates the sender — a batch can never forge one).
+//! with a single sampled delay. At launch, runs of parts that share a
+//! sender and recipient are encoded as one [`Message::Batch`], and the
+//! packet names each run's `(from, to)` explicitly, so a batch carries
+//! several senders without merging them.
+//!
+//! The receiving thread trusts the `from` a packet names: the sockets
+//! do not authenticate their peers. Every honest frame is written by
+//! this router, so within one store the paper's point-to-point channels
+//! hold; anyone else who can connect to a slot's loopback listener can
+//! name any sender. Closing that gap is ROADMAP item 9.
 //!
 //! # One `write` per destination per pass
 //!
-//! Under [`Transport::Tcp`](crate::Transport::Tcp) a wire message is a
-//! frame, and frames leave in two steps. Every frame that is due in a
+//! A wire message is a frame, and frames leave in two steps. Every frame that is due in a
 //! router pass is **appended** to its destination slot's write buffer;
 //! when the pass has no more due frames, each non-empty buffer is
 //! flushed with **one** `write_all` — the only place this crate writes
@@ -51,7 +55,7 @@
 //!   allocation per pass) and are trimmed back to [`SINK_BUF_KEEP`]
 //!   after an unusually large one.
 
-use crossbeam::channel::{Receiver, Sender};
+use crossbeam::channel::Receiver;
 use lucky_types::{BatchConfig, Message, ProcessId, RegisterId, ServerId};
 use lucky_wire::PacketPart;
 use parking_lot::Mutex;
@@ -81,8 +85,8 @@ pub(crate) enum Envelope {
         /// Payload.
         msg: Message,
     },
-    /// Swap the write half of one destination slot's socket (TCP
-    /// transport only): `Some` installs a freshly connected sink after
+    /// Swap the write half of one destination slot's socket: `Some`
+    /// installs a freshly connected sink after
     /// a slot re-binds its listener (server restart), `None` severs the
     /// wire (server crash — frames bound for the slot count as
     /// dropped, exactly like a never-spawned server's).
@@ -164,17 +168,13 @@ pub struct NetStats {
     pub batches_sent: u64,
     /// Wire payload bytes routed, computed from the codec-exact
     /// [`Message::wire_size`] (plus one notional frame header per
-    /// coalesced wire message). Under [`Transport::Tcp`] this is the
-    /// payload portion of what actually crosses the sockets;
-    /// [`NetStats::wire_bytes`] adds the framing.
-    ///
-    /// [`Transport::Tcp`]: crate::Transport::Tcp
+    /// coalesced wire message): the payload portion of what actually
+    /// crosses the sockets; [`NetStats::wire_bytes`] adds the framing.
     pub bytes: u64,
     /// Actual framed bytes of every wire message staged for its socket
-    /// (frame headers, packet envelopes and payloads). Zero under
-    /// [`Transport::Channel`], where no bytes ever exist; under
-    /// [`Transport::Tcp`] it exceeds [`NetStats::bytes`] by exactly the
-    /// framing overhead — `examples/tcp_smoke.rs` asserts the bound.
+    /// (frame headers, packet envelopes and payloads). It exceeds
+    /// [`NetStats::bytes`] by exactly the framing overhead —
+    /// `examples/tcp_smoke.rs` asserts the bound.
     ///
     /// Counted when the frame is staged, not when the socket write
     /// succeeds — deliberately mirroring [`NetStats::bytes`], which
@@ -182,17 +182,16 @@ pub struct NetStats {
     /// for a crashed server's slot; those surface in
     /// [`NetStats::dropped`]). The two counters therefore describe the
     /// same population and their difference is pure framing overhead.
-    ///
-    /// [`Transport::Channel`]: crate::Transport::Channel
-    /// [`Transport::Tcp`]: crate::Transport::Tcp
     pub wire_bytes: u64,
     /// Frames rejected by the receive side (bad magic, version skew,
     /// oversized length prefix, checksum failure, codec garbage). Only
     /// hostile or corrupted connections produce these; each one also
     /// drops its connection.
     pub decode_errors: u64,
-    /// Protocol messages dropped because the recipient was unknown or its
-    /// inbox closed (e.g. a crashed server).
+    /// Protocol messages dropped because the recipient was unknown, its
+    /// slot had no socket (e.g. a crashed server) or a write to it
+    /// failed, or because the thread reading the socket hosts no such
+    /// recipient (only hostile frames are mis-addressed).
     pub dropped: u64,
     /// Register logs replayed from disk — once per non-empty per-register
     /// log opened by a (re)starting durable server. Zero unless the store
@@ -219,14 +218,12 @@ pub struct NetStats {
     /// outgoing frame and returns it once the frame has been copied
     /// into its destination's write buffer, so in steady state this
     /// counter stops growing (at most the in-flight high-water mark of
-    /// buffers ever exist). Zero under the channel transport, which
-    /// stages no frames.
+    /// buffers ever exist).
     pub frame_allocs: u64,
     /// `write_all` calls the router issued on its socket sinks: one per
     /// destination slot per router pass that had frames due for it,
     /// however many frames that was. Never above [`NetStats::messages`];
     /// the gap is the syscalls (and receiver wake-ups) coalescing saved.
-    /// Zero under the channel transport, which has no sockets.
     pub socket_writes: u64,
     /// Traffic broken down by the register each protocol message names.
     pub per_register: BTreeMap<RegisterId, RegisterStats>,
@@ -241,12 +238,11 @@ pub struct NetStats {
 /// One line per [`NetStats`] rollup: the headline counters every smoke
 /// example used to hand-format its own way. Conditional sections
 /// (errors, durability, reactor) appear only when nonzero, so a quiet
-/// channel-transport run prints short and an eventful one prints all of
-/// it.
+/// run prints short and an eventful one prints all of it.
 impl std::fmt::Display for NetStats {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{} wire msgs", self.messages)?;
-        // Sockets only, and only when coalescing had something to save.
+        // Only when coalescing had something to save.
         if self.socket_writes > 0 && self.socket_writes != self.messages {
             write!(f, " in {} writes", self.socket_writes)?;
         }
@@ -320,8 +316,7 @@ impl NetStats {
     }
 
     /// Upper bound on the framing overhead [`NetStats::wire_bytes`]
-    /// may carry over [`NetStats::bytes`] under
-    /// [`Transport::Tcp`](crate::Transport::Tcp), derived from the
+    /// may carry over [`NetStats::bytes`], derived from the
     /// `lucky-wire` frame layout rather than hand-tuned constants: per
     /// wire message one frame header plus the packet part-count varint,
     /// per protocol part two encoded process ids plus a batch-envelope
@@ -347,29 +342,20 @@ pub(crate) type SlotMap = BTreeMap<ProcessId, usize>;
 /// One part of a wire message: sender, recipient, payload.
 type Part = (ProcessId, ProcessId, Message);
 
-/// What one in-flight wire message carries: the raw parts (channel
-/// transport, materialized per recipient at delivery time) or an
-/// already-encoded frame (TCP transport — the bytes are staged at
-/// launch, so encode cost and true size are paid and known when the
-/// message enters the wire, and delivery is a copy into the slot's
-/// write buffer).
-enum Load {
-    Parts(Vec<Part>),
-    Frame {
-        /// Destination socket-slot (indexes the router's sink map).
-        slot: usize,
-        /// The complete encoded frame.
-        bytes: Vec<u8>,
-        /// Flattened protocol messages inside — the `dropped` count if
-        /// the slot's socket is gone (e.g. a crashed server).
-        parts: u64,
-    },
-}
-
+/// One wire message in flight: the frame it crosses the socket as. The
+/// bytes are encoded at launch, so encode cost and true size are paid
+/// and known when the message enters the wire, and delivery is a copy
+/// into the slot's write buffer.
 struct InFlight {
     due: Instant,
     seq: u64,
-    load: Load,
+    /// Destination socket-slot (indexes the router's sink map).
+    slot: usize,
+    /// The complete encoded frame.
+    bytes: Vec<u8>,
+    /// Flattened protocol messages inside — the `dropped` count if the
+    /// slot's socket is gone (e.g. a crashed server).
+    parts: u64,
 }
 
 impl PartialEq for InFlight {
@@ -428,23 +414,20 @@ pub(crate) struct RouterConfig {
     pub(crate) seed: u64,
     pub(crate) batch: BatchConfig,
     pub(crate) slots: SlotMap,
-    /// `Some` under [`Transport::Tcp`](crate::Transport::Tcp): the
-    /// write half of each destination slot's loopback socket. `None`
-    /// delivers through the in-process inboxes.
-    pub(crate) sinks: Option<BTreeMap<usize, SlotSink>>,
+    /// The write half of each destination slot's loopback socket.
+    pub(crate) sinks: BTreeMap<usize, SlotSink>,
 }
 
 /// Spawn the router thread.
 pub(crate) fn spawn_router(
     name: &str,
     rx: Receiver<Envelope>,
-    inboxes: BTreeMap<ProcessId, Sender<(ProcessId, Message)>>,
     cfg: RouterConfig,
     stats: Arc<Mutex<NetStats>>,
 ) -> std::thread::JoinHandle<()> {
     std::thread::Builder::new()
         .name(name.into())
-        .spawn(move || Router::new(rx, inboxes, cfg, stats).run())
+        .spawn(move || Router::new(rx, cfg, stats).run())
         .expect("spawn router thread")
 }
 
@@ -454,7 +437,6 @@ const FRAME_POOL_CAP: usize = 64;
 
 struct Router {
     rx: Receiver<Envelope>,
-    inboxes: BTreeMap<ProcessId, Sender<(ProcessId, Message)>>,
     cfg: RouterConfig,
     stats: Arc<Mutex<NetStats>>,
     /// Latency sampling.
@@ -465,7 +447,7 @@ struct Router {
     staged: BTreeMap<usize, SlotBuf>,
     /// Launch order, the heap's tie-break.
     seq: u64,
-    /// Recycled payload scratch for the TCP encode path.
+    /// Recycled payload scratch for the encode path.
     encoder: lucky_wire::PacketEncoder,
     /// Spent frame buffers: popped in `launch_one`, returned by
     /// `deliver` once the frame sits in its slot's write buffer. Steady
@@ -475,15 +457,9 @@ struct Router {
 }
 
 impl Router {
-    fn new(
-        rx: Receiver<Envelope>,
-        inboxes: BTreeMap<ProcessId, Sender<(ProcessId, Message)>>,
-        cfg: RouterConfig,
-        stats: Arc<Mutex<NetStats>>,
-    ) -> Router {
+    fn new(rx: Receiver<Envelope>, cfg: RouterConfig, stats: Arc<Mutex<NetStats>>) -> Router {
         Router {
             rx,
-            inboxes,
             rng: SmallRng::seed_from_u64(cfg.seed),
             cfg,
             stats,
@@ -576,7 +552,7 @@ impl Router {
         let mut lost = 0;
         while self.heap.peek().is_some_and(|m| m.due <= now) {
             let m = self.heap.pop().expect("peeked above");
-            lost += self.deliver(m.load);
+            lost += self.deliver(m);
         }
         let (writes, unwritten) = self.flush_sinks();
         lost += unwritten;
@@ -604,18 +580,15 @@ impl Router {
     /// the crash itself would have lost. Envelopes are only handled
     /// between flushes, so the outgoing sink's write buffer is empty:
     /// nothing staged for the old socket is inherited by the new one.
-    /// No-op under the channel transport, which has no sinks to swap.
     fn swap_sink(&mut self, slot: usize, stream: Option<TcpStream>) {
-        if let Some(sinks) = self.cfg.sinks.as_mut() {
-            let old = match stream {
-                Some(s) => sinks.insert(slot, SlotSink::new(s)),
-                None => sinks.remove(&slot),
-            };
-            debug_assert!(
-                old.is_none_or(|sink| sink.pending.is_empty() && sink.parts == 0),
-                "a sink is swapped between passes, when its write buffer is empty"
-            );
-        }
+        let old = match stream {
+            Some(s) => self.cfg.sinks.insert(slot, SlotSink::new(s)),
+            None => self.cfg.sinks.remove(&slot),
+        };
+        debug_assert!(
+            old.is_none_or(|sink| sink.pending.is_empty() && sink.parts == 0),
+            "a sink is swapped between passes, when its write buffer is empty"
+        );
     }
 
     /// Accept one envelope: stage it on its destination slot (batching
@@ -652,19 +625,14 @@ impl Router {
         }
     }
 
-    /// Put one staged wire message in flight. Channel transport: as a
-    /// single wire message. TCP transport: the codec's hard caps bound
-    /// what one frame may carry, so the load is first chunked into
+    /// Put one staged wire message in flight. The codec's hard caps
+    /// bound what one frame may carry, so the load is first chunked into
     /// cap-respecting frames (one chunk in every honest configuration —
     /// `max_msgs` sits far below the caps); a single protocol message
     /// whose encoding cannot fit any frame at all is dropped and
     /// counted, since no amount of splitting can put it on this wire.
     fn launch(&mut self, parts: Vec<Part>) {
         debug_assert!(!parts.is_empty());
-        if self.cfg.sinks.is_none() {
-            self.launch_one(parts);
-            return;
-        }
         // Conservative per-part frame cost: two encoded process ids
         // (≤ 6 bytes each) plus the exact message payload. Grouping
         // parts into per-run batches at encode time only ever shrinks
@@ -703,10 +671,10 @@ impl Router {
     }
 
     /// Account one wire message carrying `parts` and put it in flight
-    /// with a single sampled delay. Under the TCP transport the frame
-    /// is encoded here — staged as the real bytes it will cross the
-    /// socket as — and its framed size lands in `wire_bytes`. The
-    /// caller guarantees the parts fit one frame's caps.
+    /// with a single sampled delay. The frame is encoded here — staged
+    /// as the real bytes it will cross the socket as — and its framed
+    /// size lands in `wire_bytes`. The caller guarantees the parts fit
+    /// one frame's caps.
     fn launch_one(&mut self, parts: Vec<Part>) {
         debug_assert!(!parts.is_empty());
         let (min, max) = self.cfg.latency;
@@ -715,10 +683,10 @@ impl Router {
         } else {
             min
         };
-        // Compute every accounting delta — and, under TCP, the encoded
-        // frame — *before* touching the stats mutex, so this hot path
-        // pays exactly one acquisition per wire message (the same lock
-        // serves every receiving thread and `stats()` pollers).
+        // Compute every accounting delta — and the encoded frame —
+        // *before* touching the stats mutex, so this hot path pays
+        // exactly one acquisition per wire message (the same lock serves
+        // every receiving thread and `stats()` pollers).
         //
         // A part may itself be a pre-batched envelope (a server's
         // re-batched acks travel as one `Message::Batch` send):
@@ -754,25 +722,21 @@ impl Router {
             .1
             .as_server()
             .filter(|&server| parts.iter().all(|(_, to, _)| to.as_server() == Some(server)));
+        // Stage the wire message as the real frame it will cross the
+        // socket as. Every part of one wire message is bound for the
+        // same slot (that is what the staging buffer coalesces on), so
+        // the first recipient names it. The frame buffer is recycled
+        // from a previous delivery when one is free; otherwise it is a
+        // counted fresh allocation.
         let mut fresh_frame = false;
-        let load = if self.cfg.sinks.is_none() {
-            Some(Load::Parts(parts))
-        } else {
-            // TCP: stage the wire message as the real frame it will
-            // cross the socket as. Every part of one wire message is
-            // bound for the same slot (that is what the staging buffer
-            // coalesces on), so the first recipient names it. The frame
-            // buffer is recycled from a previous delivery when one is
-            // free; otherwise it is a counted fresh allocation.
-            self.cfg.slots.get(&parts[0].1).copied().map(|slot| {
-                let mut bytes = self.spare_frames.pop().unwrap_or_else(|| {
-                    fresh_frame = true;
-                    Vec::new()
-                });
-                self.encoder.encode_into(&group_runs(parts), &mut bytes);
-                Load::Frame { slot, bytes, parts: total_parts }
-            })
-        };
+        let frame = self.cfg.slots.get(&parts[0].1).copied().map(|slot| {
+            let mut bytes = self.spare_frames.pop().unwrap_or_else(|| {
+                fresh_frame = true;
+                Vec::new()
+            });
+            self.encoder.encode_into(&group_runs(parts), &mut bytes);
+            (slot, bytes)
+        });
         {
             let mut s = self.stats.lock();
             s.messages += 1;
@@ -798,65 +762,51 @@ impl Router {
                     per.batches_sent += 1;
                 }
             }
-            match &load {
-                Some(Load::Frame { bytes, .. }) => s.wire_bytes += bytes.len() as u64,
-                Some(Load::Parts(_)) => {}
-                // TCP with an unmapped destination: nothing to frame.
+            match &frame {
+                Some((_, bytes)) => s.wire_bytes += bytes.len() as u64,
+                // An unmapped destination: nothing to frame.
                 None => s.dropped += total_parts,
             }
             if fresh_frame {
                 s.frame_allocs += 1;
             }
         }
-        let Some(load) = load else {
+        let Some((slot, bytes)) = frame else {
             return;
         };
         self.seq += 1;
-        self.heap.push(InFlight { due: Instant::now() + delay, seq: self.seq, load });
+        self.heap.push(InFlight {
+            due: Instant::now() + delay,
+            seq: self.seq,
+            slot,
+            bytes,
+            parts: total_parts,
+        });
     }
 
-    /// Hand a due wire message to its recipients; returns the protocol
+    /// Hand a due frame to its destination; returns the protocol
     /// messages that were lost on the spot.
     ///
-    /// Channel transport: runs of parts sharing one sender and one
-    /// recipient arrive as a single [`Message::Batch`]; sender changes
-    /// fan out as separate inbox sends, back-to-back. TCP transport:
-    /// the staged frame (whose packet parts were grouped the same way
-    /// at launch) is *appended* to the destination slot's write buffer
-    /// — [`Router::flush_sinks`] writes it, together with every other
+    /// The frame is *appended* to the destination slot's write buffer —
+    /// [`Router::flush_sinks`] writes it, together with every other
     /// frame this pass found due for the slot; the thread that owns the
     /// slot (a server, or a shard worker) decodes and fans out on the
     /// far side. A slot without a sink loses the frame here, parts and
     /// all, and no write is issued for it.
-    fn deliver(&mut self, load: Load) -> u64 {
-        let mut lost = 0;
-        match load {
-            Load::Parts(parts) => {
-                for (from, to, msg) in group_runs(parts) {
-                    // `dropped` counts protocol messages, so a lost
-                    // batch counts each of its parts.
-                    let count = msg.part_count() as u64;
-                    match self.inboxes.get(&to) {
-                        Some(tx) if tx.send((from, msg)).is_ok() => {}
-                        _ => lost += count,
-                    }
-                }
+    fn deliver(&mut self, m: InFlight) -> u64 {
+        let lost = match self.cfg.sinks.get_mut(&m.slot) {
+            Some(sink) => {
+                sink.pending.extend_from_slice(&m.bytes);
+                sink.parts += m.parts;
+                0
             }
-            Load::Frame { slot, bytes, parts } => {
-                match self.cfg.sinks.as_mut().and_then(|s| s.get_mut(&slot)) {
-                    Some(sink) => {
-                        sink.pending.extend_from_slice(&bytes);
-                        sink.parts += parts;
-                    }
-                    // No socket: the slot never spawned, or crashed.
-                    None => lost = parts,
-                }
-                // Staged or lost, the buffer itself is spent: recycle
-                // it for the next `launch_one`.
-                if self.spare_frames.len() < FRAME_POOL_CAP {
-                    self.spare_frames.push(bytes);
-                }
-            }
+            // No socket: the slot never spawned, or crashed.
+            None => m.parts,
+        };
+        // Staged or lost, the buffer itself is spent: recycle it for the
+        // next `launch_one`.
+        if self.spare_frames.len() < FRAME_POOL_CAP {
+            self.spare_frames.push(m.bytes);
         }
         lost
     }
@@ -868,7 +818,7 @@ impl Router {
     /// have reached the kernel, on a connection that is dead anyway).
     fn flush_sinks(&mut self) -> (u64, u64) {
         let (mut writes, mut lost) = (0, 0);
-        for sink in self.cfg.sinks.iter_mut().flat_map(BTreeMap::values_mut) {
+        for sink in self.cfg.sinks.values_mut() {
             if sink.pending.is_empty() {
                 continue;
             }
@@ -886,9 +836,8 @@ impl Router {
 
 /// Group consecutive parts sharing one (sender, recipient) pair into
 /// single wire-payload messages: a run of length ≥ 2 merges into one
-/// [`Message::Batch`], preserving order. Both transports use this — the
-/// channel transport at delivery, the TCP transport when staging the
-/// frame — so a recipient observes identical messages either way.
+/// [`Message::Batch`], preserving order — how a frame's packet is laid
+/// out when the router stages it.
 fn group_runs(parts: Vec<Part>) -> Vec<PacketPart> {
     let mut out: Vec<PacketPart> = Vec::new();
     let mut run: Vec<Message> = Vec::new();
@@ -920,7 +869,7 @@ fn group_runs(parts: Vec<Part>) -> Vec<PacketPart> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use crossbeam::channel::{unbounded, Sender};
     use lucky_types::{PwAckMsg, Seq};
     use std::io::Read;
     use std::net::{Shutdown, TcpListener};
@@ -933,7 +882,7 @@ mod tests {
         (sink, peer)
     }
 
-    /// A TCP router that is driven by hand, one [`Router::pass`] at a
+    /// A router that is driven by hand, one [`Router::pass`] at a
     /// time, with no thread: servers `0..servers` own slots `0..servers`,
     /// `sinks` says which of them have a socket.
     struct Rig {
@@ -950,11 +899,11 @@ mod tests {
             seed: 1,
             batch: BatchConfig::disabled(),
             slots,
-            sinks: Some(sinks),
+            sinks,
         };
         let (tx, rx) = unbounded();
         let stats = Arc::new(Mutex::new(NetStats::default()));
-        Rig { router: Router::new(rx, BTreeMap::new(), cfg, Arc::clone(&stats)), tx, stats }
+        Rig { router: Router::new(rx, cfg, Arc::clone(&stats)), tx, stats }
     }
 
     impl Rig {
@@ -971,7 +920,7 @@ mod tests {
         /// Exactly one pass — after which no write buffer may hold a byte.
         fn pass(&mut self) {
             assert!(self.router.pass().is_continue());
-            for sink in self.router.cfg.sinks.iter().flat_map(BTreeMap::values) {
+            for sink in self.router.cfg.sinks.values() {
                 assert!(sink.pending.is_empty() && sink.parts == 0, "flushed in the same pass");
             }
         }

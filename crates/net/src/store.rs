@@ -1,13 +1,13 @@
 //! The multi-register store over the threaded runtime.
 //!
 //! One router thread and one thread per server (each multiplexing
-//! per-register state through `lucky-core`'s `RegisterMux`, and under
-//! [`Transport::Tcp`] reading its own socket) serve a whole namespace of
-//! registers. Client cores are **sharded across worker
-//! threads by register**: a register's writer core lands on worker
-//! `hash(RegisterId)` and its reader cores on the neighbouring workers,
-//! so operations on independent registers proceed concurrently over the
-//! shared router — and a register's READs can overlap its WRITE, exactly
+//! per-register state through `lucky-core`'s `RegisterMux` and reading
+//! its own loopback socket) serve a whole namespace of registers.
+//! Client cores are **sharded across worker threads by register**: a
+//! register's writer core lands on worker `hash(RegisterId)` and its
+//! reader cores on the neighbouring workers, so operations on
+//! independent registers proceed concurrently over the shared router —
+//! and a register's READs can overlap its WRITE, exactly
 //! the concurrency the SWMR model permits (one writer, many readers).
 //! Only operations on the *same core* (the single writer, or one
 //! particular reader) serialize.
@@ -19,7 +19,7 @@
 
 use crate::cluster::{
     assert_one_fault_per_server, spawn_server_thread, HandleError, NetConfig, NetError, NetOutcome,
-    ServerCtl, ServerInput,
+    ServerCtl,
 };
 use crate::future::{NotifyGuard, OpFuture, OpNotify};
 use crate::polled::{Driver, Job, PollIo, PolledSlot, PolledWorker};
@@ -54,9 +54,8 @@ pub struct NetStoreBuilder {
     shards: Option<usize>,
     protocol: ProtocolConfig,
     batch: BatchConfig,
-    transport: Transport,
     /// `None` until [`NetStoreBuilder::driver`] names one: `build` then
-    /// derives it from the transport.
+    /// picks [`Driver::Reactor`] on Linux, [`Driver::Polled`] elsewhere.
     driver: Option<Driver>,
     byzantine: BTreeMap<u16, Box<dyn ServerCore>>,
     crashed: Vec<u16>,
@@ -130,28 +129,24 @@ impl NetStoreBuilder {
         self
     }
 
-    /// Wire transport (default [`Transport::Channel`]). Under
-    /// [`Transport::Tcp`] every server and every shard worker owns a
-    /// real loopback socket: all protocol traffic is encoded by
+    /// Changes nothing: [`Transport::Tcp`] is the only transport, and
+    /// every store already has it — each server and each shard worker
+    /// owns a loopback socket, and all protocol traffic is encoded by
     /// `lucky-wire`, framed, written to the destination slot's socket
-    /// and reassembled on the far side — and
-    /// [`NetStats::wire_bytes`] reports the true framed byte count.
+    /// and reassembled on the far side. Kept so that callers which
+    /// still name the transport, such as the end-to-end benchmark
+    /// (`benchmark/`), keep compiling.
     #[must_use]
-    pub fn transport(mut self, transport: Transport) -> Self {
-        self.transport = transport;
+    pub fn transport(self, _transport: Transport) -> Self {
         self
     }
 
-    /// How the shard workers — and, over [`Transport::Tcp`], the
-    /// servers — wait for input. Not calling this is the normal case:
-    /// the store then picks [`Driver::Reactor`] over [`Transport::Tcp`]
-    /// on Linux and [`Driver::Polled`] otherwise (epoll cannot watch a
-    /// channel). Every worker runs the same loop and multiplexes all of
-    /// its client sessions on one thread either way; the handle/ticket
-    /// API is identical.
-    ///
-    /// [`NetStoreBuilder::build`] panics if [`Driver::Reactor`] is named
-    /// without [`Transport::Tcp`].
+    /// How the shard workers and the servers wait for input. Not
+    /// calling this is the normal case: the store then picks
+    /// [`Driver::Reactor`] on Linux and [`Driver::Polled`], the portable
+    /// fallback, otherwise. Every worker runs the same loop and
+    /// multiplexes all of its client sessions on one thread either way;
+    /// the handle/ticket API is identical.
     #[must_use]
     pub fn driver(mut self, driver: Driver) -> Self {
         self.driver = Some(driver);
@@ -210,14 +205,8 @@ impl NetStoreBuilder {
             "reader namespace exceeds the ReaderId range"
         );
         assert_one_fault_per_server(&self.crashed, &self.byzantine);
-        let tcp = self.transport == Transport::Tcp;
-        assert!(
-            self.driver != Some(Driver::Reactor) || tcp,
-            "Driver::Reactor requires Transport::Tcp (epoll needs sockets to watch)"
-        );
-        // Unless named, the wait strategy follows from what the workers
-        // will watch: sockets can sit in an epoll set, channels cannot.
-        let driver = self.driver.unwrap_or(if tcp && cfg!(target_os = "linux") {
+        // Unless named, the wait strategy is epoll where there is one.
+        let driver = self.driver.unwrap_or(if cfg!(target_os = "linux") {
             Driver::Reactor
         } else {
             Driver::Polled
@@ -225,7 +214,6 @@ impl NetStoreBuilder {
         let protocol =
             ProtocolConfig { timer_micros: self.cfg.timer.as_micros() as u64, ..self.protocol };
         let (router_tx, router_rx) = unbounded::<Envelope>();
-        let mut inboxes = BTreeMap::new();
         let mut server_threads = Vec::new();
 
         // One session per client core, grouped by shard worker. The
@@ -238,28 +226,11 @@ impl NetStoreBuilder {
         let session_cfg = SessionConfig::with_deadline(self.cfg.op_deadline().as_micros() as u64);
         let mut shard_sessions: Vec<BTreeMap<(RegisterId, u32), PolledSlot>> =
             (0..shard_count).map(|_| BTreeMap::new()).collect();
-        let mut shard_inboxes: Vec<
-            BTreeMap<ProcessId, Receiver<(ProcessId, lucky_types::Message)>>,
-        > = (0..shard_count).map(|_| BTreeMap::new()).collect();
         let mut shard_pids: Vec<BTreeMap<ProcessId, (RegisterId, u32)>> =
             (0..shard_count).map(|_| BTreeMap::new()).collect();
-        let mut place = |pid: ProcessId,
-                         key: (RegisterId, u32),
-                         session: lucky_core::ClientSession,
-                         slots: &mut SlotMap,
-                         inboxes: &mut BTreeMap<
-            ProcessId,
-            Sender<(ProcessId, lucky_types::Message)>,
-        >| {
+        let mut place = |pid: ProcessId, key: (RegisterId, u32), session| {
             let worker = shard_for(key.0, key.1, shard_count);
             slots.insert(pid, server_count + worker);
-            // Over TCP, client traffic lands on the worker's own socket:
-            // client processes get no channel inbox.
-            if !tcp {
-                let (tx, rx) = unbounded();
-                inboxes.insert(pid, tx);
-                shard_inboxes[worker].insert(pid, rx);
-            }
             shard_pids[worker].insert(pid, key);
             shard_sessions[worker].insert(key, PolledSlot::new(session));
         };
@@ -268,8 +239,6 @@ impl NetStoreBuilder {
                 ProcessId::writer(reg),
                 (reg, WRITER_SLOT),
                 self.setup.make_writer_session(reg, protocol, session_cfg),
-                &mut slots,
-                &mut inboxes,
             );
             for j in 0..self.readers_per_register as u16 {
                 let rid = reg.reader(self.readers_per_register, j);
@@ -277,8 +246,6 @@ impl NetStoreBuilder {
                     ProcessId::Reader(rid),
                     (reg, j as u32 + 1),
                     self.setup.make_reader_session(reg, rid, protocol, session_cfg),
-                    &mut slots,
-                    &mut inboxes,
                 );
             }
         }
@@ -300,17 +267,15 @@ impl NetStoreBuilder {
             },
             Driver::Polled => None,
         };
-        // Where wire messages land. Channel: in every process's inbox,
-        // handed over by the router. TCP: on the destination slot's own
+        // Where wire messages land: on the destination slot's own
         // socket — bound here so the router's sink can connect; the
         // slot's thread itself accepts and reads, nonblocking.
-        let mut sinks = tcp.then(BTreeMap::new);
+        let mut sinks = BTreeMap::new();
         let mut own_socket = |slot: usize| {
-            let sinks = sinks.as_mut()?;
             let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
             let addr = listener.local_addr().expect("listener has an address");
             sinks.insert(slot, SlotSink::new(connect_sink(addr).expect("connect router sink")));
-            Some((PollIo::tcp(listener, &stats, &tracer, epoch), addr))
+            (PollIo::tcp(listener, &stats, &tracer, epoch), addr)
         };
 
         // Server threads: every honest server multiplexes all registers
@@ -335,24 +300,16 @@ impl NetStoreBuilder {
                 ),
             };
             let (ctl_tx, ctl_rx) = unbounded::<ServerCtl>();
-            let (input, wake) = match own_socket(s.index()) {
-                Some((io, addr)) => {
-                    server_addrs.insert(s, addr);
-                    let wake = new_wake();
-                    (ServerInput::Socket(io, wake.clone()), wake)
-                }
-                None => {
-                    let (tx, rx) = unbounded();
-                    inboxes.insert(ProcessId::Server(s), tx);
-                    (ServerInput::Inbox(rx), None)
-                }
-            };
-            ctl.insert(s.0, Port::new(ctl_tx, wake));
+            let (io, addr) = own_socket(s.index());
+            server_addrs.insert(s, addr);
+            let wake = new_wake();
+            ctl.insert(s.0, Port::new(ctl_tx, wake.clone()));
             server_threads.push(spawn_server_thread(
                 format!("lucky-store-server-{}", s.0),
                 ProcessId::Server(s),
                 core,
-                input,
+                io,
+                wake,
                 ctl_rx,
                 router_tx.clone(),
             ));
@@ -365,13 +322,8 @@ impl NetStoreBuilder {
         let wakeups = Arc::new(AtomicU64::new(0));
         let mut workers = Vec::new();
         let mut worker_txs: Vec<Port<Job>> = Vec::new();
-        let worker_parts =
-            shard_sessions.into_iter().zip(shard_inboxes).zip(shard_pids).enumerate();
-        for (w, ((sessions, inboxes), by_pid)) in worker_parts {
-            let io = match own_socket(server_count + w) {
-                Some((io, _)) => io,
-                None => PollIo::channel(inboxes, &stats, &tracer, epoch),
-            };
+        for (w, (sessions, by_pid)) in shard_sessions.into_iter().zip(shard_pids).enumerate() {
+            let (io, _) = own_socket(server_count + w);
             let (tx, rx) = unbounded::<Job>();
             let worker = PolledWorker {
                 sessions,
@@ -401,7 +353,6 @@ impl NetStoreBuilder {
         let router_thread = spawn_router(
             "lucky-store-router",
             router_rx,
-            inboxes,
             RouterConfig {
                 latency: (self.cfg.min_latency, self.cfg.max_latency),
                 seed: self.cfg.seed,
@@ -776,9 +727,8 @@ pub struct NetStore {
     router_tx: Sender<Envelope>,
     router_thread: Option<JoinHandle<()>>,
     server_threads: Vec<JoinHandle<()>>,
-    /// Listener address of each live server's slot under
-    /// [`Transport::Tcp`] (empty under the channel transport), for
-    /// tests and adversarial harnesses that talk raw bytes to a server.
+    /// Listener address of each live server's slot, for tests and
+    /// adversarial harnesses that talk raw bytes to a server.
     server_addrs: BTreeMap<ServerId, SocketAddr>,
     /// Worker threads exit when every job sender (the untaken handles
     /// below plus whatever the caller took) is dropped.
@@ -831,7 +781,6 @@ impl NetStore {
             shards: None,
             protocol: ProtocolConfig::default(),
             batch: BatchConfig::disabled(),
-            transport: Transport::Channel,
             driver: None,
             byzantine: BTreeMap::new(),
             crashed: Vec::new(),
@@ -845,20 +794,24 @@ impl NetStore {
     /// [`NetConfig`] (latency band and timer). The config's protocol
     /// tunables carry over except the round-1 timer, which is re-derived
     /// from `net` (wall-clock latencies, not the simulator's synchrony
-    /// bound, size it).
+    /// bound, size it). A durable config's servers log under its
+    /// directory, as [`NetStoreBuilder::durable`] would have them.
     pub fn from_config(cfg: StoreConfig, net: NetConfig) -> NetStore {
         assert!(
             cfg.groups == 1,
             "a NetStore is one group's engine; multi-group configs build through \
              lucky-shard's ShardNetStore"
         );
-        NetStore::builder(cfg.setup, net)
+        let mut builder = NetStore::builder(cfg.setup, net)
             .registers(cfg.registers)
             .readers_per_register(cfg.readers_per_register)
             .protocol(cfg.protocol)
             .batch(cfg.batch)
-            .trace(cfg.trace)
-            .build()
+            .trace(cfg.trace);
+        if let Some(dir) = cfg.durable_dir {
+            builder = builder.durable(dir);
+        }
+        builder.build()
     }
 
     /// Number of registers served.
@@ -902,28 +855,25 @@ impl NetStore {
     }
 
     /// Crash server `i` mid-run: its thread drops the protocol core and
-    /// discards every delivery until [`NetStore::restart_server`]. Under
-    /// [`Transport::Tcp`] the slot's wire is severed too, so in-flight
-    /// frames count as dropped, exactly like a never-spawned server's.
-    /// No-op for a server that was built crashed (it has no thread).
+    /// discards every delivery until [`NetStore::restart_server`]. The
+    /// slot's wire is severed too, so in-flight frames count as dropped,
+    /// exactly like a never-spawned server's. No-op for a server that
+    /// was built crashed (it has no thread).
     pub fn crash_server(&mut self, i: u16) {
         let Some(port) = self.ctl.get(&i) else {
             return;
         };
         port.send(ServerCtl::Crash);
-        if self.server_addrs.contains_key(&ServerId(i)) {
-            let _ = self.router_tx.send(Envelope::Sink { slot: i as usize, stream: None });
-        }
+        let _ = self.router_tx.send(Envelope::Sink { slot: i as usize, stream: None });
     }
 
     /// Restart server `i`: its thread rebuilds the protocol core — for a
     /// durable store by replaying the server's `lucky-log` logs, so the
     /// incarnation rejoins the quorum with everything it ever acked; for
-    /// a memory store amnesiac, with completely fresh state. Under
-    /// [`Transport::Tcp`] the server re-binds its listener on a fresh
-    /// ephemeral port (see [`NetStore::server_addr`]) and the router
-    /// installs the freshly connected sink. No-op for a server that was
-    /// built crashed.
+    /// a memory store amnesiac, with completely fresh state. The server
+    /// re-binds its listener on a fresh ephemeral port (see
+    /// [`NetStore::server_addr`]) and the router installs the freshly
+    /// connected sink. No-op for a server that was built crashed.
     ///
     /// Blocks until the server thread has performed the rebuild:
     /// messages sent after this returns cannot race the still-down
@@ -943,11 +893,10 @@ impl NetStore {
         ));
         // The bound only guards against a thread that already exited.
         let rebound = done_rx.recv_timeout(std::time::Duration::from_secs(5)).ok().flatten();
-        // A socket server comes back at a new address: the old one is
-        // gone either way, and the new one is the slot's only once the
-        // router holds a sink connected to it. (An inbox server acks no
-        // address; a socket server that could not re-bind counted that
-        // itself.)
+        // The server comes back at a new address: the old one is gone
+        // either way, and the new one is the slot's only once the router
+        // holds a sink connected to it. (A server that could not re-bind
+        // acks no address and counted that itself.)
         self.server_addrs.remove(&ServerId(i));
         let Some(addr) = rebound else {
             return;
@@ -1013,9 +962,8 @@ impl NetStore {
         report
     }
 
-    /// The loopback address server `s` listens on, when the store runs
-    /// over [`Transport::Tcp`] (`None` under the channel transport or
-    /// for a crashed server).
+    /// The loopback address server `s` listens on (`None` for a server
+    /// built crashed, or one whose restart could not re-bind).
     pub fn server_addr(&self, s: ServerId) -> Option<SocketAddr> {
         self.server_addrs.get(&s).copied()
     }
@@ -1029,9 +977,7 @@ impl NetStore {
         if let Some(t) = self.router_thread.take() {
             let _ = t.join();
         }
-        // Router gone → every inbox sender dropped, which is what an
-        // inbox server waits for; a socket server waits for its control
-        // port to go.
+        // A server runs until its control port goes.
         self.ctl.clear();
         for t in self.server_threads.drain(..) {
             let _ = t.join();
@@ -1100,8 +1046,7 @@ mod tests {
         // constant, flat in the number of ops, is the guarantee.
         let params = Params::new(1, 0, 1, 0).unwrap();
         let bound = 3 * params.server_count() as u64;
-        let mut store =
-            NetStore::builder(params, fast_cfg()).registers(1).transport(Transport::Tcp).build();
+        let mut store = NetStore::builder(params, fast_cfg()).registers(1).build();
         let h = store.register(RegisterId(0)).unwrap();
         let mut allocs = Vec::new();
         for batch in 0..3 {
@@ -1111,7 +1056,7 @@ mod tests {
             }
             allocs.push(store.stats().frame_allocs);
         }
-        assert!(allocs[0] > 0, "TCP ops must have encoded at least one frame");
+        assert!(allocs[0] > 0, "ops must have encoded at least one frame");
         // 64 ops are ≥ 384 frames, 192 ops ≥ 1152: per-frame allocation
         // would blow through the bound in the first batch.
         assert!(
@@ -1209,61 +1154,51 @@ mod tests {
 
     #[test]
     fn operations_after_shutdown_fail_with_disconnected_idempotently() {
-        for transport in [Transport::Channel, Transport::Tcp] {
-            let params = Params::new(1, 0, 1, 0).unwrap();
-            let mut store = NetStore::builder(params, fast_cfg()).transport(transport).build();
-            let h = store.register(RegisterId(0)).unwrap();
-            h.write(Value::from_u64(1)).unwrap();
-            store.shutdown();
-            // The first post-shutdown write observes the disconnect; every
-            // retry reports it again instead of panicking on a busy session.
-            assert_eq!(h.write(Value::from_u64(2)).unwrap_err(), NetError::Disconnected);
-            assert_eq!(h.write(Value::from_u64(3)).unwrap_err(), NetError::Disconnected);
-        }
+        let params = Params::new(1, 0, 1, 0).unwrap();
+        let mut store = NetStore::builder(params, fast_cfg()).build();
+        let h = store.register(RegisterId(0)).unwrap();
+        h.write(Value::from_u64(1)).unwrap();
+        store.shutdown();
+        // The first post-shutdown write observes the disconnect; every
+        // retry reports it again instead of panicking on a busy session.
+        assert_eq!(h.write(Value::from_u64(2)).unwrap_err(), NetError::Disconnected);
+        assert_eq!(h.write(Value::from_u64(3)).unwrap_err(), NetError::Disconnected);
     }
 
     #[test]
     fn too_many_crashes_time_out() {
-        for transport in [Transport::Channel, Transport::Tcp] {
-            let params = Params::new(1, 0, 1, 0).unwrap();
-            let mut cfg = fast_cfg();
-            cfg.timer = Duration::from_millis(1);
-            let mut store =
-                NetStore::builder(params, cfg).transport(transport).crashed(0).crashed(1).build();
-            let h = store.register(RegisterId(0)).unwrap();
-            assert_eq!(h.write(Value::from_u64(1)).unwrap_err(), NetError::TimedOut);
-            store.shutdown();
-        }
+        let params = Params::new(1, 0, 1, 0).unwrap();
+        let mut cfg = fast_cfg();
+        cfg.timer = Duration::from_millis(1);
+        let mut store = NetStore::builder(params, cfg).crashed(0).crashed(1).build();
+        let h = store.register(RegisterId(0)).unwrap();
+        assert_eq!(h.write(Value::from_u64(1)).unwrap_err(), NetError::TimedOut);
+        store.shutdown();
     }
 
     #[test]
     fn concurrent_reader_threads() {
-        for transport in [Transport::Channel, Transport::Tcp] {
-            let params = Params::new(1, 0, 0, 1).unwrap();
-            let mut store = NetStore::builder(params, fast_cfg())
-                .readers_per_register(2)
-                .transport(transport)
-                .build();
-            let h = store.register(RegisterId(0)).unwrap();
-            h.write(Value::from_u64(1)).unwrap();
-            let seen = std::thread::scope(|s| {
-                let reader = s.spawn(|| {
-                    (0..5).map(|_| h.read(1).unwrap().value.as_u64().unwrap()).collect::<Vec<_>>()
-                });
-                for i in 2..=6u64 {
-                    h.write(Value::from_u64(i)).unwrap();
-                    let v = h.read(0).unwrap().value.as_u64().unwrap();
-                    assert!(v >= i.saturating_sub(1), "reader sees a recent value");
-                }
-                reader.join().unwrap()
+        let params = Params::new(1, 0, 0, 1).unwrap();
+        let mut store = NetStore::builder(params, fast_cfg()).readers_per_register(2).build();
+        let h = store.register(RegisterId(0)).unwrap();
+        h.write(Value::from_u64(1)).unwrap();
+        let seen = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                (0..5).map(|_| h.read(1).unwrap().value.as_u64().unwrap()).collect::<Vec<_>>()
             });
-            // Values seen by the concurrent reader never decrease (atomicity).
-            for pair in seen.windows(2) {
-                assert!(pair[1] >= pair[0], "no new/old inversion: {seen:?}");
+            for i in 2..=6u64 {
+                h.write(Value::from_u64(i)).unwrap();
+                let v = h.read(0).unwrap().value.as_u64().unwrap();
+                assert!(v >= i.saturating_sub(1), "reader sees a recent value");
             }
-            store.check_atomicity().unwrap();
-            store.shutdown();
+            reader.join().unwrap()
+        });
+        // Values seen by the concurrent reader never decrease (atomicity).
+        for pair in seen.windows(2) {
+            assert!(pair[1] >= pair[0], "no new/old inversion: {seen:?}");
         }
+        store.check_atomicity().unwrap();
+        store.shutdown();
     }
 
     #[test]
@@ -1316,7 +1251,6 @@ mod tests {
 
     #[test]
     fn from_config_carries_protocol_tunables() {
-        use lucky_core::StoreConfig;
         let params = Params::new(1, 0, 1, 0).unwrap();
         // Disable the fast paths through the StoreConfig: the threaded
         // store must honour them (a fast one-round write would otherwise
@@ -1362,22 +1296,25 @@ mod tests {
     }
 
     #[test]
-    fn durable_server_restart_replays_its_log() {
+    fn tcp_restart_rebinds_the_listener_and_replays() {
         // 1 writer fault tolerated (t=1, S=4): crash one server, write
         // through the remaining quorum, restart it, then crash a
         // *different* server — the restarted one must carry the weight,
-        // which it only can if its log replayed.
+        // which it only can if its log replayed, on both registers.
         let params = Params::new(2, 1, 1, 0).unwrap();
-        let dir = lucky_log::TempDir::new("net-restart");
+        let dir = lucky_log::TempDir::new("net-tcp-restart");
         let mut store =
             NetStore::builder(params, fast_cfg()).registers(2).durable(dir.path()).build();
         let h0 = store.register(RegisterId(0)).unwrap();
         let h1 = store.register(RegisterId(1)).unwrap();
         h0.write(Value::from_u64(10)).unwrap();
         h1.write(Value::from_u64(20)).unwrap();
+        let before = store.server_addr(ServerId(0)).expect("a store knows its addresses");
         store.crash_server(0);
         h0.write(Value::from_u64(11)).unwrap();
         store.restart_server(0);
+        let after = store.server_addr(ServerId(0)).expect("restarted slot re-binds");
+        assert_ne!(before, after, "the restarted server listens on a fresh port");
         store.crash_server(3);
         // The quorum now needs server 0's recovered state.
         assert_eq!(h0.read(0).unwrap().value.as_u64(), Some(11));
@@ -1390,26 +1327,27 @@ mod tests {
     }
 
     #[test]
-    fn tcp_restart_rebinds_the_listener_and_replays() {
+    fn from_config_carries_the_durable_directory() {
+        // A durable StoreConfig builds a durable NetStore: its servers
+        // log under the config's directory and a restart replays there.
+        // Every server restarts in turn, so whichever of them the write
+        // reached, some restart finds a non-empty log.
         let params = Params::new(2, 1, 1, 0).unwrap();
-        let dir = lucky_log::TempDir::new("net-tcp-restart");
-        let mut store = NetStore::builder(params, fast_cfg())
-            .transport(Transport::Tcp)
-            .durable(dir.path())
-            .build();
+        let dir = lucky_log::TempDir::new("net-from-config-durable");
+        let cfg = StoreConfig::synchronous(params).durable(dir.path());
+        let mut store = NetStore::from_config(cfg, fast_cfg());
         let h = store.register(RegisterId(0)).unwrap();
         h.write(Value::from_u64(1)).unwrap();
-        let before = store.server_addr(ServerId(2)).expect("TCP store knows its addresses");
-        store.crash_server(2);
-        h.write(Value::from_u64(2)).unwrap();
-        store.restart_server(2);
-        let after = store.server_addr(ServerId(2)).expect("restarted slot re-binds");
-        assert_ne!(before, after, "the restarted server listens on a fresh port");
-        // Force the recovered server into the quorum.
-        store.crash_server(0);
-        assert_eq!(h.read(0).unwrap().value.as_u64(), Some(2));
+        for i in 0..params.server_count() as u16 {
+            assert!(dir.path().join(format!("s{i}")).is_dir(), "server {i} logs under the dir");
+            store.crash_server(i);
+            store.restart_server(i);
+        }
+        assert_eq!(h.read(0).unwrap().value.as_u64(), Some(1));
+        let stats = store.stats();
+        assert!(stats.recoveries > 0, "a restart replayed a log: {stats}");
+        assert!(stats.log_bytes > 0, "the servers wrote logs: {stats}");
         store.check_atomicity().unwrap();
-        assert!(store.stats().recoveries > 0);
         store.shutdown();
     }
 

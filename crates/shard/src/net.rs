@@ -87,7 +87,6 @@ pub struct ShardNetStore {
 pub struct ShardNetStoreBuilder {
     cfg: StoreConfig,
     net: NetConfig,
-    transport: Transport,
     driver: Option<Driver>,
     register_quota: usize,
     byzantine: Vec<(GroupId, u16, Box<dyn ServerCore>)>,
@@ -98,22 +97,24 @@ impl std::fmt::Debug for ShardNetStoreBuilder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardNetStoreBuilder")
             .field("groups", &self.cfg.groups)
-            .field("transport", &self.transport)
             .field("driver", &self.driver)
             .finish_non_exhaustive()
     }
 }
 
 impl ShardNetStoreBuilder {
-    /// Transport for every group (chainable).
+    /// Changes nothing: every group runs over loopback sockets, the only
+    /// [`Transport`]. Kept so that callers which still name the
+    /// transport, such as the end-to-end benchmark (`benchmark/`), keep
+    /// compiling.
     #[must_use]
-    pub fn transport(mut self, transport: Transport) -> Self {
-        self.transport = transport;
+    pub fn transport(self, _transport: Transport) -> Self {
         self
     }
 
     /// Pin every group's wait strategy (chainable); unset, each group
-    /// derives it from the transport.
+    /// picks [`Driver::Reactor`] on Linux and [`Driver::Polled`]
+    /// otherwise.
     #[must_use]
     pub fn driver(mut self, driver: Driver) -> Self {
         self.driver = Some(driver);
@@ -160,8 +161,7 @@ impl ShardNetStoreBuilder {
                     .readers_per_register(cfg.readers_per_register)
                     .protocol(cfg.protocol)
                     .batch(cfg.batch)
-                    .trace(cfg.trace)
-                    .transport(self.transport);
+                    .trace(cfg.trace);
                 if let Some(driver) = self.driver {
                     b = b.driver(driver);
                 }
@@ -210,7 +210,6 @@ impl ShardNetStore {
         ShardNetStoreBuilder {
             cfg,
             net,
-            transport: Transport::Channel,
             driver: None,
             register_quota: usize::MAX,
             byzantine: Vec::new(),

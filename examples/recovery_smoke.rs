@@ -23,7 +23,7 @@
 
 use lucky_atomic::core::{Setup, StoreConfig};
 use lucky_atomic::log::TempDir;
-use lucky_atomic::net::{NetConfig, NetStore, Transport};
+use lucky_atomic::net::{NetConfig, NetStore};
 use lucky_atomic::types::{Params, RegisterId, TwoRoundParams, Value};
 use std::time::Duration;
 
@@ -93,11 +93,7 @@ fn run_tcp(name: &str, setup: Setup) -> lucky_atomic::net::NetStats {
         seed: 11,
         timer: Duration::from_millis(8),
     };
-    let mut store = NetStore::builder(setup, cfg)
-        .registers(REGISTERS)
-        .transport(Transport::Tcp)
-        .durable(dir.path())
-        .build();
+    let mut store = NetStore::builder(setup, cfg).registers(REGISTERS).durable(dir.path()).build();
     let n = setup.server_count() as u16;
     let handles: Vec<_> =
         RegisterId::all(REGISTERS).map(|reg| store.register(reg).expect("fresh handle")).collect();

@@ -19,7 +19,7 @@
 //! ```
 
 use lucky_atomic::core::StoreConfig;
-use lucky_atomic::net::{Driver, NetConfig, Transport};
+use lucky_atomic::net::{Driver, NetConfig};
 use lucky_atomic::shard::{differential_migration_walk, GroupId, ShardNetStore, ShardSimStore};
 use lucky_atomic::types::{Params, RegisterId, Value};
 use std::sync::Arc;
@@ -89,7 +89,6 @@ fn net_phase() {
     let built = Instant::now();
     let store = Arc::new(
         ShardNetStore::builder(cfg(), net_cfg())
-            .transport(Transport::Tcp)
             .driver(Driver::Polled)
             .register_quota(NAMESPACE as usize + 8)
             .build(),

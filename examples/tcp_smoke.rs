@@ -1,7 +1,7 @@
 //! Loopback-TCP smoke run (also wired into CI).
 //!
 //! Runs a multi-register, batching-enabled workload for **all three
-//! protocol variants** over `Transport::Tcp` — real `std::net` sockets
+//! protocol variants** over loopback TCP — real `std::net` sockets
 //! between the router and every server/shard-worker slot, every message
 //! crossing the wire as a checksummed `lucky-wire` frame — under **both
 //! wait strategies** of the shard worker (sleep-polling everywhere, the
@@ -35,7 +35,7 @@
 
 use lucky_atomic::core::Setup;
 use lucky_atomic::net::exec::run_all;
-use lucky_atomic::net::{Driver, NetConfig, NetStats, NetStore, Transport};
+use lucky_atomic::net::{Driver, NetConfig, NetStats, NetStore};
 use lucky_atomic::types::{BatchConfig, Params, RegisterId, TwoRoundParams, Value};
 use std::time::{Duration, Instant};
 
@@ -62,7 +62,6 @@ fn run(setup: Setup, driver: Driver) -> (NetStats, u64) {
         .readers_per_register(READERS_PER_REGISTER)
         .shards(SHARDS)
         .batch(BatchConfig::enabled(16).with_max_delay_micros(1_000))
-        .transport(Transport::Tcp)
         .driver(driver)
         .build();
     let handles: Vec<_> =
@@ -111,7 +110,6 @@ fn burst() {
     let mut store = NetStore::builder(Params::new(1, 0, 1, 0).expect("valid params"), cfg)
         .registers(BURST_REGISTERS)
         .shards(1)
-        .transport(Transport::Tcp)
         .driver(Driver::Reactor)
         .build();
     let handles: Vec<_> = RegisterId::all(BURST_REGISTERS)

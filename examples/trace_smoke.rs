@@ -17,7 +17,7 @@
 //! cargo run --release --example trace_smoke
 //! ```
 
-use lucky_atomic::net::{NetConfig, NetError, NetStore, Transport};
+use lucky_atomic::net::{NetConfig, NetError, NetStore};
 use lucky_atomic::trace::TraceConfig;
 use lucky_atomic::types::{Params, RegisterId, Value};
 use std::time::Duration;
@@ -34,10 +34,8 @@ fn cfg(latency: (u64, u64), timer_millis: u64) -> NetConfig {
 fn quiet_run() {
     let params = Params::new(1, 0, 1, 0).expect("valid params");
     // Latency well inside the 10ms timer: the fast path governs.
-    let mut store = NetStore::builder(params, cfg((50, 300), 10))
-        .transport(Transport::Tcp)
-        .trace(TraceConfig::enabled())
-        .build();
+    let mut store =
+        NetStore::builder(params, cfg((50, 300), 10)).trace(TraceConfig::enabled()).build();
     let h = store.register(RegisterId(0)).expect("fresh handle");
     h.write(Value::from_u64(1)).expect("write completes");
     for _ in 0..20 {
@@ -64,7 +62,6 @@ fn fallback_run() {
     // disables the fast-path predicates and every op pays the
     // multi-round slow path (atomicity is never at risk, only latency).
     let mut store = NetStore::builder(params, cfg((2_000, 4_000), 1))
-        .transport(Transport::Tcp)
         .protocol(lucky_atomic::core::ProtocolConfig::slow_only(100))
         .trace(TraceConfig::enabled())
         .build();

@@ -19,7 +19,7 @@
 //! * [`log`] — the append-only durable per-register backend servers
 //!   persist to, with crash-recovery-on-open;
 //! * [`net`] — a thread-based real-time runtime for the same cores,
-//!   over in-process channels or real loopback TCP sockets;
+//!   over real loopback TCP sockets;
 //! * [`shard`] — consistent-hash server groups, a lazy register
 //!   namespace with quotas, and live register migration between groups;
 //! * [`trace`] — per-op span tracing, log₂ latency histograms and the

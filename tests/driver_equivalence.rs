@@ -1,6 +1,6 @@
 //! Differential harness for the two wait strategies of the shard
-//! worker: **sleep-polling** (`Driver::Polled`, any transport) and the
-//! **epoll reactor** (`Driver::Reactor`, sockets on Linux) must be
+//! worker: **sleep-polling** (`Driver::Polled`, the portable fallback)
+//! and the **epoll reactor** (`Driver::Reactor`, Linux) must be
 //! observably interchangeable.
 //!
 //! Both run the same worker loop over the same sans-io `ClientSession`,
@@ -11,12 +11,12 @@
 //! concurrent workload, where wall-clock interleavings legitimately
 //! differ, the per-register linearizability/regularity oracles must pass
 //! under both. Fault tolerance must be strategy-independent too: a
-//! crash + Byzantine run over real TCP sockets (`Transport::Tcp`)
-//! completes checker-clean under both.
+//! crash + Byzantine run completes checker-clean under both. Every
+//! store here runs over real loopback TCP sockets, as every store does.
 
 use lucky_atomic::core::byz::ForgeValue;
 use lucky_atomic::core::Setup;
-use lucky_atomic::net::{Driver, NetConfig, NetStore, NetStoreBuilder, Transport};
+use lucky_atomic::net::{Driver, NetConfig, NetStore, NetStoreBuilder};
 use lucky_atomic::types::{OpKind, Params, RegisterId, Seq, TsVal, TwoRoundParams, Value};
 use std::time::Duration;
 
@@ -54,20 +54,11 @@ fn tcp_drivers() -> &'static [Driver] {
     }
 }
 
-/// Every (strategy, transport) pairing that exists: only sleep-polling
-/// can watch a channel.
-fn strategies() -> Vec<(Driver, Transport)> {
-    let tcp = tcp_drivers().iter().map(|&driver| (driver, Transport::Tcp));
-    std::iter::once((Driver::Polled, Transport::Channel)).chain(tcp).collect()
-}
-
-fn builder(setup: Setup, driver: Driver, transport: Transport, faulty: bool) -> NetStoreBuilder {
-    let timer = if transport == Transport::Tcp { 8 } else { 4 };
-    let mut b = NetStore::builder(setup, net_cfg(timer))
+fn builder(setup: Setup, driver: Driver, faulty: bool) -> NetStoreBuilder {
+    let mut b = NetStore::builder(setup, net_cfg(8))
         .registers(REGISTERS)
         .readers_per_register(READERS_PER_REGISTER)
         .shards(3)
-        .transport(transport)
         .driver(driver);
     if faulty {
         // One crashed server plus one value-forging Byzantine server:
@@ -102,13 +93,8 @@ fn expected_stream(rounds: u64) -> Vec<Outcome> {
 /// its readers read, each operation waited to completion before the
 /// next. Values read are fully determined, so the stream is comparable
 /// element for element.
-fn run_sequential(
-    setup: Setup,
-    driver: Driver,
-    transport: Transport,
-    faulty: bool,
-) -> Vec<Outcome> {
-    let mut store = builder(setup, driver, transport, faulty).build();
+fn run_sequential(setup: Setup, driver: Driver, faulty: bool) -> Vec<Outcome> {
+    let mut store = builder(setup, driver, faulty).build();
     let handles: Vec<_> =
         RegisterId::all(REGISTERS).map(|reg| store.register(reg).expect("fresh handle")).collect();
     let mut stream = Vec::new();
@@ -141,8 +127,8 @@ fn run_sequential(
 /// before anything is waited on, so sessions genuinely overlap (on the
 /// polled driver, several ops multiplex one worker thread). Values read
 /// are timing-dependent; the oracle is the checker.
-fn run_concurrent(setup: Setup, driver: Driver, transport: Transport, faulty: bool) -> usize {
-    let mut store = builder(setup, driver, transport, faulty).build();
+fn run_concurrent(setup: Setup, driver: Driver, faulty: bool) -> usize {
+    let mut store = builder(setup, driver, faulty).build();
     let handles: Vec<_> =
         RegisterId::all(REGISTERS).map(|reg| store.register(reg).expect("fresh handle")).collect();
     let mut completed = 0;
@@ -172,11 +158,11 @@ fn sequential_outcome_streams_are_identical_across_drivers() {
     let expected = expected_stream(ROUNDS);
     assert_eq!(expected.len(), (ROUNDS as usize) * REGISTERS * (1 + READERS_PER_REGISTER));
     for setup in setups() {
-        for (driver, transport) in strategies() {
+        for &driver in tcp_drivers() {
             assert_eq!(
-                run_sequential(setup, driver, transport, false),
+                run_sequential(setup, driver, false),
                 expected,
-                "{driver:?} over {transport:?} diverged on the deterministic workload ({setup:?})"
+                "{driver:?} diverged on the deterministic workload ({setup:?})"
             );
         }
     }
@@ -184,15 +170,18 @@ fn sequential_outcome_streams_are_identical_across_drivers() {
 
 #[test]
 fn concurrent_workloads_stay_checker_clean_under_both_drivers() {
-    // Channel transport: the strategy that can watch a channel (the
-    // socket pairings run in the TCP twin of this test below).
+    // The concurrent workload under faults: a crashed server and a
+    // value-forging Byzantine server while every round's operations
+    // overlap (the fault-free twin is the next test but one).
     for setup in setups() {
-        let completed = run_concurrent(setup, Driver::Polled, Transport::Channel, false);
-        assert_eq!(
-            completed,
-            (ROUNDS as usize) * REGISTERS * (1 + READERS_PER_REGISTER),
-            "({setup:?})"
-        );
+        for &driver in tcp_drivers() {
+            let completed = run_concurrent(setup, driver, true);
+            assert_eq!(
+                completed,
+                (ROUNDS as usize) * REGISTERS * (1 + READERS_PER_REGISTER),
+                "({setup:?}, {driver:?})"
+            );
+        }
     }
 }
 
@@ -204,7 +193,7 @@ fn crash_plus_byzantine_over_tcp_is_driver_independent() {
     for setup in setups() {
         for &driver in tcp_drivers() {
             assert_eq!(
-                run_sequential(setup, driver, Transport::Tcp, true),
+                run_sequential(setup, driver, true),
                 expected_stream(ROUNDS),
                 "{driver:?} diverged under faults over TCP ({setup:?})"
             );
@@ -216,7 +205,7 @@ fn crash_plus_byzantine_over_tcp_is_driver_independent() {
 fn concurrent_tcp_workloads_stay_checker_clean_under_all_drivers() {
     for setup in setups() {
         for &driver in tcp_drivers() {
-            let completed = run_concurrent(setup, driver, Transport::Tcp, false);
+            let completed = run_concurrent(setup, driver, false);
             assert_eq!(
                 completed,
                 (ROUNDS as usize) * REGISTERS * (1 + READERS_PER_REGISTER),
@@ -241,7 +230,6 @@ fn run_luck_pinned(setup: Setup, driver: Driver) -> Vec<LuckOutcome> {
         .registers(REGISTERS)
         .readers_per_register(READERS_PER_REGISTER)
         .shards(3)
-        .transport(Transport::Tcp)
         .driver(driver)
         .build();
     let handles: Vec<_> =
@@ -292,8 +280,8 @@ fn per_op_traffic_attribution_is_real_under_every_driver() {
     // drivers, because *when* a late ack is pumped decides which op (if
     // any) absorbs it.
     let setup = Setup::Atomic(Params::new(2, 1, 1, 0).unwrap());
-    for (driver, transport) in strategies() {
-        let mut store = builder(setup, driver, transport, false).build();
+    for &driver in tcp_drivers() {
+        let mut store = builder(setup, driver, false).build();
         let handles: Vec<_> = RegisterId::all(REGISTERS)
             .map(|reg| store.register(reg).expect("fresh handle"))
             .collect();

@@ -17,7 +17,7 @@
 
 use lucky_atomic::core::Setup;
 use lucky_atomic::net::exec::{block_on, run_all, Executor};
-use lucky_atomic::net::{Driver, NetConfig, NetStore, Transport};
+use lucky_atomic::net::{Driver, NetConfig, NetStore};
 use lucky_atomic::types::{Params, RegisterId, TwoRoundParams, Value};
 use std::time::Duration;
 
@@ -36,7 +36,6 @@ fn reactor_store(setup: impl Into<Setup>, registers: usize, shards: usize, seed:
     NetStore::builder(setup, cfg(40, seed))
         .registers(registers)
         .shards(shards)
-        .transport(Transport::Tcp)
         .driver(Driver::Reactor)
         .build()
 }

@@ -12,7 +12,7 @@
 //!   configured deadline tick, surfacing as
 //!   [`RunError::OpFailed`] with the precise virtual instant.
 
-use lucky_atomic::net::{Driver, NetConfig, NetError, NetStore, Transport};
+use lucky_atomic::net::{Driver, NetConfig, NetError, NetStore};
 use lucky_atomic::sim::RunError;
 use lucky_atomic::types::{Params, ProcessId, RegisterId, Value};
 use std::time::Duration;
@@ -50,7 +50,6 @@ fn derived_strategy_times_out_without_a_quorum() {
 fn polled_driver_times_out_without_a_quorum_over_tcp() {
     let mut store = NetStore::builder(params(), stall_cfg())
         .driver(Driver::Polled)
-        .transport(Transport::Tcp)
         .crashed(0)
         .crashed(1)
         .build();
@@ -67,24 +66,11 @@ fn polled_driver_times_out_without_a_quorum_over_tcp() {
     store.shutdown();
 }
 
-#[test]
-fn polled_driver_times_out_under_the_channel_transport_too() {
-    let mut store = NetStore::builder(params(), stall_cfg())
-        .driver(Driver::Polled)
-        .crashed(0)
-        .crashed(1)
-        .build();
-    let h = store.register(RegisterId(0)).unwrap();
-    assert_eq!(h.write(Value::from_u64(1)).unwrap_err(), NetError::TimedOut);
-    store.shutdown();
-}
-
 #[cfg(target_os = "linux")]
 #[test]
 fn reactor_driver_times_out_without_a_quorum() {
     let mut store = NetStore::builder(params(), stall_cfg())
         .driver(Driver::Reactor)
-        .transport(Transport::Tcp)
         .crashed(0)
         .crashed(1)
         .build();
@@ -129,10 +115,7 @@ fn deadline_failures_are_never_reported_as_driver_busy() {
         &[Driver::Polled]
     };
     for &driver in drivers {
-        let mut store = NetStore::builder(params(), cfg.clone())
-            .transport(Transport::Tcp)
-            .driver(driver)
-            .build();
+        let mut store = NetStore::builder(params(), cfg.clone()).driver(driver).build();
         let h = store.register(RegisterId(0)).unwrap();
         let tickets: Vec<_> = (1..=3).map(|i| h.invoke_write(Value::from_u64(i))).collect();
         for (queued, mut t) in tickets.into_iter().enumerate() {

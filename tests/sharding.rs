@@ -4,7 +4,7 @@
 
 use lucky_atomic::core::byz::ForgeValue;
 use lucky_atomic::core::StoreConfig;
-use lucky_atomic::net::{NetConfig, Transport};
+use lucky_atomic::net::NetConfig;
 use lucky_atomic::shard::{GroupId, ShardNetStore, ShardSimStore};
 use lucky_atomic::types::{Params, RegisterId, Seq, TsVal, Value};
 use std::sync::Arc;
@@ -110,7 +110,7 @@ fn migration_mid_write_is_checker_clean_sim() {
 #[test]
 fn migration_under_live_traffic_is_checker_clean_net() {
     let cfg = StoreConfig::synchronous(small()).registers(16).groups(2);
-    let store = Arc::new(ShardNetStore::builder(cfg, fast_net()).transport(Transport::Tcp).build());
+    let store = Arc::new(ShardNetStore::builder(cfg, fast_net()).build());
     store.bulk_create(8).unwrap();
 
     let reg = RegisterId(3);

@@ -1,16 +1,15 @@
 //! The real wire: every protocol message crossing loopback TCP sockets
 //! as `lucky-wire` frames.
 //!
-//! Under `Transport::Tcp` each server and each shard worker owns a real
-//! `std::net` listener; the router encodes its per-destination
-//! socket-slot batches as checksummed frames and writes them to the
-//! destination's socket, where the thread that owns it (the server, or
-//! the shard worker) reassembles them from whatever partial reads TCP
-//! produces. These tests pin down:
+//! Each server and each shard worker owns a real `std::net` listener;
+//! the router encodes its per-destination socket-slot batches as
+//! checksummed frames and writes them to the destination's socket, where
+//! the thread that owns it (the server, or the shard worker) reassembles
+//! them from whatever partial reads TCP produces. These tests pin down:
 //!
 //! * **equivalence** — all three variants complete a multi-register,
 //!   batching-enabled workload over real sockets with checker-clean
-//!   verdicts, exactly as over channels;
+//!   verdicts;
 //! * **byte accounting** — `NetStats::wire_bytes` (true framed bytes)
 //!   brackets `NetStats::bytes` (the codec-exact payload accounting)
 //!   within framing overhead, and honest runs decode with zero errors;
@@ -29,7 +28,7 @@
 use lucky_atomic::core::byz::{ForgeValue, WireFuzz};
 use lucky_atomic::core::Setup;
 use lucky_atomic::explore::{random_walks, ByzKind, Scenario};
-use lucky_atomic::net::{NetConfig, NetStats, NetStore, Transport};
+use lucky_atomic::net::{NetConfig, NetStats, NetStore};
 use lucky_atomic::types::{
     BatchConfig, Message, Params, ProcessId, PwAckMsg, PwMsg, RegisterId, Seq, ServerId, TsVal,
     TwoRoundParams, Value,
@@ -83,8 +82,7 @@ fn run_workload(
         .registers(REGISTERS)
         .readers_per_register(READERS_PER_REGISTER)
         .shards(3)
-        .batch(BatchConfig::enabled(16).with_max_delay_micros(500))
-        .transport(Transport::Tcp);
+        .batch(BatchConfig::enabled(16).with_max_delay_micros(500));
     if let Some((i, adversary)) = byzantine {
         builder = builder.byzantine(
             i,
@@ -173,13 +171,14 @@ fn wire_fuzzing_byzantine_server_cannot_break_verdicts_over_tcp() {
 #[test]
 fn single_register_cluster_api_over_tcp() {
     let params = Params::new(1, 0, 1, 0).unwrap();
-    let mut store = NetStore::builder(params, net_cfg()).transport(Transport::Tcp).build();
+    let mut store = NetStore::builder(params, net_cfg()).build();
     let h = store.register(RegisterId(0)).unwrap();
     for i in 1..=5u64 {
         h.write(Value::from_u64(i)).unwrap();
         assert_eq!(h.read(0).unwrap().value.as_u64(), Some(i));
     }
     let stats = store.stats();
+    assert!(stats.bytes > 0, "the codec-exact payload is accounted");
     assert!(stats.wire_bytes > 0);
     assert_eq!(stats.decode_errors, 0);
     assert_wire_bytes_bracket(&stats);
@@ -222,7 +221,7 @@ fn assault(store: &NetStore, addr: SocketAddr, errors_before: u64) {
 #[test]
 fn raw_garbage_on_a_server_socket_is_rejected_cleanly() {
     let params = Params::new(1, 0, 1, 0).unwrap();
-    let mut store = NetStore::builder(params, net_cfg()).transport(Transport::Tcp).build();
+    let mut store = NetStore::builder(params, net_cfg()).build();
     let h = store.register(RegisterId(0)).unwrap();
     let first = store.server_addr(ServerId(0)).expect("TCP transport exposes server addresses");
     assault(&store, first, 0);
@@ -249,7 +248,7 @@ fn well_formed_frames_for_someone_else_are_dropped_not_handled() {
     // so a forged pre-write that reached a core would be readable — the
     // checker below would see a value nobody wrote.
     let params = Params::new(1, 0, 1, 0).unwrap();
-    let mut store = NetStore::builder(params, net_cfg()).transport(Transport::Tcp).build();
+    let mut store = NetStore::builder(params, net_cfg()).build();
     let h = store.register(RegisterId(0)).unwrap();
     h.write(Value::from_u64(1)).unwrap();
     let reg = RegisterId(0);
@@ -294,8 +293,7 @@ fn a_coalesced_burst_survives_the_crash_and_restart_of_a_destination() {
     let params = Params::new(1, 0, 1, 0).unwrap();
     let mut cfg = NetConfig::for_latency(Duration::from_millis(10), Duration::from_micros(10_200));
     cfg.timer = Duration::from_millis(100);
-    let mut store =
-        NetStore::builder(params, cfg).registers(BURST).transport(Transport::Tcp).build();
+    let mut store = NetStore::builder(params, cfg).registers(BURST).build();
     let handles: Vec<_> =
         RegisterId::all(BURST).map(|reg| store.register(reg).expect("fresh handle")).collect();
     let burst = |round: u64| -> Vec<_> {
@@ -348,22 +346,6 @@ fn a_coalesced_burst_survives_the_crash_and_restart_of_a_destination() {
 }
 
 #[test]
-fn channel_transport_reports_no_wire_bytes() {
-    // The estimate/actual split is explicit: without sockets there are
-    // no framed bytes and no decode errors, only the payload estimate.
-    let params = Params::new(1, 0, 1, 0).unwrap();
-    let mut store = NetStore::builder(params, net_cfg()).build();
-    let h = store.register(RegisterId(0)).unwrap();
-    h.write(Value::from_u64(1)).unwrap();
-    let stats = store.stats();
-    assert!(stats.bytes > 0);
-    assert_eq!(stats.wire_bytes, 0);
-    assert_eq!(stats.decode_errors, 0);
-    assert!(store.server_addr(ServerId(0)).is_none());
-    store.shutdown();
-}
-
-#[test]
 fn values_past_the_frame_cap_fail_the_op_without_killing_the_router() {
     // A value whose PW encoding exceeds `MAX_FRAME_BYTES` can never
     // cross this transport: no splitting helps a single message. The
@@ -372,7 +354,7 @@ fn values_past_the_frame_cap_fail_the_op_without_killing_the_router() {
     let params = Params::new(1, 0, 1, 0).unwrap();
     let mut cfg = net_cfg();
     cfg.timer = Duration::from_millis(1); // keep the op deadline short
-    let mut store = NetStore::builder(params, cfg).registers(2).transport(Transport::Tcp).build();
+    let mut store = NetStore::builder(params, cfg).registers(2).build();
     let h0 = store.register(RegisterId(0)).unwrap();
     let h1 = store.register(RegisterId(1)).unwrap();
     let oversized = Value::from_bytes(vec![0u8; lucky_wire::MAX_FRAME_BYTES + 64]);
@@ -396,7 +378,6 @@ fn coalesced_loads_past_the_frame_cap_split_into_multiple_frames() {
         .registers(8)
         .shards(2)
         .batch(BatchConfig::enabled(16).with_max_delay_micros(2_000))
-        .transport(Transport::Tcp)
         .build();
     let handles: Vec<_> =
         RegisterId::all(8).map(|reg| store.register(reg).expect("fresh handle")).collect();

@@ -2,13 +2,13 @@
 //!
 //! In the paper's model (§2.1) a server is one process that receives a
 //! message and replies; a store of S servers, one router and one shard
-//! worker is therefore S + 2 threads under either transport — a server
-//! reads its own socket, as a worker does. This file is a single test so
-//! that nothing else shares the process: every `lucky-store-*` thread in
-//! `/proc/self/task` belongs to the store under test.
+//! worker is therefore S + 2 threads — a server reads its own socket, as
+//! a worker does. This file is a single test so that nothing else shares
+//! the process: every `lucky-store-*` thread in `/proc/self/task`
+//! belongs to the store under test.
 #![cfg(target_os = "linux")]
 
-use lucky_atomic::net::{NetConfig, NetStore, Transport};
+use lucky_atomic::net::{NetConfig, NetStore};
 use lucky_atomic::types::{Params, RegisterId, Value};
 use std::time::{Duration, Instant};
 
@@ -42,63 +42,36 @@ fn voluntary_switches(tids: &[String]) -> u64 {
         .sum()
 }
 
-fn store(transport: Transport) -> NetStore {
+#[test]
+fn a_store_is_s_plus_two_threads_and_an_idle_one_sleeps() {
+    assert!(store_threads().is_empty(), "no store yet");
     let cfg = NetConfig {
         min_latency: Duration::from_micros(50),
         max_latency: Duration::from_micros(200),
         seed: 3,
         timer: Duration::from_millis(5),
     };
-    // S = 2t + b + 1 = 3 servers, one register, so one shard worker.
-    NetStore::builder(Params::new(1, 0, 1, 0).unwrap(), cfg).transport(transport).build()
-}
-
-#[test]
-fn a_store_is_s_plus_two_threads_and_an_idle_one_sleeps() {
-    assert!(store_threads().is_empty(), "no store yet");
-    for transport in [Transport::Tcp, Transport::Channel] {
-        let mut store = store(transport);
-        let h = store.register(RegisterId(0)).unwrap();
-        // An op round-trips through every thread: all are up and named.
-        h.write(Value::from_u64(1)).unwrap();
-        assert_eq!(h.read(0).unwrap().value.as_u64(), Some(1));
-        assert_eq!(
-            store_threads().len(),
-            5,
-            "{transport:?}: 3 servers + 1 router + 1 worker, nothing in between"
-        );
-        // A restart replaces a server's socket, not its thread, and
-        // leaves nothing of the old socket behind.
-        store.crash_server(2);
-        store.restart_server(2);
-        h.write(Value::from_u64(2)).unwrap();
-        assert_eq!(h.read(0).unwrap().value.as_u64(), Some(2));
-        assert_eq!(store_threads().len(), 5, "{transport:?}: still 5 after a crash + restart");
-        store.check_atomicity().unwrap();
-        store.shutdown();
-        drop(h);
-        drop(store);
-        let deadline = Instant::now() + Duration::from_secs(1);
-        while !store_threads().is_empty() {
-            assert!(
-                Instant::now() < deadline,
-                "{transport:?}: {} store threads still alive 1 s after shutdown",
-                store_threads().len()
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-    }
-
-    // Idle, over TCP on the derived (epoll) strategy, every thread sleeps
-    // in the kernel until there is something to do: no control-channel
-    // poll, no read timeout, no tick.
-    let mut store = store(Transport::Tcp);
+    // S = 2t + b + 1 = 3 servers, one register, so one shard worker —
+    // built with no options, so on whatever the store picks by itself.
+    let mut store = NetStore::builder(Params::new(1, 0, 1, 0).unwrap(), cfg).build();
     let h = store.register(RegisterId(0)).unwrap();
-    for i in 1..=3 {
+    // An op round-trips through every thread: all are up and named.
+    h.write(Value::from_u64(1)).unwrap();
+    assert_eq!(h.read(0).unwrap().value.as_u64(), Some(1));
+    assert_eq!(store_threads().len(), 5, "3 servers + 1 router + 1 worker, nothing in between");
+    // A restart replaces a server's socket, not its thread, and leaves
+    // nothing of the old socket behind.
+    store.crash_server(2);
+    store.restart_server(2);
+    for i in 2..=3 {
         h.write(Value::from_u64(i)).unwrap();
         assert_eq!(h.read(0).unwrap().value.as_u64(), Some(i));
     }
-    // Let the tail (acks beyond the quorum) cross the sockets.
+    assert_eq!(store_threads().len(), 5, "still 5 after a crash + restart");
+
+    // Idle, every thread sleeps in the kernel until there is something
+    // to do: no control-channel poll, no read timeout, no tick.
+    // Let the tail (acks beyond the quorum) cross the sockets first.
     std::thread::sleep(Duration::from_millis(100));
     let tids = store_threads();
     assert_eq!(tids.len(), 5);
@@ -108,5 +81,18 @@ fn a_store_is_s_plus_two_threads_and_an_idle_one_sleeps() {
     assert!(woke < 10, "an idle store's threads woke {woke} times in 300 ms");
     // And it is not dead: the next operation completes normally.
     assert_eq!(h.read(0).unwrap().value.as_u64(), Some(3));
+    store.check_atomicity().unwrap();
+
     store.shutdown();
+    drop(h);
+    drop(store);
+    let deadline = Instant::now() + Duration::from_secs(1);
+    while !store_threads().is_empty() {
+        assert!(
+            Instant::now() < deadline,
+            "{} store threads still alive 1 s after shutdown",
+            store_threads().len()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 }

@@ -2,7 +2,7 @@
 //! the luck-o-meter on a quiet run, the slow-path counter under an
 //! induced fallback, and the flight-recorder dump on a forced timeout.
 
-use lucky_atomic::net::{NetConfig, NetError, NetStore, Transport};
+use lucky_atomic::net::{NetConfig, NetError, NetStore};
 use lucky_atomic::trace::TraceConfig;
 use lucky_atomic::types::{Params, RegisterId, Value};
 use std::time::Duration;
@@ -21,10 +21,7 @@ fn quiet_cfg() -> NetConfig {
 #[test]
 fn quiet_tcp_run_reports_over_ninety_percent_lucky_reads() {
     let params = Params::new(1, 0, 1, 0).unwrap();
-    let mut store = NetStore::builder(params, quiet_cfg())
-        .transport(Transport::Tcp)
-        .trace(TraceConfig::enabled())
-        .build();
+    let mut store = NetStore::builder(params, quiet_cfg()).trace(TraceConfig::enabled()).build();
     let h = store.register(RegisterId(0)).unwrap();
     h.write(Value::from_u64(1)).unwrap();
     for _ in 0..20 {
