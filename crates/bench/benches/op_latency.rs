@@ -163,6 +163,17 @@ fn bench_net_drivers(c: &mut Criterion) {
             );
         });
     }
+    if cfg!(target_os = "linux") {
+        // Back-to-back writes on register 0 while 4,999 registers sit
+        // idle beside it. A worker's pass costs its ready and due
+        // sessions, not all of them, so this row reads as `reactor`
+        // does. One store serves every sample: building 5,000 registers'
+        // sessions per sample would eat the measuring budget.
+        let (_store, handles) = store(Driver::Reactor, 5_000);
+        group.bench_function("reactor_5000_idle", |bencher| {
+            bencher.iter(|| handles[0].write(Value::from_u64(1)).expect("write completes"));
+        });
+    }
     group.finish();
     let mut group = c.benchmark_group("net_fast_read_tcp");
     for &(name, driver) in &drivers {

@@ -45,10 +45,22 @@
 //! multiplexes.
 //!
 //! [`PolledWorker`] is the one client loop: it multiplexes **all of a
-//! shard's client sessions on one thread** — drain the job queue, feed
-//! ready input to the sessions, wake the ones that are due, pump their
-//! outputs to the router, settle finished operations, wait. The sans-io
-//! `ClientSession` isolates all protocol and deadline logic.
+//! shard's client sessions on one thread**, and one pass of it costs
+//! O(ready + due), however many sessions sit idle beside them. A
+//! session becomes runnable in one of three ways — a job arrives for
+//! it, a part is decoded for it, or its wake falls due — and each puts
+//! its slot on the worker's *ready list* (once: a per-slot flag
+//! dedups). Wakes live in a *timer heap* keyed by due time, as the
+//! router's in-flight frames do: after stepping a slot the
+//! worker pushes the session's `next_wake` if it moved, due entries are
+//! popped and fired, and the earliest live entry is the deadline the
+//! [`Wait`] blocks on. An entry whose time no longer equals its
+//! session's `next_wake` is stale: it is skipped when it surfaces,
+//! never searched for. A counter of busy slots says when the worker is
+//! idle. One pass: drain the job queue, feed ready input, fire due
+//! wakes, step the ready slots (settle, start queued ops, pump outputs
+//! to the router), wait. The sans-io `ClientSession` isolates all
+//! protocol and deadline logic.
 
 use crate::cluster::{trace_actor, NetError, NetOutcome};
 use crate::future::NotifyGuard;
@@ -58,7 +70,8 @@ use lucky_core::runtime::{ClientSession, Input};
 use lucky_types::{History, Message, Op, OpId, OpRecord, ProcessId, RegisterId, Time};
 use lucky_wire::{decode_packet, FrameDecoder};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, VecDeque};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::io::Read;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
@@ -116,20 +129,36 @@ struct Current {
 /// optional future wakeup to fire once the reply is observable.
 type QueuedOp = (Op, Sender<Result<NetOutcome, NetError>>, Option<NotifyGuard>);
 
+/// A session's key within its worker: its register and its slot there
+/// (the writer, or one of the readers).
+type SlotKey = (RegisterId, u32);
+
 /// One session plus its queued work.
-pub(crate) struct PolledSlot {
-    pub(crate) session: ClientSession,
+struct PolledSlot {
+    session: ClientSession,
     queue: VecDeque<QueuedOp>,
     current: Option<Current>,
+    /// Whether the slot is on the worker's ready list.
+    listed: bool,
+    /// The due time of the slot's newest timer-heap entry: the
+    /// session's `next_wake` when the worker last stepped it.
+    armed: Option<Time>,
 }
 
 impl PolledSlot {
-    pub(crate) fn new(session: ClientSession) -> PolledSlot {
-        PolledSlot { session, queue: VecDeque::new(), current: None }
+    fn new(session: ClientSession) -> PolledSlot {
+        PolledSlot { session, queue: VecDeque::new(), current: None, listed: false, armed: None }
     }
 
     fn is_idle(&self) -> bool {
         self.current.is_none() && self.queue.is_empty()
+    }
+
+    /// Put the slot on the ready list, unless it is there already.
+    fn mark_ready(&mut self, i: usize, ready: &mut VecDeque<usize>) {
+        if !std::mem::replace(&mut self.listed, true) {
+            ready.push_back(i);
+        }
     }
 
     /// Credit one delivered wire message to the pending op (if any).
@@ -382,26 +411,83 @@ impl Wait for SleepPoll {
 }
 
 pub(crate) struct PolledWorker {
-    pub(crate) sessions: BTreeMap<(RegisterId, u32), PolledSlot>,
-    /// Recipient → session key, for dispatching inbound messages.
-    pub(crate) by_pid: BTreeMap<ProcessId, (RegisterId, u32)>,
-    pub(crate) jobs: Receiver<Job>,
+    /// The hosted sessions. A slot's index here is its name on the ready
+    /// list and in the timer heap.
+    sessions: Vec<PolledSlot>,
+    /// Session key → slot index, for routing jobs.
+    by_key: BTreeMap<SlotKey, usize>,
+    /// Recipient → slot index, for dispatching inbound messages.
+    by_pid: BTreeMap<ProcessId, usize>,
+    /// The slots that may have work: a job arrived, a part was decoded
+    /// for the session, or its wake fell due. A pass steps these and no
+    /// others.
+    ready: VecDeque<usize>,
+    /// Every session's wake, earliest first. An entry is stale once its
+    /// time no longer equals the session's `next_wake`; it is skipped
+    /// when it surfaces, never removed eagerly.
+    timers: BinaryHeap<Reverse<(Time, usize)>>,
+    /// How many slots have an op in flight or queued: 0 is idle.
+    busy: usize,
+    jobs: Receiver<Job>,
     /// Cleared once the store has dropped every job sender.
-    pub(crate) jobs_open: bool,
-    pub(crate) router: Sender<Envelope>,
+    jobs_open: bool,
+    router: Sender<Envelope>,
     /// Latched once a send to the router fails (the store shut down):
     /// from then on every operation fails fast with
     /// [`NetError::Disconnected`] instead of touching its session, whose
-    /// abandoned operation can never be completed or retried.
-    pub(crate) disconnected: bool,
+    /// abandoned operation can never be completed or retried. Latching
+    /// it lists every busy slot, so each fails in the same pass.
+    disconnected: bool,
     pub(crate) io: PollIo,
-    pub(crate) history: Arc<Mutex<History>>,
-    pub(crate) stats: Arc<Mutex<NetStats>>,
-    pub(crate) epoch: Instant,
-    pub(crate) tracer: Arc<lucky_trace::Tracer>,
+    history: Arc<Mutex<History>>,
+    stats: Arc<Mutex<NetStats>>,
+    epoch: Instant,
+    tracer: Arc<lucky_trace::Tracer>,
 }
 
 impl PolledWorker {
+    /// A worker hosting no sessions yet: it takes jobs from `jobs`,
+    /// reads `io`, sends to `router`, and appends to `history`.
+    pub(crate) fn new(
+        jobs: Receiver<Job>,
+        router: Sender<Envelope>,
+        io: PollIo,
+        history: Arc<Mutex<History>>,
+        stats: Arc<Mutex<NetStats>>,
+        epoch: Instant,
+        tracer: Arc<lucky_trace::Tracer>,
+    ) -> PolledWorker {
+        PolledWorker {
+            sessions: Vec::new(),
+            by_key: BTreeMap::new(),
+            by_pid: BTreeMap::new(),
+            ready: VecDeque::new(),
+            timers: BinaryHeap::new(),
+            busy: 0,
+            jobs,
+            jobs_open: true,
+            router,
+            disconnected: false,
+            io,
+            history,
+            stats,
+            epoch,
+            tracer,
+        }
+    }
+
+    /// Host each session under its key: jobs naming the key run on it,
+    /// and parts addressed to its process are delivered to it.
+    pub(crate) fn host(&mut self, sessions: Vec<(SlotKey, ClientSession)>) {
+        self.sessions.reserve(sessions.len());
+        for (key, session) in sessions {
+            let i = self.sessions.len();
+            self.by_key.insert(key, i);
+            self.by_pid.insert(session.id(), i);
+            self.sessions.push(PolledSlot::new(session));
+        }
+    }
+
     /// Session time: microseconds since the store's epoch (shared by
     /// every worker so history timestamps interleave correctly).
     pub(crate) fn now(&self) -> Time {
@@ -412,24 +498,29 @@ impl PolledWorker {
     /// session has drained its work.
     pub(crate) fn run(mut self, mut wait: Box<dyn Wait>) {
         loop {
-            // 1. Drain newly submitted jobs into their session queues.
+            // 1. Drain newly submitted jobs into their session queues,
+            //    listing each job's slot as ready.
             self.drain_jobs();
-            // 2. Feed ready input to the sessions.
+            // 2. Feed ready input to the sessions, listing each one a
+            //    part was decoded for.
             self.feed(wait.as_mut());
-            // 3. Wake every session whose next_wake is due.
+            // 3. Pop the due entries off the timer heap and wake their
+            //    sessions, listing them too.
             self.fire_due_wakes();
-            // 4. Settle finished operations, start queued ones, pump
-            //    outputs.
+            // 4. Step the listed slots, and only those: settle finished
+            //    operations, start queued ones, pump outputs, re-arm
+            //    each slot's wake.
             self.advance();
             // 5. Exit once no more jobs can arrive and nothing is left.
-            if !self.jobs_open && self.all_idle() {
+            if !self.jobs_open && self.busy == 0 {
                 return;
             }
-            // 6. Block until there may be work again. Idle, the only
-            //    work there can be is a job: where no submission can
-            //    interrupt the wait, park on the job queue itself, so an
-            //    idle store costs no CPU.
-            if self.all_idle() && !wait.interruptible() {
+            // 6. Block until there may be work again, at most until the
+            //    heap's earliest live entry. Idle, the only work there
+            //    can be is a job: where no submission can interrupt the
+            //    wait, park on the job queue itself, so an idle store
+            //    costs no CPU.
+            if self.busy == 0 && !wait.interruptible() {
                 match self.jobs.recv_timeout(IDLE_PARK) {
                     Ok(job) => self.enqueue(job),
                     Err(crossbeam::channel::RecvTimeoutError::Timeout) => {}
@@ -438,24 +529,26 @@ impl PolledWorker {
                     }
                 }
             } else {
-                wait.wait(&self.io, self.next_wake_delay());
+                let delay = self.next_wake_delay();
+                wait.wait(&self.io, delay);
             }
         }
     }
 
-    /// Hand every ready inbound part to the session it is addressed to.
-    /// A part addressed to a process this worker does not host (only
-    /// hostile frames produce one) counts as dropped.
+    /// Hand every ready inbound part to the session it is addressed to,
+    /// and list that session's slot. A part addressed to a process this
+    /// worker does not host (only hostile frames produce one) counts as
+    /// dropped.
     fn feed(&mut self, wait: &mut dyn Wait) {
         let now = self.now();
-        let (by_pid, sessions, stats) = (&self.by_pid, &mut self.sessions, &self.stats);
-        wait.input(&mut self.io, &mut |from, to, msg| match by_pid
-            .get(&to)
-            .and_then(|key| sessions.get_mut(key))
-        {
-            Some(slot) => {
+        let (by_pid, sessions, ready, stats) =
+            (&self.by_pid, &mut self.sessions, &mut self.ready, &self.stats);
+        wait.input(&mut self.io, &mut |from, to, msg| match by_pid.get(&to) {
+            Some(&i) => {
+                let slot = &mut sessions[i];
                 slot.credit_delivery(&msg);
                 slot.session.handle(Input::Deliver(from, msg), now);
+                slot.mark_ready(i, ready);
             }
             None => stats.lock().dropped += msg.part_count() as u64,
         });
@@ -473,31 +566,40 @@ impl PolledWorker {
         }
     }
 
-    /// Wake every session whose `next_wake` is due.
+    /// Pop every due entry off the timer heap and wake its session,
+    /// unless the entry is stale.
     fn fire_due_wakes(&mut self) {
         let now = self.now();
-        for slot in self.sessions.values_mut() {
-            if slot.session.next_wake().is_some_and(|due| due <= now) {
+        while let Some(&Reverse((due, i))) = self.timers.peek() {
+            if due > now {
+                break;
+            }
+            self.timers.pop();
+            let slot = &mut self.sessions[i];
+            if slot.armed == Some(due) {
+                // The slot's newest entry is gone; stepping it re-arms.
+                slot.armed = None;
+            }
+            if slot.session.next_wake() == Some(due) {
                 slot.session.handle(Input::Wake, now);
+                slot.mark_ready(i, &mut self.ready);
             }
         }
     }
 
-    /// `true` iff no session has an op in flight or queued.
-    fn all_idle(&self) -> bool {
-        self.sessions.values().all(PolledSlot::is_idle)
-    }
-
-    /// How long until the earliest session timer is due (`None` when no
-    /// session needs waking — e.g. fully idle): the deadline the worker
-    /// hands its [`Wait`].
-    fn next_wake_delay(&self) -> Option<Duration> {
+    /// How long until the earliest live heap entry is due (`None` when
+    /// no session needs waking — e.g. fully idle): the deadline the
+    /// worker hands its [`Wait`]. Stale entries that surface on top are
+    /// popped here, so none can cut a wait short.
+    fn next_wake_delay(&mut self) -> Option<Duration> {
         let now = self.now();
-        self.sessions
-            .values()
-            .filter_map(|s| s.session.next_wake())
-            .min()
-            .map(|due| Duration::from_micros(due.0.saturating_sub(now.0)))
+        while let Some(&Reverse((due, i))) = self.timers.peek() {
+            if self.sessions[i].session.next_wake() == Some(due) {
+                return Some(Duration::from_micros(due.0.saturating_sub(now.0)));
+            }
+            self.timers.pop();
+        }
+        None
     }
 
     fn enqueue(&mut self, job: Job) {
@@ -505,16 +607,26 @@ impl PolledWorker {
         // it); if it did, dropping the reply sender surfaces as a
         // disconnect to the caller (and the dropped notify guard wakes
         // the op's future, if any).
-        if let Some(slot) = self.sessions.get_mut(&job.slot) {
+        if let Some(&i) = self.by_key.get(&job.slot) {
+            let slot = &mut self.sessions[i];
+            if slot.is_idle() {
+                self.busy += 1;
+            }
             slot.queue.push_back((job.op, job.reply, job.notify));
+            slot.mark_ready(i, &mut self.ready);
         }
     }
 
-    /// Begin queued operations on idle sessions, forward outputs to the
-    /// router, and resolve completed or failed operations.
+    /// Step every listed slot: begin queued operations on free
+    /// sessions, forward outputs to the router, resolve completed or
+    /// failed operations, and re-arm the slot's wake if it moved.
     fn advance(&mut self) {
         let now = self.now();
-        for slot in self.sessions.values_mut() {
+        while let Some(i) = self.ready.pop_front() {
+            let slot = &mut self.sessions[i];
+            slot.listed = false;
+            let was_busy = !slot.is_idle();
+            let was_disconnected = self.disconnected;
             // Loop the slot until it makes no progress: an operation
             // that settles in this pass frees the session for the next
             // queued one *now*. Left for the next pass, that operation
@@ -598,6 +710,29 @@ impl PolledWorker {
                 // reply is observable in the channel.
                 drop(cur.notify);
             }
+            if was_busy && slot.is_idle() {
+                self.busy -= 1;
+            }
+            // A wake that moved gets a fresh heap entry; the old one
+            // goes stale where it lies.
+            let wake = slot.session.next_wake();
+            if wake != slot.armed {
+                slot.armed = wake;
+                if let Some(due) = wake {
+                    self.timers.push(Reverse((due, i)));
+                }
+            }
+            if self.disconnected && !was_disconnected {
+                // The store shut down: every busy slot, stepped already
+                // or not, fails its operations in this pass rather than
+                // at its next timer. The one walk over every session,
+                // once per worker.
+                for (i, slot) in self.sessions.iter_mut().enumerate() {
+                    if !slot.is_idle() {
+                        slot.mark_ready(i, &mut self.ready);
+                    }
+                }
+            }
         }
     }
 }
@@ -656,42 +791,39 @@ mod tests {
     use lucky_types::Params;
     use std::os::fd::AsRawFd;
 
-    fn one_session_worker(
-        listener: TcpListener,
-        deadline_micros: u64,
-    ) -> (PolledWorker, Sender<Job>, Receiver<Envelope>, Arc<Mutex<NetStats>>) {
+    /// The writer session of register `reg`.
+    fn writer(reg: u32, timer_micros: u64, deadline_micros: u64) -> ClientSession {
         let setup = Setup::from(Params::new(1, 0, 1, 0).unwrap());
-        let protocol = ProtocolConfig { timer_micros: 1_000, ..ProtocolConfig::default() };
-        let session = setup.make_writer_session(
-            RegisterId(0),
+        let protocol = ProtocolConfig { timer_micros, ..ProtocolConfig::default() };
+        setup.make_writer_session(
+            RegisterId(reg),
             protocol,
             SessionConfig::with_deadline(deadline_micros),
-        );
-        let pid = session.id();
-        let key = (RegisterId(0), 0u32);
-        let mut sessions = BTreeMap::new();
-        sessions.insert(key, PolledSlot::new(session));
-        let mut by_pid = BTreeMap::new();
-        by_pid.insert(pid, key);
+        )
+    }
+
+    /// A worker hosting `writers`, each in its register's writer slot.
+    fn test_worker(
+        listener: TcpListener,
+        writers: Vec<ClientSession>,
+    ) -> (PolledWorker, Sender<Job>, Receiver<Envelope>, Arc<Mutex<NetStats>>) {
         let (job_tx, job_rx) = unbounded::<Job>();
         // Nothing drains the router queue: this worker's sends go
         // nowhere by design. The caller keeps the receiver alive, or the
         // worker would see a shut-down store.
         let (router_tx, router_rx) = unbounded::<Envelope>();
         let (io, stats, tracer) = tcp_io(listener);
-        let worker = PolledWorker {
-            sessions,
-            by_pid,
-            jobs: job_rx,
-            jobs_open: true,
-            router: router_tx,
-            disconnected: false,
+        let history = Arc::new(Mutex::new(History::new()));
+        let mut worker = PolledWorker::new(
+            job_rx,
+            router_tx,
             io,
-            history: Arc::new(Mutex::new(History::new())),
-            stats: Arc::clone(&stats),
-            epoch: Instant::now(),
+            history,
+            Arc::clone(&stats),
+            Instant::now(),
             tracer,
-        };
+        );
+        worker.host(writers.into_iter().map(|session| ((session.reg(), 0), session)).collect());
         (worker, job_tx, router_rx, stats)
     }
 
@@ -775,21 +907,66 @@ mod tests {
         // when the job sender drops, instead of having panicked.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         epoll::close_fd(listener.as_raw_fd());
-        let (worker, job_tx, _router_rx, stats) = one_session_worker(listener, 50_000);
+        let (worker, job_tx, _router_rx, stats) =
+            test_worker(listener, vec![writer(0, 1_000, 50_000)]);
         assert_eq!(stats.lock().io_errors, 1);
         let handle = std::thread::spawn(move || worker.run(Box::new(SleepPoll)));
-        let (reply, rx) = unbounded();
-        job_tx
-            .send(Job {
-                slot: (RegisterId(0), 0),
-                op: Op::Write(lucky_types::Value::from_u64(1)),
-                reply,
-                notify: None,
-            })
-            .unwrap();
+        let rx = submit_write(&job_tx, 0);
         let result = rx.recv_timeout(Duration::from_secs(5)).expect("worker still answers");
         assert_eq!(result.unwrap_err(), NetError::TimedOut);
         drop(job_tx);
         handle.join().expect("worker exits cleanly, no panic");
+    }
+
+    /// Queue a WRITE on register `reg`'s writer; the receiver gets its
+    /// outcome.
+    fn submit_write(jobs: &Sender<Job>, reg: u32) -> Receiver<Result<NetOutcome, NetError>> {
+        let (reply, rx) = unbounded();
+        let op = Op::Write(lucky_types::Value::from_u64(1));
+        jobs.send(Job { slot: (RegisterId(reg), 0), op, reply, notify: None }).unwrap();
+        rx
+    }
+
+    #[test]
+    fn a_disconnect_fails_sessions_the_failing_pass_never_touched() {
+        // Session B is mid-operation, waiting on acks that will never
+        // come, its timer 5 s out. The store then shuts down (the router
+        // receiver drops) and a job arrives for session A, whose send is
+        // the one that fails. B must fail too, with `Disconnected`, and
+        // long before its timer would have stepped it: an epoll worker
+        // blocks until the heap's earliest entry, which is B's. Both key
+        // orders, since a walk in key order reaches a B that comes after
+        // A in the failing pass and misses one that comes before.
+        const TIMER: u64 = 5_000_000;
+        for (a, b) in [(0, 1), (1, 0)] {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let (worker, job_tx, router_rx, _stats) = test_worker(
+                listener,
+                vec![writer(a, TIMER, 2 * TIMER), writer(b, TIMER, 2 * TIMER)],
+            );
+            let wake = Arc::new(epoll::WakeFd::new().unwrap());
+            let b_reply = submit_write(&job_tx, b);
+            let port = Arc::clone(&wake);
+            let handle = std::thread::spawn(move || {
+                let wait = crate::reactor::wait_strategy(&worker.io, Some(port), None);
+                worker.run(wait)
+            });
+            router_rx.recv_timeout(Duration::from_secs(5)).expect("B's write went out");
+            drop(router_rx);
+            let start = Instant::now();
+            let a_reply = submit_write(&job_tx, a);
+            wake.wake();
+            let within = Duration::from_secs(2);
+            assert_eq!(a_reply.recv_timeout(within).unwrap().unwrap_err(), NetError::Disconnected);
+            assert_eq!(
+                b_reply.recv_timeout(within).expect("B answered before its timer").unwrap_err(),
+                NetError::Disconnected,
+                "A = {a}, B = {b}"
+            );
+            assert!(start.elapsed() < Duration::from_micros(TIMER));
+            drop(job_tx);
+            wake.wake();
+            handle.join().expect("worker exits cleanly, no panic");
+        }
     }
 }

@@ -5,7 +5,7 @@
 //! [`PollIo`] — a shard worker ([`PolledWorker::run`](crate::polled))
 //! or a server: where sleep-polling sleeps up to a tick and re-polls
 //! everything, this blocks in `epoll_wait` with the caller's deadline
-//! (a worker's earliest
+//! (the earliest live entry of a worker's timer heap, i.e. its soonest
 //! [`ClientSession::next_wake`](lucky_core::runtime::ClientSession::next_wake);
 //! a server has none) armed on a dedicated `timerfd`, so
 //!

@@ -22,13 +22,13 @@ use crate::cluster::{
     ServerCtl,
 };
 use crate::future::{NotifyGuard, OpFuture, OpNotify};
-use crate::polled::{Driver, Job, PollIo, PolledSlot, PolledWorker};
+use crate::polled::{Driver, Job, PollIo, PolledWorker};
 use crate::reactor::wait_strategy;
 use crate::router::{spawn_router, Envelope, NetStats, RouterConfig, SlotMap, SlotSink};
 use crate::tcp::Transport;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use epoll::WakeFd;
-use lucky_core::runtime::ServerCore;
+use lucky_core::runtime::{ClientSession, ServerCore};
 use lucky_core::{ProtocolConfig, SessionConfig, Setup, StoreConfig};
 use lucky_log::{DurableBackend, LogCounters};
 use lucky_types::{BatchConfig, History, Op, ProcessId, RegisterId, ServerId, Value};
@@ -224,15 +224,12 @@ impl NetStoreBuilder {
         let server_count = self.setup.server_count();
         let mut slots: SlotMap = SlotMap::new();
         let session_cfg = SessionConfig::with_deadline(self.cfg.op_deadline().as_micros() as u64);
-        let mut shard_sessions: Vec<BTreeMap<(RegisterId, u32), PolledSlot>> =
-            (0..shard_count).map(|_| BTreeMap::new()).collect();
-        let mut shard_pids: Vec<BTreeMap<ProcessId, (RegisterId, u32)>> =
-            (0..shard_count).map(|_| BTreeMap::new()).collect();
+        let mut shard_sessions: Vec<Vec<((RegisterId, u32), ClientSession)>> =
+            (0..shard_count).map(|_| Vec::new()).collect();
         let mut place = |pid: ProcessId, key: (RegisterId, u32), session| {
             let worker = shard_for(key.0, key.1, shard_count);
             slots.insert(pid, server_count + worker);
-            shard_pids[worker].insert(pid, key);
-            shard_sessions[worker].insert(key, PolledSlot::new(session));
+            shard_sessions[worker].push((key, session));
         };
         for reg in RegisterId::all(self.registers) {
             place(
@@ -322,22 +319,19 @@ impl NetStoreBuilder {
         let wakeups = Arc::new(AtomicU64::new(0));
         let mut workers = Vec::new();
         let mut worker_txs: Vec<Port<Job>> = Vec::new();
-        for (w, (sessions, by_pid)) in shard_sessions.into_iter().zip(shard_pids).enumerate() {
+        for (w, sessions) in shard_sessions.into_iter().enumerate() {
             let (io, _) = own_socket(server_count + w);
             let (tx, rx) = unbounded::<Job>();
-            let worker = PolledWorker {
-                sessions,
-                by_pid,
-                jobs: rx,
-                jobs_open: true,
-                router: router_tx.clone(),
-                disconnected: false,
+            let mut worker = PolledWorker::new(
+                rx,
+                router_tx.clone(),
                 io,
-                history: Arc::clone(&history),
-                stats: Arc::clone(&stats),
+                Arc::clone(&history),
+                Arc::clone(&stats),
                 epoch,
-                tracer: Arc::clone(&tracer),
-            };
+                Arc::clone(&tracer),
+            );
+            worker.host(sessions);
             let wake = new_wake();
             worker_txs.push(Port::new(tx, wake.clone()));
             let wakeups = Arc::clone(&wakeups);

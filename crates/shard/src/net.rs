@@ -435,6 +435,7 @@ impl ShardNetStore {
             total.io_errors += s.io_errors;
             total.reactor_wakeups += s.reactor_wakeups;
             total.frame_allocs += s.frame_allocs;
+            total.socket_writes += s.socket_writes;
             let report = store.trace();
             let fast = report.fast_reads + report.fast_writes;
             let slow = report.slow_reads + report.slow_writes;

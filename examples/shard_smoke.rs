@@ -138,8 +138,21 @@ fn net_phase() {
 
     store.check_atomicity().unwrap();
     println!("  atomicity: clean across {GROUPS} groups");
-    println!("  rollup:{}", store.stats());
+    // Stopped first, so the rollup and the per-group counters it sums
+    // are read from the same, settled traffic.
     store.shutdown();
+    let rollup = store.stats();
+    println!("  rollup:{rollup}");
+    let per_group: u64 =
+        (0..GROUPS as u16).map(|g| store.group_stats(GroupId(g)).socket_writes).sum();
+    assert_eq!(rollup.socket_writes, per_group, "the rollup sums every group's socket writes");
+    assert!(rollup.socket_writes > 0, "TCP traffic issues socket writes");
+    assert!(
+        rollup.socket_writes <= rollup.messages,
+        "{} socket writes for {} wire messages: one write carries one or more",
+        rollup.socket_writes,
+        rollup.messages
+    );
 }
 
 fn main() {

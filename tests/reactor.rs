@@ -110,14 +110,45 @@ fn all_three_variants_run_on_the_reactor() {
 
 /// An idle reactor burns no CPU: once every session has settled, the
 /// worker blocks in `epoll_wait` with no timeout — so its wakeup counter
-/// must not move while the store sits idle.
+/// must not move while the store sits idle. Twice: a small store, and a
+/// 5,000-register one on one worker whose burst of writes settled before
+/// their 500 ms round timers. Each of those writes leaves a stale entry
+/// in the worker's timer heap, due inside the idle window below, and
+/// none of them may wake it.
 #[test]
 fn idle_reactors_do_not_wake_up() {
     let mut store = reactor_store(Params::new(1, 0, 1, 0).unwrap(), 4, 2, 31);
     let h = store.register(RegisterId(0)).unwrap();
     h.write(Value::from_u64(5)).expect("warm-up write completes");
     assert_eq!(h.read(0).unwrap().value.as_u64(), Some(5));
-    // Let any tail work (late acks crossing the sockets) drain fully.
+    assert_stays_asleep(&store);
+    // And it is not dead: the next operation completes normally.
+    assert_eq!(h.read(0).unwrap().value.as_u64(), Some(5));
+    store.shutdown();
+
+    // The burst ends at `done`; the idle window is `done + 100 ms` to
+    // `done + 500 ms`, and a write invoked at `t` left its stale entry
+    // at `t + 500 ms`, with `t` between the burst's start and `done`.
+    const REGISTERS: usize = 5_000;
+    let mut store = NetStore::builder(Params::new(1, 0, 1, 0).unwrap(), cfg(500, 32))
+        .registers(REGISTERS)
+        .shards(1)
+        .driver(Driver::Reactor)
+        .build();
+    let handles: Vec<_> =
+        RegisterId::all(REGISTERS).map(|reg| store.register(reg).expect("fresh handle")).collect();
+    let tickets: Vec<_> = handles.iter().map(|h| h.invoke_write(Value::from_u64(7))).collect();
+    for t in tickets {
+        t.wait().expect("every write of the burst completes");
+    }
+    assert_stays_asleep(&store);
+    assert_eq!(handles[REGISTERS - 1].read(0).unwrap().value.as_u64(), Some(7));
+    store.shutdown();
+}
+
+/// Let any tail work (late acks crossing the sockets) drain fully, then
+/// hold the store's reactor wakeup count still over 400 ms.
+fn assert_stays_asleep(store: &NetStore) {
     std::thread::sleep(Duration::from_millis(100));
     let before = store.stats().reactor_wakeups;
     std::thread::sleep(Duration::from_millis(400));
@@ -126,9 +157,6 @@ fn idle_reactors_do_not_wake_up() {
         before, after,
         "an idle reactor must sleep in epoll_wait, not tick ({before} -> {after} wakeups)"
     );
-    // And it is not dead: the next operation completes normally.
-    assert_eq!(h.read(0).unwrap().value.as_u64(), Some(5));
-    store.shutdown();
 }
 
 /// The futures API over the reactor: `block_on` one op, then hold a

@@ -82,6 +82,33 @@ fn reactor_driver_times_out_without_a_quorum() {
     store.shutdown();
 }
 
+/// `derived_strategy_times_out_without_a_quorum` on a 5,000-register
+/// store: one worker hosts every session, and the one operation in
+/// flight — a write on the last register — holds the only live entry of
+/// its timer heap. It must still fail `TimedOut` at its deadline, not
+/// before and not never.
+#[test]
+fn a_lone_deadline_fires_among_5000_idle_registers() {
+    const REGISTERS: usize = 5_000;
+    let cfg = stall_cfg();
+    let deadline = cfg.op_deadline();
+    let mut store = NetStore::builder(params(), cfg)
+        .registers(REGISTERS)
+        .shards(1)
+        .crashed(0)
+        .crashed(1)
+        .build();
+    let h = store.register(RegisterId(REGISTERS as u32 - 1)).unwrap();
+    let start = std::time::Instant::now();
+    let mut ticket = h.invoke_write(Value::from_u64(1));
+    assert_eq!(ticket.wait_for(2 * deadline).unwrap_err(), NetError::TimedOut);
+    assert!(start.elapsed() >= deadline, "failed before its deadline, at {:?}", start.elapsed());
+    let history = store.history();
+    assert_eq!(history.ops.len(), 1);
+    assert!(history.ops[0].completed_at.is_none());
+    store.shutdown();
+}
+
 #[test]
 fn deadline_failures_are_never_reported_as_driver_busy() {
     // The polled driver used to fold `SessionError::Busy` (a driver

@@ -152,6 +152,31 @@ fn migration_under_live_traffic_is_checker_clean_net() {
 }
 
 #[test]
+fn the_rollup_sums_socket_writes_across_groups() {
+    const GROUPS: usize = 4;
+    let cfg = StoreConfig::synchronous(small()).registers(16).groups(GROUPS);
+    let store = ShardNetStore::builder(cfg, fast_net()).build();
+    store.bulk_create(16).unwrap();
+    for reg in RegisterId::all(16) {
+        store.write(reg, Value::from_u64(1 + reg.0 as u64)).unwrap();
+        store.read(reg, 0).unwrap();
+    }
+    // Stopped, every counter holds still between the two reads below.
+    store.shutdown();
+    let rollup = store.stats();
+    let per_group: u64 =
+        (0..GROUPS as u16).map(|g| store.group_stats(GroupId(g)).socket_writes).sum();
+    assert_eq!(rollup.socket_writes, per_group, "the rollup sums every group's socket writes");
+    assert!(rollup.socket_writes > 0, "traffic over TCP issues socket writes");
+    assert!(
+        rollup.socket_writes <= rollup.messages,
+        "{} socket writes for {} wire messages",
+        rollup.socket_writes,
+        rollup.messages
+    );
+}
+
+#[test]
 fn drop_then_recreate_yields_fresh_state() {
     // Sim runtime.
     let cfg = StoreConfig::synchronous(small()).registers(8).groups(2);
