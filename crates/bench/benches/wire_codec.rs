@@ -8,21 +8,27 @@
 //! batch case's ns/iter by its part count for the per-message cost —
 //! the iteration encodes or decodes the whole envelope.
 //!
+//! `wire/decode_read_ack_shared` times a READ_ACK the way the receive
+//! path decodes it: through `FrameDecoder` and `decode_packet`.
+//!
 //! Two sweeps track the receive path's two optimizations across value
 //! sizes from a tag byte to 64 KiB:
 //!
-//! * `wire/decode_packet_b16_v*` — the zero-copy packet decode: a
-//!   16-part packet of writes whose values are sliced out of the
-//!   shared frame payload, never copied. The per-iteration cost should
-//!   be flat in value size (the bytes are only CRC'd, not moved).
+//! * `wire/decode_packet_b16_v*` — the packet decode on the receive
+//!   path: a 16-part packet of writes. Values of 1 KiB and more are
+//!   sliced out of the shared frame payload, never copied, so from
+//!   `v4096` up the per-iteration cost should be flat in value size
+//!   (the bytes are only CRC'd, not moved). Smaller values are copied
+//!   into buffers of their own, so a retained one does not pin the
+//!   frame; `v8`–`v512` pay one small allocation per value for that.
 //! * `wire/crc32_*` vs `wire/crc32_bytewise_*` — the slice-by-8
 //!   checksum against the one-table-lookup-per-byte classic, same
 //!   buffers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use lucky_types::{
-    FrozenSlot, Message, ProcessId, PwMsg, ReadAckMsg, ReadMsg, ReadSeq, RegisterId, Seq, ServerId,
-    Tag, TsVal, Value, WriteMsg,
+    FrozenSlot, Message, ProcessId, PwMsg, ReadAckMsg, ReadMsg, ReadSeq, ReaderId, RegisterId, Seq,
+    ServerId, Tag, TsVal, Value, WriteMsg,
 };
 use lucky_wire::{
     crc32, crc32_bytewise, decode_message, decode_packet, encode_message, encode_packet,
@@ -81,6 +87,28 @@ fn bench_case(c: &mut Criterion, name: &str, msg: &Message) {
 fn bench_singles(c: &mut Criterion) {
     bench_case(c, "pw", &pw_msg());
     bench_case(c, "read_ack", &read_ack_msg());
+    bench_read_ack_received(c);
+}
+
+/// `wire/decode_read_ack_shared`: the READ_ACK as a shard worker
+/// receives it — one framed packet fed to a long-lived `FrameDecoder`,
+/// then `decode_packet` on the shared payload. Unlike `decode_read_ack`
+/// (the copying `decode_message` over bare payload bytes) this
+/// includes the freeze, the CRC and the packet envelope.
+fn bench_read_ack_received(c: &mut Criterion) {
+    let frame = encode_packet(&[(
+        ProcessId::Server(ServerId(0)),
+        ProcessId::Reader(ReaderId(0)),
+        read_ack_msg(),
+    )]);
+    let mut dec = FrameDecoder::new();
+    c.bench_function("wire/decode_read_ack_shared", |b| {
+        b.iter(|| {
+            dec.feed(&frame);
+            let payload = dec.next_frame().expect("clean frame").expect("complete frame");
+            decode_packet(&payload).expect("valid packet")
+        })
+    });
 }
 
 fn bench_batches(c: &mut Criterion) {
@@ -89,13 +117,14 @@ fn bench_batches(c: &mut Criterion) {
     }
 }
 
-/// Value payload sizes swept by the zero-copy and checksum benches:
+/// Value payload sizes swept by the packet-decode and checksum benches:
 /// tag-sized, cache-line-ish, and up through a 64 KiB blob.
 const VALUE_SIZES: [usize; 5] = [8, 64, 512, 4096, 65536];
 
 /// A `parts`-part packet of writes carrying `value_bytes`-byte values —
 /// the shape the router's socket batching actually produces on the
-/// write path, and the case the zero-copy decode exists for.
+/// write path, and, from 1 KiB values up, the case the zero-copy decode
+/// exists for.
 fn write_packet(parts: u64, value_bytes: usize) -> Vec<PacketPart> {
     (0..parts)
         .map(|i| {

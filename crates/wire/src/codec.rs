@@ -144,13 +144,22 @@ impl Writer {
     }
 }
 
+/// Shortest value payload a [`Reader::shared`] cursor hands out as a
+/// window into its backing buffer; anything shorter is copied into an
+/// allocation of its own. A window keeps the whole backing buffer alive
+/// — on the receive path, the read chunk the frame arrived in — so a
+/// retained 64 B value would otherwise pin kilobytes. Above the
+/// threshold the copy would cost more than the pinning it avoids.
+pub(crate) const MIN_SHARED_VALUE_BYTES: usize = 1024;
+
 /// A bounds-checked read cursor over an input buffer.
 ///
 /// A cursor built with [`Reader::shared`] additionally carries the
-/// [`Bytes`] handle backing the buffer, which lets variable-length
-/// payloads ([`Value`] data) decode as **zero-copy slices** of the
-/// input — every value in a decoded frame shares the frame payload's
-/// single allocation instead of copying into its own.
+/// [`Bytes`] handle backing the buffer, which lets large
+/// variable-length payloads ([`Value`] data of 1 KiB and more) decode
+/// as **zero-copy slices** of the input, sharing the frame payload's
+/// allocation. Shorter payloads are copied, so a retained small value
+/// does not keep the whole input alive.
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
@@ -170,7 +179,9 @@ impl<'a> Reader<'a> {
     }
 
     /// A cursor over a shared payload buffer: variable-length byte
-    /// payloads decode as slices of `payload`'s allocation, not copies.
+    /// payloads of 1 KiB and more decode as slices of `payload`'s
+    /// allocation, not copies; shorter ones are copied out (see
+    /// [`Reader::payload_bytes`]).
     pub fn shared(payload: &'a Bytes) -> Reader<'a> {
         Reader { buf: payload, pos: 0, backing: Some(payload) }
     }
@@ -206,9 +217,11 @@ impl<'a> Reader<'a> {
     }
 
     /// Read `n` raw bytes as an owned [`Bytes`] payload. On a
-    /// [`Reader::shared`] cursor this is **zero-copy**: the result is a
-    /// subrange view of the backing allocation. On a plain cursor it
-    /// copies, exactly like [`Bytes::copy_from_slice`].
+    /// [`Reader::shared`] cursor, `n` of 1 KiB or more is **zero-copy**:
+    /// the result is a subrange view of the backing allocation. Shorter
+    /// payloads, and every payload on a plain cursor, are copied
+    /// exactly like [`Bytes::copy_from_slice`], so a small result never
+    /// keeps the backing allocation alive.
     ///
     /// # Errors
     ///
@@ -220,8 +233,8 @@ impl<'a> Reader<'a> {
         let start = self.pos;
         self.pos += n;
         Ok(match self.backing {
-            Some(backing) => backing.slice(start..start + n),
-            None => Bytes::copy_from_slice(&self.buf[start..start + n]),
+            Some(backing) if n >= MIN_SHARED_VALUE_BYTES => backing.slice(start..start + n),
+            _ => Bytes::copy_from_slice(&self.buf[start..start + n]),
         })
     }
 
@@ -322,8 +335,8 @@ impl Decode for Value {
             VALUE_BOT => Ok(Value::Bot),
             VALUE_DATA => {
                 let len = r.list_len(1)?;
-                // Zero-copy on a shared cursor: the value aliases the
-                // frame payload instead of allocating its own buffer.
+                // On a shared cursor a large value aliases the frame
+                // payload; a small one gets its own buffer.
                 Ok(Value::Data(r.payload_bytes(len)?))
             }
             tag => Err(DecodeError::BadTag { what: "Value", tag }),

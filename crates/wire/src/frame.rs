@@ -142,12 +142,12 @@ pub fn decode_frame(buf: &[u8]) -> Result<&[u8], DecodeError> {
 ///
 /// Payloads come back as **windows into the reassembly allocation**:
 /// bytes accumulate in a staging `Vec`, and once at least one complete
-/// frame has formed, the staged region is frozen into one shared
-/// [`Bytes`] allocation from which every frame it holds is sliced
-/// zero-copy. A read that delivered several frames pays for one
-/// freeze, not one copy per frame — the per-frame payload copy the
-/// previous decoder made is gone (asserted by the shares-allocation
-/// test below).
+/// frame has formed, the staged region is copied into one shared
+/// [`Bytes`] allocation (the freeze) from which every frame it holds is
+/// sliced zero-copy. A read that delivered several frames pays for one
+/// freeze, not one copy per frame (asserted by the shares-allocation
+/// test below), and the staging `Vec` keeps its capacity for the next
+/// read.
 ///
 /// A stream that produced an error cannot be resynchronized — framing
 /// carries no self-delimiting marker robust to corruption — so callers
@@ -185,10 +185,11 @@ impl FrameDecoder {
     ///
     /// The payload is a zero-copy window into the decoder's frozen
     /// reassembly allocation (shared with every other frame from the
-    /// same freeze): decoding the packet with a
+    /// same freeze). Decoding the packet with a
     /// [`Reader::shared`](crate::Reader::shared) cursor then slices
-    /// every value out of the same buffer, so nothing on the receive
-    /// path copies payload bytes.
+    /// values of 1 KiB and more out of the same buffer and copies
+    /// shorter ones, so the freeze lives only as long as the packet
+    /// and its large values.
     ///
     /// # Errors
     ///
@@ -215,9 +216,7 @@ impl FrameDecoder {
                 return Ok(None);
             }
             if self.pos < self.frozen.len() {
-                let mut v = self.frozen[self.pos..].to_vec();
-                v.extend_from_slice(&self.staging);
-                self.staging = v;
+                self.staging.splice(0..0, self.frozen[self.pos..].iter().copied());
             }
             self.frozen = Bytes::new();
             self.pos = 0;
@@ -226,8 +225,11 @@ impl FrameDecoder {
                 if self.staging.len() >= FRAME_HEADER_BYTES + len {
                     // At least one complete frame: freeze the whole
                     // staged region into one shared allocation and
-                    // slice from it (loop back to the fast path).
-                    self.frozen = Bytes::from(std::mem::take(&mut self.staging));
+                    // slice from it (loop back to the fast path). The
+                    // freeze copies either way, so staging keeps its
+                    // capacity for the next feed.
+                    self.frozen = Bytes::copy_from_slice(&self.staging);
+                    self.staging.clear();
                     continue;
                 }
             }

@@ -264,9 +264,10 @@ pub fn decode_message(bytes: &[u8]) -> Result<Message, DecodeError> {
 }
 
 /// Decode one message from a shared payload buffer, requiring exact
-/// consumption. **Zero-copy**: every `Value` in the result is a
-/// subrange view of `payload`'s allocation — decoding a batch of N
-/// data values allocates the part vectors, never the value bytes.
+/// consumption. **Zero-copy for large values**: every `Value` of 1 KiB
+/// or more in the result is a subrange view of `payload`'s allocation;
+/// shorter values are copied into their own, so retaining one does not
+/// keep `payload` alive.
 ///
 /// # Errors
 ///
@@ -367,10 +368,12 @@ impl PacketEncoder {
 /// the whole packet: a frame cannot smuggle more flattened protocol
 /// messages by splitting them across envelope entries.
 ///
-/// **Zero-copy values**: the payload arrives as one shared [`Bytes`]
-/// buffer and every `Value` in the decoded parts is a subrange view of
-/// it — a delivered batch of N data values costs one payload
-/// allocation, not N + 1.
+/// **Zero-copy large values**: the payload arrives as one shared
+/// [`Bytes`] buffer and every `Value` of 1 KiB or more in the decoded
+/// parts is a subrange view of it — a delivered batch of N such values
+/// costs one payload allocation, not N + 1. Shorter values are copied
+/// out, so a retained small value holds its own bytes and not the
+/// buffer it arrived in.
 ///
 /// # Errors
 ///
@@ -398,6 +401,7 @@ pub fn decode_packet(payload: &Bytes) -> Result<Vec<PacketPart>, DecodeError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::MIN_SHARED_VALUE_BYTES;
     use lucky_types::{ReaderId, Value};
 
     fn read(reg: u32, tsr: u64) -> Message {
@@ -563,13 +567,10 @@ mod tests {
         }
     }
 
-    /// The zero-copy contract: decoding a batch of N data values out of
-    /// a received frame performs exactly **one** payload allocation —
-    /// every decoded value aliases the frame payload's allocation
-    /// (asserted by pointer identity), so no per-value buffer exists.
-    #[test]
-    fn batch_decode_allocates_once_for_the_frame_payload() {
-        let n = 16;
+    /// `n` write parts to server 0, each carrying a `value_len`-byte
+    /// value, framed and reassembled exactly as the receive path does:
+    /// the payload comes out of a `FrameDecoder` as one shared buffer.
+    fn received_writes(n: u32, value_len: usize) -> (Vec<PacketPart>, Bytes) {
         let parts: Vec<PacketPart> = (0..n)
             .map(|i| {
                 (
@@ -579,40 +580,101 @@ mod tests {
                         reg: RegisterId(i),
                         round: 2,
                         tag: Tag::Write(Seq(i as u64)),
-                        c: TsVal::new(Seq(i as u64), Value::from_bytes(vec![i as u8; 64])),
+                        c: TsVal::new(Seq(i as u64), Value::from_bytes(vec![i as u8; value_len])),
                         frozen: vec![],
                     }),
                 )
             })
             .collect();
-        let frame = encode_packet(&parts);
-        // Receive path: FrameDecoder hands the payload over as one Bytes.
         let mut dec = crate::frame::FrameDecoder::new();
-        dec.feed(&frame);
+        dec.feed(&encode_packet(&parts));
         let payload = dec.next_frame().expect("clean").expect("complete");
+        (parts, payload)
+    }
+
+    /// The value bytes of every write in `msgs`, in order.
+    fn write_values<'a>(msgs: impl IntoIterator<Item = &'a Message>) -> Vec<Bytes> {
+        msgs.into_iter()
+            .map(|msg| {
+                let Message::Write(m) = msg else { panic!("write part expected") };
+                let Value::Data(bytes) = &m.c.val else { panic!("data value expected") };
+                bytes.clone()
+            })
+            .collect()
+    }
+
+    /// The zero-copy contract for large values: decoding a batch of N
+    /// data values of at least `MIN_SHARED_VALUE_BYTES` out of a
+    /// received frame performs exactly **one** payload allocation —
+    /// every decoded value aliases the frame payload's allocation
+    /// (asserted by pointer identity), so no per-value buffer exists.
+    #[test]
+    fn batch_decode_allocates_once_for_the_frame_payload() {
+        let n = 16;
+        let (parts, payload) = received_writes(n, 2 * MIN_SHARED_VALUE_BYTES);
         let decoded = decode_packet(&payload).expect("roundtrip");
-        assert_eq!(decoded.len(), n as usize);
-        let mut values = 0;
-        for (_, _, msg) in &decoded {
-            let Message::Write(m) = msg else { panic!("write part expected") };
-            let Value::Data(bytes) = &m.c.val else { panic!("data value expected") };
+        assert_eq!(decoded, parts);
+        let values = write_values(decoded.iter().map(|(_, _, m)| m));
+        assert_eq!(values.len(), n as usize);
+        for bytes in &values {
             assert!(
                 bytes.shares_allocation(&payload),
                 "decoded value copied instead of slicing the frame payload"
             );
-            values += 1;
         }
-        assert_eq!(values, n as usize);
         // The same holds through the single-message shared decode.
         let batch = Message::batch(parts.into_iter().map(|(_, _, m)| m).collect::<Vec<_>>());
         let payload = Bytes::from(encode_message(&batch));
         let Message::Batch(decoded) = decode_message_shared(&payload).expect("decodes") else {
             panic!("batch expected")
         };
-        for part in &decoded {
-            let Message::Write(m) = part else { panic!("write part expected") };
-            let Value::Data(bytes) = &m.c.val else { panic!("data value expected") };
+        for bytes in write_values(&decoded) {
             assert!(bytes.shares_allocation(&payload));
+        }
+    }
+
+    /// The below-threshold twin: small values are copied out at decode,
+    /// so a retained 64 B value owns 64 B and does not keep the frame
+    /// payload (and the read chunk it was sliced from) alive.
+    #[test]
+    fn small_values_are_copied_out_of_the_frame_payload() {
+        let n = 16;
+        let (parts, payload) = received_writes(n, 64);
+        let decoded = decode_packet(&payload).expect("roundtrip");
+        assert_eq!(decoded, parts);
+        let values = write_values(decoded.iter().map(|(_, _, m)| m));
+        assert_eq!(values.len(), n as usize);
+        for (i, bytes) in values.iter().enumerate() {
+            assert!(!bytes.shares_allocation(&payload), "value {i} pins the frame payload");
+            for other in &values[i + 1..] {
+                assert!(!bytes.shares_allocation(other), "values share one buffer");
+            }
+        }
+    }
+
+    /// The copy-or-window boundary, through both shared decoders: one
+    /// byte under the threshold is copied, the threshold itself is a
+    /// window.
+    #[test]
+    fn value_window_threshold_is_exact() {
+        for (len, windowed) in [(MIN_SHARED_VALUE_BYTES - 1, false), (MIN_SHARED_VALUE_BYTES, true)]
+        {
+            let (parts, payload) = received_writes(1, len);
+            let decoded = decode_packet(&payload).expect("roundtrip");
+            let [bytes] = &write_values(decoded.iter().map(|(_, _, m)| m))[..] else {
+                panic!("one value expected")
+            };
+            assert_eq!(bytes.len(), len);
+            assert_eq!(bytes.shares_allocation(&payload), windowed, "decode_packet, {len} B");
+
+            let payload = Bytes::from(encode_message(&parts[0].2));
+            let msg = decode_message_shared(&payload).expect("decodes");
+            let [bytes] = &write_values([&msg])[..] else { panic!("one value expected") };
+            assert_eq!(
+                bytes.shares_allocation(&payload),
+                windowed,
+                "decode_message_shared, {len} B"
+            );
         }
     }
 

@@ -12,7 +12,9 @@
 //!   `epoll_wait` and burns no CPU (its wakeup counter stops moving).
 //!
 //! The futures client API rides the same stores: `write_async` /
-//! `read_async` awaited through the crate's std-only executor.
+//! `read_async` awaited through the crate's std-only executor. And a
+//! small value read over the reactor's sockets owns its bytes instead
+//! of pinning the receive buffer it arrived in.
 #![cfg(target_os = "linux")]
 
 use lucky_atomic::core::Setup;
@@ -210,5 +212,39 @@ fn futures_api_drives_the_reactor_store() {
         read.await.expect("read completes");
     });
     exec.run();
+    store.shutdown();
+}
+
+/// Read results own their bytes: a 64 B value read over TCP is copied
+/// out of the frame it arrived in, so holding a result does not pin the
+/// receive buffer — and with it every other ack that arrived in the
+/// same socket read. 64 concurrent reads on one reactor thread make
+/// acks for different registers share reads; no two results may share
+/// an allocation.
+#[test]
+fn read_results_do_not_pin_receive_buffers() {
+    const REGISTERS: usize = 64;
+    let mut store = reactor_store(Params::new(1, 0, 1, 0).unwrap(), REGISTERS, 1, 45);
+    let handles: Vec<_> =
+        RegisterId::all(REGISTERS).map(|reg| store.register(reg).expect("fresh handle")).collect();
+    let written = |h: &lucky_atomic::net::NetRegisterHandle| vec![h.id().0 as u8 + 1; 64];
+    for h in &handles {
+        h.write(Value::from_bytes(written(h))).expect("write completes");
+    }
+    // `read_future` is what `read_async` awaits; run_all needs 'static.
+    let reads = run_all(handles.iter().map(|h| h.read_future(0)).collect());
+    let mut values = Vec::with_capacity(REGISTERS);
+    for (h, read) in handles.iter().zip(reads) {
+        let Value::Data(bytes) = read.expect("read completes").value else {
+            panic!("register {:?} read ⊥", h.id())
+        };
+        assert_eq!(bytes.as_ref(), &written(h)[..], "register {:?}", h.id());
+        values.push(bytes);
+    }
+    for (i, a) in values.iter().enumerate() {
+        for b in &values[i + 1..] {
+            assert!(!a.shares_allocation(b), "two read results share one receive buffer");
+        }
+    }
     store.shutdown();
 }

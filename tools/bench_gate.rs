@@ -21,7 +21,8 @@
 //! fails the gate. Shared-CI runners are noisy; this threshold is
 //! deliberately loose enough that only a genuine algorithmic regression
 //! (the kind this gate exists to catch: an accidental O(n²) or a
-//! reintroduced per-value copy) trips it.
+//! per-value copy reintroduced above the 1 KiB threshold under which
+//! the receive path copies values on purpose) trips it.
 //!
 //! A label present in the baseline but **absent** from the fresh run
 //! also fails: silently dropping a benchmark would otherwise disarm the
