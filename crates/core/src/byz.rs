@@ -6,6 +6,12 @@
 //! That is exactly what these automata do: each is an alternative
 //! implementation of [`ServerCore`] installed at a server's address.
 //!
+//! This module is the one adversary catalogue: the sim and TCP runtimes
+//! install these cores, and `lucky-explore` explores the same ones
+//! (`ByzKind` names one constructor here per variant). Every core the
+//! explorer runs is `Clone + Eq + Hash` — deterministic state with no
+//! hidden RNG — so the explorer can deduplicate the states it reaches.
+//!
 //! The catalogue covers the behaviours the paper's proofs construct plus
 //! the generic attacks the fault-injection tests sweep:
 //!
@@ -34,16 +40,20 @@
 //!   adversary asserts it) and only checksum-valid frames, including a
 //!   periodically emitted semantically-mangled batch, reach the wire.
 //!
+//! [`MangleBatch`] and [`WireFuzz`] wrap any honest core: a
+//! [`RegisterMux`] (the default) in the multi-register runtimes, a bare
+//! [`AtomicServer`] in the single-register explorer.
+//!
 //! The scripted behaviours ([`ForgeValue`], [`InflateTs`], [`StaleEcho`],
 //! [`RandomNoise`]) unwrap incoming [`Message::Batch`] envelopes and
 //! answer every part — a batched request gives the adversary strictly
 //! more requests to lie about, never fewer.
 
 use crate::atomic::AtomicServer;
-use crate::runtime::{RegisterMux, ServerCore, Setup};
+use crate::runtime::{RegisterMux, ServerCore};
 use lucky_sim::Effects;
 use lucky_types::{
-    FrozenSlot, Message, ProcessId, PwAckMsg, ReadAckMsg, Seq, TsVal, Value, WriteAckMsg,
+    FrozenSlot, Message, ProcessId, PwAckMsg, ReadAckMsg, ReadMsg, Seq, TsVal, Value, WriteAckMsg,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -52,7 +62,7 @@ use std::collections::BTreeSet;
 /// An honest server automaton whose registers were forged to an arbitrary
 /// snapshot before the run — the "forges its state to σ1" step of run r5
 /// in the Proposition 2 proof (§4).
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ForgeState {
     inner: AtomicServer,
 }
@@ -80,7 +90,7 @@ impl ServerCore for ForgeState {
 /// received anything from the processes in `honest_to` — the behaviour of
 /// the malicious B2 in run r4 of the Proposition 2 proof, which answers
 /// the writer and `reader1` correctly but shows `reader2` a blank past.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct SplitBrain {
     honest_to: BTreeSet<ProcessId>,
     faithful: AtomicServer,
@@ -108,9 +118,44 @@ impl ServerCore for SplitBrain {
     }
 }
 
+/// The one reply builder of the scripted liars: answers every part of
+/// `msg`, in order — each PW and WRITE acked without being applied, each
+/// READ answered with the pair (as `pw`, `w` and `vw`) and frozen slot
+/// `read` picks for it. `read` runs once per READ part, so stateful
+/// liars advance exactly once per request they answer.
+fn lie(
+    from: ProcessId,
+    msg: Message,
+    eff: &mut Effects<Message>,
+    mut read: impl FnMut(&ReadMsg) -> (TsVal, FrozenSlot),
+) {
+    for part in msg.flatten() {
+        let reply = match part {
+            Message::Pw(m) => Message::PwAck(PwAckMsg { reg: m.reg, ts: m.ts, newread: vec![] }),
+            Message::Write(m) => {
+                Message::WriteAck(WriteAckMsg { reg: m.reg, round: m.round, tag: m.tag })
+            }
+            Message::Read(m) => {
+                let (pair, frozen) = read(&m);
+                Message::ReadAck(ReadAckMsg {
+                    reg: m.reg,
+                    tsr: m.tsr,
+                    rnd: m.rnd,
+                    pw: pair.clone(),
+                    w: pair.clone(),
+                    vw: Some(pair),
+                    frozen,
+                })
+            }
+            _ => continue,
+        };
+        eff.send(from, reply);
+    }
+}
+
 /// Answers every READ with a fixed fabricated pair in all registers, and
 /// acks every write without applying it.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct ForgeValue {
     fake: TsVal,
 }
@@ -124,37 +169,9 @@ impl ForgeValue {
 
 impl ServerCore for ForgeValue {
     fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
-        match msg {
-            Message::Batch(parts) => {
-                for part in Message::Batch(parts).flatten() {
-                    self.deliver(from, part, eff);
-                }
-            }
-            Message::Pw(m) => {
-                eff.send(from, Message::PwAck(PwAckMsg { reg: m.reg, ts: m.ts, newread: vec![] }));
-            }
-            Message::Write(m) => {
-                eff.send(
-                    from,
-                    Message::WriteAck(WriteAckMsg { reg: m.reg, round: m.round, tag: m.tag }),
-                );
-            }
-            Message::Read(m) => {
-                eff.send(
-                    from,
-                    Message::ReadAck(ReadAckMsg {
-                        reg: m.reg,
-                        tsr: m.tsr,
-                        rnd: m.rnd,
-                        pw: self.fake.clone(),
-                        w: self.fake.clone(),
-                        vw: Some(self.fake.clone()),
-                        frozen: FrozenSlot { pw: self.fake.clone(), tsr: m.tsr },
-                    }),
-                );
-            }
-            _ => {}
-        }
+        lie(from, msg, eff, |m| {
+            (self.fake.clone(), FrozenSlot { pw: self.fake.clone(), tsr: m.tsr })
+        });
     }
 }
 
@@ -174,45 +191,17 @@ impl InflateTs {
 
 impl ServerCore for InflateTs {
     fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
-        match msg {
-            Message::Batch(parts) => {
-                for part in Message::Batch(parts).flatten() {
-                    self.deliver(from, part, eff);
-                }
-            }
-            Message::Pw(m) => {
-                eff.send(from, Message::PwAck(PwAckMsg { reg: m.reg, ts: m.ts, newread: vec![] }));
-            }
-            Message::Write(m) => {
-                eff.send(
-                    from,
-                    Message::WriteAck(WriteAckMsg { reg: m.reg, round: m.round, tag: m.tag }),
-                );
-            }
-            Message::Read(m) => {
-                self.next += 1;
-                let fake = TsVal::new(Seq(self.next), Value::from_u64(u64::MAX - self.next));
-                eff.send(
-                    from,
-                    Message::ReadAck(ReadAckMsg {
-                        reg: m.reg,
-                        tsr: m.tsr,
-                        rnd: m.rnd,
-                        pw: fake.clone(),
-                        w: fake.clone(),
-                        vw: Some(fake.clone()),
-                        frozen: FrozenSlot { pw: fake, tsr: m.tsr },
-                    }),
-                );
-            }
-            _ => {}
-        }
+        lie(from, msg, eff, |m| {
+            self.next += 1;
+            let fake = TsVal::new(Seq(self.next), Value::from_u64(u64::MAX - self.next));
+            (fake.clone(), FrozenSlot { pw: fake, tsr: m.tsr })
+        });
     }
 }
 
 /// Permanently answers with the initial state: acknowledges writes but
 /// never stores them, showing every reader an empty register.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct StaleEcho;
 
 impl StaleEcho {
@@ -224,42 +213,12 @@ impl StaleEcho {
 
 impl ServerCore for StaleEcho {
     fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
-        match msg {
-            Message::Batch(parts) => {
-                for part in Message::Batch(parts).flatten() {
-                    self.deliver(from, part, eff);
-                }
-            }
-            Message::Pw(m) => {
-                eff.send(from, Message::PwAck(PwAckMsg { reg: m.reg, ts: m.ts, newread: vec![] }));
-            }
-            Message::Write(m) => {
-                eff.send(
-                    from,
-                    Message::WriteAck(WriteAckMsg { reg: m.reg, round: m.round, tag: m.tag }),
-                );
-            }
-            Message::Read(m) => {
-                eff.send(
-                    from,
-                    Message::ReadAck(ReadAckMsg {
-                        reg: m.reg,
-                        tsr: m.tsr,
-                        rnd: m.rnd,
-                        pw: TsVal::initial(),
-                        w: TsVal::initial(),
-                        vw: Some(TsVal::initial()),
-                        frozen: FrozenSlot::initial(),
-                    }),
-                );
-            }
-            _ => {}
-        }
+        lie(from, msg, eff, |_| (TsVal::initial(), FrozenSlot::initial()));
     }
 }
 
 /// Receives everything and answers nothing.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Mute;
 
 impl Mute {
@@ -307,40 +266,15 @@ impl ServerCore for RandomNoise {
         }
         let fake_ts: u64 = self.rng.gen_range(0..100);
         let fake = TsVal::new(Seq(fake_ts), Value::from_u64(self.rng.gen()));
-        match msg {
-            Message::Pw(m) => {
-                eff.send(from, Message::PwAck(PwAckMsg { reg: m.reg, ts: m.ts, newread: vec![] }));
-            }
-            Message::Write(m) => {
-                eff.send(
-                    from,
-                    Message::WriteAck(WriteAckMsg { reg: m.reg, round: m.round, tag: m.tag }),
-                );
-            }
-            Message::Read(m) => {
-                eff.send(
-                    from,
-                    Message::ReadAck(ReadAckMsg {
-                        reg: m.reg,
-                        tsr: m.tsr,
-                        rnd: m.rnd,
-                        pw: fake.clone(),
-                        w: fake.clone(),
-                        vw: Some(fake),
-                        frozen: FrozenSlot::initial(),
-                    }),
-                );
-            }
-            _ => {}
-        }
+        lie(from, msg, eff, |_| (fake.clone(), FrozenSlot::initial()));
     }
 }
 
 /// A batching-layer adversary: computes the *honest* reply to every
-/// request (it keeps real per-register state through a [`RegisterMux`]),
-/// but ships its replies as maximally confusing batches — the fresh acks
-/// reversed, the first one duplicated, and a replay of stale acks from
-/// earlier requests (possibly other registers and rounds) prepended.
+/// request (it keeps real state in its inner core `S`), but ships its
+/// replies as maximally confusing batches — the fresh acks reversed, the
+/// first one duplicated, and a replay of stale acks from earlier
+/// requests (possibly other registers and rounds) prepended.
 ///
 /// This is the worst a malicious server can do *through the batch
 /// envelope alone*: every part it sends is a message it was entitled to
@@ -349,8 +283,9 @@ impl ServerCore for RandomNoise {
 /// the ordinary stale-ack filters (§3.4) are immune; per-register
 /// linearizability and the liveness of non-target registers must survive
 /// it with no extra fault budget beyond the one Byzantine slot it burns.
-pub struct MangleBatch {
-    inner: RegisterMux,
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct MangleBatch<S = RegisterMux> {
+    inner: S,
     /// Bounded replay pool of acks this server previously sent.
     stash: Vec<Message>,
 }
@@ -361,121 +296,21 @@ const MANGLE_STASH: usize = 16;
 /// How many stale acks [`MangleBatch`] prepends to each reply batch.
 const MANGLE_REPLAY: usize = 3;
 
-impl MangleBatch {
-    /// A batch-mangling server of `setup`'s variant.
-    pub fn new(setup: Setup) -> MangleBatch {
-        MangleBatch { inner: RegisterMux::new(setup), stash: Vec::new() }
+impl<S: ServerCore> MangleBatch<S> {
+    /// A batch-mangling server whose honest replies come from `inner`
+    /// (e.g. `RegisterMux::new(setup)`).
+    pub fn new(inner: S) -> MangleBatch<S> {
+        MangleBatch { inner, stash: Vec::new() }
     }
 }
 
-impl std::fmt::Debug for MangleBatch {
+impl<S> std::fmt::Debug for MangleBatch<S> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MangleBatch").field("stash", &self.stash.len()).finish_non_exhaustive()
     }
 }
 
-/// A codec-level adversary: serves every register honestly (real state
-/// through a [`RegisterMux`]) but drags each reply through the byte
-/// level a malicious server actually controls. Every reply is encoded
-/// as a complete `lucky-wire` frame and then, cycling deterministically
-/// per reply, either
-///
-/// * corrupted — a bit flip at a pseudo-random position, a truncation,
-///   an oversized length prefix, a version skew or a magic smash — in
-///   which case **decode must reject it** (asserted: a corrupt frame
-///   that decoded would be a codec soundness bug) and the reply is
-///   dropped, exactly as the receive side drops undecodable frames; or
-/// * left checksum-valid: passed through intact, or re-shipped as a
-///   *semantically mangled* batch (first ack duplicated, parts
-///   reversed) that decodes perfectly and attacks the protocol layer
-///   behind the codec instead.
-///
-/// Either way, what the recipient sees has round-tripped through
-/// encode → (attack) → decode, so runs with a `WireFuzz` server
-/// exercise the real codec on live traffic. The checker verdicts must
-/// be unchanged: dropped replies cost the one fault slot the adversary
-/// burns, and mangled-but-valid batches are exactly what the batch
-/// unwrapping defenses already absorb.
-pub struct WireFuzz {
-    inner: RegisterMux,
-    rng: SmallRng,
-    step: u64,
-    rejected: u64,
-    delivered: u64,
-}
-
-impl WireFuzz {
-    /// A wire-fuzzing server of `setup`'s variant, corrupting with the
-    /// given seed.
-    pub fn new(setup: Setup, seed: u64) -> WireFuzz {
-        WireFuzz {
-            inner: RegisterMux::new(setup),
-            rng: SmallRng::seed_from_u64(seed),
-            step: 0,
-            rejected: 0,
-            delivered: 0,
-        }
-    }
-
-    /// Corrupted frames decode rejected so far (each one a proven clean
-    /// rejection — the adversary asserts the rejection as it happens).
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Replies that reached the wire (intact or semantically mangled).
-    pub fn delivered(&self) -> u64 {
-        self.delivered
-    }
-}
-
-impl std::fmt::Debug for WireFuzz {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("WireFuzz")
-            .field("step", &self.step)
-            .field("rejected", &self.rejected)
-            .field("delivered", &self.delivered)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ServerCore for WireFuzz {
-    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
-        let mut honest = Effects::new();
-        self.inner.deliver(from, msg, &mut honest);
-        let (sends, _, _) = honest.into_parts();
-        for (to, reply) in sends {
-            self.step += 1;
-            let frame = lucky_wire::frame_message(&reply);
-            // The corruption cycle is lucky-wire's shared catalogue:
-            // this adversary and the explorer's attack through the same
-            // arms, drawing here from a seeded RNG.
-            let rng = &mut self.rng;
-            let mut draw = |bound: u64| rng.gen_range(0..bound);
-            let (bytes, must_decode) =
-                lucky_wire::fuzz::fuzz_frame(&reply, frame, self.step, &mut draw);
-            match lucky_wire::unframe_message(&bytes) {
-                Ok(decoded) => {
-                    assert!(
-                        must_decode,
-                        "codec soundness: a corrupted frame decoded as {}",
-                        decoded.kind()
-                    );
-                    self.delivered += 1;
-                    eff.send(to, decoded);
-                }
-                Err(_) => {
-                    assert!(!must_decode, "a clean frame failed to decode");
-                    self.rejected += 1;
-                    // The receive side drops undecodable frames; so
-                    // does the adversary's victimized reply.
-                }
-            }
-        }
-    }
-}
-
-impl ServerCore for MangleBatch {
+impl<S: ServerCore> ServerCore for MangleBatch<S> {
     fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
         let mut honest = Effects::new();
         self.inner.deliver(from, msg, &mut honest);
@@ -504,10 +339,124 @@ impl ServerCore for MangleBatch {
     }
 }
 
+/// A codec-level adversary: serves honestly (real state in its inner
+/// core `S`) but drags each reply through the byte level a malicious
+/// server actually controls. Every reply is encoded as a complete
+/// `lucky-wire` frame and then, cycling deterministically per reply,
+/// either
+///
+/// * corrupted — a bit flip at a pseudo-random position, a truncation,
+///   an oversized length prefix, a version skew or a magic smash — in
+///   which case **decode must reject it** (asserted: a corrupt frame
+///   that decoded would be a codec soundness bug) and the reply is
+///   dropped, exactly as the receive side drops undecodable frames; or
+/// * left checksum-valid: passed through intact, or re-shipped as a
+///   *semantically mangled* batch (first ack duplicated, parts
+///   reversed) that decodes perfectly and attacks the protocol layer
+///   behind the codec instead.
+///
+/// The "randomness" of each attack is a SplitMix mix of (seed, reply
+/// counter, draw index) — no RNG state — so two adversaries with equal
+/// state corrupt identically, which is what lets the explorer hash it.
+///
+/// Either way, what the recipient sees has round-tripped through
+/// encode → (attack) → decode, so runs with a `WireFuzz` server
+/// exercise the real codec on live traffic. The checker verdicts must
+/// be unchanged: dropped replies cost the one fault slot the adversary
+/// burns, and mangled-but-valid batches are exactly what the batch
+/// unwrapping defenses already absorb.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct WireFuzz<S = RegisterMux> {
+    inner: S,
+    seed: u64,
+    step: u64,
+    rejected: u64,
+    delivered: u64,
+}
+
+impl<S: ServerCore> WireFuzz<S> {
+    /// A wire-fuzzing server whose honest replies come from `inner`
+    /// (e.g. `RegisterMux::new(setup)`), corrupting with the given seed.
+    pub fn new(inner: S, seed: u64) -> WireFuzz<S> {
+        WireFuzz { inner, seed, step: 0, rejected: 0, delivered: 0 }
+    }
+
+    /// Corrupted frames decode rejected so far (each one a proven clean
+    /// rejection — the adversary asserts the rejection as it happens).
+    pub fn rejected(&self) -> u64 {
+        self.rejected
+    }
+
+    /// Replies that reached the wire (intact or semantically mangled).
+    pub fn delivered(&self) -> u64 {
+        self.delivered
+    }
+}
+
+impl<S> std::fmt::Debug for WireFuzz<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WireFuzz")
+            .field("seed", &self.seed)
+            .field("step", &self.step)
+            .field("rejected", &self.rejected)
+            .field("delivered", &self.delivered)
+            .finish_non_exhaustive()
+    }
+}
+
+/// SplitMix64's finalizer: [`WireFuzz`]'s draws, a pure function of
+/// their input.
+fn mix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+impl<S: ServerCore> ServerCore for WireFuzz<S> {
+    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+        let mut honest = Effects::new();
+        self.inner.deliver(from, msg, &mut honest);
+        let (sends, _, _) = honest.into_parts();
+        for (to, reply) in sends {
+            self.step += 1;
+            let frame = lucky_wire::frame_message(&reply);
+            // The `index`-th draw of the `step`-th reply; seed 0 keeps
+            // the plain counter mix.
+            let salt = self.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ self.step.wrapping_mul(131);
+            let mut index = 0u64;
+            let mut draw = |bound: u64| {
+                index += 1;
+                mix64(salt.wrapping_add(index)) % bound
+            };
+            let (bytes, must_decode) =
+                lucky_wire::fuzz::fuzz_frame(&reply, frame, self.step, &mut draw);
+            match lucky_wire::unframe_message(&bytes) {
+                Ok(decoded) => {
+                    assert!(
+                        must_decode,
+                        "codec soundness: a corrupted frame decoded as {}",
+                        decoded.kind()
+                    );
+                    self.delivered += 1;
+                    eff.send(to, decoded);
+                }
+                Err(_) => {
+                    assert!(!must_decode, "a clean frame failed to decode");
+                    self.rejected += 1;
+                    // The receive side drops undecodable frames; so
+                    // does the adversary's victimized reply.
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lucky_types::{ReadMsg, ReadSeq, ReaderId, RegisterId};
+    use crate::runtime::Setup;
+    use lucky_types::{Params, PwMsg, ReadSeq, ReaderId, RegisterId, Tag, WriteMsg};
 
     fn read_from(core: &mut dyn ServerCore, reader: u16) -> ReadAckMsg {
         let mut eff = Effects::new();
@@ -537,7 +486,6 @@ mod tests {
 
     #[test]
     fn split_brain_answers_differently_by_sender() {
-        use lucky_types::PwMsg;
         let r1 = ProcessId::Reader(ReaderId(1));
         let mut s = SplitBrain::new([ProcessId::Writer, r1]);
         // The writer's PW is applied on the faithful side only.
@@ -580,7 +528,6 @@ mod tests {
 
     #[test]
     fn stale_echo_acks_writes_but_stays_initial() {
-        use lucky_types::{Tag, WriteMsg};
         let mut s = StaleEcho::new();
         let mut eff = Effects::new();
         s.deliver(
@@ -613,9 +560,8 @@ mod tests {
 
     #[test]
     fn mangle_batch_replays_duplicates_and_mixes_registers() {
-        use lucky_types::Params;
         let setup = Setup::Atomic(Params::new(1, 0, 1, 0).unwrap());
-        let mut s = MangleBatch::new(setup);
+        let mut s = MangleBatch::new(RegisterMux::new(setup));
         let reader = ProcessId::Reader(ReaderId(0));
         let read = |reg: u32, tsr: u64| {
             Message::Read(ReadMsg { reg: RegisterId(reg), tsr: ReadSeq(tsr), rnd: 1 })
@@ -653,15 +599,28 @@ mod tests {
         assert_eq!(eff.send_count(), 2, "one forged ack per part");
         let mut stale = StaleEcho::new();
         let mut eff = Effects::new();
-        stale.deliver(ProcessId::Reader(ReaderId(0)), batch, &mut eff);
+        stale.deliver(ProcessId::Reader(ReaderId(0)), batch.clone(), &mut eff);
         assert_eq!(eff.send_count(), 2);
+        // Parts are answered in order, one inflated timestamp each.
+        let mut inflate = InflateTs::new(100);
+        let mut eff = Effects::new();
+        inflate.deliver(ProcessId::Reader(ReaderId(0)), batch, &mut eff);
+        let answered: Vec<_> = eff
+            .into_parts()
+            .0
+            .into_iter()
+            .map(|(_, m)| match m {
+                Message::ReadAck(a) => (a.reg, a.pw.ts),
+                other => panic!("expected a ReadAck, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(answered, [(RegisterId(0), Seq(101)), (RegisterId(1), Seq(102))]);
     }
 
     #[test]
     fn wire_fuzz_rejects_every_corrupt_frame_and_keeps_valid_ones_decodable() {
-        use lucky_types::Params;
         let setup = Setup::Atomic(Params::new(1, 0, 1, 0).unwrap());
-        let mut s = WireFuzz::new(setup, 42);
+        let mut s = WireFuzz::new(RegisterMux::new(setup), 42);
         let reader = ProcessId::Reader(ReaderId(0));
         // Drive enough requests to cycle every corruption mode many
         // times; the adversary's internal assertions prove each corrupt
@@ -685,9 +644,8 @@ mod tests {
 
     #[test]
     fn wire_fuzz_semantic_mangle_is_a_valid_hostile_batch() {
-        use lucky_types::Params;
         let setup = Setup::Atomic(Params::new(1, 0, 1, 0).unwrap());
-        let mut s = WireFuzz::new(setup, 1);
+        let mut s = WireFuzz::new(RegisterMux::new(setup), 1);
         let reader = ProcessId::Reader(ReaderId(0));
         // The corruption mode cycles with the reply counter: the fifth
         // reply (step % 6 == 5) takes the mangle arm.
@@ -716,5 +674,87 @@ mod tests {
         };
         assert_eq!(acks(7), acks(7));
         assert_ne!(acks(7), acks(8));
+    }
+
+    /// One single-register request sequence: three writes (PW, then
+    /// both W rounds) interleaved with READs from two readers.
+    fn requests() -> Vec<(ProcessId, Message)> {
+        let reg = RegisterId::DEFAULT;
+        let read = |r: u16, tsr: u64| {
+            let m = Message::Read(ReadMsg { reg, tsr: ReadSeq(tsr), rnd: 1 });
+            (ProcessId::Reader(ReaderId(r)), m)
+        };
+        let write = |ts: u64, round: u8| {
+            let c = pair(ts);
+            let m = Message::Write(WriteMsg {
+                reg,
+                round,
+                tag: Tag::Write(Seq(ts)),
+                c,
+                frozen: vec![],
+            });
+            (ProcessId::Writer, m)
+        };
+        let mut out = Vec::new();
+        for ts in 1..=3u64 {
+            let w = if ts == 1 { TsVal::initial() } else { pair(ts - 1) };
+            let pw = PwMsg { reg, ts: Seq(ts), pw: pair(ts), w, frozen: vec![] };
+            out.push((ProcessId::Writer, Message::Pw(pw)));
+            out.push(read(0, ts));
+            out.push(write(ts, 2));
+            out.push(read(1, ts));
+            out.push(write(ts, 3));
+        }
+        out
+    }
+
+    /// The sends `core` answers each of `requests` with.
+    fn replies(
+        core: &mut dyn ServerCore,
+        requests: &[(ProcessId, Message)],
+    ) -> Vec<Vec<(ProcessId, Message)>> {
+        requests
+            .iter()
+            .map(|(from, msg)| {
+                let mut eff = Effects::new();
+                core.deliver(*from, msg.clone(), &mut eff);
+                eff.into_parts().0
+            })
+            .collect()
+    }
+
+    fn mux() -> RegisterMux {
+        RegisterMux::new(Setup::Atomic(Params::new(1, 0, 1, 0).unwrap()))
+    }
+
+    #[test]
+    fn mangle_batch_lies_the_same_over_any_honest_core() {
+        let reqs = requests();
+        let bare = replies(&mut MangleBatch::new(AtomicServer::new()), &reqs);
+        assert_eq!(bare, replies(&mut MangleBatch::new(mux()), &reqs));
+        assert!(bare.iter().all(|r| r.len() == 1), "every request draws one mangled batch");
+    }
+
+    #[test]
+    fn wire_fuzz_corrupts_the_same_over_any_honest_core() {
+        let reqs = requests();
+        let bare = replies(&mut WireFuzz::new(AtomicServer::new(), 5), &reqs);
+        assert_eq!(bare, replies(&mut WireFuzz::new(mux(), 5), &reqs));
+        // Replies 1–15 run the six-arm cycle two and a half times: the
+        // corrupting arms 1–4 drop replies 1–4, 7–10 and 13–15.
+        assert_eq!(bare.iter().filter(|r| r.is_empty()).count(), 11);
+    }
+
+    #[test]
+    fn a_cloned_wire_fuzz_corrupts_like_its_original() {
+        // The explorer deduplicates states by hash: equal WireFuzz states
+        // must corrupt identically from there on.
+        let reqs = requests();
+        let (head, tail) = reqs.split_at(7);
+        let mut original = WireFuzz::new(AtomicServer::new(), 9);
+        replies(&mut original, head);
+        let mut clone = original.clone();
+        assert_eq!(replies(&mut original, tail), replies(&mut clone, tail));
+        assert!(original == clone);
     }
 }

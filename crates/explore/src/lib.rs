@@ -19,9 +19,10 @@
 //!   PW phase on the deciding ack, instead of waiting the timer out as
 //!   Fig. 1 line 5 does, adds no schedule: "the timer fired right after
 //!   that ack" was always one of the explored runs;
-//! * Byzantine servers follow a behaviour from the catalogue
-//!   ([`ByzKind`]), including the split-brain equivocation used by the
-//!   paper's impossibility proofs.
+//! * Byzantine servers run a core from `lucky_core::byz` — the very
+//!   catalogue the sim and TCP runtimes install — chosen by [`ByzKind`],
+//!   including the split-brain equivocation used by the paper's
+//!   impossibility proofs.
 //!
 //! States are deduplicated by hashing (protocol state + channel contents +
 //! observable history), so the exploration converges despite the
@@ -44,46 +45,90 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 use lucky_core::atomic::{AtomicReader, AtomicServer, AtomicWriter};
-use lucky_core::runtime::{ClientCore, ClientSession, Input, SessionConfig};
+use lucky_core::byz;
+use lucky_core::runtime::{ClientCore, ClientSession, Input, ServerCore, SessionConfig};
 use lucky_core::ProtocolConfig;
 use lucky_sim::Effects;
 use lucky_types::{
-    FrozenSlot, History, Message, Op, OpId, OpRecord, Params, ProcessId, PwAckMsg, ReadAckMsg,
-    ReaderId, RegisterId, Time, TsVal, Value, WriteAckMsg,
+    History, Message, Op, OpId, OpRecord, Params, ProcessId, ReaderId, RegisterId, Time, TsVal,
+    Value,
 };
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::hash::{Hash, Hasher};
 
-/// A Byzantine behaviour a server may be assigned in a scenario.
+/// A Byzantine behaviour a server may be assigned in a scenario: each
+/// kind runs one core of the `lucky_core::byz` catalogue, the same code
+/// the sim and TCP runtimes install.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum ByzKind {
-    /// Never answers.
+    /// Never answers: [`byz::Mute`].
     Mute,
-    /// Answers every read with the initial state; acks writes without
-    /// storing them.
+    /// Answers every read with the initial state and acks writes without
+    /// storing them: [`byz::StaleEcho`].
     StaleEcho,
-    /// Answers every read with a fixed forged pair.
+    /// Answers every read with a fixed forged pair: [`byz::ForgeValue`].
     ForgeValue(TsVal),
     /// An honest automaton whose `pw` was forged to `c` before the run
-    /// (the σ1 forgery of the Proposition 2 proof).
+    /// (the σ1 forgery of the Proposition 2 proof):
+    /// [`byz::ForgeState::prewritten`].
     ForgeState(TsVal),
     /// Runs the honest protocol towards the listed processes; towards
-    /// everyone else pretends it never heard from them (run r4's B2).
+    /// everyone else pretends it never heard from them (run r4's B2):
+    /// [`byz::SplitBrain`].
     SplitBrain(Vec<ProcessId>),
-    /// Answers honestly but ships its replies as mangled batches: stale
-    /// acks replayed, fresh acks duplicated and reordered — the
-    /// batching-layer adversary.
+    /// Answers honestly but ships its replies as mangled batches — the
+    /// batching-layer adversary: [`byz::MangleBatch`] over an
+    /// [`AtomicServer`].
     MangleBatch,
     /// Answers honestly but drags every reply through the `lucky-wire`
-    /// byte level — the codec-layer adversary. The corruption mode
-    /// cycles deterministically per reply (so the explored state space
-    /// stays hashable): bit flips, truncations, oversized length
-    /// prefixes and version skews are rejected by decode and the reply
-    /// is dropped; every sixth reply survives as a checksum-valid but
-    /// semantically mangled batch, and pass-through replies round-trip
-    /// the real codec.
+    /// byte level — the codec-layer adversary: [`byz::WireFuzz`] over an
+    /// [`AtomicServer`], with seed 0. Its corruption is a pure function
+    /// of its reply counter, so the explored state space stays hashable.
     WireFuzz,
+}
+
+/// A Byzantine server's state: the `lucky_core::byz` core its
+/// [`ByzKind`] names.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+enum Adversary {
+    Mute(byz::Mute),
+    StaleEcho(byz::StaleEcho),
+    ForgeValue(byz::ForgeValue),
+    ForgeState(byz::ForgeState),
+    SplitBrain(byz::SplitBrain),
+    MangleBatch(byz::MangleBatch<AtomicServer>),
+    WireFuzz(byz::WireFuzz<AtomicServer>),
+}
+
+impl Adversary {
+    fn new(kind: &ByzKind) -> Adversary {
+        match kind {
+            ByzKind::Mute => Adversary::Mute(byz::Mute::new()),
+            ByzKind::StaleEcho => Adversary::StaleEcho(byz::StaleEcho::new()),
+            ByzKind::ForgeValue(c) => Adversary::ForgeValue(byz::ForgeValue::new(c.clone())),
+            ByzKind::ForgeState(c) => Adversary::ForgeState(byz::ForgeState::prewritten(c.clone())),
+            ByzKind::SplitBrain(honest_to) => {
+                Adversary::SplitBrain(byz::SplitBrain::new(honest_to.iter().copied()))
+            }
+            ByzKind::MangleBatch => {
+                Adversary::MangleBatch(byz::MangleBatch::new(AtomicServer::new()))
+            }
+            ByzKind::WireFuzz => Adversary::WireFuzz(byz::WireFuzz::new(AtomicServer::new(), 0)),
+        }
+    }
+
+    fn core(&mut self) -> &mut dyn ServerCore {
+        match self {
+            Adversary::Mute(c) => c,
+            Adversary::StaleEcho(c) => c,
+            Adversary::ForgeValue(c) => c,
+            Adversary::ForgeState(c) => c,
+            Adversary::SplitBrain(c) => c,
+            Adversary::MangleBatch(c) => c,
+            Adversary::WireFuzz(c) => c,
+        }
+    }
 }
 
 /// One process in the explored system. Clients are explored as
@@ -106,22 +151,7 @@ enum Proc {
         saved: AtomicServer,
     },
     Crashed,
-    Mute,
-    StaleEcho,
-    ForgeValue(TsVal),
-    SplitBrain {
-        honest_to: Vec<ProcessId>,
-        faithful: AtomicServer,
-        amnesiac: AtomicServer,
-    },
-    MangleBatch {
-        inner: AtomicServer,
-        stash: Vec<Message>,
-    },
-    WireFuzz {
-        inner: AtomicServer,
-        step: u64,
-    },
+    Byzantine(Adversary),
 }
 
 /// What to run and under which faults.
@@ -186,16 +216,20 @@ impl Scenario {
         self
     }
 
-    /// Make server `i` Byzantine.
+    /// Make server `i` Byzantine. Panics unless `i < S`.
     #[must_use]
+    #[track_caller]
     pub fn byzantine(mut self, i: u16, kind: ByzKind) -> Scenario {
+        self.check_server(i);
         self.byzantine.insert(i, kind);
         self
     }
 
-    /// Crash server `i` from the start.
+    /// Crash server `i` from the start. Panics unless `i < S`.
     #[must_use]
+    #[track_caller]
     pub fn crashed(mut self, i: u16) -> Scenario {
+        self.check_server(i);
         self.crashed.insert(i);
         self
     }
@@ -207,11 +241,21 @@ impl Scenario {
     /// delivered during the outage are lost. Together with the
     /// scheduler's freedom to hold a pre-crash message in transit until
     /// after the restart, this walks every interleaving of recovery
-    /// against in-flight protocol traffic.
+    /// against in-flight protocol traffic. Panics unless `i < S`.
     #[must_use]
+    #[track_caller]
     pub fn restartable(mut self, i: u16) -> Scenario {
+        self.check_server(i);
         self.restartable.insert(i);
         self
+    }
+
+    /// A fault on a server outside `0..S` would silently leave the
+    /// explored system fault-free.
+    #[track_caller]
+    fn check_server(&self, i: u16) {
+        let s = self.params.server_count();
+        assert!(usize::from(i) < s, "server {i} does not exist: the scenario has S = {s} servers");
     }
 }
 
@@ -268,7 +312,8 @@ pub struct ViolationTrace {
 /// Exploration outcome.
 #[derive(Clone, Debug, Default)]
 pub struct Report {
-    /// Distinct states visited.
+    /// Distinct states visited by [`explore`]; the number of walks taken
+    /// by [`random_walks`].
     pub states: usize,
     /// Transitions taken (including ones leading to already-seen states).
     pub transitions: usize,
@@ -312,14 +357,9 @@ fn explore_from(scenario: &Scenario, mut initial: State, cfg: &ExploreConfig) ->
             let mut next = state.clone();
             let completed = apply_choice(scenario, &mut next, &choice);
             prune_noops(&mut next);
-            if completed {
-                if let Err(violations) = lucky_checker::check_atomicity(&to_history(&next)) {
-                    report.violations.push(ViolationTrace {
-                        events: next.events.iter().map(|e| format!("{e:?}")).collect(),
-                        violations,
-                    });
-                    return report; // first counterexample is enough
-                }
+            if let Some(trace) = completed.then(|| violation(&next)).flatten() {
+                report.violations.push(trace);
+                return report; // first counterexample is enough
             }
             let h = hash_state(&next);
             if seen.insert(h) {
@@ -354,14 +394,9 @@ pub fn random_walks(scenario: &Scenario, walks: usize, max_steps: usize, seed: u
             report.transitions += 1;
             let completed = apply_choice(scenario, &mut state, choice);
             prune_noops(&mut state);
-            if completed {
-                if let Err(violations) = lucky_checker::check_atomicity(&to_history(&state)) {
-                    report.violations.push(ViolationTrace {
-                        events: state.events.iter().map(|e| format!("{e:?}")).collect(),
-                        violations,
-                    });
-                    return report;
-                }
+            if let Some(trace) = completed.then(|| violation(&state)).flatten() {
+                report.violations.push(trace);
+                return report;
             }
         }
         if state.pending.is_empty() && all_scripts_done(scenario, &state) {
@@ -370,6 +405,15 @@ pub fn random_walks(scenario: &Scenario, walks: usize, max_steps: usize, seed: u
         report.states += 1;
     }
     report
+}
+
+/// The atomicity violation in `state`'s history, if any, as a trace.
+fn violation(state: &State) -> Option<ViolationTrace> {
+    let violations = lucky_checker::check_atomicity(&to_history(state)).err()?;
+    Some(ViolationTrace {
+        events: state.events.iter().map(|e| format!("{e:?}")).collect(),
+        violations,
+    })
 }
 
 /// Remove in-flight messages and pending session timers whose processing
@@ -399,44 +443,15 @@ fn prune_noops(state: &mut State) {
 }
 
 fn delivery_is_noop(proc_: &Proc, from: ProcessId, msg: &Message) -> bool {
-    let mut eff = Effects::new();
-    let mut clone = proc_.clone();
-    match &mut clone {
-        // Sessions carry their outputs and status internally, so plain
-        // equality with the original decides no-op-ness.
-        Proc::Writer(s) => {
-            s.handle(Input::Deliver(from, msg.clone()), Time(0));
-            return *proc_ == clone;
-        }
-        Proc::Reader(s) => {
-            s.handle(Input::Deliver(from, msg.clone()), Time(0));
-            return *proc_ == clone;
-        }
-        Proc::Server(s) => s.handle(from, msg.clone(), &mut eff),
-        // NOT a no-op while down: the scheduler must keep both branches
-        // — lose the message now, or hold it in transit and deliver it
-        // to the restarted incarnation.
-        Proc::Down { .. } => return false,
-        Proc::Crashed | Proc::Mute => return true,
-        Proc::StaleEcho => stale_echo(from, msg, &mut eff),
-        Proc::ForgeValue(c) => {
-            let fake = c.clone();
-            forge_value(from, msg, &fake, &mut eff);
-        }
-        Proc::SplitBrain { honest_to, faithful, amnesiac } => {
-            if honest_to.contains(&from) {
-                faithful.handle(from, msg.clone(), &mut eff);
-            } else {
-                amnesiac.handle(from, msg.clone(), &mut eff);
-            }
-        }
-        Proc::MangleBatch { inner, stash } => {
-            mangle_deliver(inner, stash, from, msg.clone(), &mut eff)
-        }
-        Proc::WireFuzz { inner, step } => {
-            wire_fuzz_deliver(inner, step, from, msg.clone(), &mut eff)
-        }
+    // NOT a no-op while down: the scheduler must keep both branches —
+    // lose the message now, or hold it in transit and deliver it to the
+    // restarted incarnation.
+    if matches!(proc_, Proc::Down { .. }) {
+        return false;
     }
+    let mut clone = proc_.clone();
+    let mut eff = Effects::new();
+    deliver_to_proc(&mut clone, from, msg.clone(), &mut eff);
     eff.is_empty() && clone == *proc_
 }
 
@@ -472,23 +487,7 @@ fn initial_state(scenario: &Scenario) -> State {
         } else {
             match scenario.byzantine.get(&i) {
                 None => Proc::Server(AtomicServer::new()),
-                Some(ByzKind::Mute) => Proc::Mute,
-                Some(ByzKind::StaleEcho) => Proc::StaleEcho,
-                Some(ByzKind::ForgeValue(c)) => Proc::ForgeValue(c.clone()),
-                Some(ByzKind::ForgeState(c)) => Proc::Server(AtomicServer::with_state(
-                    c.clone(),
-                    TsVal::initial(),
-                    TsVal::initial(),
-                )),
-                Some(ByzKind::SplitBrain(honest_to)) => Proc::SplitBrain {
-                    honest_to: honest_to.clone(),
-                    faithful: AtomicServer::new(),
-                    amnesiac: AtomicServer::new(),
-                },
-                Some(ByzKind::MangleBatch) => {
-                    Proc::MangleBatch { inner: AtomicServer::new(), stash: Vec::new() }
-                }
-                Some(ByzKind::WireFuzz) => Proc::WireFuzz { inner: AtomicServer::new(), step: 0 },
+                Some(kind) => Proc::Byzantine(Adversary::new(kind)),
             }
         };
         procs.push((id, proc_));
@@ -754,181 +753,12 @@ fn deliver_to_proc(proc_: &mut Proc, from: ProcessId, msg: Message, eff: &mut Ef
             s.handle(Input::Deliver(from, msg), Time(0));
             drain_session(s, eff);
         }
-        Proc::Server(s) => s.handle(from, msg, eff),
+        Proc::Server(s) => s.deliver(from, msg, eff),
+        Proc::Byzantine(a) => a.core().deliver(from, msg, eff),
         // A down server loses the delivery (crash semantics); the
         // scheduler separately explores keeping the message in transit
         // until after the restart.
-        Proc::Down { .. } | Proc::Crashed | Proc::Mute => {}
-        Proc::StaleEcho => stale_echo(from, &msg, eff),
-        Proc::ForgeValue(c) => {
-            let fake = c.clone();
-            forge_value(from, &msg, &fake, eff);
-        }
-        Proc::SplitBrain { honest_to, faithful, amnesiac } => {
-            if honest_to.contains(&from) {
-                faithful.handle(from, msg, eff);
-            } else {
-                amnesiac.handle(from, msg, eff);
-            }
-        }
-        Proc::MangleBatch { inner, stash } => mangle_deliver(inner, stash, from, msg, eff),
-        Proc::WireFuzz { inner, step } => wire_fuzz_deliver(inner, step, from, msg, eff),
-    }
-}
-
-/// How many past acks the explorer's MangleBatch keeps for replay (small,
-/// to bound the state space).
-const MANGLE_STASH: usize = 4;
-
-/// The batching-layer adversary: honest state, mangled reply batches
-/// (stale replays first, then the first fresh ack duplicated, then the
-/// fresh acks reversed). Mirrors `lucky_core::byz::MangleBatch` for the
-/// single-register explorer.
-fn mangle_deliver(
-    inner: &mut AtomicServer,
-    stash: &mut Vec<Message>,
-    from: ProcessId,
-    msg: Message,
-    eff: &mut Effects<Message>,
-) {
-    let mut honest = Effects::new();
-    inner.handle(from, msg, &mut honest);
-    let (sends, _, _) = honest.into_parts();
-    let mut fresh: Vec<Message> = Vec::new();
-    for (_, m) in sends {
-        fresh.extend(m.flatten());
-    }
-    let mut out: Vec<Message> = stash.iter().rev().take(2).cloned().collect();
-    if let Some(first) = fresh.first() {
-        out.push(first.clone());
-    }
-    out.extend(fresh.iter().rev().cloned());
-    stash.extend(fresh);
-    if stash.len() > MANGLE_STASH {
-        let excess = stash.len() - MANGLE_STASH;
-        stash.drain(..excess);
-    }
-    if !out.is_empty() {
-        eff.send(from, Message::batch(out));
-    }
-}
-
-/// SplitMix64: the deterministic "randomness" behind the explorer's
-/// wire fuzzing — a pure function of the reply counter, so two states
-/// with equal counters corrupt identically and hashing stays sound.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// The codec-layer adversary: every honest reply is framed by
-/// `lucky-wire`, corrupted according to the reply counter, and decoded
-/// again as the receiver would. Corrupt frames must be rejected
-/// (asserted — a decode success on a corrupted frame is a codec bug the
-/// exploration should crash on) and the reply is dropped; checksum-valid
-/// frames (pass-throughs and the every-sixth mangled batch) deliver
-/// their decoded content. Mirrors `lucky_core::byz::WireFuzz` with
-/// hashable counter state instead of an RNG.
-fn wire_fuzz_deliver(
-    inner: &mut AtomicServer,
-    step: &mut u64,
-    from: ProcessId,
-    msg: Message,
-    eff: &mut Effects<Message>,
-) {
-    let mut honest = Effects::new();
-    inner.handle(from, msg, &mut honest);
-    let (sends, _, _) = honest.into_parts();
-    for (to, reply) in sends {
-        *step += 1;
-        let frame = lucky_wire::frame_message(&reply);
-        // The corruption cycle is lucky-wire's shared catalogue; the
-        // explorer draws from a pure counter mix (not an RNG) so two
-        // states with equal counters corrupt identically.
-        let mut draw_index = 0u64;
-        let salt = *step;
-        let mut draw = |bound: u64| {
-            draw_index += 1;
-            mix64(salt.wrapping_mul(131).wrapping_add(draw_index)) % bound
-        };
-        let (bytes, must_decode) = lucky_wire::fuzz::fuzz_frame(&reply, frame, *step, &mut draw);
-        match lucky_wire::unframe_message(&bytes) {
-            Ok(decoded) => {
-                assert!(must_decode, "codec soundness: corrupted frame decoded");
-                eff.send(to, decoded);
-            }
-            Err(_) => assert!(!must_decode, "clean frame failed to decode"),
-        }
-    }
-}
-
-fn stale_echo(from: ProcessId, msg: &Message, eff: &mut Effects<Message>) {
-    match msg {
-        Message::Batch(parts) => {
-            for part in parts {
-                stale_echo(from, part, eff);
-            }
-        }
-        Message::Pw(m) => {
-            eff.send(from, Message::PwAck(PwAckMsg { reg: m.reg, ts: m.ts, newread: vec![] }));
-        }
-        Message::Write(m) => {
-            eff.send(
-                from,
-                Message::WriteAck(WriteAckMsg { reg: m.reg, round: m.round, tag: m.tag }),
-            );
-        }
-        Message::Read(m) => {
-            eff.send(
-                from,
-                Message::ReadAck(ReadAckMsg {
-                    reg: m.reg,
-                    tsr: m.tsr,
-                    rnd: m.rnd,
-                    pw: TsVal::initial(),
-                    w: TsVal::initial(),
-                    vw: Some(TsVal::initial()),
-                    frozen: FrozenSlot::initial(),
-                }),
-            );
-        }
-        _ => {}
-    }
-}
-
-fn forge_value(from: ProcessId, msg: &Message, fake: &TsVal, eff: &mut Effects<Message>) {
-    match msg {
-        Message::Batch(parts) => {
-            for part in parts {
-                forge_value(from, part, fake, eff);
-            }
-        }
-        Message::Pw(m) => {
-            eff.send(from, Message::PwAck(PwAckMsg { reg: m.reg, ts: m.ts, newread: vec![] }));
-        }
-        Message::Write(m) => {
-            eff.send(
-                from,
-                Message::WriteAck(WriteAckMsg { reg: m.reg, round: m.round, tag: m.tag }),
-            );
-        }
-        Message::Read(m) => {
-            eff.send(
-                from,
-                Message::ReadAck(ReadAckMsg {
-                    reg: m.reg,
-                    tsr: m.tsr,
-                    rnd: m.rnd,
-                    pw: fake.clone(),
-                    w: fake.clone(),
-                    vw: Some(fake.clone()),
-                    frozen: FrozenSlot { pw: fake.clone(), tsr: m.tsr },
-                }),
-            );
-        }
-        _ => {}
+        Proc::Down { .. } | Proc::Crashed => {}
     }
 }
 
@@ -1196,17 +1026,55 @@ mod tests {
     }
 
     #[test]
-    fn byzantine_forger_cannot_break_small_scope() {
-        // S = 4, b = 1: one forging server, one write, one read.
+    fn no_byzantine_kind_breaks_small_scope() {
+        // S = 4, b = 1: one Byzantine server of each kind in turn, one
+        // write racing one read. The stateless-reply kinds are explored
+        // within the budget; the two whose state grows with every reply
+        // (a replay stash, a reply counter) are walked instead.
         let params = Params::new(1, 1, 0, 0).unwrap();
-        let scenario = Scenario::new(params).write(Value::from_u64(1)).reads(0, 1).byzantine(
-            0,
-            ByzKind::ForgeValue(TsVal::new(lucky_types::Seq(9), Value::from_u64(99))),
-        );
-        let cfg = ExploreConfig { max_states: budget(400_000, 25_000), max_depth: 90 };
-        let report = explore(&scenario, &cfg);
-        // Bounded guarantee: no violation within the explored scope.
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        let forged = TsVal::new(lucky_types::Seq(9), Value::from_u64(99));
+        let kinds = [
+            ByzKind::Mute,
+            ByzKind::StaleEcho,
+            ByzKind::ForgeValue(forged.clone()),
+            ByzKind::ForgeState(forged),
+            ByzKind::SplitBrain(vec![ProcessId::Writer]),
+            ByzKind::MangleBatch,
+            ByzKind::WireFuzz,
+        ];
+        for kind in kinds {
+            let scenario = Scenario::new(params)
+                .write(Value::from_u64(1))
+                .reads(0, 1)
+                .byzantine(0, kind.clone());
+            let report = if matches!(kind, ByzKind::MangleBatch | ByzKind::WireFuzz) {
+                random_walks(&scenario, budget(8_000, 1_500), 200, 46)
+            } else {
+                let cfg = ExploreConfig { max_states: budget(400_000, 25_000), max_depth: 90 };
+                explore(&scenario, &cfg)
+            };
+            // Bounded guarantee: no violation within the explored scope.
+            assert!(report.violations.is_empty(), "{kind:?}: {:?}", report.violations);
+            assert!(report.completed_runs > 0, "{kind:?}: some schedule completes both ops");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "server 4 does not exist: the scenario has S = 4 servers")]
+    fn byzantine_server_out_of_range_is_rejected() {
+        let _ = Scenario::new(Params::new(1, 1, 0, 0).unwrap()).byzantine(4, ByzKind::Mute);
+    }
+
+    #[test]
+    #[should_panic(expected = "server 3 does not exist: the scenario has S = 3 servers")]
+    fn crashed_server_out_of_range_is_rejected() {
+        let _ = Scenario::new(small_params()).crashed(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "server 7 does not exist: the scenario has S = 3 servers")]
+    fn restartable_server_out_of_range_is_rejected() {
+        let _ = Scenario::new(small_params()).restartable(7);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! The shared frame-corruption catalogue for codec-level adversaries.
+//! The frame-corruption catalogue of the codec-level adversary.
 //!
-//! Both `lucky_core::byz::WireFuzz` (runtime harnesses, RNG-driven) and
-//! `lucky-explore`'s `ByzKind::WireFuzz` (model checking, hashable
-//! counter-driven) attack frames through this one function, so the two
-//! adversaries can never drift into testing different attack surfaces:
-//! a new corruption mode lands in the cycle once and reaches every
-//! harness.
+//! `lucky_core::byz::WireFuzz` is the one adversary that attacks frames,
+//! and this function is its attack: the sim and TCP runtimes install
+//! it, and `lucky-explore`'s `ByzKind::WireFuzz` explores the same core.
+//! Its draws come from a SplitMix counter mix of (seed, reply counter,
+//! draw index) rather than an RNG, so equal adversary states corrupt
+//! identically and the explorer can hash them. A new corruption mode
+//! lands in the cycle once and reaches every harness.
 //!
 //! The cycle has [`FUZZ_MODES`] arms, selected by `step % FUZZ_MODES`:
 //!
@@ -31,9 +32,9 @@ pub const FUZZ_MODES: u64 = 6;
 
 /// Apply the `step`-th corruption of the shared cycle to `frame` (the
 /// framed encoding of `reply`). `draw` supplies the attack's
-/// "randomness" as uniform draws from `0..bound` — a seeded RNG for
-/// runtime harnesses, a pure counter mix for the explorer, whose state
-/// hashing needs corruption to be a function of `step` alone.
+/// "randomness" as draws from `0..bound`; `WireFuzz` answers them with
+/// a pure counter mix of its seed, `step` and the draw's index, so the
+/// corruption is a function of the adversary's state alone.
 ///
 /// Returns the attacked bytes and whether they **must** still decode:
 /// `true` arms produce checksum-valid frames (intact or semantically

@@ -17,7 +17,7 @@
 //! to `x`.
 
 use lucky_atomic::core::byz::{ForgeValue, MangleBatch};
-use lucky_atomic::core::runtime::ServerCore;
+use lucky_atomic::core::runtime::{RegisterMux, ServerCore};
 use lucky_atomic::core::{OpOutcome, Setup, SimStore, StoreConfig};
 use lucky_atomic::net::{NetConfig, NetStore};
 use lucky_atomic::types::{
@@ -81,7 +81,7 @@ impl Adversary {
     fn build(self, setup: Setup) -> Box<dyn ServerCore> {
         match self {
             Adversary::Forge => Box::new(ForgeValue::new(forged_pair())),
-            Adversary::Mangle => Box::new(MangleBatch::new(setup)),
+            Adversary::Mangle => Box::new(MangleBatch::new(RegisterMux::new(setup))),
         }
     }
 }

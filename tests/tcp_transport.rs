@@ -26,6 +26,7 @@
 //!   sees only whole frames meant for it.
 
 use lucky_atomic::core::byz::{ForgeValue, WireFuzz};
+use lucky_atomic::core::runtime::RegisterMux;
 use lucky_atomic::core::Setup;
 use lucky_atomic::explore::{random_walks, ByzKind, Scenario};
 use lucky_atomic::net::{NetConfig, NetStats, NetStore};
@@ -90,7 +91,7 @@ fn run_workload(
                 Adversary::Forge => {
                     Box::new(ForgeValue::new(TsVal::new(Seq(9_000), Value::from_u64(666))))
                 }
-                Adversary::Fuzz => Box::new(WireFuzz::new(setup, 7)),
+                Adversary::Fuzz => Box::new(WireFuzz::new(RegisterMux::new(setup), 7)),
             },
         );
     }
