@@ -1,5 +1,6 @@
 //! Criterion micro-benchmarks: wall-clock cost of driving one simulated
-//! operation to completion, per protocol variant and baseline.
+//! operation to completion, per protocol variant and the ABD baseline,
+//! and of one operation over the TCP runtime.
 //!
 //! These measure the *implementation* (simulator + protocol state
 //! machines), complementing the virtual-time tables: they answer "how
@@ -7,10 +8,9 @@
 //! experiment throughput of the whole harness.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use lucky_baselines::abd::{AbdCluster, AbdConfig};
 use lucky_core::{ProtocolConfig, Setup, StoreConfig};
 use lucky_net::{Driver, NetConfig, NetStore};
-use lucky_types::{Params, ReaderId, RegisterId, TwoRoundParams, Value};
+use lucky_types::{Params, RegisterId, TwoRoundParams, Value};
 use std::time::Duration;
 
 fn bench_lucky_ops(c: &mut Criterion) {
@@ -108,10 +108,10 @@ fn bench_variants(c: &mut Criterion) {
 
     group.bench_function("abd", |bencher| {
         bencher.iter_batched_ref(
-            || AbdCluster::new(AbdConfig::synchronous(2), 1),
-            |cluster| {
-                cluster.write(Value::from_u64(1));
-                cluster.read(ReaderId(0))
+            || StoreConfig::synchronous(Setup::Abd { t: 2 }).build_sim(),
+            |store| {
+                store.register(RegisterId::DEFAULT).write(Value::from_u64(1));
+                store.register(RegisterId::DEFAULT).read(0)
             },
             BatchSize::SmallInput,
         );
@@ -132,7 +132,7 @@ fn bench_variants(c: &mut Criterion) {
 /// its receiver's wake-up) with its neighbours. Writes only — they are
 /// round-trip-bound, reads would measure the timer.
 fn bench_net_drivers(c: &mut Criterion) {
-    let params = Params::new(1, 0, 1, 0).unwrap();
+    let lucky = Setup::from(Params::new(1, 0, 1, 0).unwrap());
     let cfg = || NetConfig {
         min_latency: Duration::from_micros(50),
         max_latency: Duration::from_micros(200),
@@ -145,9 +145,8 @@ fn bench_net_drivers(c: &mut Criterion) {
         // fallback under the reactor label would just mislead the gate.
         drivers.push(("reactor", Driver::Reactor));
     }
-    let store = |driver, registers: usize| {
-        let mut store =
-            NetStore::builder(params, cfg()).registers(registers).driver(driver).build();
+    let store = |setup: Setup, driver, registers: usize| {
+        let mut store = NetStore::builder(setup, cfg()).registers(registers).driver(driver).build();
         let handles: Vec<_> = RegisterId::all(registers)
             .map(|reg| store.register(reg).expect("fresh handle"))
             .collect();
@@ -157,7 +156,7 @@ fn bench_net_drivers(c: &mut Criterion) {
     for &(name, driver) in &drivers {
         group.bench_function(name, |bencher| {
             bencher.iter_batched_ref(
-                || store(driver, 1),
+                || store(lucky, driver, 1),
                 |(_store, handles)| handles[0].write(Value::from_u64(1)).expect("write completes"),
                 BatchSize::LargeInput,
             );
@@ -169,7 +168,7 @@ fn bench_net_drivers(c: &mut Criterion) {
         // sessions, not all of them, so this row reads as `reactor`
         // does. One store serves every sample: building 5,000 registers'
         // sessions per sample would eat the measuring budget.
-        let (_store, handles) = store(Driver::Reactor, 5_000);
+        let (_store, handles) = store(lucky, Driver::Reactor, 5_000);
         group.bench_function("reactor_5000_idle", |bencher| {
             bencher.iter(|| handles[0].write(Value::from_u64(1)).expect("write completes"));
         });
@@ -180,7 +179,7 @@ fn bench_net_drivers(c: &mut Criterion) {
         group.bench_function(name, |bencher| {
             bencher.iter_batched_ref(
                 || {
-                    let (store, handles) = store(driver, 1);
+                    let (store, handles) = store(lucky, driver, 1);
                     handles[0].write(Value::from_u64(1)).expect("write completes");
                     (store, handles)
                 },
@@ -190,11 +189,40 @@ fn bench_net_drivers(c: &mut Criterion) {
         });
     }
     group.finish();
+    if cfg!(target_os = "linux") {
+        // The paper's comparison on the sockets the store ships: ABD over
+        // the same S = 3 and the same network, on the reactor. Its WRITE
+        // is one round trip like the lucky one; its READ is two round
+        // trips and never waits for a timer.
+        let abd = Setup::Abd { t: 1 };
+        let mut group = c.benchmark_group("net_abd_write_tcp");
+        group.bench_function("reactor", |bencher| {
+            bencher.iter_batched_ref(
+                || store(abd, Driver::Reactor, 1),
+                |(_store, handles)| handles[0].write(Value::from_u64(1)).expect("write completes"),
+                BatchSize::LargeInput,
+            );
+        });
+        group.finish();
+        let mut group = c.benchmark_group("net_abd_read_tcp");
+        group.bench_function("reactor", |bencher| {
+            bencher.iter_batched_ref(
+                || {
+                    let (store, handles) = store(abd, Driver::Reactor, 1);
+                    handles[0].write(Value::from_u64(1)).expect("write completes");
+                    (store, handles)
+                },
+                |(_store, handles)| handles[0].read(0).expect("read completes"),
+                BatchSize::LargeInput,
+            );
+        });
+        group.finish();
+    }
     let mut group = c.benchmark_group("net_pipelined_writes_tcp");
     for &(name, driver) in &drivers {
         group.bench_function(name, |bencher| {
             bencher.iter_batched_ref(
-                || store(driver, 64),
+                || store(lucky, driver, 64),
                 |(_store, handles)| {
                     let tickets: Vec<_> =
                         handles.iter().map(|h| h.invoke_write(Value::from_u64(1))).collect();

@@ -12,34 +12,37 @@ use lucky_types::{
 };
 
 /// Ping-pong pair used to measure raw event-loop throughput: Pong echoes
-/// every message, Ping decrements until zero.
+/// every message, Ping counts the READ timestamp down until zero.
 struct Pong;
-impl Automaton<u64> for Pong {
-    fn on_message(&mut self, _now: Time, from: ProcessId, msg: u64, eff: &mut Effects<u64>) {
+impl Automaton for Pong {
+    fn on_message(&mut self, _now: Time, from: ProcessId, msg: Message, eff: &mut Effects) {
         eff.send(from, msg);
     }
+}
+
+fn countdown(n: u64) -> Message {
+    Message::Read(ReadMsg { reg: RegisterId::DEFAULT, tsr: ReadSeq(n), rnd: 1 })
 }
 
 struct Ping {
     peer: ProcessId,
 }
-impl Automaton<u64> for Ping {
-    fn on_invoke(&mut self, _now: Time, _op: Op, eff: &mut Effects<u64>) {
-        eff.send(self.peer, 10_000);
+impl Automaton for Ping {
+    fn on_invoke(&mut self, _now: Time, _op: Op, eff: &mut Effects) {
+        eff.send(self.peer, countdown(10_000));
     }
-    fn on_message(&mut self, _now: Time, from: ProcessId, msg: u64, eff: &mut Effects<u64>) {
-        if msg > 0 {
-            eff.send(from, msg - 1);
-        } else {
-            eff.complete(None, 1, true);
+    fn on_message(&mut self, _now: Time, from: ProcessId, msg: Message, eff: &mut Effects) {
+        match msg {
+            Message::Read(m) if m.tsr.0 > 0 => eff.send(from, countdown(m.tsr.0 - 1)),
+            _ => eff.complete(None, 1, true),
         }
     }
 }
 
 fn bench_event_loop(c: &mut Criterion) {
-    c.bench_function("sim/ping_pong_10k_events", |b| {
+    c.bench_function("sim/ping_pong_10k_read_events", |b| {
         b.iter(|| {
-            let mut w: World<u64> = World::new(NetworkModel::constant(10), 1);
+            let mut w = World::new(NetworkModel::constant(10), 1);
             let server = ProcessId::Server(ServerId(0));
             w.add_process(server, Box::new(Pong));
             w.add_process(ProcessId::Writer, Box::new(Ping { peer: server }));

@@ -1,22 +1,21 @@
 //! **F3** — resilience scaling: per-operation latency, messages and
 //! bytes as the fault budget `t` (and with it `S = 2t + b + 1`) grows,
-//! for all three variants plus the ABD baseline.
+//! for all three variants plus the ABD baseline, each a `Setup` of one
+//! simulated store.
 //!
 //! Expected shape: rounds stay constant (the whole point of quorum
 //! protocols); messages scale linearly in `S`; lucky latency is flat —
 //! one round-trip for a WRITE (it returns on its deciding ack), one
 //! round-1 timer for a READ.
 
-use lucky_baselines::abd::{AbdCluster, AbdConfig};
 use lucky_bench::{mean, print_table};
-use lucky_core::StoreConfig;
-use lucky_types::{Params, ReaderId, RegisterId, TwoRoundParams, Value};
+use lucky_core::{Setup, StoreConfig};
+use lucky_types::{Params, RegisterId, TwoRoundParams, Value};
 
 const OPS: u64 = 30;
 
-fn lucky_row(t: usize, b: usize) -> Vec<String> {
-    let params = Params::new(t, b, t - b, 0).unwrap();
-    let mut c = StoreConfig::synchronous(params).build_sim();
+fn row(system: String, setup: Setup) -> Vec<String> {
+    let mut c = StoreConfig::synchronous(setup).build_sim();
     let (mut wl, mut wm, mut wb, mut rl, mut rm) = (vec![], vec![], vec![], vec![], vec![]);
     for i in 1..=OPS {
         let w = c.register(RegisterId::DEFAULT).write(Value::from_u64(i));
@@ -29,57 +28,8 @@ fn lucky_row(t: usize, b: usize) -> Vec<String> {
     }
     c.check_atomicity().expect("atomicity");
     vec![
-        format!("lucky t={t} b={b}"),
-        params.server_count().to_string(),
-        format!("{:.0}", mean(&wl)),
-        format!("{:.0}", mean(&wm)),
-        format!("{:.0}", mean(&wb)),
-        format!("{:.0}", mean(&rl)),
-        format!("{:.0}", mean(&rm)),
-    ]
-}
-
-fn tworound_row(t: usize, b: usize, fr: usize) -> Vec<String> {
-    let params = TwoRoundParams::new(t, b, fr).unwrap();
-    let mut c = StoreConfig::synchronous(params).build_sim();
-    let (mut wl, mut wm, mut wb, mut rl, mut rm) = (vec![], vec![], vec![], vec![], vec![]);
-    for i in 1..=OPS {
-        let w = c.register(RegisterId::DEFAULT).write(Value::from_u64(i));
-        wl.push(w.latency);
-        wm.push(w.msgs);
-        wb.push(w.bytes);
-        let r = c.register(RegisterId::DEFAULT).read(0);
-        rl.push(r.latency);
-        rm.push(r.msgs);
-    }
-    c.check_atomicity().expect("atomicity");
-    vec![
-        format!("two-round t={t} b={b} fr={fr}"),
-        params.server_count().to_string(),
-        format!("{:.0}", mean(&wl)),
-        format!("{:.0}", mean(&wm)),
-        format!("{:.0}", mean(&wb)),
-        format!("{:.0}", mean(&rl)),
-        format!("{:.0}", mean(&rm)),
-    ]
-}
-
-fn abd_row(t: usize) -> Vec<String> {
-    let mut c = AbdCluster::new(AbdConfig::synchronous(t), 1);
-    let (mut wl, mut wm, mut wb, mut rl, mut rm) = (vec![], vec![], vec![], vec![], vec![]);
-    for i in 1..=OPS {
-        let w = c.write(Value::from_u64(i));
-        wl.push(w.latency);
-        wm.push(w.msgs);
-        wb.push(w.bytes);
-        let r = c.read(ReaderId(0));
-        rl.push(r.latency);
-        rm.push(r.msgs);
-    }
-    c.check_atomicity().expect("atomicity");
-    vec![
-        format!("ABD t={t} (b=0)"),
-        (2 * t + 1).to_string(),
+        system,
+        setup.server_count().to_string(),
         format!("{:.0}", mean(&wl)),
         format!("{:.0}", mean(&wm)),
         format!("{:.0}", mean(&wb)),
@@ -93,9 +43,12 @@ fn main() {
     let mut rows = Vec::new();
     for t in [1usize, 2, 4, 6, 8] {
         let b = (t / 2).max(if t == 1 { 0 } else { 1 });
-        rows.push(lucky_row(t, b));
-        rows.push(tworound_row(t, b, (t - b).min(b).max(1).min(t)));
-        rows.push(abd_row(t));
+        let lucky = Params::new(t, b, t - b, 0).unwrap();
+        rows.push(row(format!("lucky t={t} b={b}"), lucky.into()));
+        let fr = (t - b).min(b).max(1).min(t);
+        let two_round = TwoRoundParams::new(t, b, fr).unwrap();
+        rows.push(row(format!("two-round t={t} b={b} fr={fr}"), two_round.into()));
+        rows.push(row(format!("ABD t={t} (b=0)"), Setup::Abd { t }));
     }
     print_table(
         "latency (µs), messages & bytes per op vs t (payload: 8-byte values)",

@@ -10,10 +10,9 @@
 //! authentication; a WRITE's PW phase ends on the ack that decides its
 //! outcome, so a lucky WRITE costs one round trip.
 
-use lucky_baselines::abd::{AbdCluster, AbdConfig};
 use lucky_bench::{mean, print_table};
-use lucky_core::{ProtocolConfig, StoreConfig};
-use lucky_types::{Params, ReaderId, RegisterId, Value};
+use lucky_core::{ProtocolConfig, Setup, StoreConfig};
+use lucky_types::{Params, RegisterId, Value};
 
 const OPS: u64 = 50;
 
@@ -27,16 +26,12 @@ struct Row {
     rd_msgs: f64,
 }
 
-fn lucky_run(params: Params, slow_only: bool, asynchronous: bool, seed: u64) -> Row {
-    let mut cfg = if asynchronous {
-        StoreConfig::asynchronous(params)
-    } else {
-        StoreConfig::synchronous(params)
-    }
-    .with_seed(seed);
-    if slow_only {
-        cfg = cfg.with_protocol(ProtocolConfig::slow_only(100));
-    }
+fn config(setup: Setup, asynchronous: bool, seed: u64) -> StoreConfig {
+    if asynchronous { StoreConfig::asynchronous(setup) } else { StoreConfig::synchronous(setup) }
+        .with_seed(seed)
+}
+
+fn run(system: &'static str, cfg: StoreConfig) -> Row {
     let mut c = cfg.build_sim();
     let (mut wr, mut wl, mut wm, mut rr, mut rl, mut rm) =
         (vec![], vec![], vec![], vec![], vec![], vec![]);
@@ -52,7 +47,7 @@ fn lucky_run(params: Params, slow_only: bool, asynchronous: bool, seed: u64) -> 
     }
     c.check_atomicity().expect("atomicity");
     Row {
-        system: if slow_only { "lucky (slow-only)" } else { "lucky" },
+        system,
         wr_rounds: mean(&wr),
         wr_lat: mean(&wl),
         wr_msgs: mean(&wm),
@@ -62,32 +57,14 @@ fn lucky_run(params: Params, slow_only: bool, asynchronous: bool, seed: u64) -> 
     }
 }
 
-fn abd_run(t: usize, asynchronous: bool, seed: u64) -> Row {
-    let cfg = if asynchronous { AbdConfig::asynchronous(t) } else { AbdConfig::synchronous(t) }
-        .with_seed(seed);
-    let mut c = AbdCluster::new(cfg, 1);
-    let (mut wr, mut wl, mut wm, mut rr, mut rl, mut rm) =
-        (vec![], vec![], vec![], vec![], vec![], vec![]);
-    for i in 1..=OPS {
-        let w = c.write(Value::from_u64(i));
-        wr.push(w.rounds as u64);
-        wl.push(w.latency);
-        wm.push(w.msgs);
-        let r = c.read(ReaderId(0));
-        rr.push(r.rounds as u64);
-        rl.push(r.latency);
-        rm.push(r.msgs);
-    }
-    c.check_atomicity().expect("atomicity");
-    Row {
-        system: "ABD (b=0)",
-        wr_rounds: mean(&wr),
-        wr_lat: mean(&wl),
-        wr_msgs: mean(&wm),
-        rd_rounds: mean(&rr),
-        rd_lat: mean(&rl),
-        rd_msgs: mean(&rm),
-    }
+/// The three systems of one table: lucky, slow-only lucky and ABD.
+fn rows(t: usize, params: Params, asynchronous: bool, seed: u64) -> Vec<Row> {
+    let lucky = config(params.into(), asynchronous, seed);
+    vec![
+        run("lucky", lucky.clone()),
+        run("lucky (slow-only)", lucky.with_protocol(ProtocolConfig::slow_only(100))),
+        run("ABD (b=0)", config(Setup::Abd { t }, asynchronous, seed)),
+    ]
 }
 
 fn fmt(rows: &[Row]) -> Vec<Vec<String>> {
@@ -112,28 +89,17 @@ fn main() {
     let params = Params::new(t, 1, 1, 0).unwrap();
     let headers = ["system", "wr rounds", "wr µs", "wr msgs", "rd rounds", "rd µs", "rd msgs"];
 
-    let rows = vec![
-        lucky_run(params, false, false, 1),
-        lucky_run(params, true, false, 1),
-        abd_run(t, false, 1),
-    ];
     print_table(
         &format!(
             "synchronous, failure-free, contention-free (t={t}; lucky: b=1, S=6; ABD: b=0, S=5)"
         ),
         &headers,
-        &fmt(&rows),
+        &fmt(&rows(t, params, false, 1)),
     );
-
-    let rows = vec![
-        lucky_run(params, false, true, 2),
-        lucky_run(params, true, true, 2),
-        abd_run(t, true, 2),
-    ];
     print_table(
         "asynchronous network (delays up to 200δ; timers unchanged)",
         &headers,
-        &fmt(&rows),
+        &fmt(&rows(t, params, true, 2)),
     );
 
     println!(

@@ -19,6 +19,7 @@ struct AtomicReadPolicy {
 
 impl ReadPolicy for AtomicReadPolicy {
     const WRITEBACK_ROUNDS: u8 = 3;
+    const ROUND_ONE_TIMER: bool = true;
 
     fn thresholds(&self) -> &Thresholds {
         &self.thresholds
@@ -101,17 +102,17 @@ impl AtomicReader {
     /// # Panics
     ///
     /// Panics if a READ is already in progress.
-    pub fn invoke_read(&mut self, eff: &mut Effects<Message>) {
+    pub fn invoke_read(&mut self, eff: &mut Effects) {
         self.engine.invoke(eff);
     }
 
     /// Deliver a server message.
-    pub fn on_message(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    pub fn on_message(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         self.engine.on_message(from, msg, eff);
     }
 
     /// The round-1 timer fired.
-    pub fn on_timer(&mut self, id: TimerId, eff: &mut Effects<Message>) {
+    pub fn on_timer(&mut self, id: TimerId, eff: &mut Effects) {
         self.engine.on_timer(id, eff);
     }
 }
@@ -155,7 +156,7 @@ mod tests {
         })
     }
 
-    fn invoke(r: &mut AtomicReader) -> Effects<Message> {
+    fn invoke(r: &mut AtomicReader) -> Effects {
         let mut eff = Effects::new();
         r.invoke_read(&mut eff);
         eff

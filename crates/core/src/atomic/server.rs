@@ -122,7 +122,7 @@ impl AtomicServer {
     /// a *fast*-compatible server, §2.4 point 2). A [`Message::Batch`] is
     /// unwrapped and its parts handled in order, each exactly as if it
     /// had arrived alone.
-    pub fn handle(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    pub fn handle(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         match msg {
             Message::Batch(parts) => {
                 // Flatten iteratively so hostile nesting cannot recurse.
@@ -246,7 +246,7 @@ mod tests {
         Message::Pw(PwMsg { reg: RegisterId::DEFAULT, ts: Seq(ts), pw, w, frozen })
     }
 
-    fn drain(eff: &mut Effects<Message>) -> Vec<(ProcessId, Message)> {
+    fn drain(eff: &mut Effects) -> Vec<(ProcessId, Message)> {
         std::mem::take(eff).into_parts().0
     }
 

@@ -105,17 +105,17 @@ impl AtomicWriter {
     ///
     /// Panics if a WRITE is already in progress (clients invoke one
     /// operation at a time, §2.2) or if `v` is `⊥` (not a valid input).
-    pub fn invoke_write(&mut self, v: Value, eff: &mut Effects<Message>) {
+    pub fn invoke_write(&mut self, v: Value, eff: &mut Effects) {
         self.engine.invoke(v, eff);
     }
 
     /// Deliver a server message.
-    pub fn on_message(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    pub fn on_message(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         self.engine.on_message(from, msg, eff);
     }
 
     /// The PW-phase timer fired.
-    pub fn on_timer(&mut self, id: TimerId, eff: &mut Effects<Message>) {
+    pub fn on_timer(&mut self, id: TimerId, eff: &mut Effects) {
         self.engine.on_timer(id, eff);
     }
 }
@@ -144,7 +144,7 @@ mod tests {
     }
 
     /// Drive `w` through invocation, returning the PW broadcast.
-    fn invoke(w: &mut AtomicWriter, v: u64) -> Effects<Message> {
+    fn invoke(w: &mut AtomicWriter, v: u64) -> Effects {
         let mut eff = Effects::new();
         w.invoke_write(Value::from_u64(v), &mut eff);
         eff

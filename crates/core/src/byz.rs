@@ -80,7 +80,7 @@ impl ForgeState {
 }
 
 impl ServerCore for ForgeState {
-    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         self.inner.handle(from, msg, eff);
     }
 }
@@ -109,7 +109,7 @@ impl SplitBrain {
 }
 
 impl ServerCore for SplitBrain {
-    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         if self.honest_to.contains(&from) {
             self.faithful.handle(from, msg, eff);
         } else {
@@ -126,7 +126,7 @@ impl ServerCore for SplitBrain {
 fn lie(
     from: ProcessId,
     msg: Message,
-    eff: &mut Effects<Message>,
+    eff: &mut Effects,
     mut read: impl FnMut(&ReadMsg) -> (TsVal, FrozenSlot),
 ) {
     for part in msg.flatten() {
@@ -168,7 +168,7 @@ impl ForgeValue {
 }
 
 impl ServerCore for ForgeValue {
-    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         lie(from, msg, eff, |m| {
             (self.fake.clone(), FrozenSlot { pw: self.fake.clone(), tsr: m.tsr })
         });
@@ -190,7 +190,7 @@ impl InflateTs {
 }
 
 impl ServerCore for InflateTs {
-    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         lie(from, msg, eff, |m| {
             self.next += 1;
             let fake = TsVal::new(Seq(self.next), Value::from_u64(u64::MAX - self.next));
@@ -212,7 +212,7 @@ impl StaleEcho {
 }
 
 impl ServerCore for StaleEcho {
-    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         lie(from, msg, eff, |_| (TsVal::initial(), FrozenSlot::initial()));
     }
 }
@@ -229,7 +229,7 @@ impl Mute {
 }
 
 impl ServerCore for Mute {
-    fn deliver(&mut self, _from: ProcessId, _msg: Message, _eff: &mut Effects<Message>) {}
+    fn deliver(&mut self, _from: ProcessId, _msg: Message, _eff: &mut Effects) {}
 }
 
 /// A seeded mixture: with probability `p_forge` (out of 256) a reply is
@@ -251,7 +251,7 @@ impl RandomNoise {
 }
 
 impl ServerCore for RandomNoise {
-    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         if matches!(msg, Message::Batch(_)) {
             // Per-part forgery decisions: a batch is a run of deliveries.
             for part in msg.flatten() {
@@ -311,7 +311,7 @@ impl<S> std::fmt::Debug for MangleBatch<S> {
 }
 
 impl<S: ServerCore> ServerCore for MangleBatch<S> {
-    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         let mut honest = Effects::new();
         self.inner.deliver(from, msg, &mut honest);
         let (sends, _, _) = honest.into_parts();
@@ -404,17 +404,8 @@ impl<S> std::fmt::Debug for WireFuzz<S> {
     }
 }
 
-/// SplitMix64's finalizer: [`WireFuzz`]'s draws, a pure function of
-/// their input.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 impl<S: ServerCore> ServerCore for WireFuzz<S> {
-    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         let mut honest = Effects::new();
         self.inner.deliver(from, msg, &mut honest);
         let (sends, _, _) = honest.into_parts();
@@ -427,7 +418,7 @@ impl<S: ServerCore> ServerCore for WireFuzz<S> {
             let mut index = 0u64;
             let mut draw = |bound: u64| {
                 index += 1;
-                mix64(salt.wrapping_add(index)) % bound
+                lucky_types::splitmix64(salt.wrapping_add(index)) % bound
             };
             let (bytes, must_decode) =
                 lucky_wire::fuzz::fuzz_frame(&reply, frame, self.step, &mut draw);

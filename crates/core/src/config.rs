@@ -10,6 +10,8 @@ pub enum Variant {
     TwoRound,
     /// The regular, malicious-reader-tolerant variant (Appendix D).
     Regular,
+    /// The crash-only ABD baseline (`crate::abd`).
+    Abd,
 }
 
 /// Tunables shared by all protocol cores.
@@ -64,7 +66,10 @@ impl ProtocolConfig {
         }
     }
 
-    /// The *slow-only* ablation: both fast paths disabled.
+    /// The *slow-only* ablation: both fast paths disabled — the paper's
+    /// own algorithm as a baseline that needs no code of its own, beside
+    /// ABD ([`crate::abd`]). Every WRITE runs its W phase (3 rounds in
+    /// the atomic variant) and every READ writes back (4 rounds).
     pub fn slow_only(delta_micros: u64) -> ProtocolConfig {
         ProtocolConfig {
             fast_writes: false,

@@ -20,10 +20,10 @@
 //!   `freezevalues()` hand-off.
 //!
 //! Each variant contributes a **policy** — [`ReadPolicy`] /
-//! [`WritePolicy`] — naming its thresholds, quorum sizes, round schedule
-//! and fast-path predicate. The policy objects in
-//! [`crate::atomic`], [`crate::tworound`] and [`crate::regular`] are a
-//! few lines each; everything that loops or counts lives here, so future
+//! [`WritePolicy`] — naming its thresholds, quorum sizes, round schedule,
+//! round-1 timers and fast-path predicate. The policy objects in
+//! [`crate::atomic`], [`crate::tworound`], [`crate::regular`] and the
+//! ABD baseline [`crate::abd`] are a few lines each; everything that loops or counts lives here, so future
 //! scaling work (sharding, batching, pipelining) lands once instead of
 //! three times.
 //!

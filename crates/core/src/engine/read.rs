@@ -20,6 +20,12 @@ pub trait ReadPolicy {
     /// variant, App. D.2 modification 2).
     const WRITEBACK_ROUNDS: u8;
 
+    /// Does round 1 arm a timer and wait it out (Fig. 2 line 17)? With
+    /// one, a round-1 quorum decides only once the timer has expired;
+    /// without, round 1 ends on its quorum like every later round — the
+    /// READ twin of [`WritePolicy::PW_TIMER`](crate::engine::WritePolicy::PW_TIMER).
+    const ROUND_ONE_TIMER: bool;
+
     /// The numeric thresholds the decision predicates compare against.
     fn thresholds(&self) -> &Thresholds;
 
@@ -110,12 +116,13 @@ impl<P: ReadPolicy> ReadEngine<P> {
     }
 
     /// Invoke `READ()` (Fig. 2 lines 12–16): bump `tsr`, reset the view
-    /// table, start the round-1 timer and send `READ⟨tsr, 1⟩` to all.
+    /// table, start the round-1 timer if the policy has one and send
+    /// `READ⟨tsr, 1⟩` to all.
     ///
     /// # Panics
     ///
     /// Panics if a READ is already in progress.
-    pub fn invoke(&mut self, eff: &mut Effects<Message>) {
+    pub fn invoke(&mut self, eff: &mut Effects) {
         assert!(self.is_idle(), "READ invoked while another READ is in progress");
         self.tsr = self.tsr.next();
         self.state = ReadState::Reading {
@@ -123,7 +130,9 @@ impl<P: ReadPolicy> ReadEngine<P> {
             views: ViewTable::new(),
             timer_expired: false,
         };
-        eff.set_timer(TimerId(self.tsr.0), self.cfg.timer_micros);
+        if P::ROUND_ONE_TIMER {
+            eff.set_timer(TimerId(self.tsr.0), self.cfg.timer_micros);
+        }
         // Rounds go through the staging buffer: any step that ever emits
         // several messages to one destination batches them for free.
         eff.stage_broadcast(
@@ -140,7 +149,7 @@ impl<P: ReadPolicy> ReadEngine<P> {
     /// order, each re-validated exactly as if it had arrived alone, so a
     /// batch (even a Byzantine one mixing registers and rounds) can never
     /// do more than its parts could.
-    pub fn on_message(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    pub fn on_message(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         let Some(server) = from.as_server() else {
             return;
         };
@@ -203,7 +212,7 @@ impl<P: ReadPolicy> ReadEngine<P> {
 
     /// The round-1 timer fired. Timers from previous READs are stale and
     /// ignored.
-    pub fn on_timer(&mut self, id: TimerId, eff: &mut Effects<Message>) {
+    pub fn on_timer(&mut self, id: TimerId, eff: &mut Effects) {
         if id != TimerId(self.tsr.0) {
             return; // stale timer from a previous READ
         }
@@ -214,13 +223,15 @@ impl<P: ReadPolicy> ReadEngine<P> {
     }
 
     /// Fig. 2 lines 17–22: once a quorum of current-round acks arrived
-    /// (and, in round 1, the timer expired), evaluate the candidate set.
-    fn try_finish_round(&mut self, eff: &mut Effects<Message>) {
+    /// (and, in round 1 of a policy with [`ReadPolicy::ROUND_ONE_TIMER`],
+    /// the timer expired), evaluate the candidate set.
+    fn try_finish_round(&mut self, eff: &mut Effects) {
         let ReadState::Reading { acks, views, timer_expired } = &self.state else {
             return;
         };
         let rnd = acks.round();
-        if !acks.has_quorum(self.policy.quorum()) || (rnd == 1 && !*timer_expired) {
+        let timer_pending = rnd == 1 && P::ROUND_ONE_TIMER && !*timer_expired;
+        if !acks.has_quorum(self.policy.quorum()) || timer_pending {
             return;
         }
         match predicates::select(views, self.tsr, self.policy.thresholds()) {
@@ -263,7 +274,7 @@ impl<P: ReadPolicy> ReadEngine<P> {
         }
     }
 
-    fn start_writeback_round(&mut self, round: u8, eff: &mut Effects<Message>) {
+    fn start_writeback_round(&mut self, round: u8, eff: &mut Effects) {
         let ReadState::WritingBack { acks, c, .. } = &mut self.state else {
             unreachable!("write-back round outside WritingBack state");
         };
@@ -308,6 +319,7 @@ mod tests {
 
     impl ReadPolicy for TestPolicy {
         const WRITEBACK_ROUNDS: u8 = 2;
+        const ROUND_ONE_TIMER: bool = true;
         fn thresholds(&self) -> &Thresholds {
             &self.thresholds
         }
@@ -328,6 +340,7 @@ mod tests {
 
     impl ReadPolicy for NoWritebackPolicy {
         const WRITEBACK_ROUNDS: u8 = 0;
+        const ROUND_ONE_TIMER: bool = true;
         fn thresholds(&self) -> &Thresholds {
             self.0.thresholds()
         }
@@ -339,6 +352,27 @@ mod tests {
         }
         fn round_one_fast(&self, _views: &ViewTable, _c: &TsVal) -> bool {
             false
+        }
+    }
+
+    /// Like [`TestPolicy`] but with no round-1 timer.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct UntimedPolicy(TestPolicy);
+
+    impl ReadPolicy for UntimedPolicy {
+        const WRITEBACK_ROUNDS: u8 = 2;
+        const ROUND_ONE_TIMER: bool = false;
+        fn thresholds(&self) -> &Thresholds {
+            self.0.thresholds()
+        }
+        fn quorum(&self) -> usize {
+            self.0.quorum()
+        }
+        fn server_count(&self) -> usize {
+            self.0.server_count()
+        }
+        fn round_one_fast(&self, views: &ViewTable, c: &TsVal) -> bool {
+            self.0.round_one_fast(views, c)
         }
     }
 
@@ -374,7 +408,7 @@ mod tests {
         })
     }
 
-    fn quorum_of_read_acks(e: &mut ReadEngine<TestPolicy>, tsr: u64, rnd: u32) -> Effects<Message> {
+    fn quorum_of_read_acks(e: &mut ReadEngine<TestPolicy>, tsr: u64, rnd: u32) -> Effects {
         let mut eff = Effects::new();
         for i in 0..4 {
             e.on_message(server(i), read_ack(tsr, rnd), &mut eff);
@@ -537,6 +571,25 @@ mod tests {
         let c = completion.expect("immediate completion");
         assert_eq!((c.rounds, c.fast), (1, true), "round-1 decision counts as fast");
         assert!(e.is_idle());
+    }
+
+    #[test]
+    fn untimed_round_one_decides_on_its_quorum() {
+        let mut e = ReadEngine::new(
+            UntimedPolicy(TestPolicy::new(true)),
+            ProtocolConfig::for_sync_bound(100),
+        );
+        let mut eff = Effects::new();
+        e.invoke(&mut eff);
+        assert!(eff.into_parts().1.is_empty(), "no round-1 timer is armed");
+        let mut eff = Effects::new();
+        for i in 0..3 {
+            e.on_message(server(i), read_ack(1, 1), &mut eff);
+        }
+        assert!(eff.is_empty(), "below the quorum nothing is decided");
+        e.on_message(server(3), read_ack(1, 1), &mut eff);
+        let c = eff.into_parts().2.expect("the quorum decides without a timer");
+        assert_eq!((c.rounds, c.fast), (1, true));
     }
 
     #[test]

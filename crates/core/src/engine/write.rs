@@ -188,7 +188,7 @@ impl<P: WritePolicy> WriteEngine<P> {
     ///
     /// Panics if a WRITE is already in progress (clients invoke one
     /// operation at a time, §2.2) or if `v` is `⊥` (not a valid input).
-    pub fn invoke(&mut self, v: Value, eff: &mut Effects<Message>) {
+    pub fn invoke(&mut self, v: Value, eff: &mut Effects) {
         assert!(self.is_idle(), "WRITE invoked while another WRITE is in progress");
         assert!(!v.is_bot(), "⊥ is not a valid WRITE input (§2.2)");
         self.ts = self.ts.next();
@@ -217,7 +217,7 @@ impl<P: WritePolicy> WriteEngine<P> {
     /// here — parts are processed in order, each re-validated exactly as
     /// if it had arrived alone, so a batch (even a Byzantine one mixing
     /// registers and rounds) can never do more than its parts could.
-    pub fn on_message(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    pub fn on_message(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         let Some(server) = from.as_server() else {
             return;
         };
@@ -266,7 +266,7 @@ impl<P: WritePolicy> WriteEngine<P> {
 
     /// The PW-phase timer fired. Timers from previous WRITEs are stale
     /// and ignored; policies without a timer ignore all of them.
-    pub fn on_timer(&mut self, id: TimerId, eff: &mut Effects<Message>) {
+    pub fn on_timer(&mut self, id: TimerId, eff: &mut Effects) {
         if !P::PW_TIMER || id != TimerId(self.ts.0) {
             return;
         }
@@ -284,7 +284,7 @@ impl<P: WritePolicy> WriteEngine<P> {
     /// can change what happens next — the timer expired (no further wait
     /// is owed), every server answered (no further ack exists), or the
     /// fast threshold is met (and stays met).
-    fn try_finish_pw(&mut self, eff: &mut Effects<Message>) {
+    fn try_finish_pw(&mut self, eff: &mut Effects) {
         let WriteState::Pw { acks, timer_expired } = &self.state else {
             return;
         };
@@ -316,7 +316,7 @@ impl<P: WritePolicy> WriteEngine<P> {
         self.start_w_round(0, first_frozen, eff);
     }
 
-    fn start_w_round(&mut self, idx: usize, frozen: Vec<FrozenUpdate>, eff: &mut Effects<Message>) {
+    fn start_w_round(&mut self, idx: usize, frozen: Vec<FrozenUpdate>, eff: &mut Effects) {
         let round = P::W_ROUNDS[idx];
         let msg = Message::Write(WriteMsg {
             reg: self.reg,

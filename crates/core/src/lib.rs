@@ -5,7 +5,8 @@
 //! state machines plus the glue to run them on the `lucky-sim` simulator
 //! and the `lucky-net` threaded runtime.
 //!
-//! Three protocol variants, one module per pseudocode figure set:
+//! Three protocol variants, one module per pseudocode figure set, plus
+//! the baseline the paper measures them against:
 //!
 //! * [`atomic`] — the main algorithm (§3, Figs 1–3): optimally-resilient
 //!   SWMR **atomic** wait-free storage over `S = 2t + b + 1` servers where
@@ -17,11 +18,15 @@
 //!   over `S = 2t + b + min(b, fr) + 1` servers (Proposition 6);
 //! * [`regular`] — the Appendix D variant: **regular** semantics, no
 //!   write-back, tolerates malicious readers, `fw = t − b`, `fr = t`
-//!   (Proposition 7).
+//!   (Proposition 7);
+//! * [`abd`] — the crash-only ABD register (§1's comparison point):
+//!   `S = 2t + 1`, one-round WRITEs, READs that always write back in a
+//!   second round. The other baseline, *slow-only* lucky, is a
+//!   [`ProtocolConfig::slow_only`] setting and needs no code.
 //!
 //! ## Kernel / policy split
 //!
-//! The three variants share one **round-engine kernel** ([`engine`]):
+//! The four protocols share one **round-engine kernel** ([`engine`]):
 //! generic READ/WRITE drivers owning ack accumulation keyed by
 //! `(timestamp, round)`, stale-ack filtering, the round-1 synchrony
 //! timers, write-back and W-round sequencing, and the round-cap parking
@@ -30,7 +35,7 @@
 //! predicate. Every runtime builds its processes through the [`Setup`]
 //! factories ([`Setup::make_writer`], [`Setup::make_reader`],
 //! [`Setup::make_server`]), so the simulator and the threaded `lucky-net`
-//! runtime run all three variants from the same enum.
+//! runtime run all four from the same enum.
 //!
 //! Supporting modules:
 //!
@@ -67,6 +72,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+pub mod abd;
 pub mod atomic;
 pub mod byz;
 pub mod config;

@@ -61,7 +61,7 @@ impl RegularServer {
     /// Handle one client message. A [`Message::Batch`] is unwrapped and
     /// its parts handled in order, so the write-back filter below applies
     /// to every part individually.
-    pub fn handle(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    pub fn handle(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         if matches!(msg, Message::Batch(_)) {
             // Flatten iteratively so hostile nesting cannot recurse.
             for part in msg.flatten() {

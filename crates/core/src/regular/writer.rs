@@ -90,17 +90,17 @@ impl RegularWriter {
     /// # Panics
     ///
     /// Panics if a WRITE is in progress or `v` is `⊥`.
-    pub fn invoke_write(&mut self, v: Value, eff: &mut Effects<Message>) {
+    pub fn invoke_write(&mut self, v: Value, eff: &mut Effects) {
         self.engine.invoke(v, eff);
     }
 
     /// Deliver a server message.
-    pub fn on_message(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    pub fn on_message(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         self.engine.on_message(from, msg, eff);
     }
 
     /// The PW-phase timer fired.
-    pub fn on_timer(&mut self, id: TimerId, eff: &mut Effects<Message>) {
+    pub fn on_timer(&mut self, id: TimerId, eff: &mut Effects) {
         self.engine.on_timer(id, eff);
     }
 }

@@ -9,17 +9,17 @@ use lucky_types::{Message, Op, ProcessId, Time};
 
 /// A client-side protocol core: a writer or reader of any variant.
 ///
-/// The three variants expose structurally identical surfaces (invoke,
+/// Every setup's clients expose structurally identical surfaces (invoke,
 /// deliver, timer); this trait lets the [`ClientSession`] — and through
 /// it every runtime — treat them uniformly.
 pub trait ClientCore: Send {
     /// Invoke an operation (a WRITE with its value, or a READ).
-    fn invoke(&mut self, op: Op, eff: &mut Effects<Message>);
+    fn invoke(&mut self, op: Op, eff: &mut Effects);
     /// Deliver a message from `from`.
-    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>);
+    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects);
     /// A timer fired. Cores without timers (the two-round writer,
     /// Fig. 6) inherit this empty default wake hook.
-    fn timer(&mut self, id: TimerId, eff: &mut Effects<Message>) {
+    fn timer(&mut self, id: TimerId, eff: &mut Effects) {
         let _ = (id, eff);
     }
 }
@@ -27,7 +27,7 @@ pub trait ClientCore: Send {
 /// A server-side protocol core (honest or Byzantine).
 pub trait ServerCore: Send {
     /// Deliver a message from `from`.
-    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>);
+    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects);
 
     /// Serialize this core's state for a durable backend, or `None` when
     /// the core has nothing worth persisting. The default is `None` —
@@ -40,7 +40,7 @@ pub trait ServerCore: Send {
 }
 
 impl ServerCore for Box<dyn ServerCore> {
-    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         (**self).deliver(from, msg, eff);
     }
     fn snapshot(&self) -> Option<Vec<u8>> {
@@ -49,13 +49,13 @@ impl ServerCore for Box<dyn ServerCore> {
 }
 
 impl ClientCore for Box<dyn ClientCore> {
-    fn invoke(&mut self, op: Op, eff: &mut Effects<Message>) {
+    fn invoke(&mut self, op: Op, eff: &mut Effects) {
         (**self).invoke(op, eff);
     }
-    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         (**self).deliver(from, msg, eff);
     }
-    fn timer(&mut self, id: TimerId, eff: &mut Effects<Message>) {
+    fn timer(&mut self, id: TimerId, eff: &mut Effects) {
         (**self).timer(id, eff);
     }
 }
@@ -63,16 +63,16 @@ impl ClientCore for Box<dyn ClientCore> {
 macro_rules! impl_writer_core {
     ($ty:ty) => {
         impl ClientCore for $ty {
-            fn invoke(&mut self, op: Op, eff: &mut Effects<Message>) {
+            fn invoke(&mut self, op: Op, eff: &mut Effects) {
                 match op {
                     Op::Write(v) => self.invoke_write(v, eff),
                     Op::Read => panic!("the writer does not invoke READs (§2.2)"),
                 }
             }
-            fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+            fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
                 self.on_message(from, msg, eff);
             }
-            fn timer(&mut self, id: TimerId, eff: &mut Effects<Message>) {
+            fn timer(&mut self, id: TimerId, eff: &mut Effects) {
                 self.on_timer(id, eff);
             }
         }
@@ -82,16 +82,16 @@ macro_rules! impl_writer_core {
 macro_rules! impl_reader_core {
     ($ty:ty) => {
         impl ClientCore for $ty {
-            fn invoke(&mut self, op: Op, eff: &mut Effects<Message>) {
+            fn invoke(&mut self, op: Op, eff: &mut Effects) {
                 match op {
                     Op::Read => self.invoke_read(eff),
                     Op::Write(_) => panic!("readers do not invoke WRITEs (§2.2)"),
                 }
             }
-            fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+            fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
                 self.on_message(from, msg, eff);
             }
-            fn timer(&mut self, id: TimerId, eff: &mut Effects<Message>) {
+            fn timer(&mut self, id: TimerId, eff: &mut Effects) {
                 self.on_timer(id, eff);
             }
         }
@@ -101,7 +101,7 @@ macro_rules! impl_reader_core {
 macro_rules! impl_server_core {
     ($ty:ty) => {
         impl ServerCore for $ty {
-            fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+            fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
                 self.handle(from, msg, eff);
             }
             fn snapshot(&self) -> Option<Vec<u8>> {
@@ -154,7 +154,7 @@ impl<C: ClientCore> SessionAutomaton<C> {
 
     /// Drain session outputs into `eff`, surface a completion or
     /// failure, and keep the World's wake-up schedule current.
-    fn pump(&mut self, now: Time, eff: &mut Effects<Message>) {
+    fn pump(&mut self, now: Time, eff: &mut Effects) {
         while let Some(out) = self.session.poll_output() {
             let (to, msg) = out.into_send();
             eff.send(to, msg);
@@ -173,16 +173,16 @@ impl<C: ClientCore> SessionAutomaton<C> {
     }
 }
 
-impl<C: ClientCore> Automaton<Message> for SessionAutomaton<C> {
-    fn on_invoke(&mut self, now: Time, op: Op, eff: &mut Effects<Message>) {
+impl<C: ClientCore> Automaton for SessionAutomaton<C> {
+    fn on_invoke(&mut self, now: Time, op: Op, eff: &mut Effects) {
         self.session.begin(op, now).expect("the World enforces one operation at a time (§2.2)");
         self.pump(now, eff);
     }
-    fn on_message(&mut self, now: Time, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    fn on_message(&mut self, now: Time, from: ProcessId, msg: Message, eff: &mut Effects) {
         self.session.handle(Input::Deliver(from, msg), now);
         self.pump(now, eff);
     }
-    fn on_timer(&mut self, now: Time, _id: TimerId, eff: &mut Effects<Message>) {
+    fn on_timer(&mut self, now: Time, _id: TimerId, eff: &mut Effects) {
         // Whatever was scheduled has fired (possibly a stale duplicate);
         // recompute from the session's own view.
         self.scheduled_wake = None;
@@ -195,14 +195,8 @@ impl<C: ClientCore> Automaton<Message> for SessionAutomaton<C> {
 #[derive(Debug)]
 pub struct ServerAutomaton<S>(pub S);
 
-impl<S: ServerCore> Automaton<Message> for ServerAutomaton<S> {
-    fn on_message(
-        &mut self,
-        _now: Time,
-        from: ProcessId,
-        msg: Message,
-        eff: &mut Effects<Message>,
-    ) {
+impl<S: ServerCore> Automaton for ServerAutomaton<S> {
+    fn on_message(&mut self, _now: Time, from: ProcessId, msg: Message, eff: &mut Effects) {
         self.0.deliver(from, msg, eff);
     }
 }

@@ -72,7 +72,7 @@ impl RegisterMux {
     }
 
     /// Dispatch one plain (non-batch) message on the register it names.
-    fn dispatch(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    fn dispatch(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         let Some(reg) = msg.register() else {
             return; // empty batch remnants carry no register: ignore
         };
@@ -114,7 +114,7 @@ impl fmt::Debug for RegisterMux {
 }
 
 impl ServerCore for RegisterMux {
-    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         if !matches!(msg, Message::Batch(_)) {
             // The common single-message path: no staging detour.
             self.dispatch(from, msg, eff);

@@ -454,7 +454,7 @@ impl<C: ClientCore> ClientSession<C> {
 
     /// Apply one core step's effects: queue sends, absolutize timers,
     /// and promote a completion into `Done`.
-    fn absorb(&mut self, eff: Effects<Message>, now: Time) {
+    fn absorb(&mut self, eff: Effects, now: Time) {
         let (sends, timers, completion) = eff.into_parts();
         if !sends.is_empty() && self.is_pending() {
             // The first batch is the invoke broadcast; every later one

@@ -5,7 +5,7 @@ use crate::config::{ProtocolConfig, Variant};
 use crate::runtime::adapters::{ClientCore, ServerCore};
 use crate::runtime::mux::RegisterMux;
 use crate::runtime::session::{ClientSession, SessionConfig};
-use crate::{atomic, regular, tworound};
+use crate::{abd, atomic, regular, tworound};
 use lucky_types::{Params, ReaderId, RegisterId, TwoRoundParams};
 
 /// Which protocol instance a store runs, with its parameters.
@@ -17,6 +17,12 @@ pub enum Setup {
     TwoRound(TwoRoundParams),
     /// The regular variant (App. D); use [`Params::trading_reads`].
     Regular(Params),
+    /// The crash-only ABD register ([`abd`]) over `S = 2t + 1` servers —
+    /// the paper's comparison baseline (§1).
+    Abd {
+        /// Crash failures tolerated.
+        t: usize,
+    },
 }
 
 impl Setup {
@@ -25,6 +31,7 @@ impl Setup {
         match self {
             Setup::Atomic(p) | Setup::Regular(p) => p.server_count(),
             Setup::TwoRound(p) => p.server_count(),
+            Setup::Abd { t } => 2 * t + 1,
         }
     }
 
@@ -34,6 +41,7 @@ impl Setup {
             Setup::Atomic(_) => Variant::Atomic,
             Setup::TwoRound(_) => Variant::TwoRound,
             Setup::Regular(_) => Variant::Regular,
+            Setup::Abd { .. } => Variant::Abd,
         }
     }
 
@@ -49,6 +57,7 @@ impl Setup {
             Setup::Atomic(p) => Box::new(atomic::AtomicWriter::for_register(reg, p, protocol)),
             Setup::TwoRound(p) => Box::new(tworound::TwoRoundWriter::for_register(reg, p)),
             Setup::Regular(p) => Box::new(regular::RegularWriter::for_register(reg, p, protocol)),
+            Setup::Abd { t } => Box::new(abd::AbdWriter::for_register(reg, t)),
         }
     }
 
@@ -68,6 +77,7 @@ impl Setup {
             Setup::Regular(p) => {
                 Box::new(regular::RegularReader::for_register(reg, id, p, protocol))
             }
+            Setup::Abd { t } => Box::new(abd::AbdReader::for_register(reg, t, protocol)),
         }
     }
 
@@ -111,6 +121,7 @@ impl Setup {
             Setup::Atomic(_) => Box::new(atomic::AtomicServer::new()),
             Setup::TwoRound(_) => Box::new(tworound::TwoRoundServer::new()),
             Setup::Regular(_) => Box::new(regular::RegularServer::new()),
+            Setup::Abd { .. } => Box::new(abd::AbdServer::default()),
         }
     }
 
@@ -157,6 +168,9 @@ impl Setup {
                 .ok()
                 .map(|s| Box::new(s) as Box<dyn ServerCore>),
             Setup::Regular(_) => regular::RegularServer::from_snapshot(snapshot)
+                .ok()
+                .map(|s| Box::new(s) as Box<dyn ServerCore>),
+            Setup::Abd { .. } => abd::AbdServer::from_snapshot(snapshot)
                 .ok()
                 .map(|s| Box::new(s) as Box<dyn ServerCore>),
         }

@@ -39,8 +39,8 @@ use lucky_checker::Violations;
 use lucky_log::{DurableBackend, LogCounters};
 use lucky_sim::{NetworkModel, RunError, World};
 use lucky_types::{
-    BatchConfig, History, Message, Op, OpId, OpKind, OpRecord, ProcessId, ReaderId, RegisterId,
-    ServerId, Time, Value,
+    BatchConfig, History, Op, OpId, OpKind, OpRecord, ProcessId, ReaderId, RegisterId, ServerId,
+    Time, Value,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -319,7 +319,7 @@ impl OpOutcome {
 #[derive(Debug)]
 pub struct SimStore {
     setup: Setup,
-    world: World<Message>,
+    world: World,
     registers: usize,
     readers_per_register: usize,
     batch: BatchConfig,
@@ -615,12 +615,12 @@ impl SimStore {
     }
 
     /// Full access to the underlying world (gates, custom scheduling).
-    pub fn world_mut(&mut self) -> &mut World<Message> {
+    pub fn world_mut(&mut self) -> &mut World {
         &mut self.world
     }
 
     /// Read-only access to the underlying world.
-    pub fn world(&self) -> &World<Message> {
+    pub fn world(&self) -> &World {
         &self.world
     }
 

@@ -22,6 +22,7 @@ struct TwoRoundReadPolicy {
 
 impl ReadPolicy for TwoRoundReadPolicy {
     const WRITEBACK_ROUNDS: u8 = 2;
+    const ROUND_ONE_TIMER: bool = true;
 
     fn thresholds(&self) -> &Thresholds {
         &self.thresholds
@@ -94,17 +95,17 @@ impl TwoRoundReader {
     /// # Panics
     ///
     /// Panics if a READ is already in progress.
-    pub fn invoke_read(&mut self, eff: &mut Effects<Message>) {
+    pub fn invoke_read(&mut self, eff: &mut Effects) {
         self.engine.invoke(eff);
     }
 
     /// Deliver a server message.
-    pub fn on_message(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    pub fn on_message(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         self.engine.on_message(from, msg, eff);
     }
 
     /// The round-1 timer fired.
-    pub fn on_timer(&mut self, id: TimerId, eff: &mut Effects<Message>) {
+    pub fn on_timer(&mut self, id: TimerId, eff: &mut Effects) {
         self.engine.on_timer(id, eff);
     }
 }

@@ -102,7 +102,7 @@ impl TwoRoundServer {
     /// Handle one client message, replying immediately. A
     /// [`Message::Batch`] is unwrapped and its parts handled in order,
     /// each exactly as if it had arrived alone.
-    pub fn handle(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    pub fn handle(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         match msg {
             Message::Batch(parts) => {
                 // Flatten iteratively so hostile nesting cannot recurse.
@@ -207,7 +207,7 @@ mod tests {
         TsVal::new(Seq(ts), Value::from_u64(ts))
     }
 
-    fn drain(eff: &mut Effects<Message>) -> Vec<(ProcessId, Message)> {
+    fn drain(eff: &mut Effects) -> Vec<(ProcessId, Message)> {
         std::mem::take(eff).into_parts().0
     }
 

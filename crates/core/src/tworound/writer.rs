@@ -90,19 +90,19 @@ impl TwoRoundWriter {
     /// # Panics
     ///
     /// Panics if a WRITE is in progress or `v` is `⊥`.
-    pub fn invoke_write(&mut self, v: Value, eff: &mut Effects<Message>) {
+    pub fn invoke_write(&mut self, v: Value, eff: &mut Effects) {
         self.engine.invoke(v, eff);
     }
 
     /// Deliver a server message.
-    pub fn on_message(&mut self, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+    pub fn on_message(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         self.engine.on_message(from, msg, eff);
     }
 
     /// Wake hook: the two-round writer starts no timers (Fig. 6 has no
     /// fast path to guard), so every wake is a no-op. Present so the
     /// shared `ClientCore` macro path covers all six cores uniformly.
-    pub fn on_timer(&mut self, _id: TimerId, _eff: &mut Effects<Message>) {}
+    pub fn on_timer(&mut self, _id: TimerId, _eff: &mut Effects) {}
 }
 
 #[cfg(test)]

@@ -732,7 +732,7 @@ fn apply_choice(scenario: &Scenario, state: &mut State, choice: &Choice) -> bool
 
 /// Drain a session's outputs (and a completed outcome) into `eff`, the
 /// common shape the scheduler applies.
-fn drain_session<C: ClientCore>(s: &mut ClientSession<C>, eff: &mut Effects<Message>) {
+fn drain_session<C: ClientCore>(s: &mut ClientSession<C>, eff: &mut Effects) {
     while let Some(out) = s.poll_output() {
         let (to, msg) = out.into_send();
         eff.send(to, msg);
@@ -743,7 +743,7 @@ fn drain_session<C: ClientCore>(s: &mut ClientSession<C>, eff: &mut Effects<Mess
 }
 
 /// Deliver one message (possibly a batch) to a process of any kind.
-fn deliver_to_proc(proc_: &mut Proc, from: ProcessId, msg: Message, eff: &mut Effects<Message>) {
+fn deliver_to_proc(proc_: &mut Proc, from: ProcessId, msg: Message, eff: &mut Effects) {
     match proc_ {
         Proc::Writer(s) => {
             s.handle(Input::Deliver(from, msg), Time(0));

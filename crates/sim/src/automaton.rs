@@ -20,12 +20,12 @@ pub struct TimerId(pub u64);
 ///
 /// [`World`]: crate::World
 #[derive(Debug)]
-pub struct Effects<M> {
-    pub(crate) sends: Vec<(ProcessId, M)>,
+pub struct Effects {
+    pub(crate) sends: Vec<(ProcessId, Message)>,
     /// Per-destination staging buffer: messages parked by
     /// [`Effects::stage`] until [`Effects::flush`] groups them per
     /// destination (and merges multi-message groups into batches).
-    pub(crate) staged: Vec<(ProcessId, M)>,
+    pub(crate) staged: Vec<(ProcessId, Message)>,
     pub(crate) timers: Vec<(TimerId, u64)>,
     pub(crate) completion: Option<Completion>,
     pub(crate) failed: bool,
@@ -43,9 +43,12 @@ pub struct Completion {
     pub fast: bool,
 }
 
-impl<M> Effects<M> {
+// Called on every protocol step from other crates: `#[inline]` keeps
+// them inlinable there, as they were while `Effects` was generic.
+impl Effects {
     /// Fresh, empty effects.
-    pub fn new() -> Effects<M> {
+    #[inline]
+    pub fn new() -> Effects {
         Effects {
             sends: Vec::new(),
             staged: Vec::new(),
@@ -56,15 +59,14 @@ impl<M> Effects<M> {
     }
 
     /// Send `msg` to `to`.
-    pub fn send(&mut self, to: ProcessId, msg: M) {
+    #[inline]
+    pub fn send(&mut self, to: ProcessId, msg: Message) {
         self.sends.push((to, msg));
     }
 
     /// Send clones of `msg` to every destination.
-    pub fn broadcast(&mut self, to: impl IntoIterator<Item = ProcessId>, msg: M)
-    where
-        M: Clone,
-    {
+    #[inline]
+    pub fn broadcast(&mut self, to: impl IntoIterator<Item = ProcessId>, msg: Message) {
         for dest in to {
             self.sends.push((dest, msg.clone()));
         }
@@ -77,15 +79,14 @@ impl<M> Effects<M> {
     /// Drivers treat any messages still staged at
     /// [`Effects::into_parts`] as plain sends, so a missed flush degrades
     /// to unbatched delivery rather than losing messages.
-    pub fn stage(&mut self, to: ProcessId, msg: M) {
+    #[inline]
+    pub fn stage(&mut self, to: ProcessId, msg: Message) {
         self.staged.push((to, msg));
     }
 
     /// Stage clones of `msg` for every destination.
-    pub fn stage_broadcast(&mut self, to: impl IntoIterator<Item = ProcessId>, msg: M)
-    where
-        M: Clone,
-    {
+    #[inline]
+    pub fn stage_broadcast(&mut self, to: impl IntoIterator<Item = ProcessId>, msg: Message) {
         for dest in to {
             self.staged.push((dest, msg.clone()));
         }
@@ -94,18 +95,15 @@ impl<M> Effects<M> {
     /// Move everything staged into the outgoing sends, grouped per
     /// destination (in order of each destination's first staged message,
     /// parts in staging order). A destination with a single staged
-    /// message gets it verbatim; multi-message groups are merged through
-    /// [`Payload::batch`] — payload types without a batch envelope fall
-    /// back to individual sends.
+    /// message gets it verbatim; multi-message groups are merged into one
+    /// [`Message::batch`] envelope.
     ///
     /// This is the single place batching enters the round engines: they
     /// stage their round broadcasts and flush once per step, so any
     /// future step that emits several messages to one destination batches
     /// them with no per-variant code.
-    pub fn flush(&mut self)
-    where
-        M: Payload,
-    {
+    #[inline]
+    pub fn flush(&mut self) {
         self.flush_capped(usize::MAX);
     }
 
@@ -115,15 +113,13 @@ impl<M> Effects<M> {
     /// chunked before merging. Used where a
     /// [`BatchConfig`](lucky_types::BatchConfig)'s `max_msgs` bound must
     /// hold on the produced envelopes (e.g. server ack re-batching).
-    pub fn flush_capped(&mut self, max_msgs: usize)
-    where
-        M: Payload,
-    {
+    #[inline]
+    pub fn flush_capped(&mut self, max_msgs: usize) {
         assert!(max_msgs >= 1, "a batch carries at least one message");
         if self.staged.is_empty() {
             return;
         }
-        let mut groups: Vec<(ProcessId, Vec<M>)> = Vec::new();
+        let mut groups: Vec<(ProcessId, Vec<Message>)> = Vec::new();
         for (to, msg) in self.staged.drain(..) {
             match groups.iter_mut().find(|(dest, _)| *dest == to) {
                 Some((_, parts)) => parts.push(msg),
@@ -131,16 +127,13 @@ impl<M> Effects<M> {
             }
         }
         for (to, msgs) in groups {
-            let mut chunk: Vec<M> = Vec::new();
+            let mut chunk: Vec<Message> = Vec::new();
             let mut chunk_parts = 0usize;
-            let emit = |chunk: &mut Vec<M>, sends: &mut Vec<(ProcessId, M)>| {
+            let emit = |chunk: &mut Vec<Message>, sends: &mut Vec<(ProcessId, Message)>| {
                 if chunk.len() == 1 {
                     sends.push((to, chunk.pop().expect("length checked")));
                 } else if chunk.len() > 1 {
-                    match M::batch(std::mem::take(chunk)) {
-                        Ok(batched) => sends.push((to, batched)),
-                        Err(parts) => sends.extend(parts.into_iter().map(|m| (to, m))),
-                    }
+                    sends.push((to, Message::batch(std::mem::take(chunk))));
                 }
             };
             for msg in msgs {
@@ -161,6 +154,7 @@ impl<M> Effects<M> {
     }
 
     /// Start a timer that fires after `delay_micros`, echoing `id`.
+    #[inline]
     pub fn set_timer(&mut self, id: TimerId, delay_micros: u64) {
         self.timers.push((id, delay_micros));
     }
@@ -168,6 +162,7 @@ impl<M> Effects<M> {
     /// Complete the operation in progress. `value` is the READ result
     /// (`None` for WRITEs); `rounds` counts communication round-trips and
     /// `fast` records whether the operation was fast (§2.4: one round).
+    #[inline]
     pub fn complete(&mut self, value: Option<Value>, rounds: u32, fast: bool) {
         debug_assert!(self.completion.is_none(), "operation completed twice in one step");
         self.completion = Some(Completion { value, rounds, fast });
@@ -178,23 +173,27 @@ impl<M> Effects<M> {
     /// completes, and [`World::op_failed`] records the instant.
     ///
     /// [`World::op_failed`]: crate::World::op_failed
+    #[inline]
     pub fn fail_op(&mut self) {
         debug_assert!(self.completion.is_none(), "operation both completed and failed");
         self.failed = true;
     }
 
     /// `true` iff [`Effects::fail_op`] was called this step.
+    #[inline]
     pub fn op_failed(&self) -> bool {
         self.failed
     }
 
     /// Number of queued sends (used by drivers for accounting). Staged
     /// messages count only after [`Effects::flush`].
+    #[inline]
     pub fn send_count(&self) -> usize {
         self.sends.len()
     }
 
     /// `true` iff nothing was emitted (and nothing is staged).
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.sends.is_empty()
             && self.staged.is_empty()
@@ -208,13 +207,17 @@ impl<M> Effects<M> {
     /// Messages still staged (not [`Effects::flush`]ed) are appended as
     /// plain sends so they are never lost.
     #[allow(clippy::type_complexity)]
-    pub fn into_parts(mut self) -> (Vec<(ProcessId, M)>, Vec<(TimerId, u64)>, Option<Completion>) {
+    #[inline]
+    pub fn into_parts(
+        mut self,
+    ) -> (Vec<(ProcessId, Message)>, Vec<(TimerId, u64)>, Option<Completion>) {
         self.sends.append(&mut self.staged);
         (self.sends, self.timers, self.completion)
     }
 }
 
-impl<M> Default for Effects<M> {
+impl Default for Effects {
+    #[inline]
     fn default() -> Self {
         Effects::new()
     }
@@ -234,95 +237,45 @@ impl<M> Default for Effects<M> {
 /// same trait — they may answer anything, but the driver guarantees they
 /// cannot tamper with channels between non-malicious processes, exactly as
 /// in the paper's fault model.
-pub trait Automaton<M>: Send {
+pub trait Automaton: Send {
     /// A client operation is invoked on this process at time `now`.
     /// Servers never receive invocations; the default ignores them.
-    fn on_invoke(&mut self, now: Time, op: Op, eff: &mut Effects<M>) {
+    fn on_invoke(&mut self, now: Time, op: Op, eff: &mut Effects) {
         let _ = (now, op, eff);
     }
 
     /// A message from `from` is delivered at time `now`.
-    fn on_message(&mut self, now: Time, from: ProcessId, msg: M, eff: &mut Effects<M>);
+    fn on_message(&mut self, now: Time, from: ProcessId, msg: Message, eff: &mut Effects);
 
     /// A timer previously started via [`Effects::set_timer`] fired at
     /// time `now`.
-    fn on_timer(&mut self, now: Time, id: TimerId, eff: &mut Effects<M>) {
+    fn on_timer(&mut self, now: Time, id: TimerId, eff: &mut Effects) {
         let _ = (now, id, eff);
     }
 }
 
-/// Message payloads the simulator can account for (wire-size metrics and
-/// trace labels) and optionally coalesce into batches.
-pub trait Payload: Clone + std::fmt::Debug + Send {
-    /// Estimated encoded size in bytes; the default is a fixed header.
-    fn wire_size(&self) -> usize {
-        8
-    }
-
-    /// Short label for trace output (e.g. `"PW_ACK"`).
-    fn label(&self) -> &'static str {
-        "msg"
-    }
-
-    /// Merge several payloads bound for one destination into a single
-    /// wire message, or give the parts back (`Err`) if this payload type
-    /// has no batch envelope. The default has none, so batching-aware
-    /// drivers degrade to individual sends for plain payloads.
-    fn batch(parts: Vec<Self>) -> Result<Self, Vec<Self>>
-    where
-        Self: Sized,
-    {
-        Err(parts)
-    }
-
-    /// Number of protocol messages this payload carries — more than 1
-    /// only for an already-batched envelope. Drivers enforcing a
-    /// `max_msgs` bound count these, not envelopes, so re-batching can
-    /// never compound past the bound.
-    fn part_count(&self) -> usize {
-        1
-    }
-}
-
-impl Payload for Message {
-    fn wire_size(&self) -> usize {
-        Message::wire_size(self)
-    }
-
-    fn label(&self) -> &'static str {
-        self.kind()
-    }
-
-    fn batch(parts: Vec<Self>) -> Result<Self, Vec<Self>> {
-        Ok(Message::batch(parts))
-    }
-
-    fn part_count(&self) -> usize {
-        Message::part_count(self)
-    }
-}
-
-impl Payload for u32 {}
-impl Payload for u64 {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lucky_types::ServerId;
+    use lucky_types::{ReadMsg, ReadSeq, RegisterId, ServerId};
+
+    fn read(reg: u32) -> Message {
+        Message::Read(ReadMsg { reg: RegisterId(reg), tsr: ReadSeq(1), rnd: 1 })
+    }
 
     #[test]
     fn effects_accumulate_sends() {
-        let mut eff: Effects<u32> = Effects::new();
+        let mut eff = Effects::new();
         assert!(eff.is_empty());
-        eff.send(ProcessId::Writer, 1);
-        eff.broadcast(ServerId::all(3).map(ProcessId::from), 2);
+        eff.send(ProcessId::Writer, read(0));
+        eff.broadcast(ServerId::all(3).map(ProcessId::from), read(1));
         assert_eq!(eff.send_count(), 4);
         assert!(!eff.is_empty());
     }
 
     #[test]
     fn effects_record_completion() {
-        let mut eff: Effects<u32> = Effects::new();
+        let mut eff = Effects::new();
         eff.complete(Some(Value::from_u64(3)), 2, false);
         let c = eff.completion.unwrap();
         assert_eq!(c.rounds, 2);
@@ -332,44 +285,26 @@ mod tests {
 
     #[test]
     fn effects_record_timers() {
-        let mut eff: Effects<u32> = Effects::new();
+        let mut eff = Effects::new();
         eff.set_timer(TimerId(7), 250);
         assert_eq!(eff.timers, vec![(TimerId(7), 250)]);
     }
 
-    use lucky_types::Value;
-
     #[test]
     fn default_is_empty() {
-        let eff: Effects<u64> = Effects::default();
-        assert!(eff.is_empty());
-    }
-
-    #[test]
-    fn staged_messages_flush_as_plain_sends_without_a_batch_envelope() {
-        // u32 has no batch form: flush degrades to individual sends.
-        let mut eff: Effects<u32> = Effects::new();
-        let dest = ProcessId::Server(ServerId(0));
-        eff.stage(dest, 1);
-        eff.stage(dest, 2);
-        assert_eq!(eff.send_count(), 0, "staged messages are not sends yet");
-        assert!(!eff.is_empty(), "…but the effects are not empty either");
-        eff.flush();
-        let (sends, _, _) = eff.into_parts();
-        assert_eq!(sends, vec![(dest, 1), (dest, 2)]);
+        assert!(Effects::default().is_empty());
     }
 
     #[test]
     fn flush_batches_message_groups_per_destination() {
-        use lucky_types::{Message, ReadMsg, ReadSeq, RegisterId};
-        let read =
-            |reg: u32| Message::Read(ReadMsg { reg: RegisterId(reg), tsr: ReadSeq(1), rnd: 1 });
-        let mut eff: Effects<Message> = Effects::new();
+        let mut eff = Effects::new();
         let s0 = ProcessId::Server(ServerId(0));
         let s1 = ProcessId::Server(ServerId(1));
         eff.stage(s0, read(0));
         eff.stage(s1, read(0));
         eff.stage(s0, read(1));
+        assert_eq!(eff.send_count(), 0, "staged messages are not sends yet");
+        assert!(!eff.is_empty(), "…but the effects are not empty either");
         eff.flush();
         let (sends, _, _) = eff.into_parts();
         assert_eq!(sends.len(), 2, "one wire message per destination");
@@ -382,10 +317,7 @@ mod tests {
 
     #[test]
     fn flush_capped_counts_flattened_parts_not_envelopes() {
-        use lucky_types::{Message, ReadMsg, ReadSeq, RegisterId};
-        let read =
-            |reg: u32| Message::Read(ReadMsg { reg: RegisterId(reg), tsr: ReadSeq(1), rnd: 1 });
-        let mut eff: Effects<Message> = Effects::new();
+        let mut eff = Effects::new();
         let dest = ProcessId::Server(ServerId(0));
         // Stage a pre-formed 3-part batch plus two plain messages with a
         // cap of 4: 3+1 fit in the first envelope, the last goes alone.
@@ -400,11 +332,11 @@ mod tests {
 
     #[test]
     fn unflushed_staged_messages_survive_into_parts() {
-        let mut eff: Effects<u32> = Effects::new();
+        let mut eff = Effects::new();
         let dest = ProcessId::Server(ServerId(0));
-        eff.send(dest, 1);
-        eff.stage(dest, 2);
+        eff.send(dest, read(1));
+        eff.stage(dest, read(2));
         let (sends, _, _) = eff.into_parts();
-        assert_eq!(sends, vec![(dest, 1), (dest, 2)], "staged messages are never lost");
+        assert_eq!(sends, vec![(dest, read(1)), (dest, read(2))], "staged messages are never lost");
     }
 }

@@ -20,29 +20,31 @@
 //! * crash faults are scheduled points in time; Byzantine faults are just
 //!   different `Automaton` implementations installed at a server's id.
 //!
-//! The simulator is generic over the message payload type, so the lucky
-//! protocols and the ABD baseline share it.
+//! Processes exchange the protocols' [`Message`](lucky_types::Message),
+//! so a simulated run carries exactly the messages the wire codec
+//! encodes, and its byte counts are codec bytes.
 //!
 //! ```
 //! use lucky_sim::{Automaton, Effects, NetworkModel, World};
-//! use lucky_types::{Op, ProcessId, ServerId, Time, Value};
+//! use lucky_types::{Message, Op, ProcessId, ReadMsg, ReadSeq, RegisterId, ServerId, Time, Value};
 //!
-//! /// A server that echoes every message back to its sender, plus one.
+//! /// A server that echoes every message back to its sender.
 //! struct Echo;
-//! impl Automaton<u32> for Echo {
-//!     fn on_message(&mut self, _now: Time, from: ProcessId, msg: u32, eff: &mut Effects<u32>) {
-//!         eff.send(from, msg + 1);
+//! impl Automaton for Echo {
+//!     fn on_message(&mut self, _now: Time, from: ProcessId, msg: Message, eff: &mut Effects) {
+//!         eff.send(from, msg);
 //!     }
 //! }
 //!
 //! /// A client that sends one probe and completes on the reply.
 //! struct Probe;
-//! impl Automaton<u32> for Probe {
-//!     fn on_invoke(&mut self, _now: Time, _op: Op, eff: &mut Effects<u32>) {
-//!         eff.send(ProcessId::Server(ServerId(0)), 41);
+//! impl Automaton for Probe {
+//!     fn on_invoke(&mut self, _now: Time, _op: Op, eff: &mut Effects) {
+//!         let probe = ReadMsg { reg: RegisterId::DEFAULT, tsr: ReadSeq(1), rnd: 1 };
+//!         eff.send(ProcessId::Server(ServerId(0)), Message::Read(probe));
 //!     }
-//!     fn on_message(&mut self, _now: Time, _from: ProcessId, msg: u32, eff: &mut Effects<u32>) {
-//!         assert_eq!(msg, 42);
+//!     fn on_message(&mut self, _now: Time, _from: ProcessId, msg: Message, eff: &mut Effects) {
+//!         assert_eq!(msg.kind(), "READ");
 //!         eff.complete(None, 1, true);
 //!     }
 //! }
@@ -62,6 +64,6 @@ mod automaton;
 mod network;
 mod world;
 
-pub use automaton::{Automaton, Completion, Effects, Payload, TimerId};
+pub use automaton::{Automaton, Completion, Effects, TimerId};
 pub use network::{Delay, NetworkModel};
 pub use world::{RunError, TraceEntry, World};

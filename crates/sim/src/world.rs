@@ -1,8 +1,8 @@
 //! The simulation engine.
 
-use crate::automaton::{Automaton, Completion, Effects, Payload, TimerId};
+use crate::automaton::{Automaton, Completion, Effects, TimerId};
 use crate::network::NetworkModel;
-use lucky_types::{BatchConfig, History, Op, OpId, OpRecord, ProcessId, RegisterId, Time};
+use lucky_types::{BatchConfig, History, Message, Op, OpId, OpRecord, ProcessId, RegisterId, Time};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, BTreeSet};
@@ -67,10 +67,10 @@ impl fmt::Display for TraceEntry {
     }
 }
 
-enum EventKind<M> {
+enum EventKind {
     Deliver {
         from: ProcessId,
-        msg: M,
+        msg: Message,
     },
     Timer {
         id: TimerId,
@@ -84,27 +84,27 @@ enum EventKind<M> {
     /// the durable log holds at that point of the schedule, not at the
     /// (earlier) instant the restart was scheduled.
     Restart {
-        build: Box<dyn FnOnce() -> Box<dyn Automaton<M>> + Send>,
+        build: Box<dyn FnOnce() -> Box<dyn Automaton> + Send>,
     },
 }
 
-struct ProcEntry<M> {
-    automaton: Box<dyn Automaton<M>>,
+struct ProcEntry {
+    automaton: Box<dyn Automaton>,
     alive: bool,
 }
 
 /// The deterministic discrete-event world: processes, clock, network.
 ///
 /// See the crate-level docs for an end-to-end example.
-pub struct World<M> {
+pub struct World {
     now: Time,
     seq: u64,
-    queue: BTreeMap<(Time, u64), (ProcessId, EventKind<M>)>,
-    procs: BTreeMap<ProcessId, ProcEntry<M>>,
+    queue: BTreeMap<(Time, u64), (ProcessId, EventKind)>,
+    procs: BTreeMap<ProcessId, ProcEntry>,
     net: NetworkModel,
     rng: SmallRng,
     gates: BTreeSet<(ProcessId, ProcessId)>,
-    held: BTreeMap<(ProcessId, ProcessId), Vec<M>>,
+    held: BTreeMap<(ProcessId, ProcessId), Vec<Message>>,
     history: History,
     op_index: BTreeMap<OpId, usize>,
     pending: BTreeMap<ProcessId, OpId>,
@@ -120,7 +120,7 @@ pub struct World<M> {
     tracer: Option<Arc<lucky_trace::Tracer>>,
 }
 
-impl<M> fmt::Debug for World<M> {
+impl fmt::Debug for World {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("World")
             .field("now", &self.now)
@@ -131,10 +131,10 @@ impl<M> fmt::Debug for World<M> {
     }
 }
 
-impl<M: Payload> World<M> {
+impl World {
     /// Create a world with the given network model and RNG seed. Runs with
     /// equal seeds, processes and schedules are bit-for-bit identical.
-    pub fn new(net: NetworkModel, seed: u64) -> World<M> {
+    pub fn new(net: NetworkModel, seed: u64) -> World {
         World {
             now: Time::ZERO,
             seq: 0,
@@ -158,7 +158,7 @@ impl<M: Payload> World<M> {
 
     /// Install a wire-message batching policy. When enabled, the messages
     /// one process step sends to a single destination travel as one
-    /// [`Payload::batch`] wire message — one schedulable event, one
+    /// [`Message::batch`] wire message — one schedulable event, one
     /// sampled network delay, atomic in-order delivery of its parts — and
     /// [`World::release`] delivers a gated link's backlog the same way.
     /// Disabled (the default), scheduling is exactly the pre-batching
@@ -212,7 +212,7 @@ impl<M: Payload> World<M> {
 
     /// Install a process. Replaces any previous automaton at this id
     /// (used to install Byzantine behaviours at a server's address).
-    pub fn add_process(&mut self, id: ProcessId, automaton: Box<dyn Automaton<M>>) {
+    pub fn add_process(&mut self, id: ProcessId, automaton: Box<dyn Automaton>) {
         self.procs.insert(id, ProcEntry { automaton, alive: true });
     }
 
@@ -291,7 +291,7 @@ impl<M: Payload> World<M> {
         &mut self,
         p: ProcessId,
         at: Time,
-        build: Box<dyn FnOnce() -> Box<dyn Automaton<M>> + Send>,
+        build: Box<dyn FnOnce() -> Box<dyn Automaton> + Send>,
     ) {
         self.schedule(at, p, EventKind::Restart { build });
     }
@@ -342,23 +342,19 @@ impl<M: Payload> World<M> {
     /// according to the batching policy: chunks of up to `max_msgs`
     /// *flattened* parts (an input may itself be a pre-formed batch, and
     /// merging flattens, so the bound is on protocol messages, not
-    /// envelopes), single-message chunks staying plain. Payload types
-    /// without a batch envelope pass through untouched.
-    fn coalesce(&self, msgs: Vec<M>) -> Vec<M> {
+    /// envelopes), single-message chunks staying plain.
+    fn coalesce(&self, msgs: Vec<Message>) -> Vec<Message> {
         if !self.batch.enabled || msgs.len() <= 1 {
             return msgs;
         }
         let mut out = Vec::new();
-        let mut chunk: Vec<M> = Vec::new();
+        let mut chunk: Vec<Message> = Vec::new();
         let mut chunk_parts = 0usize;
-        let flush = |chunk: &mut Vec<M>, out: &mut Vec<M>| {
+        let flush = |chunk: &mut Vec<Message>, out: &mut Vec<Message>| {
             if chunk.len() == 1 {
                 out.append(chunk);
             } else if chunk.len() > 1 {
-                match M::batch(std::mem::take(chunk)) {
-                    Ok(batched) => out.push(batched),
-                    Err(parts) => out.extend(parts),
-                }
+                out.push(Message::batch(std::mem::take(chunk)));
             }
         };
         for msg in msgs {
@@ -405,7 +401,7 @@ impl<M: Payload> World<M> {
     /// to script Byzantine senders; honest processes send exclusively
     /// through their automaton's [`Effects`]. Gates on the link apply as
     /// usual.
-    pub fn send_as(&mut self, from: ProcessId, to: ProcessId, msg: M) {
+    pub fn send_as(&mut self, from: ProcessId, to: ProcessId, msg: Message) {
         if self.gates.contains(&(from, to)) {
             self.held.entry((from, to)).or_default().push(msg);
         } else {
@@ -506,12 +502,7 @@ impl<M: Payload> World<M> {
             EventKind::Deliver { from, msg } => {
                 self.account_delivery(proc_id, &msg);
                 if let Some(trace) = &mut self.trace {
-                    trace.push(TraceEntry {
-                        time: self.now,
-                        from,
-                        to: proc_id,
-                        label: msg.label(),
-                    });
+                    trace.push(TraceEntry { time: self.now, from, to: proc_id, label: msg.kind() });
                 }
                 if let Some(tracer) = &self.tracer {
                     if tracer.is_enabled() {
@@ -613,13 +604,13 @@ impl<M: Payload> World<M> {
     // Internals
     // ------------------------------------------------------------------
 
-    fn schedule(&mut self, at: Time, to: ProcessId, kind: EventKind<M>) {
+    fn schedule(&mut self, at: Time, to: ProcessId, kind: EventKind) {
         let key = (at, self.seq);
         self.seq += 1;
         self.queue.insert(key, (to, kind));
     }
 
-    fn account_delivery(&mut self, to: ProcessId, msg: &M) {
+    fn account_delivery(&mut self, to: ProcessId, msg: &Message) {
         if to.is_client() {
             if let Some(&op) = self.pending.get(&to) {
                 let idx = self.op_index[&op];
@@ -630,7 +621,7 @@ impl<M: Payload> World<M> {
         }
     }
 
-    fn apply_effects(&mut self, from: ProcessId, eff: Effects<M>) {
+    fn apply_effects(&mut self, from: ProcessId, eff: Effects) {
         let Effects { mut sends, mut staged, timers, completion, failed } = eff;
         // Anything left staged (un-flushed) degrades to plain sends.
         sends.append(&mut staged);
@@ -638,7 +629,7 @@ impl<M: Payload> World<M> {
         // Disabled, this is the identity — same messages, same RNG draw
         // order — so unbatched runs are bit-identical to pre-batching.
         let sends = if self.batch.enabled {
-            let mut groups: Vec<(ProcessId, Vec<M>)> = Vec::new();
+            let mut groups: Vec<(ProcessId, Vec<Message>)> = Vec::new();
             for (to, msg) in sends {
                 match groups.iter_mut().find(|(dest, _)| *dest == to) {
                     Some((_, parts)) => parts.push(msg),
@@ -718,13 +709,18 @@ impl<M: Payload> World<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lucky_types::{ServerId, Value};
+    use lucky_types::{ReadMsg, ReadSeq, ServerId, Value};
 
-    /// Echo server used by the engine tests: replies `msg + 1`.
+    /// The one message the toy automata below exchange.
+    fn probe() -> Message {
+        Message::Read(ReadMsg { reg: RegisterId::DEFAULT, tsr: ReadSeq(1), rnd: 1 })
+    }
+
+    /// Echo server used by the engine tests: replies with what it got.
     struct Echo;
-    impl Automaton<u32> for Echo {
-        fn on_message(&mut self, _now: Time, from: ProcessId, msg: u32, eff: &mut Effects<u32>) {
-            eff.send(from, msg + 1);
+    impl Automaton for Echo {
+        fn on_message(&mut self, _now: Time, from: ProcessId, msg: Message, eff: &mut Effects) {
+            eff.send(from, msg);
         }
     }
 
@@ -733,13 +729,13 @@ mod tests {
         expect: usize,
         got: usize,
     }
-    impl Automaton<u32> for FanOut {
-        fn on_invoke(&mut self, _now: Time, _op: Op, eff: &mut Effects<u32>) {
+    impl Automaton for FanOut {
+        fn on_invoke(&mut self, _now: Time, _op: Op, eff: &mut Effects) {
             for s in ServerId::all(self.expect) {
-                eff.send(ProcessId::Server(s), 0);
+                eff.send(ProcessId::Server(s), probe());
             }
         }
-        fn on_message(&mut self, _now: Time, _from: ProcessId, _msg: u32, eff: &mut Effects<u32>) {
+        fn on_message(&mut self, _now: Time, _from: ProcessId, _msg: Message, eff: &mut Effects) {
             self.got += 1;
             if self.got == self.expect {
                 eff.complete(Some(Value::from_u64(self.got as u64)), 1, true);
@@ -749,19 +745,18 @@ mod tests {
 
     /// Client that completes when its timer fires.
     struct TimerClient;
-    impl Automaton<u32> for TimerClient {
-        fn on_invoke(&mut self, _now: Time, _op: Op, eff: &mut Effects<u32>) {
+    impl Automaton for TimerClient {
+        fn on_invoke(&mut self, _now: Time, _op: Op, eff: &mut Effects) {
             eff.set_timer(TimerId(3), 777);
         }
-        fn on_message(&mut self, _now: Time, _from: ProcessId, _msg: u32, _eff: &mut Effects<u32>) {
-        }
-        fn on_timer(&mut self, _now: Time, id: TimerId, eff: &mut Effects<u32>) {
+        fn on_message(&mut self, _now: Time, _from: ProcessId, _msg: Message, _eff: &mut Effects) {}
+        fn on_timer(&mut self, _now: Time, id: TimerId, eff: &mut Effects) {
             assert_eq!(id, TimerId(3));
             eff.complete(None, 1, false);
         }
     }
 
-    fn fan_out_world(servers: usize, seed: u64) -> World<u32> {
+    fn fan_out_world(servers: usize, seed: u64) -> World {
         let mut w = World::new(NetworkModel::constant(50), seed);
         for s in ServerId::all(servers) {
             w.add_process(ProcessId::Server(s), Box::new(Echo));
@@ -783,7 +778,7 @@ mod tests {
 
     #[test]
     fn timer_fires_at_requested_delay() {
-        let mut w: World<u32> = World::new(NetworkModel::constant(50), 0);
+        let mut w = World::new(NetworkModel::constant(50), 0);
         w.add_process(ProcessId::Writer, Box::new(TimerClient));
         let op = w.invoke(ProcessId::Writer, Op::Read);
         let rec = w.run_until_complete(op).unwrap();
@@ -898,7 +893,7 @@ mod tests {
 
     #[test]
     fn run_until_advances_clock_even_when_idle() {
-        let mut w: World<u32> = World::new(NetworkModel::constant(1), 0);
+        let mut w = World::new(NetworkModel::constant(1), 0);
         w.add_process(ProcessId::Writer, Box::new(TimerClient));
         w.run_until(Time(5000));
         assert_eq!(w.now(), Time(5000));
@@ -906,7 +901,7 @@ mod tests {
 
     #[test]
     fn run_until_only_processes_events_up_to_deadline() {
-        let mut w: World<u32> = World::new(NetworkModel::constant(1), 0);
+        let mut w = World::new(NetworkModel::constant(1), 0);
         w.add_process(ProcessId::Writer, Box::new(TimerClient));
         let op = w.invoke(ProcessId::Writer, Op::Read); // timer at 777
         w.run_until(Time(700));
@@ -945,7 +940,7 @@ mod tests {
 
     mod batching {
         use super::*;
-        use lucky_types::{BatchConfig, Message, ReadMsg, ReadSeq, RegisterId};
+        use lucky_types::BatchConfig;
 
         fn read(reg: u32) -> Message {
             Message::Read(ReadMsg { reg: RegisterId(reg), tsr: ReadSeq(1), rnd: 1 })
@@ -957,8 +952,8 @@ mod tests {
             n: usize,
             got: usize,
         }
-        impl Automaton<Message> for MultiSend {
-            fn on_invoke(&mut self, _now: Time, _op: Op, eff: &mut Effects<Message>) {
+        impl Automaton for MultiSend {
+            fn on_invoke(&mut self, _now: Time, _op: Op, eff: &mut Effects) {
                 for reg in 0..self.n {
                     eff.send(ProcessId::Server(ServerId(0)), read(reg as u32));
                 }
@@ -968,7 +963,7 @@ mod tests {
                 _now: Time,
                 _from: ProcessId,
                 msg: Message,
-                eff: &mut Effects<Message>,
+                eff: &mut Effects,
             ) {
                 self.got += msg.part_count();
                 if self.got >= self.n {
@@ -979,20 +974,14 @@ mod tests {
 
         /// Echoes every delivery straight back (batches echoed whole).
         struct EchoBack;
-        impl Automaton<Message> for EchoBack {
-            fn on_message(
-                &mut self,
-                _now: Time,
-                from: ProcessId,
-                msg: Message,
-                eff: &mut Effects<Message>,
-            ) {
+        impl Automaton for EchoBack {
+            fn on_message(&mut self, _now: Time, from: ProcessId, msg: Message, eff: &mut Effects) {
                 eff.send(from, msg);
             }
         }
 
-        fn world(batch: BatchConfig, n: usize) -> (World<Message>, OpId) {
-            let mut w: World<Message> = World::new(NetworkModel::constant(50), 0);
+        fn world(batch: BatchConfig, n: usize) -> (World, OpId) {
+            let mut w = World::new(NetworkModel::constant(50), 0);
             w.set_batch(batch);
             w.add_process(ProcessId::Server(ServerId(0)), Box::new(EchoBack));
             w.add_process(ProcessId::Writer, Box::new(MultiSend { n, got: 0 }));
@@ -1037,26 +1026,19 @@ mod tests {
 
         #[test]
         fn disabled_batching_is_the_default() {
-            let w: World<Message> = World::new(NetworkModel::constant(1), 0);
+            let w = World::new(NetworkModel::constant(1), 0);
             assert!(!w.batch().enabled);
         }
 
         /// Absorbs every delivery (a client with no operation pending).
         struct Sink;
-        impl Automaton<Message> for Sink {
-            fn on_message(
-                &mut self,
-                _n: Time,
-                _f: ProcessId,
-                _m: Message,
-                _e: &mut Effects<Message>,
-            ) {
-            }
+        impl Automaton for Sink {
+            fn on_message(&mut self, _n: Time, _f: ProcessId, _m: Message, _e: &mut Effects) {}
         }
 
         #[test]
         fn release_bounds_batches_by_flattened_parts_not_envelopes() {
-            let mut w: World<Message> = World::new(NetworkModel::constant(50), 0);
+            let mut w = World::new(NetworkModel::constant(50), 0);
             w.set_batch(BatchConfig::enabled(4));
             let s0 = ProcessId::Server(ServerId(0));
             w.add_process(s0, Box::new(EchoBack));
@@ -1082,27 +1064,31 @@ mod tests {
 mod trace_tests {
     use super::*;
     use crate::automaton::{Automaton, Effects};
-    use lucky_types::{Op, ServerId};
+    use lucky_types::{Op, ReadMsg, ReadSeq, ServerId};
+
+    fn probe() -> Message {
+        Message::Read(ReadMsg { reg: RegisterId::DEFAULT, tsr: ReadSeq(1), rnd: 1 })
+    }
 
     struct Echo;
-    impl Automaton<u32> for Echo {
-        fn on_message(&mut self, _now: Time, from: ProcessId, msg: u32, eff: &mut Effects<u32>) {
-            eff.send(from, msg + 1);
+    impl Automaton for Echo {
+        fn on_message(&mut self, _now: Time, from: ProcessId, msg: Message, eff: &mut Effects) {
+            eff.send(from, msg);
         }
     }
     struct Probe;
-    impl Automaton<u32> for Probe {
-        fn on_invoke(&mut self, _now: Time, _op: Op, eff: &mut Effects<u32>) {
-            eff.send(ProcessId::Server(ServerId(0)), 1);
+    impl Automaton for Probe {
+        fn on_invoke(&mut self, _now: Time, _op: Op, eff: &mut Effects) {
+            eff.send(ProcessId::Server(ServerId(0)), probe());
         }
-        fn on_message(&mut self, _now: Time, _from: ProcessId, _msg: u32, eff: &mut Effects<u32>) {
+        fn on_message(&mut self, _now: Time, _from: ProcessId, _msg: Message, eff: &mut Effects) {
             eff.complete(None, 1, true);
         }
     }
 
     #[test]
     fn trace_records_processed_deliveries_in_order() {
-        let mut w: World<u32> = World::new(NetworkModel::constant(10), 0);
+        let mut w = World::new(NetworkModel::constant(10), 0);
         w.add_process(ProcessId::Server(ServerId(0)), Box::new(Echo));
         w.add_process(ProcessId::Writer, Box::new(Probe));
         w.enable_trace();
@@ -1114,6 +1100,8 @@ mod trace_tests {
         assert_eq!(trace[0].to, ProcessId::Server(ServerId(0)));
         assert_eq!(trace[1].from, ProcessId::Server(ServerId(0)));
         assert!(trace[0].time <= trace[1].time);
+        // Entries carry the message kind as their label.
+        assert_eq!(trace[0].label, "READ");
         // Display renders a readable line.
         let line = trace[0].to_string();
         assert!(line.contains("w") && line.contains("s0"));
@@ -1121,20 +1109,11 @@ mod trace_tests {
 
     #[test]
     fn trace_is_empty_when_disabled() {
-        let mut w: World<u32> = World::new(NetworkModel::constant(10), 0);
+        let mut w = World::new(NetworkModel::constant(10), 0);
         w.add_process(ProcessId::Server(ServerId(0)), Box::new(Echo));
         w.add_process(ProcessId::Writer, Box::new(Probe));
         let op = w.invoke(ProcessId::Writer, Op::Read);
         w.run_until_complete(op).unwrap();
         assert!(w.trace().is_empty());
-    }
-
-    #[test]
-    fn protocol_messages_have_labels() {
-        use crate::automaton::Payload;
-        use lucky_types::{Message, ReadMsg, ReadSeq};
-        let m = Message::Read(ReadMsg { reg: RegisterId::DEFAULT, tsr: ReadSeq(1), rnd: 1 });
-        assert_eq!(Payload::label(&m), "READ");
-        assert_eq!(Payload::label(&42u32), "msg");
     }
 }

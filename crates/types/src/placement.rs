@@ -20,7 +20,7 @@
 //! assert_eq!(placement.group_of(RegisterId(7)), g);
 //! ```
 
-use crate::RegisterId;
+use crate::{splitmix64, RegisterId};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -49,16 +49,6 @@ impl fmt::Display for GroupId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "g{}", self.0)
     }
-}
-
-/// SplitMix64: the ring's station hash and the register hash. Chosen for
-/// determinism and full-avalanche mixing with zero dependencies — the
-/// placement must hash identically on every node that routes.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// The register → server-group routing table.

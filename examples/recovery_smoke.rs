@@ -1,6 +1,6 @@
 //! Crash-restart recovery smoke run (also wired into CI).
 //!
-//! For **all three protocol variants**, runs a durable multi-register
+//! For **all three protocol variants and the ABD baseline**, runs a durable multi-register
 //! store through a mid-run server crash + restart on **both runtimes**:
 //!
 //! * the deterministic simulator ([`SimStore`]), where the restart
@@ -15,7 +15,7 @@
 //! can only be correct if the restarted server replayed its
 //! `lucky-log` state (everything it acked before the crash, persisted
 //! *before* the ack left the node). Asserts checker-clean histories,
-//! correct values, and a nonzero `recoveries` count on every variant.
+//! correct values, and a nonzero `recoveries` count on every setup.
 //!
 //! ```sh
 //! cargo run --release --example recovery_smoke
@@ -35,7 +35,7 @@ fn value(round: u64, reg: RegisterId) -> Value {
     Value::from_u64(round * 100 + reg.0 as u64)
 }
 
-fn variants() -> [(&'static str, Setup); 3] {
+fn variants() -> [(&'static str, Setup); 4] {
     [
         ("atomic (§3)", Setup::Atomic(Params::new(2, 1, 1, 0).expect("valid params"))),
         (
@@ -43,6 +43,7 @@ fn variants() -> [(&'static str, Setup); 3] {
             Setup::TwoRound(TwoRoundParams::new(2, 1, 1).expect("valid params")),
         ),
         ("regular (App. D)", Setup::Regular(Params::trading_reads(2, 1).expect("valid params"))),
+        ("ABD (baseline)", Setup::Abd { t: 2 }),
     ]
 }
 
@@ -136,5 +137,5 @@ fn main() {
         let stats = run_tcp(name, setup);
         println!("{name:<20} tcp: {stats}");
     }
-    println!("\nall three variants checker-clean across crash-restart on both runtimes");
+    println!("\nall four setups checker-clean across crash-restart on both runtimes");
 }

@@ -10,10 +10,10 @@
 //! * [`sim`] — the deterministic discrete-event simulator the protocols are
 //!   evaluated on;
 //! * [`core`] — the protocol cores (atomic §3, two-round Appendix C,
-//!   regular Appendix D), Byzantine behaviours and the simulated store
-//!   ([`core::StoreConfig`] → [`core::SimStore`]);
+//!   regular Appendix D, and the crash-only ABD baseline), Byzantine
+//!   behaviours and the simulated store ([`core::StoreConfig`] →
+//!   [`core::SimStore`]);
 //! * [`checker`] — atomicity / regularity / safeness history checkers;
-//! * [`baselines`] — the ABD crash-only register used for comparison;
 //! * [`wire`] — the hand-rolled binary codec and framing every byte on
 //!   the real wire goes through;
 //! * [`log`] — the append-only durable per-register backend servers
@@ -51,7 +51,6 @@
 
 #![forbid(unsafe_code)]
 
-pub use lucky_baselines as baselines;
 pub use lucky_checker as checker;
 pub use lucky_core as core;
 pub use lucky_explore as explore;

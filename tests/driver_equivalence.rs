@@ -6,7 +6,7 @@
 //! Both run the same worker loop over the same sans-io `ClientSession`,
 //! so for a deterministic (sequential-per-register) workload they must
 //! produce **identical `OpOutcome` streams** — register, kind and value,
-//! for all three protocol variants — each equal to the stream this file
+//! for all three protocol variants and ABD — each equal to the stream this file
 //! derives from `value_for`, with identical checker verdicts; for a
 //! concurrent workload, where wall-clock interleavings legitimately
 //! differ, the per-register linearizability/regularity oracles must pass
@@ -29,6 +29,7 @@ fn setups() -> Vec<Setup> {
         Setup::Atomic(Params::new(2, 1, 1, 0).unwrap()),
         Setup::TwoRound(TwoRoundParams::new(2, 1, 1).unwrap()),
         Setup::Regular(Params::trading_reads(2, 1).unwrap()),
+        Setup::Abd { t: 2 },
     ]
 }
 
@@ -62,10 +63,15 @@ fn builder(setup: Setup, driver: Driver, faulty: bool) -> NetStoreBuilder {
         .driver(driver);
     if faulty {
         // One crashed server plus one value-forging Byzantine server:
-        // within every variant's fault budget (t = 2, b = 1).
-        b = b
-            .crashed(0)
-            .byzantine(1, Box::new(ForgeValue::new(TsVal::new(Seq(77), Value::from_u64(666)))));
+        // within every variant's fault budget (t = 2, b = 1). ABD
+        // tolerates no Byzantine server, so its second fault is a crash.
+        b = b.crashed(0);
+        b = match setup {
+            Setup::Abd { .. } => b.crashed(1),
+            _ => {
+                b.byzantine(1, Box::new(ForgeValue::new(TsVal::new(Seq(77), Value::from_u64(666)))))
+            }
+        };
     }
     b
 }
@@ -188,7 +194,7 @@ fn concurrent_workloads_stay_checker_clean_under_both_drivers() {
 #[test]
 fn crash_plus_byzantine_over_tcp_is_driver_independent() {
     // The acceptance run: a crashed server and a value-forging Byzantine
-    // server over real sockets, all three variants, both strategies —
+    // server over real sockets (two crashes for ABD), every setup, both strategies —
     // identical deterministic streams and clean checker verdicts.
     for setup in setups() {
         for &driver in tcp_drivers() {
@@ -258,6 +264,7 @@ fn round_counts_and_luck_classification_are_identical_across_drivers() {
             .into_iter()
             .map(|(reg, kind, v)| match setup {
                 Setup::TwoRound(_) if kind == OpKind::Write => (reg, kind, v, 2, false),
+                Setup::Abd { .. } if kind == OpKind::Read => (reg, kind, v, 2, false),
                 _ => (reg, kind, v, 1, true),
             })
             .collect();

@@ -1,4 +1,5 @@
-//! All three protocol variants on the threaded `lucky-net` runtime.
+//! All three protocol variants, and the ABD baseline, on the threaded
+//! `lucky-net` runtime.
 //!
 //! Until the round-engine refactor the threaded runtime could only run
 //! the atomic algorithm; these tests pin down that the two-round
@@ -87,6 +88,30 @@ fn regular_variant_reads_despite_fr_crash() {
     // schedule, fast — not asserted here, wall clocks are not synchrony).
     let r = h.read(0).unwrap();
     assert_eq!(r.value.as_u64(), Some(9));
+    store.shutdown();
+}
+
+#[test]
+fn abd_runs_on_tcp_with_t_servers_crashed() {
+    // t = 2 → S = 5; with two servers down every quorum is the other
+    // three. ABD's round counts hold on every schedule: a WRITE is one
+    // round trip, a READ always two (query, then write-back).
+    let mut store = NetStore::builder(Setup::Abd { t: 2 }, fast_cfg())
+        .readers_per_register(2)
+        .crashed(0)
+        .crashed(3)
+        .build();
+    let h = store.register(RegisterId(0)).unwrap();
+    for i in 1..=5u64 {
+        let w = h.write(Value::from_u64(i)).unwrap();
+        assert_eq!(w.rounds, 1, "ABD writes are one round");
+        for j in 0..2 {
+            let r = h.read(j).unwrap();
+            assert_eq!(r.rounds, 2, "ABD reads are two rounds");
+            assert_eq!(r.value.as_u64(), Some(i));
+        }
+    }
+    store.check_atomicity().unwrap();
     store.shutdown();
 }
 
