@@ -25,16 +25,16 @@
 use crate::config::ProtocolConfig;
 use crate::engine::{ReadEngine, ReadPolicy, WriteEngine, WritePolicy};
 use crate::predicates::Thresholds;
-use crate::runtime::{ClientCore, ServerCore};
+use crate::runtime::ServerCore;
 use crate::view::ViewTable;
 use lucky_sim::Effects;
 use lucky_types::{
-    FrozenSlot, Message, Op, ProcessId, PwAckMsg, ReadAckMsg, RegisterId, TsVal, WriteAckMsg,
+    FrozenSlot, Message, ProcessId, PwAckMsg, ReadAckMsg, RegisterId, TsVal, WriteAckMsg,
 };
 
 /// ABD's WRITE: one round, complete on a majority of acks.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct AbdWritePolicy {
+pub struct AbdWritePolicy {
     servers: usize,
 }
 
@@ -68,7 +68,7 @@ impl WritePolicy for AbdWritePolicy {
 
 /// ABD's READ: a majority query, then one write-back round.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct AbdReadPolicy {
+pub struct AbdReadPolicy {
     servers: usize,
     thresholds: Thresholds,
 }
@@ -111,54 +111,23 @@ fn thresholds(servers: usize) -> Thresholds {
     }
 }
 
-/// The ABD writer of register `reg`.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct AbdWriter(WriteEngine<AbdWritePolicy>);
+/// The ABD writer: the shared [`WriteEngine`] over [`AbdWritePolicy`].
+pub type AbdWriter = WriteEngine<AbdWritePolicy>;
 
-impl AbdWriter {
-    /// A fresh writer of register `reg` over `S = 2t + 1` servers.
-    pub fn for_register(reg: RegisterId, t: usize) -> AbdWriter {
-        // No PW timer, so its length is never read.
-        AbdWriter(WriteEngine::for_register(reg, AbdWritePolicy { servers: 2 * t + 1 }, 0))
-    }
+/// A fresh writer of register `reg` over `S = 2t + 1` servers.
+pub fn writer(reg: RegisterId, t: usize) -> AbdWriter {
+    // No PW timer, so its length is never read.
+    WriteEngine::for_register(reg, AbdWritePolicy { servers: 2 * t + 1 }, 0)
 }
 
-impl ClientCore for AbdWriter {
-    fn invoke(&mut self, op: Op, eff: &mut Effects) {
-        match op {
-            Op::Write(v) => self.0.invoke(v, eff),
-            Op::Read => panic!("the writer does not invoke READs (§2.2)"),
-        }
-    }
-    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
-        self.0.on_message(from, msg, eff);
-    }
-}
+/// An ABD reader: the shared [`ReadEngine`] over [`AbdReadPolicy`].
+pub type AbdReader = ReadEngine<AbdReadPolicy>;
 
-/// An ABD reader of register `reg`.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct AbdReader(ReadEngine<AbdReadPolicy>);
-
-impl AbdReader {
-    /// A fresh reader of register `reg` over `S = 2t + 1` servers. Only
-    /// `cfg.max_read_rounds` applies: ABD has no timer and no fast path.
-    pub fn for_register(reg: RegisterId, t: usize, cfg: ProtocolConfig) -> AbdReader {
-        let servers = 2 * t + 1;
-        let policy = AbdReadPolicy { servers, thresholds: thresholds(servers) };
-        AbdReader(ReadEngine::for_register(reg, policy, cfg))
-    }
-}
-
-impl ClientCore for AbdReader {
-    fn invoke(&mut self, op: Op, eff: &mut Effects) {
-        match op {
-            Op::Read => self.0.invoke(eff),
-            Op::Write(_) => panic!("readers do not invoke WRITEs (§2.2)"),
-        }
-    }
-    fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
-        self.0.on_message(from, msg, eff);
-    }
+/// A fresh reader of register `reg` over `S = 2t + 1` servers. Only
+/// `cfg.max_read_rounds` applies: ABD has no timer and no fast path.
+pub fn reader(reg: RegisterId, t: usize, cfg: ProtocolConfig) -> AbdReader {
+    let servers = 2 * t + 1;
+    ReadEngine::for_register(reg, AbdReadPolicy { servers, thresholds: thresholds(servers) }, cfg)
 }
 
 /// An ABD server: one register cell, highest timestamp wins.

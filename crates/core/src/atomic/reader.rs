@@ -5,13 +5,12 @@ use crate::config::ProtocolConfig;
 use crate::engine::{ReadEngine, ReadPolicy};
 use crate::predicates::{self, Thresholds};
 use crate::view::ViewTable;
-use lucky_sim::{Effects, TimerId};
-use lucky_types::{Message, Params, ProcessId, ReadSeq, ReaderId, RegisterId, TsVal};
+use lucky_types::{Params, RegisterId, TsVal};
 
 /// The atomic variant's READ policy: three write-back rounds and the
 /// `fast(c) = fastpw(c) ∨ fastvw(c)` round-1 gate (Fig. 2 lines 5–7).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct AtomicReadPolicy {
+pub struct AtomicReadPolicy {
     params: Params,
     thresholds: Thresholds,
     fast_reads: bool,
@@ -39,93 +38,34 @@ impl ReadPolicy for AtomicReadPolicy {
     }
 }
 
-/// A reader `r_j` of the atomic algorithm.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct AtomicReader {
-    id: ReaderId,
-    engine: ReadEngine<AtomicReadPolicy>,
-}
+/// A reader `r_j` of the atomic algorithm: the shared [`ReadEngine`]
+/// over [`AtomicReadPolicy`].
+pub type AtomicReader = ReadEngine<AtomicReadPolicy>;
 
-impl AtomicReader {
-    /// A fresh reader with identity `id` (default register).
-    pub fn new(id: ReaderId, params: Params, cfg: ProtocolConfig) -> AtomicReader {
-        AtomicReader::for_register(RegisterId::DEFAULT, id, params, cfg)
+/// A fresh reader of register `reg`. Its identity is the session's
+/// [`ProcessId`](lucky_types::ProcessId): servers key `tsr_j` and frozen
+/// slots on the sender, so the core never needs it.
+pub fn reader(reg: RegisterId, params: Params, cfg: ProtocolConfig) -> AtomicReader {
+    let mut thresholds = Thresholds::from(params);
+    if let Some(fastpw) = cfg.fastpw_override {
+        thresholds.fastpw = fastpw;
     }
-
-    /// A fresh reader of register `reg` in a multi-register store.
-    pub fn for_register(
-        reg: RegisterId,
-        id: ReaderId,
-        params: Params,
-        cfg: ProtocolConfig,
-    ) -> AtomicReader {
-        let mut thresholds = Thresholds::from(params);
-        if let Some(fastpw) = cfg.fastpw_override {
-            thresholds.fastpw = fastpw;
-        }
-        let policy = AtomicReadPolicy { params, thresholds, fast_reads: cfg.fast_reads };
-        AtomicReader { id, engine: ReadEngine::for_register(reg, policy, cfg) }
-    }
-
-    /// The register this reader reads.
-    pub fn register(&self) -> RegisterId {
-        self.engine.register()
-    }
-
-    /// This reader's identity.
-    pub fn id(&self) -> ReaderId {
-        self.id
-    }
-
-    /// The timestamp of the last invoked READ.
-    pub fn tsr(&self) -> ReadSeq {
-        self.engine.tsr()
-    }
-
-    /// `true` iff no READ is in progress.
-    pub fn is_idle(&self) -> bool {
-        self.engine.is_idle()
-    }
-
-    /// `true` iff the READ hit the configured round cap and was parked.
-    pub fn is_capped(&self) -> bool {
-        self.engine.is_capped()
-    }
-
-    /// The current round number, if a READ is iterating rounds.
-    pub fn current_round(&self) -> Option<u32> {
-        self.engine.current_round()
-    }
-
-    /// Invoke `READ()` (Fig. 2 lines 12–16).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a READ is already in progress.
-    pub fn invoke_read(&mut self, eff: &mut Effects) {
-        self.engine.invoke(eff);
-    }
-
-    /// Deliver a server message.
-    pub fn on_message(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
-        self.engine.on_message(from, msg, eff);
-    }
-
-    /// The round-1 timer fired.
-    pub fn on_timer(&mut self, id: TimerId, eff: &mut Effects) {
-        self.engine.on_timer(id, eff);
-    }
+    let policy = AtomicReadPolicy { params, thresholds, fast_reads: cfg.fast_reads };
+    ReadEngine::for_register(reg, policy, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lucky_types::{FrozenSlot, ReadAckMsg, Seq, ServerId, Tag, Value, WriteAckMsg};
+    use lucky_sim::{Effects, TimerId};
+    use lucky_types::{
+        FrozenSlot, Message, ProcessId, ReadAckMsg, ReadSeq, Seq, ServerId, Tag, Value, WriteAckMsg,
+    };
 
     /// t = 2, b = 1, fw = 1, fr = 0 → S = 6, quorum 4, fastpw 5, safe 2.
     fn reader() -> AtomicReader {
         let params = Params::new(2, 1, 1, 0).unwrap();
-        AtomicReader::new(ReaderId(0), params, ProtocolConfig::for_sync_bound(100))
+        super::reader(RegisterId::DEFAULT, params, ProtocolConfig::for_sync_bound(100))
     }
 
     fn pair(ts: u64) -> TsVal {
@@ -158,7 +98,7 @@ mod tests {
 
     fn invoke(r: &mut AtomicReader) -> Effects {
         let mut eff = Effects::new();
-        r.invoke_read(&mut eff);
+        r.invoke(&mut eff);
         eff
     }
 
@@ -322,7 +262,7 @@ mod tests {
         let params = Params::new(2, 1, 1, 0).unwrap();
         let mut cfg = ProtocolConfig::for_sync_bound(100);
         cfg.max_read_rounds = Some(1);
-        let mut r = AtomicReader::new(ReaderId(0), params, cfg);
+        let mut r = super::reader(RegisterId::DEFAULT, params, cfg);
         invoke(&mut r);
         let mut eff = Effects::new();
         r.on_timer(TimerId(1), &mut eff);
@@ -338,7 +278,7 @@ mod tests {
     #[test]
     fn fast_reads_disabled_forces_writeback() {
         let params = Params::new(2, 1, 1, 0).unwrap();
-        let mut r = AtomicReader::new(ReaderId(0), params, ProtocolConfig::slow_only(100));
+        let mut r = super::reader(RegisterId::DEFAULT, params, ProtocolConfig::slow_only(100));
         invoke(&mut r);
         let mut eff = Effects::new();
         r.on_timer(TimerId(1), &mut eff);

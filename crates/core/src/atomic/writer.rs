@@ -13,15 +13,13 @@
 
 use crate::config::ProtocolConfig;
 use crate::engine::{WriteEngine, WritePolicy};
-use lucky_sim::{Effects, TimerId};
-use lucky_types::{Message, Params, ProcessId, ReadSeq, ReaderId, RegisterId, Seq, Value};
+use lucky_types::{Params, RegisterId};
 
 /// The atomic variant's WRITE policy: a timed PW phase, the `S − fw`
 /// one-round fast path (Fig. 1 line 8), a two-round W phase (rounds 2
 /// and 3), and the frozen set shipped on the *next* WRITE's PW message.
-
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct AtomicWritePolicy {
+pub struct AtomicWritePolicy {
     params: Params,
     fast_writes: bool,
     freezing: bool,
@@ -53,82 +51,33 @@ impl WritePolicy for AtomicWritePolicy {
     }
 }
 
-/// The single writer `w` of the atomic algorithm.
-///
-/// Persistent state (Fig. 1 lines 1–2) — the timestamp counter `ts`, the
-/// last pre-written and written pairs `pw`/`w`, the per-reader freeze
-/// watermark `read_ts[*]`, and the `frozen` set computed by the last
-/// `freezevalues()` — lives in the shared [`WriteEngine`]; this type only
-/// contributes the policy above.
-#[derive(Clone, PartialEq, Eq, Hash, Debug)]
-pub struct AtomicWriter {
-    engine: WriteEngine<AtomicWritePolicy>,
-}
+/// The single writer `w` of the atomic algorithm. Its persistent state
+/// (Fig. 1 lines 1–2) — the timestamp counter `ts`, the last pre-written
+/// and written pairs `pw`/`w`, the per-reader freeze watermark
+/// `read_ts[*]`, and the `frozen` set computed by the last
+/// `freezevalues()` — lives in the shared [`WriteEngine`].
+pub type AtomicWriter = WriteEngine<AtomicWritePolicy>;
 
-impl AtomicWriter {
-    /// A fresh writer for a cluster with the given parameters (default
-    /// register).
-    pub fn new(params: Params, cfg: ProtocolConfig) -> AtomicWriter {
-        AtomicWriter::for_register(RegisterId::DEFAULT, params, cfg)
-    }
-
-    /// A fresh writer serving register `reg` of a multi-register store.
-    pub fn for_register(reg: RegisterId, params: Params, cfg: ProtocolConfig) -> AtomicWriter {
-        let policy =
-            AtomicWritePolicy { params, fast_writes: cfg.fast_writes, freezing: cfg.freezing };
-        AtomicWriter { engine: WriteEngine::for_register(reg, policy, cfg.timer_micros) }
-    }
-
-    /// The register this writer serves.
-    pub fn register(&self) -> RegisterId {
-        self.engine.register()
-    }
-
-    /// The timestamp of the last invoked WRITE.
-    pub fn ts(&self) -> Seq {
-        self.engine.ts()
-    }
-
-    /// `true` iff no WRITE is in progress.
-    pub fn is_idle(&self) -> bool {
-        self.engine.is_idle()
-    }
-
-    /// The freeze watermark for `reader` (`read_ts[r_j]`).
-    pub fn read_ts_for(&self, reader: ReaderId) -> ReadSeq {
-        self.engine.read_ts_for(reader)
-    }
-
-    /// Invoke `WRITE(v)` (Fig. 1 lines 3–4).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a WRITE is already in progress (clients invoke one
-    /// operation at a time, §2.2) or if `v` is `⊥` (not a valid input).
-    pub fn invoke_write(&mut self, v: Value, eff: &mut Effects) {
-        self.engine.invoke(v, eff);
-    }
-
-    /// Deliver a server message.
-    pub fn on_message(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
-        self.engine.on_message(from, msg, eff);
-    }
-
-    /// The PW-phase timer fired.
-    pub fn on_timer(&mut self, id: TimerId, eff: &mut Effects) {
-        self.engine.on_timer(id, eff);
-    }
+/// A fresh writer of register `reg` for a cluster with the given
+/// parameters.
+pub fn writer(reg: RegisterId, params: Params, cfg: ProtocolConfig) -> AtomicWriter {
+    let policy = AtomicWritePolicy { params, fast_writes: cfg.fast_writes, freezing: cfg.freezing };
+    WriteEngine::for_register(reg, policy, cfg.timer_micros)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lucky_types::{NewRead, PwAckMsg, ServerId, Tag, TsVal, WriteAckMsg};
+    use lucky_sim::{Effects, TimerId};
+    use lucky_types::{
+        Message, NewRead, ProcessId, PwAckMsg, ReadSeq, ReaderId, Seq, ServerId, Tag, TsVal, Value,
+        WriteAckMsg,
+    };
 
     /// t = 2, b = 1, fw = 1, fr = 0 → S = 6, quorum 4, fast acks 5.
     fn writer() -> AtomicWriter {
         let params = Params::new(2, 1, 1, 0).unwrap();
-        AtomicWriter::new(params, ProtocolConfig::for_sync_bound(100))
+        super::writer(RegisterId::DEFAULT, params, ProtocolConfig::for_sync_bound(100))
     }
 
     fn pw_ack(ts: u64, newread: Vec<NewRead>) -> Message {
@@ -146,7 +95,7 @@ mod tests {
     /// Drive `w` through invocation, returning the PW broadcast.
     fn invoke(w: &mut AtomicWriter, v: u64) -> Effects {
         let mut eff = Effects::new();
-        w.invoke_write(Value::from_u64(v), &mut eff);
+        w.invoke(Value::from_u64(v), &mut eff);
         eff
     }
 
@@ -242,7 +191,7 @@ mod tests {
     #[test]
     fn fast_path_disabled_always_runs_w_phase() {
         let params = Params::new(2, 1, 1, 0).unwrap();
-        let mut w = AtomicWriter::new(params, ProtocolConfig::slow_only(100));
+        let mut w = super::writer(RegisterId::DEFAULT, params, ProtocolConfig::slow_only(100));
         invoke(&mut w, 7);
         let mut eff = Effects::new();
         w.on_timer(TimerId(1), &mut eff);
@@ -355,7 +304,7 @@ mod tests {
         let params = Params::new(2, 1, 1, 0).unwrap();
         let mut cfg = ProtocolConfig::for_sync_bound(100);
         cfg.freezing = false;
-        let mut w = AtomicWriter::new(params, cfg);
+        let mut w = super::writer(RegisterId::DEFAULT, params, cfg);
         invoke(&mut w, 7);
         let mut eff = Effects::new();
         w.on_timer(TimerId(1), &mut eff);
@@ -371,7 +320,7 @@ mod tests {
     fn bot_cannot_be_written() {
         let mut w = writer();
         let mut eff = Effects::new();
-        w.invoke_write(Value::Bot, &mut eff);
+        w.invoke(Value::Bot, &mut eff);
     }
 
     #[test]

@@ -211,9 +211,9 @@ impl<P: ReadPolicy> ReadEngine<P> {
     }
 
     /// The round-1 timer fired. Timers from previous READs are stale and
-    /// ignored.
+    /// ignored; policies without a round-1 timer ignore all of them.
     pub fn on_timer(&mut self, id: TimerId, eff: &mut Effects) {
-        if id != TimerId(self.tsr.0) {
+        if !P::ROUND_ONE_TIMER || id != TimerId(self.tsr.0) {
             return; // stale timer from a previous READ
         }
         if let ReadState::Reading { timer_expired, .. } = &mut self.state {

@@ -26,13 +26,18 @@
 //!
 //! ## Kernel / policy split
 //!
-//! The four protocols share one **round-engine kernel** ([`engine`]):
-//! generic READ/WRITE drivers owning ack accumulation keyed by
+//! The four protocols share one **kernel** ([`engine`]): generic
+//! READ/WRITE drivers owning ack accumulation keyed by
 //! `(timestamp, round)`, stale-ack filtering, the round-1 synchrony
-//! timers, write-back and W-round sequencing, and the round-cap parking
-//! logic. Each variant module contributes only a small *policy* object
-//! naming its thresholds, quorum sizes, round schedule and fast-path
-//! predicate. Every runtime builds its processes through the [`Setup`]
+//! timers, write-back and W-round sequencing and the round-cap parking
+//! logic, plus the one honest server ([`engine::Server`]) the three lucky
+//! variants share. A variant is nothing but its *policies* — thresholds,
+//! quorum sizes, round schedule, fast-path predicate and two server
+//! switches (`vw` kept? reader write-backs applied?) — and its writer,
+//! reader and server types are aliases of the engines over them (e.g.
+//! [`atomic::AtomicWriter`] is `WriteEngine<AtomicWritePolicy>`), built
+//! by module functions such as [`atomic::writer()`]. ABD keeps its own
+//! one-pair server. Every runtime builds its processes through the [`Setup`]
 //! factories ([`Setup::make_writer`], [`Setup::make_reader`],
 //! [`Setup::make_server`]), so the simulator and the threaded `lucky-net`
 //! runtime run all four from the same enum.

@@ -5,8 +5,7 @@ use crate::config::ProtocolConfig;
 use crate::engine::{ReadEngine, ReadPolicy};
 use crate::predicates::Thresholds;
 use crate::view::ViewTable;
-use lucky_sim::{Effects, TimerId};
-use lucky_types::{Message, Params, ProcessId, ReaderId, RegisterId, TsVal};
+use lucky_types::{Params, RegisterId, TsVal};
 
 /// The regular variant's READ policy: the READ loop is the atomic
 /// reader's (rounds, candidate set `C`, freezing), but a selected value
@@ -15,7 +14,7 @@ use lucky_types::{Message, Params, ProcessId, ReaderId, RegisterId, TsVal};
 /// round 1, which Proposition 7 guarantees for every lucky READ despite
 /// up to `fr = t` failures.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct RegularReadPolicy {
+pub struct RegularReadPolicy {
     params: Params,
     thresholds: Thresholds,
 }
@@ -43,80 +42,27 @@ impl ReadPolicy for RegularReadPolicy {
     }
 }
 
-/// A reader of the regular variant.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RegularReader {
-    id: ReaderId,
-    engine: ReadEngine<RegularReadPolicy>,
-}
+/// A reader of the regular variant: the shared [`ReadEngine`] over
+/// [`RegularReadPolicy`].
+pub type RegularReader = ReadEngine<RegularReadPolicy>;
 
-impl RegularReader {
-    /// A fresh reader with identity `id` (default register). Use
-    /// [`Params::trading_reads`] for the Appendix D thresholds.
-    pub fn new(id: ReaderId, params: Params, cfg: ProtocolConfig) -> RegularReader {
-        RegularReader::for_register(RegisterId::DEFAULT, id, params, cfg)
-    }
-
-    /// A fresh reader of register `reg` in a multi-register store.
-    pub fn for_register(
-        reg: RegisterId,
-        id: ReaderId,
-        params: Params,
-        cfg: ProtocolConfig,
-    ) -> RegularReader {
-        let policy = RegularReadPolicy { params, thresholds: Thresholds::from(params) };
-        RegularReader { id, engine: ReadEngine::for_register(reg, policy, cfg) }
-    }
-
-    /// The register this reader reads.
-    pub fn register(&self) -> RegisterId {
-        self.engine.register()
-    }
-
-    /// This reader's identity.
-    pub fn id(&self) -> ReaderId {
-        self.id
-    }
-
-    /// `true` iff no READ is in progress.
-    pub fn is_idle(&self) -> bool {
-        self.engine.is_idle()
-    }
-
-    /// `true` iff the READ hit the configured round cap.
-    pub fn is_capped(&self) -> bool {
-        self.engine.is_capped()
-    }
-
-    /// Invoke `READ()`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a READ is already in progress.
-    pub fn invoke_read(&mut self, eff: &mut Effects) {
-        self.engine.invoke(eff);
-    }
-
-    /// Deliver a server message.
-    pub fn on_message(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
-        self.engine.on_message(from, msg, eff);
-    }
-
-    /// The round-1 timer fired.
-    pub fn on_timer(&mut self, id: TimerId, eff: &mut Effects) {
-        self.engine.on_timer(id, eff);
-    }
+/// A fresh reader of register `reg`. Use [`Params::trading_reads`] for
+/// the Appendix D thresholds.
+pub fn reader(reg: RegisterId, params: Params, cfg: ProtocolConfig) -> RegularReader {
+    let policy = RegularReadPolicy { params, thresholds: Thresholds::from(params) };
+    ReadEngine::for_register(reg, policy, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lucky_types::{FrozenSlot, ReadAckMsg, ReadSeq, Seq, ServerId, TsVal, Value};
+    use lucky_sim::{Effects, TimerId};
+    use lucky_types::{FrozenSlot, Message, ProcessId, ReadAckMsg, ReadSeq, Seq, ServerId, Value};
 
     /// Trading-reads params: t = 2, b = 1 → S = 6, quorum 4, safe 2.
     fn reader() -> RegularReader {
         let params = Params::trading_reads(2, 1).unwrap();
-        RegularReader::new(ReaderId(0), params, ProtocolConfig::for_sync_bound(100))
+        super::reader(RegisterId::DEFAULT, params, ProtocolConfig::for_sync_bound(100))
     }
 
     fn pair(ts: u64) -> TsVal {
@@ -143,7 +89,7 @@ mod tests {
     fn decides_in_round_one_without_writeback() {
         let mut r = reader();
         let mut eff = Effects::new();
-        r.invoke_read(&mut eff);
+        r.invoke(&mut eff);
         let mut eff = Effects::new();
         // Only quorum agreement — in the atomic variant this would force
         // a write-back (no fastpw/fastvw); here it returns immediately.
@@ -163,7 +109,7 @@ mod tests {
     fn undecided_round_one_rolls_to_round_two() {
         let mut r = reader();
         let mut eff = Effects::new();
-        r.invoke_read(&mut eff);
+        r.invoke(&mut eff);
         let mut eff = Effects::new();
         for (i, ts) in [(0u16, 2u64), (1, 3), (2, 4), (3, 5)] {
             r.on_message(server(i), read_ack(1, 1, pair(ts), pair(1)), &mut eff);

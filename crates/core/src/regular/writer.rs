@@ -3,8 +3,7 @@
 
 use crate::config::ProtocolConfig;
 use crate::engine::{WriteEngine, WritePolicy};
-use lucky_sim::{Effects, TimerId};
-use lucky_types::{Message, Params, ProcessId, ReadSeq, ReaderId, RegisterId, Seq, Value};
+use lucky_types::{Params, RegisterId};
 
 /// The regular variant's WRITE policy: identical to the atomic policy
 /// except the W phase is a single round (so a slow WRITE takes two
@@ -13,7 +12,7 @@ use lucky_types::{Message, Params, ProcessId, ReadSeq, ReaderId, RegisterId, Seq
 /// [`Params::trading_reads`] — where the fast path needs
 /// `S − fw = t + 2b + 1` PW acks.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct RegularWritePolicy {
+pub struct RegularWritePolicy {
     params: Params,
     fast_writes: bool,
     freezing: bool,
@@ -45,75 +44,28 @@ impl WritePolicy for RegularWritePolicy {
     }
 }
 
-/// The writer of the regular variant.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct RegularWriter {
-    engine: WriteEngine<RegularWritePolicy>,
-}
+/// The writer of the regular variant: the shared [`WriteEngine`] over
+/// [`RegularWritePolicy`].
+pub type RegularWriter = WriteEngine<RegularWritePolicy>;
 
-impl RegularWriter {
-    /// A fresh writer (default register). Use [`Params::trading_reads`]
-    /// for the Appendix D thresholds.
-    pub fn new(params: Params, cfg: ProtocolConfig) -> RegularWriter {
-        RegularWriter::for_register(RegisterId::DEFAULT, params, cfg)
-    }
-
-    /// A fresh writer serving register `reg` of a multi-register store.
-    pub fn for_register(reg: RegisterId, params: Params, cfg: ProtocolConfig) -> RegularWriter {
-        let policy =
-            RegularWritePolicy { params, fast_writes: cfg.fast_writes, freezing: cfg.freezing };
-        RegularWriter { engine: WriteEngine::for_register(reg, policy, cfg.timer_micros) }
-    }
-
-    /// The register this writer serves.
-    pub fn register(&self) -> RegisterId {
-        self.engine.register()
-    }
-
-    /// The timestamp of the last invoked WRITE.
-    pub fn ts(&self) -> Seq {
-        self.engine.ts()
-    }
-
-    /// `true` iff no WRITE is in progress.
-    pub fn is_idle(&self) -> bool {
-        self.engine.is_idle()
-    }
-
-    /// The freeze watermark for `reader`.
-    pub fn read_ts_for(&self, reader: ReaderId) -> ReadSeq {
-        self.engine.read_ts_for(reader)
-    }
-
-    /// Invoke `WRITE(v)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a WRITE is in progress or `v` is `⊥`.
-    pub fn invoke_write(&mut self, v: Value, eff: &mut Effects) {
-        self.engine.invoke(v, eff);
-    }
-
-    /// Deliver a server message.
-    pub fn on_message(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
-        self.engine.on_message(from, msg, eff);
-    }
-
-    /// The PW-phase timer fired.
-    pub fn on_timer(&mut self, id: TimerId, eff: &mut Effects) {
-        self.engine.on_timer(id, eff);
-    }
+/// A fresh writer of register `reg`. Use [`Params::trading_reads`] for
+/// the Appendix D thresholds.
+pub fn writer(reg: RegisterId, params: Params, cfg: ProtocolConfig) -> RegularWriter {
+    let policy =
+        RegularWritePolicy { params, fast_writes: cfg.fast_writes, freezing: cfg.freezing };
+    WriteEngine::for_register(reg, policy, cfg.timer_micros)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lucky_types::{PwAckMsg, ServerId, Tag, WriteAckMsg};
+    use lucky_sim::{Effects, TimerId};
+    use lucky_types::{Message, ProcessId, PwAckMsg, Seq, ServerId, Tag, Value, WriteAckMsg};
 
     /// t = 2, b = 1, trading-reads: fw = 1, fr = 2 → S = 6, fast acks 5.
     fn writer() -> RegularWriter {
         let params = Params::trading_reads(2, 1).unwrap();
-        RegularWriter::new(params, ProtocolConfig::for_sync_bound(100))
+        super::writer(RegisterId::DEFAULT, params, ProtocolConfig::for_sync_bound(100))
     }
 
     fn server(i: u16) -> ProcessId {
@@ -128,7 +80,7 @@ mod tests {
     fn fast_write_with_t_minus_b_failures() {
         let mut w = writer();
         let mut eff = Effects::new();
-        w.invoke_write(Value::from_u64(1), &mut eff);
+        w.invoke(Value::from_u64(1), &mut eff);
         let mut eff = Effects::new();
         // S - fw = 5 acks (one server crashed).
         for i in 0..5 {
@@ -144,7 +96,7 @@ mod tests {
     fn slow_write_takes_two_rounds_total() {
         let mut w = writer();
         let mut eff = Effects::new();
-        w.invoke_write(Value::from_u64(1), &mut eff);
+        w.invoke(Value::from_u64(1), &mut eff);
         let mut eff = Effects::new();
         w.on_timer(TimerId(1), &mut eff);
         // Quorum only (4 < 5): single W round follows.

@@ -632,7 +632,7 @@ mod tests {
         let mut s: ClientSession<AtomicWriter> = ClientSession::new(
             ProcessId::Writer,
             RegisterId::DEFAULT,
-            AtomicWriter::new(params(), ProtocolConfig::slow_only(100)),
+            crate::atomic::writer(RegisterId::DEFAULT, params(), ProtocolConfig::slow_only(100)),
             SessionConfig::default(),
         );
         s.begin(Op::Write(Value::from_u64(1)), Time(0)).unwrap();
@@ -725,7 +725,7 @@ mod tests {
         let mut s = ClientSession::new(
             ProcessId::Reader(rid),
             RegisterId::DEFAULT,
-            setup.make_reader(RegisterId::DEFAULT, rid, Default::default()),
+            setup.make_reader(RegisterId::DEFAULT, Default::default()),
             SessionConfig::default(),
         );
         s.begin(Op::Read, Time(0)).unwrap();
@@ -757,7 +757,7 @@ mod tests {
         let mut s: ClientSession<AtomicWriter> = ClientSession::new(
             ProcessId::Writer,
             RegisterId::DEFAULT,
-            AtomicWriter::new(params(), Default::default()),
+            crate::atomic::writer(RegisterId::DEFAULT, params(), Default::default()),
             SessionConfig::default(),
         );
         s.begin(Op::Write(Value::from_u64(1)), Time(0)).unwrap();

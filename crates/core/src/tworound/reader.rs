@@ -5,8 +5,7 @@ use crate::config::ProtocolConfig;
 use crate::engine::{ReadEngine, ReadPolicy};
 use crate::predicates::{self, Thresholds};
 use crate::view::ViewTable;
-use lucky_sim::{Effects, TimerId};
-use lucky_types::{Message, ProcessId, ReaderId, RegisterId, TsVal, TwoRoundParams};
+use lucky_types::{RegisterId, TsVal, TwoRoundParams};
 
 /// The two-round variant's READ policy. Two deviations from the atomic
 /// policy, both dictated by Fig. 7: the fast predicate is
@@ -14,7 +13,7 @@ use lucky_types::{Message, ProcessId, ReaderId, RegisterId, TsVal, TwoRoundParam
 /// WRITEs never skip their W round), and the write-back takes two rounds,
 /// mirroring the two-round WRITE.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-struct TwoRoundReadPolicy {
+pub struct TwoRoundReadPolicy {
     params: TwoRoundParams,
     thresholds: Thresholds,
     fast_reads: bool,
@@ -42,83 +41,32 @@ impl ReadPolicy for TwoRoundReadPolicy {
     }
 }
 
-/// A reader of the two-round algorithm.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct TwoRoundReader {
-    id: ReaderId,
-    engine: ReadEngine<TwoRoundReadPolicy>,
-}
+/// A reader of the two-round algorithm: the shared [`ReadEngine`] over
+/// [`TwoRoundReadPolicy`].
+pub type TwoRoundReader = ReadEngine<TwoRoundReadPolicy>;
 
-impl TwoRoundReader {
-    /// A fresh reader with identity `id` (default register).
-    pub fn new(id: ReaderId, params: TwoRoundParams, cfg: ProtocolConfig) -> TwoRoundReader {
-        TwoRoundReader::for_register(RegisterId::DEFAULT, id, params, cfg)
-    }
-
-    /// A fresh reader of register `reg` in a multi-register store.
-    pub fn for_register(
-        reg: RegisterId,
-        id: ReaderId,
-        params: TwoRoundParams,
-        cfg: ProtocolConfig,
-    ) -> TwoRoundReader {
-        let policy = TwoRoundReadPolicy {
-            params,
-            thresholds: Thresholds::from(params),
-            fast_reads: cfg.fast_reads,
-        };
-        TwoRoundReader { id, engine: ReadEngine::for_register(reg, policy, cfg) }
-    }
-
-    /// The register this reader reads.
-    pub fn register(&self) -> RegisterId {
-        self.engine.register()
-    }
-
-    /// This reader's identity.
-    pub fn id(&self) -> ReaderId {
-        self.id
-    }
-
-    /// `true` iff no READ is in progress.
-    pub fn is_idle(&self) -> bool {
-        self.engine.is_idle()
-    }
-
-    /// `true` iff the READ hit the configured round cap.
-    pub fn is_capped(&self) -> bool {
-        self.engine.is_capped()
-    }
-
-    /// Invoke `READ()` (Fig. 7 lines 10–14).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a READ is already in progress.
-    pub fn invoke_read(&mut self, eff: &mut Effects) {
-        self.engine.invoke(eff);
-    }
-
-    /// Deliver a server message.
-    pub fn on_message(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
-        self.engine.on_message(from, msg, eff);
-    }
-
-    /// The round-1 timer fired.
-    pub fn on_timer(&mut self, id: TimerId, eff: &mut Effects) {
-        self.engine.on_timer(id, eff);
-    }
+/// A fresh reader of register `reg`.
+pub fn reader(reg: RegisterId, params: TwoRoundParams, cfg: ProtocolConfig) -> TwoRoundReader {
+    let policy = TwoRoundReadPolicy {
+        params,
+        thresholds: Thresholds::from(params),
+        fast_reads: cfg.fast_reads,
+    };
+    ReadEngine::for_register(reg, policy, cfg)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lucky_types::{FrozenSlot, ReadAckMsg, ReadSeq, Seq, ServerId, Tag, Value, WriteAckMsg};
+    use lucky_sim::{Effects, TimerId};
+    use lucky_types::{
+        FrozenSlot, Message, ProcessId, ReadAckMsg, ReadSeq, Seq, ServerId, Tag, Value, WriteAckMsg,
+    };
 
     /// t = 2, b = 1, fr = 1 → S = 7, quorum 5, fast_w = 4, safe 2.
     fn reader() -> TwoRoundReader {
         let params = TwoRoundParams::new(2, 1, 1).unwrap();
-        TwoRoundReader::new(ReaderId(0), params, ProtocolConfig::for_sync_bound(100))
+        super::reader(RegisterId::DEFAULT, params, ProtocolConfig::for_sync_bound(100))
     }
 
     fn pair(ts: u64) -> TsVal {
@@ -153,7 +101,7 @@ mod tests {
     fn fast_read_needs_s_minus_t_minus_fr_w_copies() {
         let mut r = reader();
         let mut eff = Effects::new();
-        r.invoke_read(&mut eff);
+        r.invoke(&mut eff);
         let mut eff = Effects::new();
         // 4 servers (= S − t − fr) report ⟨1⟩ in w; 1 lags.
         for i in 0..4 {
@@ -172,7 +120,7 @@ mod tests {
     fn slow_read_writes_back_in_two_rounds() {
         let mut r = reader();
         let mut eff = Effects::new();
-        r.invoke_read(&mut eff);
+        r.invoke(&mut eff);
         let mut eff = Effects::new();
         // Only 3 w-copies (< 4): safe but not fast.
         for i in 0..3 {
@@ -208,7 +156,7 @@ mod tests {
     fn no_candidate_forces_round_two() {
         let mut r = reader();
         let mut eff = Effects::new();
-        r.invoke_read(&mut eff);
+        r.invoke(&mut eff);
         let mut eff = Effects::new();
         // Divided pre-writes: no safe+highCand pair among 5 responders.
         for (i, ts) in [(0u16, 2u64), (1, 3), (2, 4), (3, 5), (4, 6)] {

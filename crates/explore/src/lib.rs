@@ -44,7 +44,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-use lucky_core::atomic::{AtomicReader, AtomicServer, AtomicWriter};
+use lucky_core::atomic::{self, AtomicReader, AtomicServer, AtomicWriter};
 use lucky_core::byz;
 use lucky_core::runtime::{ClientCore, ClientSession, Input, ServerCore, SessionConfig};
 use lucky_core::ProtocolConfig;
@@ -465,7 +465,7 @@ fn initial_state(scenario: &Scenario) -> State {
         Proc::Writer(ClientSession::new(
             ProcessId::Writer,
             RegisterId::DEFAULT,
-            AtomicWriter::new(scenario.params, scenario.protocol),
+            atomic::writer(RegisterId::DEFAULT, scenario.params, scenario.protocol),
             session,
         )),
     ));
@@ -475,7 +475,7 @@ fn initial_state(scenario: &Scenario) -> State {
             Proc::Reader(ClientSession::new(
                 ProcessId::Reader(ReaderId(r)),
                 RegisterId::DEFAULT,
-                AtomicReader::new(ReaderId(r), scenario.params, scenario.protocol),
+                atomic::reader(RegisterId::DEFAULT, scenario.params, scenario.protocol),
                 session,
             )),
         ));
@@ -815,6 +815,9 @@ mod tests {
 
     /// Debug builds get reduced budgets (bounded verification only);
     /// release builds (and the t10 experiment binary) run the full scope.
+    /// A test whose scope fits both budgets pins its exact `(states,
+    /// transitions)`: a kernel change that moves the explored space must
+    /// say so by updating the pin.
     fn budget(full: usize, debug: usize) -> usize {
         if cfg!(debug_assertions) {
             debug
@@ -830,7 +833,7 @@ mod tests {
         assert!(report.violations.is_empty());
         assert!(!report.truncated);
         assert!(report.completed_runs > 0, "some schedule completes the write");
-        assert!(report.states > 10);
+        assert_eq!((report.states, report.transitions), (49, 123));
     }
 
     #[test]
@@ -900,7 +903,7 @@ mod tests {
         // followed by every schedule of a READ invoked at any later
         // point.
         let scenario = Scenario::new(small_params()).write(Value::from_u64(1)).reads(0, 1);
-        for pw_reaches in [3u16, 2] {
+        for (pw_reaches, space) in [(3u16, (56, 136)), (2, (5_946, 27_479))] {
             let mut state = initial_state(&scenario);
             prewrite(&scenario, &mut state, 0..pw_reaches);
             assert!(!deliver_pw_ack(&scenario, &mut state, 0), "one ack is no quorum");
@@ -924,6 +927,7 @@ mod tests {
             assert!(report.violations.is_empty(), "{:?}", report.violations);
             assert!(!report.truncated, "explored {} states", report.states);
             assert!(report.completed_runs > 0);
+            assert_eq!((report.states, report.transitions), space);
         }
     }
 
@@ -1014,6 +1018,7 @@ mod tests {
         let report = explore_from(&scenario, state, &ExploreConfig::default());
         assert!(report.violations.is_empty() && !report.truncated);
         assert!(report.completed_runs > 0);
+        assert_eq!((report.states, report.transitions), (116, 324));
     }
 
     #[test]
@@ -1023,6 +1028,7 @@ mod tests {
         let report = explore(&scenario, &ExploreConfig::default());
         assert!(report.violations.is_empty());
         assert!(!report.truncated);
+        assert_eq!((report.states, report.transitions), (3_092, 9_828));
     }
 
     #[test]
@@ -1156,6 +1162,8 @@ mod tests {
             batched_report.transitions,
             plain_report.transitions,
         );
+        assert_eq!((plain_report.states, plain_report.transitions), (975, 3_417));
+        assert_eq!((batched_report.states, batched_report.transitions), (975, 3_933));
     }
 
     #[test]
@@ -1210,6 +1218,8 @@ mod tests {
             restartable.transitions,
             plain.transitions,
         );
+        assert_eq!((plain.states, plain.transitions), (49, 123));
+        assert_eq!((restartable.states, restartable.transitions), (183, 549));
     }
 
     #[test]
@@ -1232,6 +1242,7 @@ mod tests {
         let scenario = Scenario::new(small_params()).write(Value::from_u64(1));
         let report = explore(&scenario, &ExploreConfig::default());
         assert!(report.violations.is_empty());
+        assert_eq!((report.states, report.transitions), (49, 123));
         // Sanity on the internal converter.
         let mut state = initial_state(&scenario);
         state.events.push(Ev::Invoke { proc: ProcessId::Writer, write: Some(Value::from_u64(1)) });

@@ -8,22 +8,27 @@
 //! starvation pattern, verify freezing defeats it, and check the
 //! mechanism's bookkeeping end to end.
 
-use lucky_atomic::core::{ProtocolConfig, SimStore, StoreConfig};
+use lucky_atomic::core::{ProtocolConfig, Setup, SimStore, StoreConfig};
 use lucky_atomic::sim::Delay;
 use lucky_atomic::types::{OpId, Params, ProcessId, ReaderId, RegisterId, ServerId, Value};
 
+/// The atomic storm setup: t = 2, b = 1, fw = 1, fr = 0 (S = 6).
+fn atomic() -> Setup {
+    Setup::Atomic(Params::new(2, 1, 1, 0).unwrap())
+}
+
 /// Build the adversarial storm cluster: reader → server links staggered
 /// so every round samples non-adjacent write epochs; two servers crashed
-/// so the staggered four are exactly the quorum.
-fn storm_cluster(freezing: bool, cap: u32, seed: u64) -> SimStore {
-    let params = Params::new(2, 1, 1, 0).unwrap();
+/// so the staggered four are exactly the quorum (any `t = 2`, `S = 6`
+/// setup).
+fn storm_cluster(setup: Setup, freezing: bool, cap: u32, seed: u64) -> SimStore {
     let protocol = ProtocolConfig {
         freezing,
         max_read_rounds: Some(cap),
         ..ProtocolConfig::for_sync_bound(100)
     };
-    let mut cfg = StoreConfig::synchronous(params).with_protocol(protocol).with_seed(seed);
-    for i in 0..params.server_count() as u16 {
+    let mut cfg = StoreConfig::synchronous(setup).with_protocol(protocol).with_seed(seed);
+    for i in 0..setup.server_count() as u16 {
         cfg.net.set_link(
             ProcessId::Reader(ReaderId(0)),
             ProcessId::Server(ServerId(i)),
@@ -56,23 +61,40 @@ fn run_storm_from(c: &mut SimStore, max_writes: u64, base: u64) -> (OpId, u64) {
     (read_op, writes)
 }
 
-#[test]
-fn theorem2_read_terminates_under_unbounded_writes() {
+/// Theorem 2 against `setup`: for every seed the storm's read completes
+/// within 400 closed-loop writes, and the history keeps the setup's
+/// semantics (regular for App. D, atomic otherwise).
+fn read_terminates_under_unbounded_writes(setup: Setup) {
     for seed in [1u64, 7, 23] {
-        let mut c = storm_cluster(true, 60, seed);
+        let mut c = storm_cluster(setup, true, 60, seed);
         let (read_op, writes) = run_storm(&mut c, 400);
         let rec = c.history().get(read_op).unwrap();
         assert!(
             rec.is_complete(),
-            "seed {seed}: freezing must terminate the read (ran {writes} writes)"
+            "{setup:?} seed {seed}: freezing must terminate the read (ran {writes} writes)"
         );
-        c.check_atomicity().unwrap();
+        match setup {
+            Setup::Regular(_) => c.check_regularity().unwrap(),
+            _ => c.check_atomicity().unwrap(),
+        }
     }
 }
 
 #[test]
+fn theorem2_read_terminates_under_unbounded_writes() {
+    read_terminates_under_unbounded_writes(atomic());
+}
+
+#[test]
+fn regular_read_terminates_under_unbounded_writes() {
+    // App. D keeps the freezing hand-shake (frozen entries on the next
+    // PW), so the regular READ is wait-free under the same storm.
+    read_terminates_under_unbounded_writes(Setup::Regular(Params::trading_reads(2, 1).unwrap()));
+}
+
+#[test]
 fn ablation_without_freezing_the_read_starves() {
-    let mut c = storm_cluster(false, 25, 1);
+    let mut c = storm_cluster(atomic(), false, 25, 1);
     let (read_op, writes) = run_storm(&mut c, 400);
     let rec = c.history().get(read_op).unwrap();
     assert!(!rec.is_complete(), "without freezing the read must starve ({writes} writes ran)");
@@ -83,7 +105,7 @@ fn frozen_value_satisfies_atomicity() {
     // The value returned via safeFrozen comes from a WRITE concurrent
     // with the READ (Lemma 4) — the checker accepts it and subsequent
     // reads never regress below it.
-    let mut c = storm_cluster(true, 60, 3);
+    let mut c = storm_cluster(atomic(), true, 60, 3);
     let (read_op, writes) = run_storm(&mut c, 400);
     let frozen_read = c.outcome(read_op);
     let returned = frozen_read.value.as_u64().expect("a real value");
@@ -100,7 +122,7 @@ fn writer_freezes_at_most_one_value_per_read() {
     // here we verify the observable consequence: under repeated storms
     // every read terminates with exactly one value and atomicity holds
     // across multiple slow reads of the same reader.
-    let mut c = storm_cluster(true, 60, 5);
+    let mut c = storm_cluster(atomic(), true, 60, 5);
     for storm in 0..3u64 {
         let (read_op, _) = run_storm_from(&mut c, 300, storm * 1_000);
         assert!(c.history().get(read_op).unwrap().is_complete());
