@@ -1123,6 +1123,50 @@ mod tests {
         c.check_atomicity().unwrap();
     }
 
+    /// Pins the exact schedule of a seeded contended run — a value forger,
+    /// overlapping ops on four registers, a server crash mid-run — by its
+    /// step count, end instant and `(fast, rounds, msgs, bytes)` totals.
+    /// Any change to event order or RNG draws moves one of these.
+    #[test]
+    fn contended_byzantine_run_schedule_is_pinned() {
+        use lucky_types::{Seq, TsVal};
+        let mut c = StoreConfig::synchronous(s6())
+            .registers(4)
+            .readers_per_register(2)
+            .with_seed(5)
+            .build_sim();
+        c.install_forge_value(0, TsVal::new(Seq(1 << 40), Value::from_u64(666)));
+        let mut next = 0u64;
+        for wave in 0..12u64 {
+            if wave == 6 {
+                let at = c.now() + 100;
+                c.crash_server_at(5, at);
+            }
+            let base = c.now() + 1;
+            let mut ids = Vec::new();
+            for reg in RegisterId::all(4) {
+                let at = base + (wave * 37 + u64::from(reg.0) * 53) % 250;
+                let mut h = c.register(reg);
+                ids.push(if (wave + u64::from(reg.0)) % 3 == 0 {
+                    next += 1;
+                    h.invoke_write_at(at, Value::from_u64(next))
+                } else {
+                    h.invoke_read_at(at, (wave % 2) as u16)
+                });
+            }
+            c.run_until_all_complete(&ids).unwrap();
+        }
+        let ops = &c.history().ops;
+        assert!(ops.iter().all(|r| r.is_complete()));
+        let fast = ops.iter().filter(|r| r.fast).count();
+        let rounds: u32 = ops.iter().map(|r| r.rounds).sum();
+        let msgs: u64 = ops.iter().map(|r| r.msgs).sum();
+        let bytes: u64 = ops.iter().map(|r| r.bytes).sum();
+        let got = (c.world().steps(), c.now(), ops.len(), fast, rounds, msgs, bytes);
+        assert_eq!(got, (945, Time(7184), 48, 39, 75, 832, 13402));
+        c.check_atomicity().unwrap();
+    }
+
     #[test]
     fn deterministic_per_seed() {
         let run = |seed| {
