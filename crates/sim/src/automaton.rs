@@ -119,6 +119,12 @@ impl Effects {
         if self.staged.is_empty() {
             return;
         }
+        // A round broadcast stages one message per destination, which
+        // the grouping below would emit verbatim and in order.
+        if distinct_destinations(&self.staged) {
+            self.sends.append(&mut self.staged);
+            return;
+        }
         let mut groups: Vec<(ProcessId, Vec<Message>)> = Vec::new();
         for (to, msg) in self.staged.drain(..) {
             match groups.iter_mut().find(|(dest, _)| *dest == to) {
@@ -214,6 +220,12 @@ impl Effects {
         self.sends.append(&mut self.staged);
         (self.sends, self.timers, self.completion)
     }
+}
+
+/// `true` iff no destination appears twice in `msgs`.
+#[inline]
+pub(crate) fn distinct_destinations(msgs: &[(ProcessId, Message)]) -> bool {
+    msgs.iter().enumerate().all(|(i, (to, _))| msgs[..i].iter().all(|(seen, _)| seen != to))
 }
 
 impl Default for Effects {
@@ -313,6 +325,23 @@ mod tests {
         assert_eq!(sends[0].1.clone().flatten(), vec![read(0), read(1)]);
         // s1's singleton group stays a plain message.
         assert_eq!(sends[1], (s1, read(0)));
+    }
+
+    #[test]
+    fn flush_of_one_message_per_destination_is_verbatim() {
+        let mut eff = Effects::new();
+        let staged: Vec<_> = vec![
+            (ProcessId::Server(ServerId(2)), read(0)),
+            (ProcessId::Server(ServerId(0)), Message::batch(vec![read(1), read(2), read(3)])),
+            (ProcessId::Writer, read(4)),
+        ];
+        for (to, msg) in staged.clone() {
+            eff.stage(to, msg);
+        }
+        // A cap below a staged batch's part count leaves it whole too.
+        eff.flush_capped(2);
+        let (sends, _, _) = eff.into_parts();
+        assert_eq!(sends, staged);
     }
 
     #[test]

@@ -10,8 +10,12 @@
 //! * processes are [`Automaton`]s — *sans-io* state machines reacting to
 //!   invocations, messages and timers by emitting [`Effects`];
 //! * the [`World`] owns the virtual clock and an event queue ordered by
-//!   `(time, sequence-number)`, so runs are bit-for-bit reproducible from a
-//!   seed;
+//!   `(time, seq)`: the earliest instant first, and events due at one
+//!   instant in the order they were scheduled, so runs are bit-for-bit
+//!   reproducible from a seed;
+//! * every invocation is recorded in the world's
+//!   [`History`](lucky_types::History), and the operation id `OpId(n)`
+//!   is always `history().ops[n]`;
 //! * the [`NetworkModel`] assigns per-link delivery delays
 //!   (constant or uniform), letting experiments dial synchrony up or down;
 //! * **link gates** hold messages "in transit" indefinitely — the exact
