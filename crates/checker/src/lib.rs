@@ -294,15 +294,6 @@ pub fn check_regularity_per_register(history: &History) -> Result<(), Vec<Violat
     check_per_register(history, check_regularity)
 }
 
-/// Convenience: run `check_atomicity` and wrap failures in [`Violations`].
-///
-/// # Errors
-///
-/// See [`check_atomicity`].
-pub fn assert_atomic(history: &History) -> Result<(), Violations> {
-    check_atomicity(history).map_err(Violations)
-}
-
 /// Convenience: run [`check_atomicity_per_register`] and wrap failures in
 /// [`Violations`].
 ///
@@ -321,15 +312,6 @@ pub fn assert_atomic_per_register(history: &History) -> Result<(), Violations> {
 /// See [`check_regularity_per_register`].
 pub fn assert_regular_per_register(history: &History) -> Result<(), Violations> {
     check_regularity_per_register(history).map_err(Violations)
-}
-
-/// Convenience: run `check_regularity` and wrap failures in [`Violations`].
-///
-/// # Errors
-///
-/// See [`check_regularity`].
-pub fn assert_regular(history: &History) -> Result<(), Violations> {
-    check_regularity(history).map_err(Violations)
 }
 
 /// Like [`assert_atomic_per_register`], but a failed verdict also dumps
@@ -642,7 +624,7 @@ mod tests {
     #[test]
     fn violations_display_lists_each() {
         let history = h(vec![w(0, 1, 0, Some(10)), r(1, 0, Some(99), 20, 30)]);
-        let err = assert_atomic(&history).unwrap_err();
+        let err = Violations(check_atomicity(&history).unwrap_err());
         let text = err.to_string();
         assert!(text.contains("violation"));
         assert!(text.contains("op1"));

@@ -133,13 +133,10 @@ impl<P: ReadPolicy> ReadEngine<P> {
         if P::ROUND_ONE_TIMER {
             eff.set_timer(TimerId(self.tsr.0), self.cfg.timer_micros);
         }
-        // Rounds go through the staging buffer: any step that ever emits
-        // several messages to one destination batches them for free.
-        eff.stage_broadcast(
+        eff.broadcast(
             self.servers(),
             Message::Read(ReadMsg { reg: self.reg, tsr: self.tsr, rnd: 1 }),
         );
-        eff.flush();
     }
 
     /// Deliver a server message. Acks carrying a timestamp other than the
@@ -265,11 +262,10 @@ impl<P: ReadPolicy> ReadEngine<P> {
                 if let ReadState::Reading { acks, .. } = &mut self.state {
                     acks.advance(rnd + 1);
                 }
-                eff.stage_broadcast(
+                eff.broadcast(
                     self.servers(),
                     Message::Read(ReadMsg { reg: self.reg, tsr: self.tsr, rnd: rnd + 1 }),
                 );
-                eff.flush();
             }
         }
     }
@@ -286,8 +282,7 @@ impl<P: ReadPolicy> ReadEngine<P> {
             c: c.clone(),
             frozen: vec![],
         });
-        eff.stage_broadcast(self.servers(), msg);
-        eff.flush();
+        eff.broadcast(self.servers(), msg);
     }
 
     fn servers(&self) -> impl Iterator<Item = ProcessId> {

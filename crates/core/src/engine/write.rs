@@ -203,10 +203,7 @@ impl<P: WritePolicy> WriteEngine<P> {
             w: self.w.clone(),
             frozen: if P::FROZEN_ON_W { Vec::new() } else { self.frozen.clone() },
         });
-        // Rounds go through the staging buffer: any step that ever emits
-        // several messages to one destination batches them for free.
-        eff.stage_broadcast(self.servers(), msg);
-        eff.flush();
+        eff.broadcast(self.servers(), msg);
         // With no timer the phase is gated on the quorum alone.
         self.state = WriteState::Pw { acks: BTreeMap::new(), timer_expired: !P::PW_TIMER };
     }
@@ -325,8 +322,7 @@ impl<P: WritePolicy> WriteEngine<P> {
             c: self.pw.clone(),
             frozen,
         });
-        eff.stage_broadcast(self.servers(), msg);
-        eff.flush();
+        eff.broadcast(self.servers(), msg);
         self.state = WriteState::W { idx, acks: AckSet::new(round) };
     }
 

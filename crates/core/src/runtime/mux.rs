@@ -116,37 +116,31 @@ impl fmt::Debug for RegisterMux {
 impl ServerCore for RegisterMux {
     fn deliver(&mut self, from: ProcessId, msg: Message, eff: &mut Effects) {
         if !matches!(msg, Message::Batch(_)) {
-            // The common single-message path: no staging detour.
+            // The common single-message path: nothing to re-batch.
             self.dispatch(from, msg, eff);
             return;
         }
         // Batched delivery: process parts in order, then re-batch the
         // acks per destination (normally all to `from`, but a part may
-        // stay unanswered or a Byzantine batch may mix registers — the
-        // staging buffer handles any shape). Timers and completions a
-        // core emits are forwarded untouched, so a batched part is
-        // processed exactly as if it had arrived alone.
+        // stay unanswered or a Byzantine batch may mix registers —
+        // `coalesce` handles any shape, and its size bound holds on
+        // replies too). Timers and completions a core emits are
+        // forwarded untouched, so a batched part is processed exactly as
+        // if it had arrived alone.
         let mut inner = Effects::new();
         for part in msg.flatten() {
             self.dispatch(from, part, &mut inner);
         }
-        let (sends, timers, completion) = inner.into_parts();
+        let (mut sends, timers, completion) = inner.into_parts();
         for (id, delay_micros) in timers {
             eff.set_timer(id, delay_micros);
         }
         if let Some(c) = completion {
             eff.complete(c.value, c.rounds, c.fast);
         }
-        if self.batch.enabled {
-            for (to, ack) in sends {
-                eff.stage(to, ack);
-            }
-            // The config's size bound holds on replies too.
-            eff.flush_capped(self.batch.max_msgs);
-        } else {
-            for (to, ack) in sends {
-                eff.send(to, ack);
-            }
+        self.batch.coalesce(&mut sends);
+        for (to, ack) in sends {
+            eff.send(to, ack);
         }
     }
 }

@@ -6,7 +6,10 @@ use crate::runtime::adapters::{ClientCore, ServerCore};
 use crate::runtime::mux::RegisterMux;
 use crate::runtime::session::{ClientSession, SessionConfig};
 use crate::{abd, atomic, regular, tworound};
-use lucky_types::{Params, ReaderId, RegisterId, TwoRoundParams};
+use lucky_log::{DurableBackend, LogCounters, ServerBackend};
+use lucky_types::{BatchConfig, Params, ReaderId, RegisterId, TwoRoundParams};
+use std::path::PathBuf;
+use std::sync::Arc;
 
 /// Which protocol instance a store runs, with its parameters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -121,17 +124,10 @@ impl Setup {
 
     /// Build this variant's multi-register server: a [`RegisterMux`]
     /// keeping one [`Setup::make_server`] core per register, created
-    /// lazily on first contact. This is what every runtime deploys at a
-    /// server's address, so one server cluster serves the whole register
-    /// namespace.
-    pub fn make_server_mux(&self) -> Box<dyn ServerCore> {
-        Box::new(RegisterMux::new(*self))
-    }
-
-    /// Like [`Setup::make_server_mux`], with an ack-batching policy: a
-    /// batch of `k` requests is answered with one batched ack message
-    /// instead of `k` individual ones (when `batch.enabled`).
-    pub fn make_server_mux_batched(&self, batch: lucky_types::BatchConfig) -> Box<dyn ServerCore> {
+    /// lazily on first contact, with an ack-batching policy: a batch of
+    /// `k` requests is answered with one batched ack message instead of
+    /// `k` individual ones (when `batch.enabled`).
+    pub fn make_server_mux_batched(&self, batch: BatchConfig) -> Box<dyn ServerCore> {
         Box::new(RegisterMux::with_batch(*self, batch))
     }
 
@@ -142,10 +138,31 @@ impl Setup {
     /// the quorum with exactly the state its previous incarnation acked.
     pub fn make_server_mux_durable(
         &self,
-        batch: lucky_types::BatchConfig,
-        backend: Box<dyn lucky_log::ServerBackend>,
+        batch: BatchConfig,
+        backend: Box<dyn ServerBackend>,
     ) -> Box<dyn ServerCore> {
         Box::new(RegisterMux::with_backend(*self, batch, backend))
+    }
+
+    /// Build a store's server `i`: a durable mux over `<dir>/s<i>/` (on a
+    /// restart, replaying the logs found there) when `durable` names a
+    /// directory, an in-memory mux otherwise. This is what every runtime
+    /// deploys at a server's address, so one server cluster serves the
+    /// whole register namespace.
+    pub fn make_store_server(
+        &self,
+        batch: BatchConfig,
+        durable: Option<(PathBuf, Arc<LogCounters>)>,
+        i: u16,
+    ) -> Box<dyn ServerCore> {
+        match durable {
+            Some((dir, counters)) => {
+                let backend = DurableBackend::open_with(dir.join(format!("s{i}")), counters)
+                    .expect("create the server's log directory");
+                self.make_server_mux_durable(batch, Box::new(backend))
+            }
+            None => self.make_server_mux_batched(batch),
+        }
     }
 
     /// Rebuild this variant's single-register server core from a

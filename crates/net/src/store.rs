@@ -30,7 +30,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use epoll::WakeFd;
 use lucky_core::runtime::{ClientSession, ServerCore};
 use lucky_core::{ProtocolConfig, SessionConfig, Setup, StoreConfig};
-use lucky_log::{DurableBackend, LogCounters};
+use lucky_log::LogCounters;
 use lucky_types::{BatchConfig, History, Op, ProcessId, RegisterId, ServerId, Value};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -289,8 +289,7 @@ impl NetStoreBuilder {
             }
             let core: Box<dyn ServerCore> = match self.byzantine.remove(&s.0) {
                 Some(byz) => byz,
-                None => store_server_core(
-                    self.setup,
+                None => self.setup.make_store_server(
                     self.batch,
                     self.durable_dir.clone().map(|d| (d, Arc::clone(&counters))),
                     s.0,
@@ -443,25 +442,6 @@ fn connect_sink(addr: SocketAddr) -> std::io::Result<TcpStream> {
     let sink = TcpStream::connect(addr)?;
     sink.set_nodelay(true)?;
     Ok(sink)
-}
-
-/// Build one server's protocol core: a durable store opens (and on a
-/// restart, replays) the server's per-register logs under `<dir>/s<i>`;
-/// a plain store serves from memory.
-fn store_server_core(
-    setup: Setup,
-    batch: BatchConfig,
-    durable: Option<(PathBuf, Arc<LogCounters>)>,
-    i: u16,
-) -> Box<dyn ServerCore> {
-    match durable {
-        Some((dir, counters)) => {
-            let backend = DurableBackend::open_with(dir.join(format!("s{i}")), counters)
-                .expect("create the server's log directory");
-            setup.make_server_mux_durable(batch, Box::new(backend))
-        }
-        None => setup.make_server_mux_batched(batch),
-    }
 }
 
 /// Shard placement: a register's writer (`slot` 0) lands on worker
@@ -882,7 +862,7 @@ impl NetStore {
         let durable = self.durable_dir.clone().map(|d| (d, Arc::clone(&self.counters)));
         let (done_tx, done_rx) = unbounded();
         port.send(ServerCtl::Restart(
-            Box::new(move || store_server_core(setup, batch, durable, i)),
+            Box::new(move || setup.make_store_server(batch, durable, i)),
             done_tx,
         ));
         // The bound only guards against a thread that already exited.

@@ -8,7 +8,7 @@
 //! an [`OpId`] `n` is `history.ops[n]`, and one [`Effects`] buffer is
 //! drained and reused by every step.
 
-use crate::automaton::{distinct_destinations, Automaton, Completion, Effects, TimerId};
+use crate::automaton::{Automaton, Completion, Effects, TimerId};
 use crate::network::NetworkModel;
 use lucky_types::{
     BatchConfig, History, Message, Op, OpId, OpRecord, ProcessId, ReaderId, RegisterId, ServerId,
@@ -472,48 +472,14 @@ impl World {
     pub fn release(&mut self, from: ProcessId, to: ProcessId) {
         self.gates.remove(&(from, to));
         if let Some(msgs) = self.held.remove(&(from, to)) {
-            for msg in self.coalesce(msgs) {
+            let mut sends = msgs.into_iter().map(|msg| (to, msg)).collect();
+            self.batch.coalesce(&mut sends);
+            for (_, msg) in sends {
                 let delay = self.net.sample(from, to, &mut self.rng);
                 let at = self.now + delay;
                 self.schedule(at, to, EventKind::Deliver { from, msg });
             }
         }
-    }
-
-    /// Merge `msgs` (all bound for one destination) into wire messages
-    /// according to the batching policy: chunks of up to `max_msgs`
-    /// *flattened* parts (an input may itself be a pre-formed batch, and
-    /// merging flattens, so the bound is on protocol messages, not
-    /// envelopes), single-message chunks staying plain.
-    fn coalesce(&self, msgs: Vec<Message>) -> Vec<Message> {
-        if !self.batch.enabled || msgs.len() <= 1 {
-            return msgs;
-        }
-        let mut out = Vec::new();
-        let mut chunk: Vec<Message> = Vec::new();
-        let mut chunk_parts = 0usize;
-        let flush = |chunk: &mut Vec<Message>, out: &mut Vec<Message>| {
-            if chunk.len() == 1 {
-                out.append(chunk);
-            } else if chunk.len() > 1 {
-                out.push(Message::batch(std::mem::take(chunk)));
-            }
-        };
-        for msg in msgs {
-            let parts = msg.part_count();
-            if !chunk.is_empty() && chunk_parts + parts > self.batch.max_msgs {
-                flush(&mut chunk, &mut out);
-                chunk_parts = 0;
-            }
-            chunk.push(msg);
-            chunk_parts += parts;
-            if chunk_parts >= self.batch.max_msgs {
-                flush(&mut chunk, &mut out);
-                chunk_parts = 0;
-            }
-        }
-        flush(&mut chunk, &mut out);
-        out
     }
 
     /// Stop holding every link out of `p`, delivering held messages.
@@ -766,24 +732,11 @@ impl World {
 
     /// Apply (and drain) the effects of `from`'s step.
     fn apply_effects(&mut self, from: ProcessId, eff: &mut Effects) {
-        // Anything left staged (un-flushed) degrades to plain sends.
-        eff.sends.append(&mut eff.staged);
         // Coalesce one step's sends per destination into wire messages.
         // Disabled, or with no destination named twice, this is the
         // identity — same messages, same RNG draw order — so unbatched
         // runs are bit-identical to pre-batching.
-        if self.batch.enabled && !distinct_destinations(&eff.sends) {
-            let mut groups: Vec<(ProcessId, Vec<Message>)> = Vec::new();
-            for (to, msg) in eff.sends.drain(..) {
-                match groups.iter_mut().find(|(dest, _)| *dest == to) {
-                    Some((_, parts)) => parts.push(msg),
-                    None => groups.push((to, vec![msg])),
-                }
-            }
-            for (to, parts) in groups {
-                eff.sends.extend(self.coalesce(parts).into_iter().map(|m| (to, m)));
-            }
-        }
+        self.batch.coalesce(&mut eff.sends);
         // Client-side message accounting (per wire message: a batch
         // counts once — that is the complexity the metric tracks).
         if from.is_client() {
