@@ -208,12 +208,13 @@ fn check_read_write_order(history: &History, index: &BTreeMap<Value, u64>, v: &m
 /// Condition (3): if a READ returns `val_k` (k ≥ 1), `wr_k` precedes it or
 /// is concurrent with it — i.e. the READ does not precede `wr_k`.
 fn check_no_future_values(history: &History, index: &BTreeMap<Value, u64>, v: &mut Vec<Violation>) {
+    let writes: Vec<&OpRecord> = history.writes().collect();
     for read in history.complete_reads() {
         let Some(l) = read_index(read, index) else { continue };
         if l == 0 {
             continue;
         }
-        let write = history.writes().nth(l as usize - 1).expect("index derived from writes()");
+        let write = writes[l as usize - 1];
         if read.precedes(write) {
             v.push(Violation::FutureRead { read: read.id, write: write.id });
         }

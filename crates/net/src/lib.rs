@@ -161,6 +161,7 @@
 mod cluster;
 pub mod exec;
 mod future;
+mod oplog;
 mod polled;
 mod reactor;
 mod router;

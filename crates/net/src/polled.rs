@@ -64,10 +64,11 @@
 
 use crate::cluster::{trace_actor, NetError, NetOutcome};
 use crate::future::NotifyGuard;
+use crate::oplog::OpLog;
 use crate::router::{Envelope, NetStats};
 use crossbeam::channel::{Receiver, Sender};
 use lucky_core::runtime::{ClientSession, Input};
-use lucky_types::{History, Message, Op, OpId, OpRecord, ProcessId, RegisterId, Time};
+use lucky_types::{Message, Op, ProcessId, RegisterId, Time};
 use lucky_wire::{decode_packet, FrameDecoder};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
@@ -439,7 +440,9 @@ pub(crate) struct PolledWorker {
     /// it lists every busy slot, so each fails in the same pass.
     disconnected: bool,
     pub(crate) io: PollIo,
-    history: Arc<Mutex<History>>,
+    /// The store's op log, shared by every worker: each settled or
+    /// failed op is appended under its lock (see [`append_history`]).
+    history: Arc<Mutex<OpLog>>,
     stats: Arc<Mutex<NetStats>>,
     epoch: Instant,
     tracer: Arc<lucky_trace::Tracer>,
@@ -452,7 +455,7 @@ impl PolledWorker {
         jobs: Receiver<Job>,
         router: Sender<Envelope>,
         io: PollIo,
-        history: Arc<Mutex<History>>,
+        history: Arc<Mutex<OpLog>>,
         stats: Arc<Mutex<NetStats>>,
         epoch: Instant,
         tracer: Arc<lucky_trace::Tracer>,
@@ -700,7 +703,7 @@ impl PolledWorker {
                     &self.history,
                     slot.session.reg(),
                     slot.session.id(),
-                    cur.op,
+                    &cur.op,
                     cur.invoked_at,
                     result.as_ref().ok().map(|net| (now, net)),
                     (cur.msgs, cur.bytes),
@@ -737,49 +740,26 @@ impl PolledWorker {
     }
 }
 
-/// Append one finished (or abandoned) operation to the shared history.
+/// Append one finished (or abandoned) operation to the store's op log.
 /// `completion` is `None` for a failed operation (it stays an incomplete
 /// record, so the checkers treat it as pending, never as a bogus
 /// completion).
 /// `traffic` is the op's `(msgs, bytes)` attribution, counted by the
 /// worker while the op was pending — the same population the sim world
 /// records, so sim-vs-net comparisons read real numbers.
+/// The log keeps a 64 B record per op and copies the op's value into its
+/// arena, unless it is a READ of its register's last logged WRITE value
+/// (`crate::oplog`); the op's own buffers are not retained.
 fn append_history(
-    history: &Arc<Mutex<History>>,
+    history: &Mutex<OpLog>,
     reg: RegisterId,
     client: ProcessId,
-    op: Op,
+    op: &Op,
     invoked_at: Time,
     completion: Option<(Time, &NetOutcome)>,
     traffic: (u64, u64),
 ) {
-    let mut h = history.lock();
-    let id = OpId(h.ops.len() as u64);
-    let (completed_at, result, rounds, fast) = match completion {
-        Some((at, net)) => (
-            Some(at),
-            match op {
-                Op::Read => Some(net.value.clone()),
-                Op::Write(_) => None,
-            },
-            net.rounds,
-            net.fast,
-        ),
-        None => (None, None, 0, false),
-    };
-    h.ops.push(OpRecord {
-        id,
-        reg,
-        client,
-        op,
-        invoked_at,
-        completed_at,
-        result,
-        rounds,
-        fast,
-        msgs: traffic.0,
-        bytes: traffic.1,
-    });
+    history.lock().push(reg, client, op, invoked_at, completion, traffic);
 }
 
 #[cfg(all(test, target_os = "linux"))]
@@ -813,7 +793,7 @@ mod tests {
         // worker would see a shut-down store.
         let (router_tx, router_rx) = unbounded::<Envelope>();
         let (io, stats, tracer) = tcp_io(listener);
-        let history = Arc::new(Mutex::new(History::new()));
+        let history = Arc::new(Mutex::new(OpLog::default()));
         let mut worker = PolledWorker::new(
             job_rx,
             router_tx,

@@ -22,6 +22,7 @@ use crate::cluster::{
     ServerCtl,
 };
 use crate::future::{NotifyGuard, OpFuture, OpNotify};
+use crate::oplog::OpLog;
 use crate::polled::{Driver, Job, PollIo, PolledWorker};
 use crate::reactor::wait_strategy;
 use crate::router::{spawn_router, Envelope, NetStats, RouterConfig, SlotMap, SlotSink};
@@ -313,8 +314,8 @@ impl NetStoreBuilder {
 
         // Shard workers: each owns its registers' client sessions,
         // multiplexes them on one loop, and appends completed operations
-        // to the shared history.
-        let history = Arc::new(Mutex::new(History::new()));
+        // to the shared op log.
+        let history = Arc::new(Mutex::new(OpLog::default()));
         let wakeups = Arc::new(AtomicU64::new(0));
         let mut workers = Vec::new();
         let mut worker_txs: Vec<Port<Job>> = Vec::new();
@@ -712,7 +713,9 @@ pub struct NetStore {
     readers_per_register: usize,
     shard_count: usize,
     stats: Arc<Mutex<NetStats>>,
-    history: Arc<Mutex<History>>,
+    /// Every op served, completed or failed, in the order the workers
+    /// settled them: a fixed-size record per op and one value arena.
+    history: Arc<Mutex<OpLog>>,
     /// Control port of each live server thread, by server index. A
     /// socket server runs until its port drops.
     ctl: BTreeMap<u16, Port<ServerCtl>>,
@@ -886,21 +889,28 @@ impl NetStore {
     }
 
     /// A snapshot of the operation history so far (all registers
-    /// interleaved; partition with `History::partition_by_register`).
-    /// Wall-clock instants are microseconds since the store started.
+    /// interleaved, in the order ops settled or failed; partition with
+    /// `History::partition_by_register`). Wall-clock instants are
+    /// microseconds since the store started; an op's id is its position,
+    /// and a failed op is an incomplete record.
+    ///
+    /// The store keeps a compact op log, not a `History`: each call
+    /// rebuilds one from it, under the log's lock, in one record vector
+    /// plus one buffer that every value is a window of.
     pub fn history(&self) -> History {
-        self.history.lock().clone()
+        self.history.lock().to_history()
     }
 
     /// Operations recorded in the history so far (completed or failed):
-    /// the length, read under the lock, without the clone
+    /// the log's length, read under its lock, without the rebuild
     /// [`NetStore::history`] pays.
     pub fn history_len(&self) -> usize {
-        self.history.lock().ops.len()
+        self.history.lock().len()
     }
 
     /// Check every register's sub-history against the atomicity
-    /// conditions (§2.2), partitioned per register.
+    /// conditions (§2.2), partitioned per register: one
+    /// [`NetStore::history`] rebuild, then the batch checker over it.
     ///
     /// # Errors
     ///
@@ -910,7 +920,8 @@ impl NetStore {
     }
 
     /// Check every register's sub-history against the regularity
-    /// conditions (App. D), partitioned per register.
+    /// conditions (App. D), partitioned per register: one
+    /// [`NetStore::history`] rebuild, then the batch checker over it.
     ///
     /// # Errors
     ///
