@@ -1,19 +1,5 @@
 //! Protocol configuration knobs.
 
-/// Which protocol variant a cluster runs.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
-pub enum Variant {
-    /// The main atomic algorithm (§3, Figs 1–3).
-    #[default]
-    Atomic,
-    /// The two-round-write algorithm (Appendix C, Figs 6–8).
-    TwoRound,
-    /// The regular, malicious-reader-tolerant variant (Appendix D).
-    Regular,
-    /// The crash-only ABD baseline (`crate::abd`).
-    Abd,
-}
-
 /// Tunables shared by all protocol cores.
 ///
 /// The defaults implement the paper exactly; the switches exist for the

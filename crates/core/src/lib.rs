@@ -89,7 +89,7 @@ pub mod runtime;
 pub mod tworound;
 pub mod view;
 
-pub use config::{ProtocolConfig, Variant};
+pub use config::ProtocolConfig;
 pub use runtime::{
     ClientSession, OpOutcome, RegisterMux, SessionConfig, SessionError, SessionOutcome,
     SessionStatus, Setup, SimRegister, SimStore, StoreConfig, SYNC_BOUND_MICROS,

@@ -64,11 +64,8 @@
 //! // Begin WRITE(7): the session queues the PW-round broadcast.
 //! session.begin(Op::Write(Value::from_u64(7)), Time(0))?;
 //! let mut pw_targets = Vec::new();
-//! while let Some(out) = session.poll_output() {
-//!     match out {
-//!         Output::Send(to, _msg) => pw_targets.push(to),
-//!         Output::Batch(to, parts) => pw_targets.extend(std::iter::repeat(to).take(parts.len())),
-//!     }
+//! while let Some(Output::Send(to, _msg)) = session.poll_output() {
+//!     pw_targets.push(to);
 //! }
 //! assert_eq!(pw_targets.len(), 3, "PW broadcast to every server");
 //! let due = session.next_wake().expect("the round-1 synchrony timer is pending");
@@ -129,20 +126,13 @@ pub enum Input {
 pub enum Output {
     /// Send one protocol message to `to`.
     Send(ProcessId, Message),
-    /// Send a group of protocol messages to `to` that the core coalesced
-    /// into one wire batch. Channel-style drivers re-wrap the parts with
-    /// [`Message::batch`]; byte-oriented drivers may frame them directly.
-    Batch(ProcessId, Vec<Message>),
 }
 
 impl Output {
-    /// Collapse to a single `(to, message)` send — the form every
-    /// message-oriented driver forwards (a batch re-wrapped whole).
+    /// The `(to, message)` send — the form every driver forwards.
     pub fn into_send(self) -> (ProcessId, Message) {
-        match self {
-            Output::Send(to, msg) => (to, msg),
-            Output::Batch(to, parts) => (to, Message::batch(parts)),
-        }
+        let Output::Send(to, msg) = self;
+        (to, msg)
     }
 }
 
@@ -464,10 +454,7 @@ impl<C: ClientCore> ClientSession<C> {
             self.span.note_send_batch(now.0);
         }
         for (to, msg) in sends {
-            self.outputs.push_back(match msg {
-                Message::Batch(parts) => Output::Batch(to, parts),
-                msg => Output::Send(to, msg),
-            });
+            self.outputs.push_back(Output::Send(to, msg));
         }
         for (id, delay_micros) in timers {
             self.timers.push((id, now + delay_micros));

@@ -1,7 +1,7 @@
 //! [`Setup`] — which protocol variant a store runs, and the factories
 //! that build its processes.
 
-use crate::config::{ProtocolConfig, Variant};
+use crate::config::ProtocolConfig;
 use crate::runtime::adapters::{ClientCore, ServerCore};
 use crate::runtime::mux::RegisterMux;
 use crate::runtime::session::{ClientSession, SessionConfig};
@@ -35,16 +35,6 @@ impl Setup {
             Setup::Atomic(p) | Setup::Regular(p) => p.server_count(),
             Setup::TwoRound(p) => p.server_count(),
             Setup::Abd { t } => 2 * t + 1,
-        }
-    }
-
-    /// The variant tag.
-    pub fn variant(&self) -> Variant {
-        match self {
-            Setup::Atomic(_) => Variant::Atomic,
-            Setup::TwoRound(_) => Variant::TwoRound,
-            Setup::Regular(_) => Variant::Regular,
-            Setup::Abd { .. } => Variant::Abd,
         }
     }
 
@@ -254,7 +244,7 @@ mod tests {
     /// reply, in order.
     fn drive(setup: Setup, server: &mut dyn ServerCore) -> Vec<(ProcessId, Message)> {
         let frozen = vec![FrozenUpdate { reader: ReaderId(2), pw: pair(4), tsr: ReadSeq(7) }];
-        let on_w = setup.variant() == Variant::TwoRound;
+        let on_w = matches!(setup, Setup::TwoRound(_));
         let mut script = vec![read(2, 7, 2), pw(5, if on_w { vec![] } else { frozen.clone() })];
         for round in 1..=3 {
             let f = if on_w && round == 2 { frozen.clone() } else { vec![] };

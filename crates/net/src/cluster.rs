@@ -12,6 +12,7 @@
 use crate::polled::PollIo;
 use crate::reactor::wait_strategy;
 use crate::router::Envelope;
+use crate::settle::Settle;
 use crossbeam::channel::{Receiver, Sender, TryRecvError};
 use epoll::WakeFd;
 use lucky_core::runtime::{ServerCore, SessionError, SessionOutcome};
@@ -212,12 +213,12 @@ pub(crate) enum ServerCtl {
     /// pre-crash write has completed. The server then re-binds: the old
     /// listener and its connections close, a fresh ephemeral one takes
     /// their place. The second field acknowledges the completed restart
-    /// with the new listener's address (`None` if no listener could be
-    /// had): the requester blocks on
-    /// it so that once its `restart_server` returns, no later message
-    /// can race the still-down window and be lost (deliveries *before*
-    /// the rebuild are lost like any message to a down server).
-    Restart(Box<dyn FnOnce() -> Box<dyn ServerCore> + Send>, Sender<Option<SocketAddr>>),
+    /// with the new listener's address (dropped unsettled if no listener
+    /// could be had): the requester blocks on it so that once its
+    /// `restart_server` returns, no later message can race the
+    /// still-down window and be lost (deliveries *before* the rebuild
+    /// are lost like any message to a down server).
+    Restart(Box<dyn FnOnce() -> Box<dyn ServerCore> + Send>, Settle<SocketAddr>),
 }
 
 /// One server: its protocol core, present unless crashed, and where its
@@ -230,9 +231,9 @@ struct Server {
 
 impl Server {
     /// Apply one control command. A restart hands back its
-    /// acknowledgement, for the caller to send once its socket is ready
-    /// for the new incarnation.
-    fn control(&mut self, cmd: ServerCtl) -> Option<Sender<Option<SocketAddr>>> {
+    /// acknowledgement, for the caller to settle once its socket is
+    /// ready for the new incarnation.
+    fn control(&mut self, cmd: ServerCtl) -> Option<Settle<SocketAddr>> {
         match cmd {
             ServerCtl::Crash => {
                 self.core = None;
@@ -293,7 +294,9 @@ pub(crate) fn spawn_server_thread(
                         if let Some(done) = server.control(cmd) {
                             let addr = io.rebind();
                             wait = wait_strategy(&io, wake.clone(), None);
-                            let _ = done.send(addr);
+                            if let Some(addr) = addr {
+                                done.settle(addr);
+                            }
                         }
                     }
                     Err(TryRecvError::Empty) => break,

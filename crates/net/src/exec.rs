@@ -8,9 +8,9 @@
 //!   of spawned futures; [`run_all`] is the convenience wrapper that
 //!   joins a batch of same-typed futures and returns their outputs.
 //!
-//! No reactor lives here: wakeups come from the store's worker threads
-//! via `NotifyGuard` drops (see the crate-private `future` module), so
-//! the executor only needs a run queue. This is deliberate — the *IO*
+//! No reactor lives here: wakeups come from the store's worker threads,
+//! which wake a polled [`OpFuture`] when they settle its op, so the
+//! executor only needs a run queue. This is deliberate — the *IO*
 //! reactor (epoll) runs inside the store's shard workers, and the
 //! client-side executor stays a few dozen lines of std.
 //!

@@ -100,8 +100,9 @@
 //! [`read_future`](NetRegisterHandle::read_future) (and their `async
 //! fn` sugar [`write_async`](NetRegisterHandle::write_async) /
 //! [`read_async`](NetRegisterHandle::read_async)) return real
-//! [`OpFuture`]s: the op is submitted immediately and the shard worker
-//! wakes the awaiting task when it settles. Any executor works; the
+//! [`OpFuture`]s: the op is submitted immediately, and the shard worker
+//! settles it into the one cell its ticket and future both read, waking
+//! the task whose poll found the cell empty. Any executor works; the
 //! std-only batteries in [`exec`] ([`exec::block_on`],
 //! [`exec::Executor`], [`exec::run_all`]) are enough to hold thousands
 //! of operations in flight from one caller thread.
@@ -160,17 +161,16 @@
 
 mod cluster;
 pub mod exec;
-mod future;
 mod oplog;
 mod polled;
 mod reactor;
 mod router;
+mod settle;
 mod store;
 mod tcp;
 
 pub use cluster::{HandleError, NetConfig, NetError, NetOutcome};
-pub use future::OpFuture;
 pub use polled::Driver;
 pub use router::{GroupStats, NetStats, RegisterStats, ServerStats};
-pub use store::{NetRegisterHandle, NetStore, NetStoreBuilder, OpTicket};
+pub use store::{NetRegisterHandle, NetStore, NetStoreBuilder, OpFuture, OpTicket};
 pub use tcp::Transport;

@@ -63,9 +63,9 @@
 //! protocol and deadline logic.
 
 use crate::cluster::{trace_actor, NetError, NetOutcome};
-use crate::future::NotifyGuard;
 use crate::oplog::OpLog;
 use crate::router::{Envelope, NetStats};
+use crate::settle::Settle;
 use crossbeam::channel::{Receiver, Sender};
 use lucky_core::runtime::{ClientSession, Input};
 use lucky_types::{Message, Op, ProcessId, RegisterId, Time};
@@ -101,15 +101,13 @@ pub enum Driver {
 }
 
 /// A job submitted to a shard worker: run `op` on the client session
-/// keyed by `slot` and send the outcome back through `reply`. `notify`
-/// wakes the op's future (if the job came from the futures API) once the
-/// reply has been sent — or on any path that drops the job, so a future
-/// can never be lost.
+/// keyed by `slot` and settle the outcome into `settle`, the cell its
+/// ticket or future reads. A path that drops the job unsettled closes
+/// the cell, so the caller is never lost.
 pub(crate) struct Job {
     pub(crate) slot: (RegisterId, u32),
     pub(crate) op: Op,
-    pub(crate) reply: Sender<Result<NetOutcome, NetError>>,
-    pub(crate) notify: Option<NotifyGuard>,
+    pub(crate) settle: Settle<Result<NetOutcome, NetError>>,
 }
 
 /// The operation currently in flight on one session, with its per-op
@@ -118,17 +116,15 @@ pub(crate) struct Job {
 /// sim world's `apply_effects`/`account_delivery` perform).
 struct Current {
     op: Op,
-    reply: Sender<Result<NetOutcome, NetError>>,
-    notify: Option<NotifyGuard>,
+    settle: Settle<Result<NetOutcome, NetError>>,
     start: Instant,
     invoked_at: Time,
     msgs: u64,
     bytes: u64,
 }
 
-/// A queued operation: what to run, where the outcome goes, and the
-/// optional future wakeup to fire once the reply is observable.
-type QueuedOp = (Op, Sender<Result<NetOutcome, NetError>>, Option<NotifyGuard>);
+/// A queued operation: what to run and where the outcome goes.
+type QueuedOp = (Op, Settle<Result<NetOutcome, NetError>>);
 
 /// A session's key within its worker: its register and its slot there
 /// (the writer, or one of the readers).
@@ -607,15 +603,14 @@ impl PolledWorker {
 
     fn enqueue(&mut self, job: Job) {
         // An unknown slot cannot happen (handle construction prevents
-        // it); if it did, dropping the reply sender surfaces as a
-        // disconnect to the caller (and the dropped notify guard wakes
-        // the op's future, if any).
+        // it); if it did, the dropped job closes its cell, which
+        // surfaces as a disconnect to the caller.
         if let Some(&i) = self.by_key.get(&job.slot) {
             let slot = &mut self.sessions[i];
             if slot.is_idle() {
                 self.busy += 1;
             }
-            slot.queue.push_back((job.op, job.reply, job.notify));
+            slot.queue.push_back((job.op, job.settle));
             slot.mark_ready(i, &mut self.ready);
         }
     }
@@ -638,7 +633,7 @@ impl PolledWorker {
             loop {
                 // Start the next queued op when the session is free.
                 if slot.current.is_none() && (self.disconnected || slot.session.is_ready()) {
-                    if let Some((op, reply, notify)) = slot.queue.pop_front() {
+                    if let Some((op, settle)) = slot.queue.pop_front() {
                         if !self.disconnected {
                             slot.session
                                 .begin(op.clone(), now)
@@ -646,8 +641,7 @@ impl PolledWorker {
                         }
                         slot.current = Some(Current {
                             op,
-                            reply,
-                            notify,
+                            settle,
                             start: Instant::now(),
                             invoked_at: now,
                             msgs: 0,
@@ -708,10 +702,7 @@ impl PolledWorker {
                     result.as_ref().ok().map(|net| (now, net)),
                     (cur.msgs, cur.bytes),
                 );
-                let _ = cur.reply.send(result);
-                // Wake the op's future (if any) only now, *after* the
-                // reply is observable in the channel.
-                drop(cur.notify);
+                cur.settle.settle(result);
             }
             if was_busy && slot.is_idle() {
                 self.busy -= 1;
@@ -765,6 +756,8 @@ fn append_history(
 #[cfg(all(test, target_os = "linux"))]
 mod tests {
     use super::*;
+    use crate::settle::oneshot;
+    use crate::OpTicket;
     use crossbeam::channel::unbounded;
     use lucky_core::runtime::{SessionConfig, Setup};
     use lucky_core::ProtocolConfig;
@@ -891,20 +884,19 @@ mod tests {
             test_worker(listener, vec![writer(0, 1_000, 50_000)]);
         assert_eq!(stats.lock().io_errors, 1);
         let handle = std::thread::spawn(move || worker.run(Box::new(SleepPoll)));
-        let rx = submit_write(&job_tx, 0);
-        let result = rx.recv_timeout(Duration::from_secs(5)).expect("worker still answers");
-        assert_eq!(result.unwrap_err(), NetError::TimedOut);
+        let mut ticket = submit_write(&job_tx, 0);
+        assert_eq!(ticket.wait_for(Duration::from_secs(5)), Err(NetError::TimedOut));
         drop(job_tx);
         handle.join().expect("worker exits cleanly, no panic");
     }
 
-    /// Queue a WRITE on register `reg`'s writer; the receiver gets its
+    /// Queue a WRITE on register `reg`'s writer; the ticket gets its
     /// outcome.
-    fn submit_write(jobs: &Sender<Job>, reg: u32) -> Receiver<Result<NetOutcome, NetError>> {
-        let (reply, rx) = unbounded();
+    fn submit_write(jobs: &Sender<Job>, reg: u32) -> OpTicket {
+        let (settle, receipt) = oneshot();
         let op = Op::Write(lucky_types::Value::from_u64(1));
-        jobs.send(Job { slot: (RegisterId(reg), 0), op, reply, notify: None }).unwrap();
-        rx
+        jobs.send(Job { slot: (RegisterId(reg), 0), op, settle }).unwrap();
+        OpTicket(receipt)
     }
 
     #[test]
@@ -925,7 +917,7 @@ mod tests {
                 vec![writer(a, TIMER, 2 * TIMER), writer(b, TIMER, 2 * TIMER)],
             );
             let wake = Arc::new(epoll::WakeFd::new().unwrap());
-            let b_reply = submit_write(&job_tx, b);
+            let mut b_reply = submit_write(&job_tx, b);
             let port = Arc::clone(&wake);
             let handle = std::thread::spawn(move || {
                 let wait = crate::reactor::wait_strategy(&worker.io, Some(port), None);
@@ -934,15 +926,11 @@ mod tests {
             router_rx.recv_timeout(Duration::from_secs(5)).expect("B's write went out");
             drop(router_rx);
             let start = Instant::now();
-            let a_reply = submit_write(&job_tx, a);
+            let mut a_reply = submit_write(&job_tx, a);
             wake.wake();
             let within = Duration::from_secs(2);
-            assert_eq!(a_reply.recv_timeout(within).unwrap().unwrap_err(), NetError::Disconnected);
-            assert_eq!(
-                b_reply.recv_timeout(within).expect("B answered before its timer").unwrap_err(),
-                NetError::Disconnected,
-                "A = {a}, B = {b}"
-            );
+            assert_eq!(a_reply.wait_for(within), Err(NetError::Disconnected));
+            assert_eq!(b_reply.wait_for(within), Err(NetError::Disconnected), "A = {a}, B = {b}");
             assert!(start.elapsed() < Duration::from_micros(TIMER));
             drop(job_tx);
             wake.wake();

@@ -21,13 +21,13 @@ use crate::cluster::{
     assert_one_fault_per_server, spawn_server_thread, HandleError, NetConfig, NetError, NetOutcome,
     ServerCtl,
 };
-use crate::future::{NotifyGuard, OpFuture, OpNotify};
 use crate::oplog::OpLog;
 use crate::polled::{Driver, Job, PollIo, PolledWorker};
 use crate::reactor::wait_strategy;
 use crate::router::{spawn_router, Envelope, NetStats, RouterConfig, SlotMap, SlotSink};
+use crate::settle::{oneshot, Receipt};
 use crate::tcp::Transport;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use epoll::WakeFd;
 use lucky_core::runtime::{ClientSession, ServerCore};
 use lucky_core::{ProtocolConfig, SessionConfig, Setup, StoreConfig};
@@ -40,8 +40,9 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::{Context, Poll};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Key of a register's writer core within its worker (readers are `j+1`).
 const WRITER_SLOT: u32 = 0;
@@ -422,9 +423,8 @@ impl<T> Port<T> {
     /// Send an item, then wake the reactor (the order matters: the
     /// thread must find the item when the wakeup drains).
     fn send(&self, item: T) {
-        // A send failure means the store shut down; whatever reply
-        // sender (and notify guard, for futures) the item carried drops
-        // with it, which surfaces it.
+        // A send failure means the store shut down; whatever settle
+        // cell the item carried drops with it, which surfaces it.
         let _ = self.tx.send(item);
         if let Some(wake) = &self.wake {
             wake.0.wake();
@@ -457,44 +457,22 @@ fn shard_for(reg: RegisterId, slot: u32, shards: usize) -> usize {
 /// A pending operation on a [`NetRegisterHandle`]: wait for its outcome
 /// with [`OpTicket::wait`], or poll it with [`OpTicket::is_done`] /
 /// [`OpTicket::wait_for`] without committing to a full blocking wait.
+/// The three compose in any order: once settled, the outcome stays in
+/// the ticket. An operation whose job the store dropped unsettled (it
+/// shut down) resolves to [`NetError::Disconnected`].
 #[derive(Debug)]
-pub struct OpTicket {
-    rx: Receiver<Result<NetOutcome, NetError>>,
-    /// The settled result, once observed by any polling call — kept so
-    /// `is_done`/`wait_for`/`wait` compose in any order.
-    settled: Option<Result<NetOutcome, NetError>>,
+pub struct OpTicket(pub(crate) Receipt<Result<NetOutcome, NetError>>);
+
+/// A closed cell means the job was dropped unsettled.
+fn disconnected(read: Option<Result<NetOutcome, NetError>>) -> Result<NetOutcome, NetError> {
+    read.unwrap_or(Err(NetError::Disconnected))
 }
 
 impl OpTicket {
-    fn new(rx: Receiver<Result<NetOutcome, NetError>>) -> OpTicket {
-        OpTicket { rx, settled: None }
-    }
-
-    /// Try to observe the result without blocking; cache it if present.
-    fn poll(&mut self) {
-        if self.settled.is_none() {
-            match self.rx.try_recv() {
-                Ok(result) => self.settled = Some(result),
-                Err(crossbeam::channel::TryRecvError::Empty) => {}
-                Err(crossbeam::channel::TryRecvError::Disconnected) => {
-                    self.settled = Some(Err(NetError::Disconnected));
-                }
-            }
-        }
-    }
-
     /// `true` iff the operation has settled (completed or failed):
     /// a subsequent [`OpTicket::wait`] will not block.
     pub fn is_done(&mut self) -> bool {
-        self.poll();
-        self.settled.is_some()
-    }
-
-    /// The settled result, if any, without blocking — [`crate::OpFuture`]'s
-    /// poll body. Returns the cached result again once settled (fused).
-    pub(crate) fn try_settled(&mut self) -> Option<Result<NetOutcome, NetError>> {
-        self.poll();
-        self.settled.clone()
+        self.0.is_done()
     }
 
     /// Wait up to `timeout` for the operation to settle.
@@ -508,20 +486,8 @@ impl OpTicket {
     /// down mid-operation.
     ///
     /// [`wait`]: OpTicket::wait
-    pub fn wait_for(
-        &mut self,
-        timeout: std::time::Duration,
-    ) -> Result<Option<NetOutcome>, NetError> {
-        if self.settled.is_none() {
-            match self.rx.recv_timeout(timeout) {
-                Ok(result) => self.settled = Some(result),
-                Err(crossbeam::channel::RecvTimeoutError::Timeout) => return Ok(None),
-                Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                    self.settled = Some(Err(NetError::Disconnected));
-                }
-            }
-        }
-        self.settled.clone().expect("settled above").map(Some)
+    pub fn wait_for(&mut self, timeout: Duration) -> Result<Option<NetOutcome>, NetError> {
+        self.0.wait_for(Some(timeout)).map(disconnected).transpose()
     }
 
     /// Block until the operation completes (or fails).
@@ -531,13 +497,34 @@ impl OpTicket {
     /// [`NetError`] if the operation stalled past its deadline or the
     /// store shut down mid-operation.
     pub fn wait(self) -> Result<NetOutcome, NetError> {
-        if let Some(result) = self.settled {
-            return result;
-        }
-        match self.rx.recv() {
-            Ok(result) => result,
-            Err(_) => Err(NetError::Disconnected),
-        }
+        // Untimed, the wait returns only once the cell is done.
+        disconnected(self.0.wait_for(None).flatten())
+    }
+}
+
+/// A pending store operation as a [`Future`](std::future::Future), from
+/// [`NetRegisterHandle::write_future`] /
+/// [`read_future`](NetRegisterHandle::read_future) (or their `async fn`
+/// sugar [`write_async`](NetRegisterHandle::write_async) /
+/// [`read_async`](NetRegisterHandle::read_async)). Any executor works;
+/// [`crate::exec`] ships two.
+///
+/// It reads the op's settle cell, as its [`OpTicket`] would: a poll that
+/// finds the cell empty leaves its waker there, under the cell's lock,
+/// for the shard worker's settle to wake. It resolves to exactly what
+/// [`OpTicket::wait`] would return, and polling after completion yields
+/// the same result again (the future is fused). Dropping it abandons the
+/// wait, never the operation — the op still runs and lands in the store
+/// history.
+#[derive(Debug)]
+pub struct OpFuture(OpTicket);
+
+impl std::future::Future for OpFuture {
+    type Output = Result<NetOutcome, NetError>;
+
+    fn poll(self: std::pin::Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let OpFuture(OpTicket(receipt)) = &*self;
+        receipt.poll(cx).map(disconnected)
     }
 }
 
@@ -573,25 +560,11 @@ impl NetRegisterHandle {
     }
 
     fn submit(&self, slot: u32, op: Op) -> OpTicket {
-        let (reply, rx) = unbounded();
-        // A send failure means the store shut down; the dropped reply
-        // sender surfaces as `Disconnected` from `wait`.
-        self.slots[slot as usize].send(Job { slot: (self.reg, slot), op, reply, notify: None });
-        OpTicket::new(rx)
-    }
-
-    /// Like [`NetRegisterHandle::submit`], wiring a wake channel through
-    /// the job so an [`OpFuture`] learns when its ticket settles.
-    fn submit_future(&self, slot: u32, op: Op) -> OpFuture {
-        let (reply, rx) = unbounded();
-        let notify = OpNotify::new();
-        self.slots[slot as usize].send(Job {
-            slot: (self.reg, slot),
-            op,
-            reply,
-            notify: Some(NotifyGuard::new(Arc::clone(&notify))),
-        });
-        OpFuture::new(OpTicket::new(rx), notify)
+        let (settle, receipt) = oneshot();
+        // A send failure means the store shut down; the dropped job
+        // closes the cell, which surfaces as `Disconnected`.
+        self.slots[slot as usize].send(Job { slot: (self.reg, slot), op, settle });
+        OpTicket(receipt)
     }
 
     /// Submit `WRITE(v)` and return a ticket to wait on. Writes on the
@@ -625,7 +598,7 @@ impl NetRegisterHandle {
     /// [`run_all`](crate::exec::run_all) holds thousands in flight from
     /// one thread. Dropping the future abandons the wait, never the op.
     pub fn write_future(&self, v: Value) -> OpFuture {
-        self.submit_future(WRITER_SLOT, Op::Write(v))
+        OpFuture(self.invoke_write(v))
     }
 
     /// Submit `READ()` on reader `j` as a [`Future`](std::future::Future);
@@ -635,13 +608,7 @@ impl NetRegisterHandle {
     ///
     /// Panics if `j` is outside `0..reader_count()`.
     pub fn read_future(&self, j: u16) -> OpFuture {
-        assert!(
-            (j as usize) < self.readers,
-            "reader {j} outside 0..{} for register {}",
-            self.readers,
-            self.reg
-        );
-        self.submit_future(j as u32 + 1, Op::Read)
+        OpFuture(self.invoke_read(j))
     }
 
     /// `WRITE(v)` as an `async fn`: sugar for
@@ -863,13 +830,14 @@ impl NetStore {
         let setup = self.setup;
         let batch = self.batch;
         let durable = self.durable_dir.clone().map(|d| (d, Arc::clone(&self.counters)));
-        let (done_tx, done_rx) = unbounded();
+        let (ack, rebound) = oneshot();
         port.send(ServerCtl::Restart(
             Box::new(move || setup.make_store_server(batch, durable, i)),
-            done_tx,
+            ack,
         ));
-        // The bound only guards against a thread that already exited.
-        let rebound = done_rx.recv_timeout(std::time::Duration::from_secs(5)).ok().flatten();
+        // A thread that already exited dropped the ack, which reads as
+        // `None` at once; the bound only guards against a wedged one.
+        let rebound = rebound.wait_for(Some(Duration::from_secs(5))).flatten();
         // The server comes back at a new address: the old one is gone
         // either way, and the new one is the slot's only once the router
         // holds a sink connected to it. (A server that could not re-bind
@@ -981,7 +949,6 @@ impl Drop for NetStore {
 mod tests {
     use super::*;
     use lucky_types::{OpKind, Params};
-    use std::time::Duration;
 
     fn fast_cfg() -> NetConfig {
         NetConfig {
@@ -1134,7 +1101,32 @@ mod tests {
             matches!(t.wait(), Err(NetError::Disconnected) | Err(NetError::TimedOut)),
             "post-shutdown tickets must fail, not hang"
         );
+        // The same through a future: it resolves, never hangs.
+        assert!(
+            matches!(
+                crate::exec::block_on(h.write_future(Value::from_u64(3))),
+                Err(NetError::Disconnected) | Err(NetError::TimedOut)
+            ),
+            "post-shutdown futures must fail, not hang"
+        );
         drop(h);
+    }
+
+    #[test]
+    fn a_dropped_job_reads_as_disconnected_on_ticket_and_future() {
+        // The cell a job carries is closed when the job is dropped
+        // unsettled: both faces of the op report the disconnect.
+        let (settle, receipt) = oneshot::<Result<NetOutcome, NetError>>();
+        let mut ticket = OpTicket(receipt);
+        assert!(!ticket.is_done());
+        drop(settle);
+        assert!(ticket.is_done());
+        assert_eq!(ticket.wait_for(Duration::ZERO), Err(NetError::Disconnected));
+        assert_eq!(ticket.wait(), Err(NetError::Disconnected));
+        let (settle, receipt) = oneshot::<Result<NetOutcome, NetError>>();
+        drop(settle);
+        let future = OpFuture(OpTicket(receipt));
+        assert_eq!(crate::exec::block_on(future), Err(NetError::Disconnected));
     }
 
     #[test]

@@ -118,10 +118,15 @@ impl OpRecord {
     }
 }
 
-/// A full run history: every operation, in invocation order.
+/// A full run history: every operation, in the order its runtime
+/// recorded them.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct History {
-    /// Operations ordered by invocation time (ties by [`OpId`]).
+    /// Operations in record order: a simulator history appends each op
+    /// when it is invoked, a `NetStore` history when it settles or fails,
+    /// so there a READ invoked before a WRITE may come after it. The
+    /// checkers rely only on each register's WRITEs being in order,
+    /// which its one sequential writer guarantees in either runtime.
     pub ops: Vec<OpRecord>,
 }
 
@@ -131,7 +136,8 @@ impl History {
         History::default()
     }
 
-    /// All WRITE records, in invocation (= timestamp) order.
+    /// All WRITE records, each register's in invocation (= timestamp)
+    /// order.
     pub fn writes(&self) -> impl Iterator<Item = &OpRecord> {
         self.ops.iter().filter(|r| r.op.is_write())
     }
